@@ -21,14 +21,16 @@ from .elements import (
     scatterer_matrix,
 )
 from .errors import (
+    CalibrationError,
     ChainError,
     ConfigError,
     NonCoolingError,
     PassivityError,
     SingularSolveError,
     TmmCavityError,
+    WavenumberError,
 )
-from .opalg import KFunction, VOEntry, VOMatrix, moving_scatterer_matrix, vo_mul
+from .opalg import VOMatrix, moving_scatterer_matrix, vo_mul
 from .statics import (
     CouplingReport,
     StaticFields,
@@ -53,6 +55,7 @@ from .mim import (
     ScanGrid,
     ScanPoint,
     ScanResult,
+    bare_peak,
     bare_resonance,
     build_mim,
     calibrate_coupled_params,
@@ -81,8 +84,8 @@ __all__ = [
     "SingularSolveError",
     "NonCoolingError",
     "ConfigError",
-    "KFunction",
-    "VOEntry",
+    "WavenumberError",
+    "CalibrationError",
     "VOMatrix",
     "vo_mul",
     "moving_scatterer_matrix",
@@ -113,6 +116,7 @@ __all__ = [
     "evaluate_chain",
     "point_quantities",
     "scan",
+    "bare_peak",
     "bare_resonance",
     "overlay_candidates",
     "coupled_cavity_force",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -372,9 +373,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_grid_value(argv: list[str]) -> list[str]:
+    """Rewrite `--grid -532nm,...` as `--grid=-532nm,...`.
+
+    argparse reads a separate value that starts with '-' as an option, so
+    a grid with a negative start would only parse in the `=` spelling.
+    """
+    glued = []
+    for arg in argv:
+        if glued and glued[-1] == "--grid" and re.match(r"-[\d.]", arg):
+            glued[-1] = "--grid=" + arg
+        else:
+            glued.append(arg)
+    return glued
+
+
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_grid_value(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except TmmCavityError as exc:

@@ -1,7 +1,8 @@
 """First-order-in-velocity fields, velocity-dependent force, and friction.
 
 The moving scatterer turns the composed chain matrix into an operator in
-wavenumber (see `tmmcavity.opalg`).  With a monochromatic pump the spectral
+wavenumber, carried as a first-order jet at the pump wavenumber (see
+`tmmcavity.opalg`).  With a monochromatic pump the spectral
 amplitudes are delta functions plus, at first order in v/c, derivative-of-
 delta terms; solving the boundary problem in that basis and integrating
 gives the closed-form fields below.  Every k-derivative is evaluated
@@ -110,8 +111,8 @@ def solve_dynamic(
         fac = factorize(chain)
     k0 = chain.k0
     # the zeroth-order fields ship through the exact same numeric path as
-    # solve_static (bit-for-bit consistency); the operator algebra below
-    # only supplies derivatives and first-order coefficient functions
+    # solve_static (bit-for-bit consistency); the jets below only supply
+    # derivatives and first-order coefficients
     st = solve_static(chain, pump)
     comp = fac.composed()
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
 from .errors import ChainError, PassivityError
-from .opalg import KFunction, VOMatrix, moving_scatterer_matrix
+from .opalg import VOMatrix, moving_scatterer_matrix
 
 __all__ = [
     "Polarisability",
@@ -215,22 +215,22 @@ def element_matrix(el: Element, k: float) -> np.ndarray:
     return propagation_matrix(k, el.length)
 
 
-def _static_vomatrix(el: Element) -> VOMatrix:
+def _element_jet(el: Element, k: float) -> VOMatrix:
+    """Static jet of one element: its matrix and analytic k-derivative at k."""
     if isinstance(el, Scatterer):
-        return VOMatrix.from_constant(scatterer_matrix(el.pol))
-    zero = KFunction.constant(0.0)
-    return VOMatrix.from_static(
-        (
-            (KFunction.phase(el.length), zero),
-            (zero, KFunction.phase(-el.length)),
-        )
-    )
+        return VOMatrix(k, scatterer_matrix(el.pol))
+    d = el.length
+    m = propagation_matrix(k, d)
+    dm = np.array([[1j * d, 0.0], [0.0, -1j * d]]) * m
+    return VOMatrix(k, m, dm)
 
 
-def _compose_static(elements) -> VOMatrix:
-    m = VOMatrix.identity()
-    for el in elements:
-        m = m @ _static_vomatrix(el)
+def _compose_static(elements, k: float) -> VOMatrix:
+    if not elements:
+        return VOMatrix.identity(k)
+    m = _element_jet(elements[0], k)
+    for el in elements[1:]:
+        m = m @ _element_jet(el, k)
     return m
 
 
@@ -238,9 +238,10 @@ def _compose_static(elements) -> VOMatrix:
 class Factorization:
     """The chain split around the mobile scatterer: M1 * MS_hat * M2.
 
-    `m1_inv` holds the entries of (M1)^-1 used by the field solution; every
-    element matrix here has unit determinant, so the inverse is the
-    adjugate and stays analytic in k.
+    Every factor is a first-order jet at the chain's pump wavenumber.
+    `m1_inv` is (M1)^-1: every element matrix here has unit determinant,
+    so the inverse is the adjugate, and its k-derivative the adjugate of
+    M1's derivative.
     """
 
     m1: VOMatrix
@@ -252,20 +253,16 @@ class Factorization:
         return self.m1 @ self.ms @ self.m2
 
 
-def factorize(chain: Chain) -> Factorization:
-    """Split a chain into static left part, moving scatterer, static right part."""
-    left = chain.elements[: chain.mobile_index]
-    right = chain.elements[chain.mobile_index + 1 :]
-    m1 = _compose_static(left)
-    m2 = _compose_static(right)
-    ms = moving_scatterer_matrix(chain.mobile.pol)
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
-    # adjugate of the static 2x2 (det == 1 for scatterers and segments alike)
-    e = m1.entries
-    m1_inv = VOMatrix.from_static(
-        (
-            (e[1][1].a, -1.0 * e[0][1].a),
-            (-1.0 * e[1][0].a, e[0][0].a),
-        )
-    )
+
+def factorize(chain: Chain) -> Factorization:
+    """Split a chain into static left part, moving scatterer, static right
+    part, as jets at `chain.k0`."""
+    k = chain.k0
+    m1 = _compose_static(chain.elements[: chain.mobile_index], k)
+    m2 = _compose_static(chain.elements[chain.mobile_index + 1 :], k)
+    ms = moving_scatterer_matrix(chain.mobile.pol, k)
+    m1_inv = VOMatrix(k, _adjugate(m1.a), _adjugate(m1.da))
     return Factorization(m1=m1, ms=ms, m2=m2, m1_inv=m1_inv)

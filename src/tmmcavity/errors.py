@@ -23,3 +23,12 @@ class NonCoolingError(TmmCavityError, ValueError):
 
 class ConfigError(TmmCavityError, ValueError):
     """Malformed configuration file or unknown keys."""
+
+
+class WavenumberError(TmmCavityError, ValueError):
+    """First-order jet evaluated or composed at a wavenumber it was not built at."""
+
+
+class CalibrationError(TmmCavityError, ValueError):
+    """Bare-cavity resonance has no measurable linewidth (transparent mirrors,
+    or an intensity contrast that never falls to half its peak)."""

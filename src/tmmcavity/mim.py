@@ -26,11 +26,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.constants import c as C_LIGHT
-from scipy.optimize import brentq, minimize_scalar
 
 from .dynamics import force_with_velocity, solve_dynamic
 from .elements import Chain, PumpSpec, Scatterer, Segment
-from .errors import ChainError, SingularSolveError
+from .errors import CalibrationError, ChainError, SingularSolveError
 from .noise import attach_loss_modes, diffusion, operator_fields
 from .statics import resonance_shifts, solve_static, static_force
 
@@ -45,6 +44,7 @@ __all__ = [
     "evaluate_chain",
     "point_quantities",
     "scan",
+    "bare_peak",
     "bare_resonance",
     "overlay_base_curves",
     "overlay_candidates",
@@ -303,26 +303,39 @@ def _bare_buildup(config: MimConfig, dlc: float) -> float:
     return abs(fields.B0f) ** 2
 
 
-def bare_resonance(config: MimConfig) -> tuple[float, float]:
-    """(dlc_res, fwhm_dlc) of the bare cavity, measured from the chain.
+def _bare_seed(config: MimConfig) -> tuple[float, float]:
+    """Analytic (dlc_guess, width_guess) of the bare resonance.
 
-    The resonance position and full width at half maximum are measured on
-    the computed intensity profile rather than taken from mirror formulas,
-    so they stay self-consistent for any mirror polarisability.  An
-    analytic estimate (round-trip phase and two-mirror finesse) only seeds
-    the search window.
+    Round-trip phase and two-mirror finesse; they only seed the searches.
     """
     lam = config.wavelength
     k0 = config.k0
     rm = Scatterer.of(config.mirror_zeta).pol.reflectivity
+    if rm == 0:
+        raise CalibrationError(
+            "mirror_zeta = 0 makes the end mirrors transparent: the bare "
+            "cavity has no resonance to calibrate against"
+        )
     # round-trip phase 2 k0 (Lc + dlc) + 2 arg(r_m) = 0 mod 2 pi
     phase = 2 * k0 * config.cavity_length + 2 * np.angle(rm)
     dlc_guess = (-phase % (2 * math.pi)) / (2 * k0)
     dlc_guess = (dlc_guess + lam / 4) % (lam / 2) - lam / 4
     big_r = abs(rm) ** 2
     finesse = math.pi * math.sqrt(big_r) / (1 - big_r)
-    width_guess = (lam / 2) / finesse
+    return dlc_guess, (lam / 2) / finesse
 
+
+def bare_peak(config: MimConfig) -> float:
+    """Detuning dlc of the bare cavity's resonance peak, measured on the chain.
+
+    The analytic round-trip phase only seeds a bounded search of the
+    computed intensity profile, so the position stays self-consistent for
+    any mirror polarisability.  Raises CalibrationError for transparent
+    mirrors.
+    """
+    from scipy.optimize import minimize_scalar
+
+    dlc_guess, width_guess = _bare_seed(config)
     span = 6 * width_guess
     res = minimize_scalar(
         lambda d: -_bare_buildup(config, d),
@@ -330,16 +343,39 @@ def bare_resonance(config: MimConfig) -> tuple[float, float]:
         method="bounded",
         options={"xatol": width_guess * 1e-9},
     )
-    dlc_res = float(res.x)
-    peak = _bare_buildup(config, dlc_res)
-    half = peak / 2
+    return float(res.x)
+
+
+def bare_resonance(config: MimConfig) -> tuple[float, float]:
+    """(dlc_res, fwhm_dlc) of the bare cavity, measured from the chain.
+
+    The peak comes from `bare_peak`; the full width at half maximum is
+    measured on the computed intensity profile rather than taken from
+    mirror formulas.  The profile repeats every lambda/2 in dlc, so each
+    half-maximum crossing is searched within lambda/4 of the peak; weak
+    mirrors whose contrast never falls to half the peak raise
+    CalibrationError.
+    """
+    from scipy.optimize import brentq
+
+    _, width_guess = _bare_seed(config)
+    dlc_res = bare_peak(config)
+    half = _bare_buildup(config, dlc_res) / 2
+    reach = config.wavelength / 4
 
     def crossing(sign: int) -> float:
-        a, b = dlc_res, dlc_res + sign * width_guess
-        while _bare_buildup(config, b) > half:
-            b += sign * width_guess
+        dist = min(width_guess, reach)
+        while _bare_buildup(config, dlc_res + sign * dist) > half:
+            if dist >= reach:
+                raise CalibrationError(
+                    f"bare-cavity intensity never falls to half its peak "
+                    f"(mirror_zeta = {config.mirror_zeta}): the mirrors are "
+                    "too weak for a linewidth; use a larger |mirror_zeta|"
+                )
+            dist = min(dist + width_guess, reach)
+        b = dlc_res + sign * dist
         return brentq(lambda d: _bare_buildup(config, d) - half,
-                      min(a, b), max(a, b), xtol=width_guess * 1e-9)
+                      min(dlc_res, b), max(dlc_res, b), xtol=width_guess * 1e-9)
 
     fwhm = crossing(+1) - crossing(-1)
     return dlc_res, float(fwhm)
@@ -351,10 +387,10 @@ def overlay_base_curves(
     """Resonance branch curves mapped to detuning (one fold each).
 
     dlc(x) = anchor + lambda/4 - (Lc/omega0) dW_branch(x); copies repeat
-    every lambda/2.  `anchor` defaults to the measured bare resonance.
+    every lambda/2.  `anchor` defaults to the measured bare resonance peak.
     """
     if anchor is None:
-        anchor, _ = bare_resonance(config)
+        anchor = bare_peak(config)
     xs = np.asarray(x_values, dtype=float)
     dplus, dminus = resonance_shifts(config.membrane_zeta, xs,
                                      config.cavity_length, config.k0)

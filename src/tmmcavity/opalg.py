@@ -1,4 +1,4 @@
-"""Operator algebra for 2x2 transfer matrices of a slowly moving scatterer.
+"""First-order jets of 2x2 transfer matrices for a slowly moving scatterer.
 
 A static element relates the counter-propagating field amplitudes on its two
 sides by an ordinary complex 2x2 matrix.  A scatterer moving at velocity v
@@ -7,287 +7,143 @@ matrix entry into a differential operator in the wavenumber k:
 
     entry = a(k) + (v/c) * ( b(k) + c(k) * d/dk )
 
-This module implements that algebra: coefficient functions that carry their
-analytic k-derivative (`KFunction`), operator-valued entries (`VOEntry`),
-2x2 matrices of such entries (`VOMatrix`) with a product truncated at first
-order in v/c, and the transfer matrix of the moving scatterer itself.
+The first-order solve only ever reads five 2x2 arrays at the pump
+wavenumber k0: a, its k-derivative a', b, c and c'.  A `VOMatrix` is that
+jet: k plus the five arrays.  Composition is closed over them (forward-mode
+differentiation with dual numbers), so a chain product costs a fixed number
+of small matrix products per factor and every derivative stays analytic.
 
 Truncation at (v/c)^1 is structural: no second-order storage exists, so no
-composition can ever produce second-order terms.  All objects are immutable
-and safe to share between threads.
+composition can ever produce second-order terms.  Jets are immutable by
+convention (their arrays are never written after construction) and safe to
+share between threads.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
+from .errors import WavenumberError
+
 __all__ = [
-    "KFunction",
-    "VOEntry",
     "VOMatrix",
     "vo_mul",
     "moving_scatterer_matrix",
 ]
 
-
-def _raise_no_second_derivative(k: float) -> complex:
-    raise NotImplementedError(
-        "second k-derivative not available for this coefficient; supply one "
-        "when constructing the KFunction"
-    )
-
-
-class KFunction:
-    """Complex coefficient function of wavenumber with analytic derivative.
-
-    Wraps a value callable and its first derivative (and optionally the
-    second, which lets the derivative itself be used as a KFunction).
-    Supports sums and products, propagating derivatives by the product rule,
-    so compositions of transfer-matrix entries never resort to finite
-    differences.
-    """
-
-    __slots__ = ("_f", "_df", "_d2f")
-
-    def __init__(
-        self,
-        f: Callable[[float], complex],
-        df: Callable[[float], complex],
-        d2f: Optional[Callable[[float], complex]] = None,
-    ):
-        self._f = f
-        self._df = df
-        self._d2f = d2f
-
-    def value(self, k: float) -> complex:
-        return self._f(k)
-
-    def derivative(self, k: float) -> complex:
-        return self._df(k)
-
-    def deriv(self) -> "KFunction":
-        """The derivative as a KFunction (for product-rule bookkeeping)."""
-        return KFunction(self._df, self._d2f or _raise_no_second_derivative)
-
-    # ---- constructors ----
-
-    @staticmethod
-    def constant(z: complex) -> "KFunction":
-        z = complex(z)
-        return KFunction(lambda k: z, lambda k: 0j, lambda k: 0j)
-
-    @staticmethod
-    def phase(d: float) -> "KFunction":
-        """exp(i k d) with derivative i d exp(i k d); d may be negative."""
-        return KFunction(
-            lambda k: cmath.exp(1j * k * d),
-            lambda k: 1j * d * cmath.exp(1j * k * d),
-            lambda k: -(d * d) * cmath.exp(1j * k * d),
-        )
-
-    @staticmethod
-    def linear(slope: complex) -> "KFunction":
-        """slope * k."""
-        slope = complex(slope)
-        return KFunction(lambda k: slope * k, lambda k: slope, lambda k: 0j)
-
-    @staticmethod
-    def from_callables(
-        f: Callable[[float], complex],
-        df: Callable[[float], complex],
-        d2f: Optional[Callable[[float], complex]] = None,
-    ) -> "KFunction":
-        return KFunction(f, df, d2f)
-
-    # ---- algebra ----
-
-    def __add__(self, other: "KFunction") -> "KFunction":
-        if not isinstance(other, KFunction):
-            return NotImplemented
-        f1, f2, g1, g2 = self._f, other._f, self._df, other._df
-        d2 = None
-        if self._d2f is not None and other._d2f is not None:
-            h1, h2 = self._d2f, other._d2f
-            d2 = lambda k: h1(k) + h2(k)
-        return KFunction(lambda k: f1(k) + f2(k), lambda k: g1(k) + g2(k), d2)
-
-    def __mul__(self, other):
-        if isinstance(other, KFunction):
-            f1, f2, g1, g2 = self._f, other._f, self._df, other._df
-            d2 = None
-            if self._d2f is not None and other._d2f is not None:
-                h1, h2 = self._d2f, other._d2f
-                d2 = lambda k: h1(k) * f2(k) + 2 * g1(k) * g2(k) + f1(k) * h2(k)
-            return KFunction(
-                lambda k: f1(k) * f2(k),
-                lambda k: g1(k) * f2(k) + f1(k) * g2(k),
-                d2,
-            )
-        z = complex(other)
-        f, g, h = self._f, self._df, self._d2f
-        return KFunction(
-            lambda k: z * f(k),
-            lambda k: z * g(k),
-            None if h is None else (lambda k: z * h(k)),
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "KFunction":
-        return self * (-1.0)
-
-    def __sub__(self, other: "KFunction") -> "KFunction":
-        return self + (-other)
-
-
-_ZERO = KFunction.constant(0.0)
-_ONE = KFunction.constant(1.0)
-
-
-@dataclass(frozen=True)
-class VOEntry:
-    """One operator-valued matrix entry a(k) + (v/c)(b(k) + c(k) d/dk)."""
-
-    a: KFunction
-    b: KFunction = _ZERO
-    c: KFunction = _ZERO
-
-    @staticmethod
-    def static(a: KFunction) -> "VOEntry":
-        return VOEntry(a=a)
-
-    def __add__(self, other: "VOEntry") -> "VOEntry":
-        return VOEntry(self.a + other.a, self.b + other.b, self.c + other.c)
-
-    def compose(self, other: "VOEntry") -> "VOEntry":
-        """Operator product self * other, truncated at first order in v/c.
-
-        For p = a1 + (v/c)(b1 + c1 d/dk) and q = a2 + (v/c)(b2 + c2 d/dk):
-        zeroth part a1*a2; first-order scalar part b1*a2 + c1*a2' + a1*b2
-        (the c1*a2' term is the product rule acting through d/dk); derivative
-        part c1*a2 + a1*c2.
-        """
-        a1, b1, c1 = self.a, self.b, self.c
-        a2, b2, c2 = other.a, other.b, other.c
-        return VOEntry(
-            a=a1 * a2,
-            b=b1 * a2 + c1 * a2.deriv() + a1 * b2,
-            c=c1 * a2 + a1 * c2,
-        )
+_ZERO = np.zeros((2, 2), dtype=complex)
+_ZERO.flags.writeable = False
 
 
 class VOMatrix:
-    """2x2 matrix of VOEntry values; composition truncated at (v/c)^1."""
+    """First-order jet of an operator-valued 2x2 matrix at one wavenumber.
 
-    __slots__ = ("entries",)
+    Holds, at wavenumber `k`, the static value `a` and its k-derivative
+    `da`, the first-order scalar part `b`, and the d/dk coefficient `c`
+    with its k-derivative `dc`.  Omitted first-order parts are zero, which
+    makes the jet static.
+    """
 
-    def __init__(self, entries):
-        self.entries = (
-            (entries[0][0], entries[0][1]),
-            (entries[1][0], entries[1][1]),
-        )
+    __slots__ = ("k", "a", "da", "b", "c", "dc")
 
-    @staticmethod
-    def identity() -> "VOMatrix":
-        return VOMatrix(
-            (
-                (VOEntry.static(_ONE), VOEntry.static(_ZERO)),
-                (VOEntry.static(_ZERO), VOEntry.static(_ONE)),
-            )
-        )
+    def __init__(self, k: float, a, da=_ZERO, b=_ZERO, c=_ZERO, dc=_ZERO):
+        self.k = k
+        self.a = a
+        self.da = da
+        self.b = b
+        self.c = c
+        self.dc = dc
 
-    @staticmethod
-    def from_static(entries) -> "VOMatrix":
-        """Build a static VOMatrix from a 2x2 nest of KFunctions."""
-        return VOMatrix(
-            (
-                (VOEntry.static(entries[0][0]), VOEntry.static(entries[0][1])),
-                (VOEntry.static(entries[1][0]), VOEntry.static(entries[1][1])),
-            )
-        )
+    @property
+    def is_static(self) -> bool:
+        return self.b is _ZERO and self.c is _ZERO and self.dc is _ZERO
 
     @staticmethod
-    def from_constant(m) -> "VOMatrix":
-        """Static VOMatrix from a plain complex 2x2 array."""
-        m = np.asarray(m, dtype=complex)
-        return VOMatrix.from_static(
-            (
-                (KFunction.constant(m[0, 0]), KFunction.constant(m[0, 1])),
-                (KFunction.constant(m[1, 0]), KFunction.constant(m[1, 1])),
-            )
-        )
+    def identity(k: float) -> "VOMatrix":
+        return VOMatrix(k, np.eye(2, dtype=complex))
 
     def __matmul__(self, other: "VOMatrix") -> "VOMatrix":
         return vo_mul(self, other)
 
-    # ---- evaluation at a wavenumber ----
+    # ---- evaluation at the jet's wavenumber ----
 
-    def _collect(self, pick) -> np.ndarray:
-        return np.array(
-            [[pick(self.entries[i][j]) for j in range(2)] for i in range(2)],
-            dtype=complex,
-        )
+    def _check(self, k: float):
+        if k != self.k:
+            raise WavenumberError(
+                f"jet built at k={self.k!r} cannot be evaluated at k={k!r}; "
+                "build it at that wavenumber instead"
+            )
 
     def static_at(self, k: float) -> np.ndarray:
         """Zeroth-order part: plain matrix a(k)."""
-        return self._collect(lambda e: e.a.value(k))
+        self._check(k)
+        return self.a
 
     def static_deriv_at(self, k: float) -> np.ndarray:
         """Entrywise a'(k)."""
-        return self._collect(lambda e: e.a.derivative(k))
+        self._check(k)
+        return self.da
 
     def first_scalar_at(self, k: float) -> np.ndarray:
         """First-order scalar part b(k)."""
-        return self._collect(lambda e: e.b.value(k))
+        self._check(k)
+        return self.b
 
     def first_deriv_at(self, k: float) -> np.ndarray:
         """First-order d/dk coefficient c(k)."""
-        return self._collect(lambda e: e.c.value(k))
+        self._check(k)
+        return self.c
 
     def first_deriv_deriv_at(self, k: float) -> np.ndarray:
         """Entrywise c'(k)."""
-        return self._collect(lambda e: e.c.derivative(k))
+        self._check(k)
+        return self.dc
 
 
 def vo_mul(left: VOMatrix, right: VOMatrix) -> VOMatrix:
-    """Matrix product of operator-valued 2x2 matrices, first order in v/c."""
-    rows = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            acc = left.entries[i][0].compose(right.entries[0][j])
-            acc = acc + left.entries[i][1].compose(right.entries[1][j])
-            row.append(acc)
-        rows.append(tuple(row))
-    return VOMatrix(tuple(rows))
+    """Product of two jets, truncated at first order in v/c.
+
+    For P = a1 + (v/c)(b1 + c1 d/dk) and Q = a2 + (v/c)(b2 + c2 d/dk):
+
+        a  = a1 a2                      a' = a1' a2 + a1 a2'
+        b  = b1 a2 + c1 a2' + a1 b2     (c1 a2' is d/dk acting on a2)
+        c  = c1 a2 + a1 c2              c' = c1' a2 + c1 a2' + a1' c2 + a1 c2'
+    """
+    left._check(right.k)
+    a1, da1, a2, da2 = left.a, left.da, right.a, right.da
+    a = a1 @ a2
+    da = da1 @ a2 + a1 @ da2
+    if left.is_static and right.is_static:
+        return VOMatrix(left.k, a, da)
+    b1, c1, dc1 = left.b, left.c, left.dc
+    b2, c2, dc2 = right.b, right.c, right.dc
+    c1_da2 = c1 @ da2
+    return VOMatrix(
+        left.k,
+        a,
+        da,
+        b=b1 @ a2 + c1_da2 + a1 @ b2,
+        c=c1 @ a2 + a1 @ c2,
+        dc=dc1 @ a2 + c1_da2 + da1 @ c2 + a1 @ dc2,
+    )
 
 
-def moving_scatterer_matrix(zeta) -> VOMatrix:
-    """Transfer matrix of the mobile scatterer, first order in v/c.
+def moving_scatterer_matrix(zeta, k: float) -> VOMatrix:
+    """Jet of the mobile scatterer's transfer matrix at wavenumber k.
 
     The static part is the usual [[1+iz, iz], [-iz, 1-iz]].  Reflection off
     the moving scatterer Doppler-shifts the wavenumber by -2k v/c (receding)
     or +2k v/c (approaching), while transmission is unshifted; on the
     spectral amplitudes this puts an operator 2 i zeta k d/dk, at first
     order, on each off-diagonal (reflection) entry and leaves the diagonal
-    static.  Requires a k-independent polarisability; a k-dependent one must
-    be supplied as explicit VOEntry data instead.
+    static: c = 2 i zeta k and c' = 2 i zeta off the diagonal.  Requires a
+    k-independent polarisability.
     """
     z = complex(getattr(zeta, "zeta", zeta))
-    doppler = KFunction.linear(2j * z)  # 2 i zeta k, coefficient of d/dk
+    off = np.array([[0, 1], [1, 0]], dtype=complex)
     return VOMatrix(
-        (
-            (
-                VOEntry.static(KFunction.constant(1 + 1j * z)),
-                VOEntry(a=KFunction.constant(1j * z), c=doppler),
-            ),
-            (
-                VOEntry(a=KFunction.constant(-1j * z), c=doppler),
-                VOEntry.static(KFunction.constant(1 - 1j * z)),
-            ),
-        )
+        k,
+        np.array([[1 + 1j * z, 1j * z], [-1j * z, 1 - 1j * z]], dtype=complex),
+        c=(2j * z * k) * off,
+        dc=(2j * z) * off,
     )

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
-from .elements import (
-    Chain,
-    Factorization,
-    Polarisability,
-    PumpSpec,
-    element_matrix,
-    factorize,
-)
+from .elements import Chain, Polarisability, PumpSpec, element_matrix
 from .errors import SingularSolveError
 
 __all__ = [
@@ -71,9 +64,7 @@ def _check_transmission_channel(b0: complex, k: float):
         )
 
 
-def solve_static(
-    chain: Chain, pump: PumpSpec, fac: Factorization | None = None
-) -> StaticFields:
+def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
     """Solve the v = 0 scattering problem for the fields at the scatterer.
 
     With the composed chain matrix [[g, a], [d, b]] mapping the far-right
@@ -83,24 +74,20 @@ def solve_static(
         A0    = (mu11 a / b + mu12) B0 + mu11 (g b - a d) / b * C0
 
     and the right-face fields follow from the static scatterer relations.
-    An existing factorization may be passed in; otherwise the composition
-    is done directly on the numeric element matrices, which is much
-    lighter than building the operator-valued factorization.
+    The composition is done directly on the numeric element matrices.
     """
     k0 = chain.k0
-    if fac is not None:
-        m1 = fac.m1.static_at(k0)
-        m2 = fac.m2.static_at(k0)
-        ms = fac.ms.static_at(k0)
-    else:
-        m1 = np.eye(2, dtype=complex)
-        for el in chain.elements[: chain.mobile_index]:
-            m1 = m1 @ element_matrix(el, k0)
-        m2 = np.eye(2, dtype=complex)
-        for el in chain.elements[chain.mobile_index + 1 :]:
-            m2 = m2 @ element_matrix(el, k0)
-        ms = element_matrix(chain.mobile, k0)
-    m = m1 @ ms @ m2
+    m1 = np.eye(2, dtype=complex)
+    for el in chain.elements[: chain.mobile_index]:
+        m1 = m1 @ element_matrix(el, k0)
+    m2 = np.eye(2, dtype=complex)
+    for el in chain.elements[chain.mobile_index + 1 :]:
+        m2 = m2 @ element_matrix(el, k0)
+    ms = element_matrix(chain.mobile, k0)
+    # a singular chain may overflow here; the checks below report it as a
+    # SingularSolveError instead of a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = m1 @ ms @ m2
     g, a = m[0, 0], m[0, 1]
     d, b = m[1, 0], m[1, 1]
     _check_transmission_channel(b, k0)

@@ -1,6 +1,6 @@
 """Shared oracle machinery for the test suite.
 
-Everything here deliberately avoids the package's operator algebra and
+The oracles here deliberately avoid the package's first-order jets and
 closed-form solve: static compositions are plain numpy matrix products,
 k-derivatives are central finite differences over static solves at shifted
 wavenumbers (the reflected components of a slowly moving scatterer are
@@ -11,6 +11,9 @@ term by term.
 """
 
 from __future__ import annotations
+
+import contextlib
+import signal
 
 import numpy as np
 from scipy.constants import c as C_LIGHT, hbar as HBAR
@@ -163,34 +166,40 @@ def fd_friction(chain: Chain, pump, v_over_c: float = 1e-9) -> float:
 
 
 def random_static_vomatrix(rng, n_terms: int = 2):
-    """Random static VOMatrix with k-dependent phase entries, plus a plain
-    callable returning the same matrix for numpy cross-checks."""
-    from tmmcavity.opalg import KFunction, VOMatrix
+    """Random static jets with k-dependent phase entries.
+
+    Returns `jet(k)`, the VOMatrix at k with its analytic k-derivative, and
+    `plain(k)`, the same matrix as a plain numpy array for cross-checks.
+    Entry (i, j) is sum_t coeff_t exp(i k d_t).
+    """
+    from tmmcavity.opalg import VOMatrix
 
     coeffs = rng.normal(size=(2, 2, n_terms)) + 1j * rng.normal(size=(2, 2, n_terms))
     phases = rng.uniform(-2e-3, 2e-3, size=(2, 2, n_terms))
 
-    entries = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            kf = KFunction.constant(0.0)
-            for t in range(n_terms):
-                kf = kf + coeffs[i, j, t] * KFunction.phase(phases[i, j, t])
-            row.append(kf)
-        entries.append(tuple(row))
-    vom = VOMatrix.from_static((tuple(entries[0]), tuple(entries[1])))
-
     def plain(k):
-        return np.array(
-            [
-                [
-                    sum(coeffs[i, j, t] * np.exp(1j * k * phases[i, j, t])
-                        for t in range(n_terms))
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-        )
+        return np.sum(coeffs * np.exp(1j * k * phases), axis=-1)
 
-    return vom, plain
+    def jet(k):
+        terms = coeffs * np.exp(1j * k * phases)
+        return VOMatrix(k, terms.sum(axis=-1), (1j * phases * terms).sum(axis=-1))
+
+    return jet, plain
+
+
+@contextlib.contextmanager
+def wall_clock_limit(seconds: float):
+    """Fail the enclosed block with TimeoutError after `seconds` of wall time.
+
+    Uses SIGALRM, so it only works in the main thread on POSIX systems.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"exceeded the {seconds} s wall-clock limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

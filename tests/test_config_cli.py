@@ -268,6 +268,22 @@ class TestCliCommands:
         meta = json.loads(open(out + ".meta.json").read())
         assert meta["grid"]["x_count"] == 3
 
+    def test_grid_negative_start_both_spellings(self, tmp_path):
+        # a separate value starting with '-' must not be read as an option
+        path = write(tmp_path / "run.ini", GOOD_RUN)
+        grid = "-0.1um,0.1um,3,-0.05um,0.05um,3"
+        outputs = []
+        for i, flag in enumerate((["--grid", grid], ["--grid=" + grid])):
+            out = str(tmp_path / f"scan{i}.csv")
+            assert cli.run(["scan", "--config", path, "--out", out] + flag) == 0
+            meta = json.loads(open(out + ".meta.json").read())
+            outputs.append((meta["grid"], open(out, "rb").read()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == {
+            "x_start_m": -1e-7, "x_stop_m": 1e-7, "x_count": 3,
+            "dlc_start_m": -5e-8, "dlc_stop_m": 5e-8, "dlc_count": 3,
+        }
+
     def test_scan_deterministic_across_workers(self, tmp_path):
         path = write(tmp_path / "run.ini", GOOD_RUN)
         out1 = str(tmp_path / "scan1.csv")

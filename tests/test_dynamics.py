@@ -6,9 +6,15 @@ from scipy.constants import c as C_LIGHT, hbar as HBAR
 
 from tmmcavity.dynamics import force_with_velocity, solve_dynamic
 from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment
+from tmmcavity.mim import evaluate_chain
 from tmmcavity.statics import solve_static, static_force
 
-from helpers import fd_first_order_fields, fd_friction, flux_force_first_order
+from helpers import (
+    fd_first_order_fields,
+    fd_friction,
+    flux_force_first_order,
+    wall_clock_limit,
+)
 
 LAM = 1.064e-6
 K0 = 2 * np.pi / LAM
@@ -230,3 +236,29 @@ class TestForceWithVelocity:
             assert abs(rep.friction - oracle) / scale < 1e-4
             checked += 1
         assert checked == 25
+
+
+class TestLongChain:
+    def test_41_element_chain_friction_against_oracle(self):
+        """A 41-element random passive chain: the first-order solve costs a
+        fixed number of 2x2 products per element, so it finishes far inside
+        the guard, and its friction matches the sideband oracle to 1e-4.
+
+        Scatterers stay at |zeta| <= 1 (30% absorbing): with stronger ones a
+        chain this long has narrow resonances and deep stop bands, where the
+        finite-difference oracle itself misses by more than 1e-4 (step
+        truncation, roundoff) while the analytic derivatives hold.
+        """
+        rng = np.random.default_rng(0)
+        elements = []
+        for i in range(41):
+            if i % 2 == 0:
+                zi = rng.uniform(0.005, 0.05) if rng.random() < 0.3 else 0.0
+                elements.append(Scatterer.of(complex(rng.uniform(-1.0, -0.1), zi)))
+            else:
+                elements.append(Segment(rng.uniform(0.5e-3, 5e-3)))
+        chain = Chain(elements=tuple(elements), mobile_index=20, k0=K0)
+        with wall_clock_limit(10.0):
+            got = evaluate_chain(chain, PUMP)
+        oracle = fd_friction(chain, PUMP, v_over_c=1e-9)
+        assert abs(got["dFdv"] - oracle) / abs(oracle) < 1e-4

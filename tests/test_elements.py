@@ -1,5 +1,7 @@
 """Element constructors, chain validation, factorization, conservation laws."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,9 @@ from tmmcavity.elements import (
     propagation_matrix,
     scatterer_matrix,
 )
-from tmmcavity.errors import ChainError, PassivityError
-from tmmcavity.opalg import vo_mul, VOMatrix
+from tmmcavity.dynamics import solve_dynamic
+from tmmcavity.errors import ChainError, PassivityError, WavenumberError
+from tmmcavity.opalg import vo_mul
 from tmmcavity.statics import solve_static
 
 from helpers import compose
@@ -159,11 +162,17 @@ class TestFactorize:
             Scatterer.of(complex(rng.uniform(-5, -0.5))),
         )
         chain = Chain(elements=elements, mobile_index=2, k0=K0)
-        fac = factorize(chain)
-        recomposed = vo_mul(fac.m1, vo_mul(fac.ms, fac.m2))
+        dk = 1e-8 * K0
         for k in K0 * (1 + np.linspace(-1e-3, 1e-3, 20)):
+            fac = factorize(replace(chain, k0=k))
+            recomposed = vo_mul(fac.m1, vo_mul(fac.ms, fac.m2))
             np.testing.assert_allclose(
                 recomposed.static_at(k), compose(elements, k), rtol=1e-10
+            )
+            fd_deriv = (compose(elements, k + dk) - compose(elements, k - dk)) / (2 * dk)
+            np.testing.assert_allclose(
+                recomposed.static_deriv_at(k), fd_deriv,
+                rtol=1e-6, atol=1e-6 * np.max(np.abs(fd_deriv)),
             )
 
     def test_m1_inverse_is_inverse(self):
@@ -177,8 +186,12 @@ class TestFactorize:
             k0=K0,
         )
         fac = factorize(chain)
-        prod = fac.m1_inv.static_at(K0) @ fac.m1.static_at(K0)
-        np.testing.assert_allclose(prod, np.eye(2), atol=1e-12)
+        mu, m1 = fac.m1_inv.static_at(K0), fac.m1.static_at(K0)
+        np.testing.assert_allclose(mu @ m1, np.eye(2), atol=1e-12)
+        # d(mu m1)/dk = 0: the adjugate of m1' is the derivative of mu
+        dprod = fac.m1_inv.static_deriv_at(K0) @ m1 + mu @ fac.m1.static_deriv_at(K0)
+        deriv_scale = 1.7e-3 * np.max(np.abs(m1))  # segment length x |m1|
+        np.testing.assert_allclose(dprod, 0, atol=1e-12 * deriv_scale)
 
     def test_lossless_chain_unimodular(self):
         chain = Chain(
@@ -194,6 +207,12 @@ class TestFactorize:
         )
         m = factorize(chain).composed().static_at(K0)
         assert abs(np.linalg.det(m)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_factorization_at_other_wavenumber_rejected(self):
+        chain = Chain(elements=(Segment(1e-3), Scatterer.of(-1.0)), mobile_index=1, k0=K0)
+        fac = factorize(replace(chain, k0=1.01 * K0))
+        with pytest.raises(WavenumberError):
+            solve_dynamic(chain, PumpSpec.one_sided(1.0, LAM), fac)
 
 
 class TestEnergyConservation:

@@ -6,12 +6,13 @@ from scipy.constants import c as C_LIGHT
 
 import tmmcavity.mim as mim
 from tmmcavity.elements import Segment
-from tmmcavity.errors import ChainError, SingularSolveError
+from tmmcavity.errors import CalibrationError, ChainError, SingularSolveError
 from tmmcavity.mim import (
     CoupledCavityParams,
     MimConfig,
     ScanGrid,
     ScanPoint,
+    bare_peak,
     bare_resonance,
     build_mim,
     calibrate_coupled_params,
@@ -24,6 +25,8 @@ from tmmcavity.mim import (
     scan,
 )
 from tmmcavity.statics import solve_static
+
+from helpers import wall_clock_limit
 
 LAM = 1.064e-6
 
@@ -211,6 +214,33 @@ class TestOverlay:
                 # measured membrane-cavity linewidths are close to the bare
                 # one at this finesse; half a linewidth is the contract
                 assert dist < fwhm
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("mirror_zeta", [-0.3, -0.05, 0.0])
+    def test_weak_or_transparent_mirrors_raise_typed_error(self, mirror_zeta):
+        # the contrast of a weak-mirror cavity never falls to half its peak,
+        # and transparent mirrors have no resonance at all
+        with wall_clock_limit(30.0), pytest.raises(CalibrationError):
+            bare_resonance(MimConfig(mirror_zeta=mirror_zeta))
+
+    def test_peak_is_the_resonance_anchor(self):
+        for cfg in (FAST, MimConfig()):
+            assert bare_peak(cfg) == bare_resonance(cfg)[0]
+
+    @pytest.mark.parametrize("mirror_zeta", [-0.3, -0.05])
+    def test_weak_mirror_scan_returns(self, mirror_zeta):
+        cfg = MimConfig(mirror_zeta=mirror_zeta)
+        grid = ScanGrid(-0.1 * LAM, 0.1 * LAM, 2, -0.1 * LAM, 0.1 * LAM, 2)
+        with wall_clock_limit(30.0):
+            res = scan(cfg, grid)
+        assert len(res.points) == 4
+        assert len(res.overlay) > 0
+
+    def test_transparent_mirror_scan_raises_typed_error(self):
+        grid = ScanGrid(-0.1 * LAM, 0.1 * LAM, 2, -0.1 * LAM, 0.1 * LAM, 2)
+        with wall_clock_limit(30.0), pytest.raises(CalibrationError):
+            scan(MimConfig(mirror_zeta=0.0), grid)
 
 
 class TestCoupledCavityModel:
