@@ -13,7 +13,8 @@ All numeric output is written with 17 significant digits so values
 round-trip exactly.  Output files are written atomically (temp file plus
 rename); a failed run never leaves a partial file behind.  Scans are
 deterministic: the same configuration produces byte-identical output for
-any worker count.
+any `--workers` value (accepted for compatibility; scans are vectorised and
+run in one process).
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ suffixes, powers accept W/kW/mW/uW/nW; bare numbers are SI):
             dlc_count        number of detuning samples (int)
   [output]  path             output file
             format           csv|json (default csv)
-            workers          worker processes for scans (default 1)
+            workers          accepted and ignored; scans are vectorised
+                             in one process (default 1)
 
 chain description files:
 
@@ -108,8 +110,10 @@ def _emit_table(columns, rows, cfg: RunConfig, meta: dict, default_name: str):
     if cfg.out_format == "csv":
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(_fmt(v) if not isinstance(v, str) else v
-                                  for v in row))
+            lines.append(",".join([
+                v if isinstance(v, str) else "" if v is None else format(float(v), ".17g")
+                for v in row
+            ]))
         _atomic_write(out, "\n".join(lines) + "\n")
         _atomic_write(out + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     else:
@@ -249,12 +253,9 @@ def _cmd_scan(args) -> int:
     cfg.grid = grid
     result = scan(cfg.mim_config(), grid, workers=cfg.workers)
     columns = ["x", "dLc", "intensity", "F0", "dFdv", "D", "kBT"]
-    rows = [
-        [p.x, p.dlc, p.intensity, p.F0, p.dFdv, p.D, p.kBT]
-        for p in result.points
-    ]
+    rows = result.rows()
     meta = _base_meta(cfg, "scan")
-    n_missing = sum(1 for p in result.points if p.intensity is None)
+    n_missing = result.missing_points
     meta["missing_points"] = n_missing
     out = _emit_table(columns, rows, cfg, meta, "scan.csv")
     if cfg.out_format == "csv":
@@ -272,10 +273,7 @@ def _cmd_compare(args) -> int:
     cfg.grid = grid
     result = compare_models(cfg.mim_config(), grid)
     columns = ["x", "dLc", "F0_tmm", "F0_coupled", "discrepancy"]
-    rows = [
-        [p.x, p.dlc, p.F0_tmm, p.F0_coupled, p.discrepancy]
-        for p in result.points
-    ]
+    rows = result.rows()
     meta = _base_meta(cfg, "compare")
     meta["summary_normalized_l2_discrepancy"] = result.summary
     meta["calibration"] = {
@@ -363,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="configuration file (INI)")
         p.add_argument("--out", help="output file path")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for scans")
+                       help="accepted and ignored: scans are vectorised "
+                            "in one process")
         p.add_argument("--grid", default=None,
                        help="override grid: x0,x1,nx,dlc0,dlc1,ndlc "
                             "(lengths accept unit suffixes)")

@@ -33,10 +33,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT, hbar as HBAR
+from .constants import c as C_LIGHT, hbar as HBAR
 
 from .elements import Chain, Factorization, Polarisability, PumpSpec, factorize
 from .errors import SingularSolveError
+from .opalg import VOMatrix, _entries
 from .statics import StaticFields, solve_static, static_force
 
 __all__ = ["FieldSet", "ForceReport", "solve_dynamic", "force_with_velocity"]
@@ -88,6 +89,38 @@ class ForceReport:
     friction: float
 
 
+def _first_order(comp: VOMatrix, m1_inv: VOMatrix, k0: float,
+                 B0: complex, C0: complex, A0, B0f, z: complex) -> tuple:
+    """(A1, B1, C1, D1, out_left1, out_right1) from the composed jet.
+
+    A0 and B0f are the zeroth-order left-face fields.  Plain elementwise
+    arithmetic: jets of one chain give numpy scalars, jets of a grid
+    ((N, 2, 2) stacks) give (N,) arrays.
+    """
+    g0, a0, d0_, b0 = _entries(comp.static_at(k0))
+    _, da0, _, db0 = _entries(comp.static_deriv_at(k0))
+    gb, ab, db_, bb = _entries(comp.first_scalar_at(k0))
+    gc, ac, dc_, bc = _entries(comp.first_deriv_at(k0))
+    dgc, dac, ddc, dbc = _entries(comp.first_deriv_deriv_at(k0))
+
+    d_out0 = (B0 - d0_ * C0) / b0
+    q = -(C0 * dc_ + d_out0 * bc) / b0
+    p = (-(C0 * (db_ - ddc)) - d_out0 * (bb - dbc) + db0 * q) / b0
+
+    # left output spectrum: al0 delta + (v/c)(al1 delta + alt delta')
+    al1 = C0 * (gb - dgc) + d_out0 * (ab - dac) + a0 * p - da0 * q
+    alt = C0 * gc + d_out0 * ac + a0 * q
+
+    mu11, _, mu21, _ = _entries(m1_inv.static_at(k0))
+    dmu11, _, dmu21, _ = _entries(m1_inv.static_deriv_at(k0))
+
+    A1 = mu11 * al1 - dmu11 * alt
+    B1 = mu21 * al1 - dmu21 * alt
+    C1 = (1 - 1j * z) * A1 - 1j * z * B1 + 2j * z * B0f
+    D1 = 1j * z * A1 + (1 + 1j * z) * B1 + 2j * z * A0
+    return A1, B1, C1, D1, al1, p
+
+
 def solve_dynamic(
     chain: Chain, pump: PumpSpec, fac: Factorization | None = None
 ) -> FieldSet:
@@ -115,49 +148,14 @@ def solve_dynamic(
     # derivatives and first-order coefficients
     st = solve_static(chain, pump)
     comp = fac.composed()
-
-    m0 = comp.static_at(k0)
-    dm0 = comp.static_deriv_at(k0)
-    mb = comp.first_scalar_at(k0)
-    mc = comp.first_deriv_at(k0)
-    dmc = comp.first_deriv_deriv_at(k0)
-
-    g0, a0 = m0[0, 0], m0[0, 1]
-    d0_, b0 = m0[1, 0], m0[1, 1]
-    if b0 == 0:
+    if comp.static_at(k0)[1, 1] == 0:
         raise SingularSolveError(
             f"no transmission channel between pump and scatterer at k={k0}"
         )
-    dg0, da0 = dm0[0, 0], dm0[0, 1]
-    db0 = dm0[1, 1]
-    gb, ab = mb[0, 0], mb[0, 1]
-    db_, bb = mb[1, 0], mb[1, 1]
-    gc, ac = mc[0, 0], mc[0, 1]
-    dc_, bc = mc[1, 0], mc[1, 1]
-    dgc, dac = dmc[0, 0], dmc[0, 1]
-    ddc, dbc = dmc[1, 0], dmc[1, 1]
-
-    B0, C0 = complex(pump.B0), complex(pump.C0)
-
-    d_out0 = (B0 - d0_ * C0) / b0
-    q = -(C0 * dc_ + d_out0 * bc) / b0
-    p = (-(C0 * (db_ - ddc)) - d_out0 * (bb - dbc) + db0 * q) / b0
-
-    # left output spectrum: al0 delta + (v/c)(al1 delta + alt delta')
-    al0 = g0 * C0 + a0 * d_out0
-    al1 = C0 * (gb - dgc) + d_out0 * (ab - dac) + a0 * p - da0 * q
-    alt = C0 * gc + d_out0 * ac + a0 * q
-
-    mu = fac.m1_inv.static_at(k0)
-    dmu = fac.m1_inv.static_deriv_at(k0)
-
-    A1 = mu[0, 0] * al1 - dmu[0, 0] * alt
-    B1 = mu[1, 0] * al1 - dmu[1, 0] * alt
-
-    z = chain.mobile.pol.zeta
-    C1 = (1 - 1j * z) * A1 - 1j * z * B1 + 2j * z * st.B0f
-    D1 = 1j * z * A1 + (1 + 1j * z) * B1 + 2j * z * st.A0
-
+    A1, B1, C1, D1, al1, p = _first_order(
+        comp, fac.m1_inv, k0, complex(pump.B0), complex(pump.C0),
+        st.A0, st.B0f, chain.mobile.pol.zeta,
+    )
     for val in (A1, B1, al1, p):
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             raise SingularSolveError(f"first-order solve diverged at k={k0}")
@@ -178,6 +176,19 @@ def solve_dynamic(
     )
 
 
+def _velocity_force(a0, a1, b0, b1, z: complex, k0: float):
+    """F1, the (v/c) coefficient of the force; scalars or arrays."""
+    az2 = abs(z) ** 2
+    bracket = (
+        az2 * (abs(a0) ** 2 - abs(b0) ** 2)
+        + (az2 + z.imag) * (a0 * np.conj(a1)).real
+        - 2 * z.imag * (a0 * np.conj(b0)).real
+        + (az2 - z.imag) * (b0 * np.conj(b1)).real
+        + ((az2 + 1j * z.real) * (a0 * np.conj(b1) + a1 * np.conj(b0))).real
+    )
+    return -4 * HBAR * k0 * bracket
+
+
 def force_with_velocity(fields: FieldSet, pol: Polarisability, k0: float) -> ForceReport:
     """Force report F = F0 + (v/c) F1 and the friction dF/dv = F1/c.
 
@@ -191,16 +202,6 @@ def force_with_velocity(fields: FieldSet, pol: Polarisability, k0: float) -> For
     hbar k0 (|A|^2 + |B|^2 - |C|^2 - |D|^2).
     """
     z = pol.zeta if isinstance(pol, Polarisability) else complex(pol)
-    az2 = abs(z) ** 2
-    a0, a1 = fields.A0, fields.A1
-    b0, b1 = fields.B0f, fields.B1
     f0 = static_force(fields.static(), Polarisability(z), k0)
-    bracket = (
-        az2 * (abs(a0) ** 2 - abs(b0) ** 2)
-        + (az2 + z.imag) * (a0 * np.conj(a1)).real
-        - 2 * z.imag * (a0 * np.conj(b0)).real
-        + (az2 - z.imag) * (b0 * np.conj(b1)).real
-        + ((az2 + 1j * z.real) * (a0 * np.conj(b1) + a1 * np.conj(b0))).real
-    )
-    f1 = -4 * HBAR * k0 * bracket
+    f1 = _velocity_force(fields.A0, fields.A1, fields.B0f, fields.B1, z, k0)
     return ForceReport(F0=f0, F1=f1, friction=f1 / C_LIGHT)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
-from scipy.constants import c as C_LIGHT, hbar as HBAR
+from .constants import c as C_LIGHT, hbar as HBAR
 
 from .errors import ChainError, PassivityError
 from .opalg import VOMatrix, moving_scatterer_matrix
@@ -200,8 +200,19 @@ def scatterer_matrix(pol: Polarisability, k: float | None = None) -> np.ndarray:
     return np.array([[1 + 1j * z, 1j * z], [-1j * z, 1 - 1j * z]], dtype=complex)
 
 
-def propagation_matrix(k: float, d: float) -> np.ndarray:
-    """Free-propagation matrix diag(e^{ikd}, e^{-ikd}); unit determinant."""
+def propagation_matrix(k: float, d) -> np.ndarray:
+    """Free-propagation matrix diag(e^{ikd}, e^{-ikd}); unit determinant.
+
+    A numpy array of lengths gives the stack of their matrices, shape
+    (N, 2, 2).
+    """
+    if isinstance(d, np.ndarray) and d.ndim:
+        if not np.all(np.isfinite(d)) or np.any(d < 0):
+            raise ChainError("propagation lengths must be finite and >= 0")
+        m = np.zeros(d.shape + (2, 2), dtype=complex)
+        m[..., 0, 0] = np.exp(1j * k * d)
+        m[..., 1, 1] = np.exp(-1j * k * d)
+        return m
     if d < 0 or not math.isfinite(d):
         raise ChainError(f"propagation length must be finite and >= 0, got {d}")
     return np.array(
@@ -215,14 +226,23 @@ def element_matrix(el: Element, k: float) -> np.ndarray:
     return propagation_matrix(k, el.length)
 
 
+def _segment_jet(k: float, d) -> VOMatrix:
+    """Static jet of free propagation over d (a length or an array of them):
+    its matrix and analytic k-derivative diag(i d, -i d) times the matrix."""
+    m = propagation_matrix(k, d)
+    if m.ndim == 2:
+        return VOMatrix(k, m, np.array([[1j * d, 0.0], [0.0, -1j * d]]) * m)
+    dm = np.zeros_like(m)
+    dm[:, 0, 0] = 1j * d * m[:, 0, 0]
+    dm[:, 1, 1] = -1j * d * m[:, 1, 1]
+    return VOMatrix(k, m, dm)
+
+
 def _element_jet(el: Element, k: float) -> VOMatrix:
     """Static jet of one element: its matrix and analytic k-derivative at k."""
     if isinstance(el, Scatterer):
         return VOMatrix(k, scatterer_matrix(el.pol))
-    d = el.length
-    m = propagation_matrix(k, d)
-    dm = np.array([[1j * d, 0.0], [0.0, -1j * d]]) * m
-    return VOMatrix(k, m, dm)
+    return _segment_jet(k, el.length)
 
 
 def _compose_static(elements, k: float) -> VOMatrix:
@@ -249,12 +269,26 @@ class Factorization:
     m2: VOMatrix
     m1_inv: VOMatrix
 
+    @staticmethod
+    def around(m1: VOMatrix, ms: VOMatrix, m2: VOMatrix) -> "Factorization":
+        """Factorization of m1 * ms * m2, with m1_inv the adjugates of m1."""
+        m1_inv = VOMatrix(m1.k, _adjugate(m1.a), _adjugate(m1.da))
+        return Factorization(m1=m1, ms=ms, m2=m2, m1_inv=m1_inv)
+
     def composed(self) -> VOMatrix:
         return self.m1 @ self.ms @ self.m2
 
 
 def _adjugate(m: np.ndarray) -> np.ndarray:
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    """Adjugate of a 2x2 matrix or of each matrix of an (N, 2, 2) stack."""
+    if m.ndim == 2:
+        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    out = np.empty_like(m)
+    out[..., 0, 0] = m[..., 1, 1]
+    out[..., 0, 1] = -m[..., 0, 1]
+    out[..., 1, 0] = -m[..., 1, 0]
+    out[..., 1, 1] = m[..., 0, 0]
+    return out
 
 
 def factorize(chain: Chain) -> Factorization:
@@ -264,5 +298,4 @@ def factorize(chain: Chain) -> Factorization:
     m1 = _compose_static(chain.elements[: chain.mobile_index], k)
     m2 = _compose_static(chain.elements[chain.mobile_index + 1 :], k)
     ms = moving_scatterer_matrix(chain.mobile.pol, k)
-    m1_inv = VOMatrix(k, _adjugate(m1.a), _adjugate(m1.da))
-    return Factorization(m1=m1, ms=ms, m2=m2, m1_inv=m1_inv)
+    return Factorization.around(m1, ms, m2)

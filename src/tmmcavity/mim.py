@@ -21,17 +21,29 @@ reflection phase.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import numbers
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
-from .dynamics import force_with_velocity, solve_dynamic
-from .elements import Chain, PumpSpec, Scatterer, Segment
+from .constants import c as C_LIGHT
+from .dynamics import _first_order, _velocity_force, force_with_velocity, solve_dynamic
+from .elements import (
+    Chain,
+    Factorization,
+    PumpSpec,
+    Scatterer,
+    Segment,
+    _adjugate,
+    _segment_jet,
+    propagation_matrix,
+    scatterer_matrix,
+)
 from .errors import CalibrationError, ChainError, SingularSolveError
-from .noise import attach_loss_modes, diffusion, operator_fields
-from .statics import resonance_shifts, solve_static, static_force
+from .noise import _diffusion, attach_loss_modes, diffusion, operator_fields
+from .opalg import VOMatrix, _mm, moving_scatterer_matrix
+from .statics import _static_force, _static_solution, resonance_shifts, solve_static
 
 __all__ = [
     "MimConfig",
@@ -62,7 +74,8 @@ class MimConfig:
     and non-positive (lossless dielectric membrane); the end mirrors share
     one real polarisability `mirror_zeta`, default -30 (|r|^2 ~ 0.99889,
     finesse of order 10^3: resonances resolve on coarse grids in seconds,
-    and the value can be overridden freely).
+    and the value can be overridden freely).  Every number must be a finite
+    real; anything else raises ChainError.
     """
 
     wavelength: float = 1.064e-6
@@ -73,6 +86,12 @@ class MimConfig:
     pump_side: str = "left"
 
     def __post_init__(self):
+        for name in ("wavelength", "cavity_length", "membrane_zeta",
+                     "mirror_zeta", "power_watts"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ChainError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.wavelength <= 0 or self.cavity_length <= 0:
             raise ChainError("wavelength and cavity length must be positive")
         if self.membrane_zeta > 0:
@@ -135,16 +154,7 @@ def build_mim(config: MimConfig, x: float = 0.0, dlc: float = 0.0) -> Chain:
     The membrane stays well inside the cavity: |x| <= wavelength is
     enforced (the analysis assumes |x| << Lc throughout).
     """
-    if abs(x) > config.wavelength:
-        raise ChainError(
-            f"|x| = {abs(x)} exceeds one wavelength; displacement must stay "
-            "small compared to the cavity length"
-        )
-    half = config.cavity_length / 2 + dlc / 2
-    left_gap = half - x
-    right_gap = half + x
-    if left_gap < 0 or right_gap < 0:
-        raise ChainError("detuning or displacement collapses a sub-cavity")
+    left_gap, right_gap = _gaps(config, x, dlc)
     return Chain(
         elements=(
             Scatterer.of(config.mirror_zeta),
@@ -156,6 +166,25 @@ def build_mim(config: MimConfig, x: float = 0.0, dlc: float = 0.0) -> Chain:
         mobile_index=2,
         k0=config.k0,
     )
+
+
+def _gaps(config: MimConfig, x, dlc) -> tuple:
+    """Left and right gap lengths for displacement x and detuning dlc.
+
+    Scalars or arrays (elementwise); raises ChainError if any |x| exceeds
+    one wavelength or any gap collapses.
+    """
+    if np.any(abs(x) > config.wavelength):
+        raise ChainError(
+            f"|x| = {np.max(abs(x))} exceeds one wavelength; displacement must "
+            "stay small compared to the cavity length"
+        )
+    half = config.cavity_length / 2 + dlc / 2
+    left_gap = half - x
+    right_gap = half + x
+    if np.any(left_gap < 0) or np.any(right_gap < 0):
+        raise ChainError("detuning or displacement collapses a sub-cavity")
+    return left_gap, right_gap
 
 
 def pump_for(config: MimConfig) -> PumpSpec:
@@ -214,61 +243,148 @@ def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
                      dFdv=q["dFdv"], D=q["D"], kBT=q["kBT"])
 
 
-def _scan_chunk(args) -> list:
-    config, grid, start, stop = args
-    xs = grid.x_values
-    dls = grid.dlc_values
-    nd = grid.dlc_count
-    rows = []
-    for flat in range(start, stop):
-        i, j = divmod(flat, nd)
-        rows.append(point_quantities(config, float(xs[i]), float(dls[j])))
-    return rows
+# Grid points per vectorised block: enough to amortise numpy's per-call
+# overhead, few enough to keep the block's jets at a few hundred kilobytes.
+_BLOCK_POINTS = 256
 
 
-@dataclass(frozen=True)
+def _grid_points(grid: ScanGrid) -> tuple[np.ndarray, np.ndarray]:
+    """x and dlc of every grid point, flat in row-major (x-outer) order."""
+    return (np.repeat(grid.x_values, grid.dlc_count),
+            np.tile(grid.dlc_values, grid.x_count))
+
+
+def _blocks(total: int):
+    for start in range(0, total, _BLOCK_POINTS):
+        yield slice(start, min(start + _BLOCK_POINTS, total))
+
+
+def _mim_factorization(config: MimConfig, left, right) -> Factorization:
+    """Jets of the MIM chain split around the membrane, for arrays of gaps.
+
+    The same products `factorize(build_mim(...))` forms, each a stack over
+    the gaps; the mirror and membrane jets are single matrices that
+    broadcast.
+    """
+    k0 = config.k0
+    mirror = VOMatrix(k0, scatterer_matrix(config.mirror_zeta))
+    return Factorization.around(
+        mirror @ _segment_jet(k0, left),
+        moving_scatterer_matrix(config.membrane_zeta, k0),
+        _segment_jet(k0, right) @ mirror,
+    )
+
+
+def _stack_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[X, Y^dag] for each point of (N, modes) coefficient stacks."""
+    return (x * np.conj(y)).sum(axis=-1)
+
+
+def _scan_block(config: MimConfig, pump: PumpSpec, left, right) -> np.ndarray:
+    """(intensity, F0, dFdv, D) of `evaluate_chain`, as a (4, N) array over
+    arrays of gap lengths; NaN marks singular points.
+
+    The MIM is lossless, so the noise columns are the two unit pumps and
+    the static fields of each come from the same closed form.
+    """
+    k0 = config.k0
+    z = complex(config.membrane_zeta)
+    fac = _mim_factorization(config, left, right)
+    comp = fac.composed()
+    m, mu = comp.static_at(k0), fac.m1_inv.static_at(k0)
+    b0, c0 = complex(pump.B0), complex(pump.C0)
+    out = np.empty((4, m.shape[0]))
+    # singular points divide by zero or overflow; the mask below marks them
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        A0, B0f, C0f, D0f, _, _ = _static_solution(m, mu, b0, c0, z)
+        A1, B1, _, _, _, _ = _first_order(comp, fac.m1_inv, k0, b0, c0, A0, B0f, z)
+        out[0] = abs(A0 + B0f) ** 2
+        out[1] = _static_force(A0, B0f, z, k0)
+        out[2] = _velocity_force(A0, A1, B0f, B1, z, k0) / C_LIGHT
+        if z == 0:
+            out[3] = 0.0  # nothing scatters, no momentum kicks
+        else:
+            unit_left = _static_solution(m, mu, 1.0, 0.0, z)
+            unit_right = _static_solution(m, mu, 0.0, 1.0, z)
+            vecs = [np.stack([unit_left[i], unit_right[i]], axis=-1) for i in range(4)]
+            out[3] = _diffusion(A0, B0f, C0f, D0f, *vecs, _stack_commutator, k0)
+        singular = (m[:, 1, 1] == 0) | ~np.isfinite(out).all(axis=0)
+    out[:, singular] = np.nan
+    return out
+
+
+def _cells(values: np.ndarray) -> list:
+    """Python floats of an array, NaN as None."""
+    return [None if v != v else v for v in np.ravel(values).tolist()]
+
+
+def _table_rows(grid: ScanGrid, columns) -> list:
+    """Rows (x, dlc, *columns) in row-major order; NaN becomes None."""
+    x, dlc = _grid_points(grid)
+    return list(zip(x.tolist(), dlc.tolist(), *(_cells(c) for c in columns)))
+
+
+@dataclass(frozen=True, eq=False)
 class ScanResult:
+    """Columnar scan: one (x_count, dlc_count) float array per quantity.
+
+    NaN marks an undefined value: every quantity at a singular point, kBT
+    outside cooling regions.  `point`, `points` and `rows` are views that
+    turn NaN into None.
+    """
+
     config: MimConfig
     grid: ScanGrid
-    points: tuple
+    intensity: np.ndarray
+    F0: np.ndarray
+    dFdv: np.ndarray
+    D: np.ndarray
+    kBT: np.ndarray
     overlay: tuple  # rows (x, branch_label, fold_index, dlc)
 
+    QUANTITIES = ("intensity", "F0", "dFdv", "D", "kBT")
+
+    @property
+    def missing_points(self) -> int:
+        return int(np.isnan(self.intensity).sum())
+
     def point(self, i: int, j: int) -> ScanPoint:
-        return self.points[i * self.grid.dlc_count + j]
+        return ScanPoint(float(self.grid.x_values[i]), float(self.grid.dlc_values[j]),
+                         *_cells(np.array([getattr(self, q)[i, j] for q in self.QUANTITIES])))
+
+    def rows(self) -> list:
+        """(x, dlc, intensity, F0, dFdv, D, kBT) per point, row-major."""
+        return _table_rows(self.grid, [getattr(self, q) for q in self.QUANTITIES])
+
+    @cached_property
+    def points(self) -> tuple:
+        """Every grid point as a ScanPoint, row-major."""
+        return tuple(ScanPoint(*row) for row in self.rows())
 
     def quantity_map(self, name: str) -> np.ndarray:
-        """Grid array of one quantity; None becomes NaN."""
-        vals = np.full((self.grid.x_count, self.grid.dlc_count), np.nan)
-        for i in range(self.grid.x_count):
-            for j in range(self.grid.dlc_count):
-                v = getattr(self.point(i, j), name)
-                if v is not None:
-                    vals[i, j] = v
-        return vals
+        """Grid array of one quantity, NaN where undefined (a copy)."""
+        return getattr(self, name).copy()
 
 
 def scan(config: MimConfig, grid: ScanGrid, workers: int = 1) -> ScanResult:
-    """Row-major scan over the grid; deterministic across worker counts.
+    """Row-major scan over the grid, evaluated as array arithmetic.
 
-    Grid points are independent, so the rows are computed in index order
-    (possibly chunked over a process pool) and assembled deterministically:
-    identical inputs give bit-identical tables regardless of `workers`.
+    The grid goes through the closed-form solve in fixed-size blocks of
+    points; each value agrees with `point_quantities` at the same point to
+    roundoff.  `workers` is accepted for compatibility and ignored: the
+    result is the same for any value.
     """
-    total = grid.x_count * grid.dlc_count
-    if workers <= 1 or total < 4:
-        points = _scan_chunk((config, grid, 0, total))
-    else:
-        nchunks = min(total, workers * 8)
-        bounds = np.linspace(0, total, nchunks + 1, dtype=int)
-        jobs = [
-            (config, grid, int(bounds[i]), int(bounds[i + 1]))
-            for i in range(nchunks)
-            if bounds[i] < bounds[i + 1]
-        ]
-        points = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_scan_chunk, jobs):
-                points.extend(chunk)
+    x, dlc = _grid_points(grid)
+    left, right = _gaps(config, x, dlc)
+    pump = pump_for(config)
+    cols = np.empty((4, x.size))
+    for block in _blocks(x.size):
+        cols[:, block] = _scan_block(config, pump, left[block], right[block])
+    shape = (grid.x_count, grid.dlc_count)
+    intensity, f0, dfdv, d_coeff = (c.reshape(shape) for c in cols)
+    kbt = np.full(shape, np.nan)
+    cooling = dfdv < 0  # False at NaN
+    kbt[cooling] = -d_coeff[cooling] / dfdv[cooling]
 
     overlay = []
     lo, hi = float(np.min(grid.dlc_values)), float(np.max(grid.dlc_values))
@@ -281,8 +397,8 @@ def scan(config: MimConfig, grid: ScanGrid, workers: int = 1) -> ScanResult:
             for n in range(n_lo, n_hi + 1):
                 overlay.append((float(xv), label, n, float(bv + n * lam / 2)))
 
-    return ScanResult(config=config, grid=grid, points=tuple(points),
-                      overlay=tuple(overlay))
+    return ScanResult(config=config, grid=grid, intensity=intensity, F0=f0,
+                      dFdv=dfdv, D=d_coeff, kBT=kbt, overlay=tuple(overlay))
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +640,48 @@ class ComparisonPoint:
     discrepancy: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonResult:
+    """Columnar comparison: one (x_count, dlc_count) float array per column.
+
+    NaN in `F0_tmm` and `discrepancy` marks a singular chain solve.
+    `points` and `rows` are views that turn NaN into None.
+    """
+
     config: MimConfig
     grid: ScanGrid
     calibration: CoupledCalibration
-    points: tuple
+    F0_tmm: np.ndarray
+    F0_coupled: np.ndarray
+    discrepancy: np.ndarray
     summary: float
     """Normalized L2 discrepancy ||F_tmm - F_cc|| / ||F_tmm|| over the grid."""
+
+    def rows(self) -> list:
+        """(x, dlc, F0_tmm, F0_coupled, discrepancy) per point, row-major."""
+        return _table_rows(self.grid, [self.F0_tmm, self.F0_coupled, self.discrepancy])
+
+    @cached_property
+    def points(self) -> tuple:
+        """Every grid point as a ComparisonPoint, row-major."""
+        return tuple(ComparisonPoint(*row) for row in self.rows())
+
+
+def _static_force_block(config: MimConfig, pump: PumpSpec, left, right) -> np.ndarray:
+    """Static force of the MIM chain over arrays of gap lengths, composed
+    like `solve_static`; NaN where the solve is singular."""
+    k0 = config.k0
+    z = complex(config.membrane_zeta)
+    mirror = scatterer_matrix(config.mirror_zeta)
+    m1 = _mm(mirror, propagation_matrix(k0, left))
+    m2 = _mm(propagation_matrix(k0, right), mirror)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = _mm(_mm(m1, scatterer_matrix(config.membrane_zeta)), m2)
+        A0, B0f, _, _, _, _ = _static_solution(
+            m, _adjugate(m1), complex(pump.B0), complex(pump.C0), z)
+        force = _static_force(A0, B0f, z, k0)
+    force[(m[:, 1, 1] == 0) | ~np.isfinite(force)] = np.nan
+    return force
 
 
 def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
@@ -542,46 +692,28 @@ def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
     pump on the blue side.  The model's membrane coordinate runs toward the
     right mirror, while the chain layout shortens the left gap for +x, so
     the model is evaluated at -x.  Per-point discrepancies are normalised
-    by the RMS chain force over the grid.
+    by the RMS chain force over the grid.  Both models are evaluated as
+    array arithmetic over the whole grid.
     """
     cal = calibrate_coupled_params(config)
     pump = pump_for(config)
+    x, dlc = _grid_points(grid)
+    left, right = _gaps(config, x, dlc)
+    tmm = np.empty(x.size)
+    for block in _blocks(x.size):
+        tmm[block] = _static_force_block(config, pump, left[block], right[block])
 
-    tmm = np.full((grid.x_count, grid.dlc_count), np.nan)
-    for i, xv in enumerate(grid.x_values):
-        for j, dv in enumerate(grid.dlc_values):
-            try:
-                chain = build_mim(config, float(xv), float(dv))
-                fields = solve_static(chain, pump)
-                tmm[i, j] = static_force(fields, chain.mobile.pol, chain.k0)
-            except SingularSolveError:
-                pass
-
-    k0 = config.k0
-    cc = np.zeros_like(tmm)
-    for i, xv in enumerate(grid.x_values):
-        for j, dv in enumerate(grid.dlc_values):
-            delta = config.omega0 * (float(dv) - cal.dlc_center) / config.cavity_length
-            cc[i, j] = coupled_cavity_force(cal.params, -float(xv), delta, k0)
+    delta = config.omega0 * (dlc - cal.dlc_center) / config.cavity_length
+    cc = coupled_cavity_force(cal.params, -x, delta, config.k0)
 
     valid = np.isfinite(tmm)
     rms = float(np.sqrt(np.mean(tmm[valid] ** 2))) if valid.any() else 0.0
     norm = rms if rms > 0 else 1.0
-
-    points = []
-    for i, xv in enumerate(grid.x_values):
-        for j, dv in enumerate(grid.dlc_values):
-            if np.isfinite(tmm[i, j]):
-                f_tmm = float(tmm[i, j])
-                disc = abs(f_tmm - cc[i, j]) / norm
-            else:
-                f_tmm, disc = None, None
-            points.append(ComparisonPoint(
-                x=float(xv), dlc=float(dv), F0_tmm=f_tmm,
-                F0_coupled=float(cc[i, j]), discrepancy=disc,
-            ))
+    disc = np.abs(tmm - cc) / norm  # NaN where tmm is
 
     diff = tmm[valid] - cc[valid]
     summary = float(np.linalg.norm(diff) / np.linalg.norm(tmm[valid])) if valid.any() else math.nan
+    shape = (grid.x_count, grid.dlc_count)
     return ComparisonResult(config=config, grid=grid, calibration=cal,
-                            points=tuple(points), summary=summary)
+                            F0_tmm=tmm.reshape(shape), F0_coupled=cc.reshape(shape),
+                            discrepancy=disc.reshape(shape), summary=summary)

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT, hbar as HBAR, k as K_BOLTZMANN
+from .constants import c as C_LIGHT, hbar as HBAR, k as K_BOLTZMANN
 
 from .elements import Chain, Polarisability
 from .errors import NonCoolingError, PassivityError
@@ -157,6 +157,31 @@ def operator_fields(chain: Chain) -> OperatorFields:
     )
 
 
+def _diffusion(a0, b0, c0, d0, av, bv, cv, dv, comm, k0: float):
+    """Diffusion formula of `diffusion` for the static fields a0..d0 and
+    their operator vectors av..dv, with [X, Y^dag] = comm(x_vec, y_vec).
+
+    Plain elementwise arithmetic, so one chain and a whole grid of chains
+    (arrays of fields, stacked vectors) share it.
+    """
+    total = (
+        abs(a0) ** 2 * comm(av, av).real
+        + abs(b0) ** 2 * comm(bv, bv).real
+        + abs(c0) ** 2 * comm(cv, cv).real
+        + abs(d0) ** 2 * comm(dv, dv).real
+    )
+    cross = (
+        np.conj(a0) * b0 * comm(av, bv)
+        - np.conj(a0) * c0 * comm(av, cv)
+        - np.conj(a0) * d0 * comm(av, dv)
+        - np.conj(b0) * c0 * comm(bv, cv)
+        - np.conj(b0) * d0 * comm(bv, dv)
+        + np.conj(c0) * d0 * comm(cv, dv)
+    )
+    total += 2 * cross.real
+    return (HBAR * k0) ** 2 * total
+
+
 def diffusion(
     fields: StaticFields, ops: OperatorFields, pol: Polarisability, k0: float
 ) -> float:
@@ -174,26 +199,11 @@ def diffusion(
     z = pol.zeta if isinstance(pol, Polarisability) else complex(pol)
     if z == 0:
         return 0.0  # nothing scatters, no momentum kicks
-    comm = OperatorFields.commutator
-    a0, b0 = fields.A0, fields.B0f
-    c0, d0 = fields.C0f, fields.D0f
-    av, bv, cv, dv = ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec
-    total = (
-        abs(a0) ** 2 * comm(av, av).real
-        + abs(b0) ** 2 * comm(bv, bv).real
-        + abs(c0) ** 2 * comm(cv, cv).real
-        + abs(d0) ** 2 * comm(dv, dv).real
+    return _diffusion(
+        fields.A0, fields.B0f, fields.C0f, fields.D0f,
+        ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec,
+        OperatorFields.commutator, k0,
     )
-    cross = (
-        np.conj(a0) * b0 * comm(av, bv)
-        - np.conj(a0) * c0 * comm(av, cv)
-        - np.conj(a0) * d0 * comm(av, dv)
-        - np.conj(b0) * c0 * comm(bv, cv)
-        - np.conj(b0) * d0 * comm(bv, dv)
-        + np.conj(c0) * d0 * comm(cv, dv)
-    )
-    total += 2 * cross.real
-    return (HBAR * k0) ** 2 * total
 
 
 @dataclass(frozen=True)

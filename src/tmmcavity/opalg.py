@@ -17,9 +17,15 @@ Truncation at (v/c)^1 is structural: no second-order storage exists, so no
 composition can ever produce second-order terms.  Jets are immutable by
 convention (their arrays are never written after construction) and safe to
 share between threads.
+
+Every array of a jet is either one 2x2 matrix or a stack of shape (N, 2, 2),
+one matrix per point of a batch (a scan grid, say); a single matrix
+broadcasts against a stack, so fixed elements need no copies.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -33,6 +39,31 @@ __all__ = [
 
 _ZERO = np.zeros((2, 2), dtype=complex)
 _ZERO.flags.writeable = False
+
+
+def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """2x2 matrix product, entrywise over a leading batch axis.
+
+    A single pair goes through `@`; for stacks the four written-out entries
+    are ~10x faster than `np.matmul` on (N, 2, 2).
+    """
+    if x.ndim == 2 and y.ndim == 2:
+        return x @ y
+    x11, x12, x21, x22 = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
+    y11, y12, y21, y22 = y[..., 0, 0], y[..., 0, 1], y[..., 1, 0], y[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out[..., 0, 0] = x11 * y11 + x12 * y21
+    out[..., 0, 1] = x11 * y12 + x12 * y22
+    out[..., 1, 0] = x21 * y11 + x22 * y21
+    out[..., 1, 1] = x21 * y12 + x22 * y22
+    return out
+
+
+def _entries(m: np.ndarray) -> tuple:
+    """(m11, m12, m21, m22): numpy scalars of one matrix, (N,) arrays of a stack."""
+    if m.ndim == 2:
+        return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
 
 
 class VOMatrix:
@@ -111,20 +142,22 @@ def vo_mul(left: VOMatrix, right: VOMatrix) -> VOMatrix:
     """
     left._check(right.k)
     a1, da1, a2, da2 = left.a, left.da, right.a, right.da
-    a = a1 @ a2
-    da = da1 @ a2 + a1 @ da2
+    # a jet's first-order parts never have more axes than its static part
+    mm = operator.matmul if a1.ndim == a2.ndim == 2 else _mm
+    a = mm(a1, a2)
+    da = mm(da1, a2) + mm(a1, da2)
     if left.is_static and right.is_static:
         return VOMatrix(left.k, a, da)
     b1, c1, dc1 = left.b, left.c, left.dc
     b2, c2, dc2 = right.b, right.c, right.dc
-    c1_da2 = c1 @ da2
+    c1_da2 = mm(c1, da2)
     return VOMatrix(
         left.k,
         a,
         da,
-        b=b1 @ a2 + c1_da2 + a1 @ b2,
-        c=c1 @ a2 + a1 @ c2,
-        dc=dc1 @ a2 + c1_da2 + da1 @ c2 + a1 @ dc2,
+        b=mm(b1, a2) + c1_da2 + mm(a1, b2),
+        c=mm(c1, a2) + mm(a1, c2),
+        dc=mm(dc1, a2) + c1_da2 + mm(da1, c2) + mm(a1, dc2),
     )
 
 

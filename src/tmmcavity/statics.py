@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT, hbar as HBAR
+from .constants import c as C_LIGHT, hbar as HBAR
 
-from .elements import Chain, Polarisability, PumpSpec, element_matrix
+from .elements import Chain, Polarisability, PumpSpec, _adjugate, element_matrix
 from .errors import SingularSolveError
+from .opalg import _entries
 
 __all__ = [
     "StaticFields",
@@ -64,6 +65,24 @@ def _check_transmission_channel(b0: complex, k: float):
         )
 
 
+def _static_solution(m, mu, B0: complex, C0: complex, z: complex) -> tuple:
+    """(A0, B0f, C0f, D0f, out_left, out_right) from the composed matrix m.
+
+    `mu` is (M1)^-1.  Plain elementwise arithmetic: one chain passes 2x2
+    matrices and gets numpy scalars, a grid passes (N, 2, 2) stacks and
+    gets (N,) arrays.
+    """
+    g, a, d, b = _entries(m)
+    mu11, mu12, mu21, mu22 = _entries(mu)
+    d_out = (B0 - d * C0) / b
+    a_out = g * C0 + a * d_out
+    A0 = mu11 * a_out + mu12 * B0
+    B0f = mu21 * a_out + mu22 * B0
+    C0f = (1 - 1j * z) * A0 - 1j * z * B0f
+    D0f = 1j * z * A0 + (1 + 1j * z) * B0f
+    return A0, B0f, C0f, D0f, a_out, d_out
+
+
 def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
     """Solve the v = 0 scattering problem for the fields at the scatterer.
 
@@ -88,22 +107,11 @@ def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
     # SingularSolveError instead of a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
         m = m1 @ ms @ m2
-    g, a = m[0, 0], m[0, 1]
-    d, b = m[1, 0], m[1, 1]
-    _check_transmission_channel(b, k0)
+    _check_transmission_channel(m[1, 1], k0)
     # unit determinant makes the inverse of m1 its adjugate
-    mu = np.array([[m1[1, 1], -m1[0, 1]], [-m1[1, 0], m1[0, 0]]])
-
-    B0, C0 = complex(pump.B0), complex(pump.C0)
-    d_out = (B0 - d * C0) / b
-    a_out = g * C0 + a * d_out
-
-    A0 = mu[0, 0] * a_out + mu[0, 1] * B0
-    B0f = mu[1, 0] * a_out + mu[1, 1] * B0
-
-    z = chain.mobile.pol.zeta
-    C0f = (1 - 1j * z) * A0 - 1j * z * B0f
-    D0f = 1j * z * A0 + (1 + 1j * z) * B0f
+    A0, B0f, C0f, D0f, a_out, d_out = _static_solution(
+        m, _adjugate(m1), complex(pump.B0), complex(pump.C0), chain.mobile.pol.zeta
+    )
 
     for val in (A0, B0f, d_out, a_out):
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
@@ -114,6 +122,17 @@ def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
     )
 
 
+def _static_force(a0, b0, z: complex, k0: float):
+    """Static force from the left-face amplitudes; scalars or arrays."""
+    az2 = abs(z) ** 2
+    bracket = (
+        (az2 + z.imag) * abs(a0) ** 2
+        + (az2 - z.imag) * abs(b0) ** 2
+        + 2 * ((az2 + 1j * z.real) * a0 * np.conj(b0)).real
+    )
+    return -2 * HBAR * k0 * bracket
+
+
 def static_force(fields: StaticFields, pol: Polarisability, k0: float) -> float:
     """Static radiation force on the scatterer, in newtons (+x rightward).
 
@@ -122,14 +141,7 @@ def static_force(fields: StaticFields, pol: Polarisability, k0: float) -> float:
     scatterer, written out in terms of the left-face amplitudes only.
     """
     z = pol.zeta if isinstance(pol, Polarisability) else complex(pol)
-    az2 = abs(z) ** 2
-    a0, b0 = fields.A0, fields.B0f
-    bracket = (
-        (az2 + z.imag) * abs(a0) ** 2
-        + (az2 - z.imag) * abs(b0) ** 2
-        + 2 * ((az2 + 1j * z.real) * a0 * np.conj(b0)).real
-    )
-    return -2 * HBAR * k0 * bracket
+    return _static_force(fields.A0, fields.B0f, z, k0)
 
 
 # ---------------------------------------------------------------------------

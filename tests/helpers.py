@@ -1,20 +1,23 @@
 """Shared oracle machinery for the test suite.
 
 The oracles here deliberately avoid the package's first-order jets and
-closed-form solve: static compositions are plain numpy matrix products,
-k-derivatives are central finite differences over static solves at shifted
-wavenumbers (the reflected components of a slowly moving scatterer are
-Doppler sidebands at k0(1 +/- 2v/c), so differencing static solutions at
-those wavenumbers reproduces the first-order fields), and the first-order
-amplitudes follow the explicit bracketed closed form written out
-term by term.
+closed-form solve: static compositions are plain 2x2 products written out
+on tuples, k-derivatives are central finite differences over static solves
+at shifted wavenumbers (the reflected components of a slowly moving
+scatterer are Doppler sidebands at k0(1 +/- 2v/c), so differencing static
+solutions at those wavenumbers reproduces the first-order fields), and the
+first-order amplitudes follow the explicit bracketed closed form written
+out term by term.  The sideband oracle runs in float64 or, for long
+resonant chains, in mpmath at a chosen precision.
 """
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import signal
 
+import mpmath
 import numpy as np
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
@@ -37,96 +40,143 @@ def compose(elements, k: float) -> np.ndarray:
     return m
 
 
-def fd_first_order_fields(chain: Chain, pump, v_over_c: float = 1e-9) -> dict:
+# 2x2 matrices as tuples (m11, m12, m21, m22) of Python complex or mpmath
+# numbers, so one oracle serves both precisions
+
+
+def _mul(a, b):
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
+def _inv(m):
+    det = m[0] * m[3] - m[1] * m[2]
+    return (m[3] / det, -m[1] / det, -m[2] / det, m[0] / det)
+
+
+def _scale(c, m):
+    return tuple(c * v for v in m)
+
+
+class _Float64:
+    num = complex
+    real = float
+
+    @staticmethod
+    def expj(x):
+        return cmath.exp(1j * x)
+
+
+class _MpMath:
+    num = mpmath.mpc
+    real = mpmath.mpf
+    expj = staticmethod(mpmath.expj)
+
+
+def fd_first_order_fields(chain: Chain, pump, v_over_c: float = 1e-9,
+                          dps: int | None = None) -> dict:
     """First-order fields by finite differences over static solves.
 
     Implements the closed-form first-order amplitudes with every
     k-derivative taken as a central difference between static compositions
     at the sideband wavenumbers k0(1 +/- 2 v/c).  Completely independent of
     the package's analytic-derivative path.
+
+    With `dps` None the arithmetic is float64.  With `dps` digits it is
+    mpmath: then a step of v/c ~ 1e-20 leaves neither step truncation nor
+    roundoff, which float64 at v/c = 1e-9 suffers on long chains with
+    narrow resonances and deep stop bands.
     """
-    k0 = chain.k0
-    dk = 2.0 * v_over_c * k0
-    zm = chain.mobile.pol.zeta
+    if dps is None:
+        return _fd_fields(chain, pump, v_over_c, _Float64)
+    with mpmath.workdps(dps):
+        fields = _fd_fields(chain, pump, v_over_c, _MpMath)
+        return {name: complex(v) for name, v in fields.items()}
+
+
+def _fd_fields(chain: Chain, pump, v_over_c, ar) -> dict:
+    k0 = ar.real(chain.k0)
+    dk = 2 * ar.real(v_over_c) * k0
+    zm = ar.num(chain.mobile.pol.zeta)
     left = chain.elements[: chain.mobile_index]
     right = chain.elements[chain.mobile_index + 1 :]
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sx = (0, 1, 1, 0)
+    ms = (1 + 1j * zm, 1j * zm, -1j * zm, 1 - 1j * zm)
+
+    def element(el, k):
+        if isinstance(el, Scatterer):
+            z = ar.num(el.pol.zeta)
+            return (1 + 1j * z, 1j * z, -1j * z, 1 - 1j * z)
+        kd = k * ar.real(el.length)
+        return (ar.expj(kd), 0, 0, ar.expj(-kd))
+
+    def product(elements, k):
+        m = (1, 0, 0, 1)
+        for el in elements:
+            m = _mul(m, element(el, k))
+        return m
 
     def m1(k):
-        return compose(left, k)
+        return product(left, k)
 
     def m2(k):
-        return compose(right, k)
-
-    def ms():
-        return np.array([[1 + 1j * zm, 1j * zm], [-1j * zm, 1 - 1j * zm]])
+        return product(right, k)
 
     def composed(k):
-        return m1(k) @ ms() @ m2(k)
+        return _mul(_mul(m1(k), ms), m2(k))
 
     def deriv(fn):
         return (fn(k0 + dk) - fn(k0 - dk)) / (2 * dk)
 
     def xb(k):
         # first-order scalar coefficient functions: 2 i z k (M1 sx M2')
-        dm2 = (m2(k + dk) - m2(k - dk)) / (2 * dk)
-        return 2j * zm * k * (m1(k) @ sx @ dm2)
+        plus, minus = m2(k + dk), m2(k - dk)
+        dm2 = tuple((p - q) / (2 * dk) for p, q in zip(plus, minus))
+        return _scale(2j * zm * k, _mul(_mul(m1(k), sx), dm2))
 
     def xc(k):
         # first-order d/dk coefficient functions: 2 i z k (M1 sx M2)
-        return 2j * zm * k * (m1(k) @ sx @ m2(k))
+        return _scale(2j * zm * k, _mul(_mul(m1(k), sx), m2(k)))
 
     def mu(k):
-        return np.linalg.inv(m1(k))
+        return _inv(m1(k))
 
-    m0 = composed(k0)
-    g0, a0 = m0[0, 0], m0[0, 1]
-    d0, b0 = m0[1, 0], m0[1, 1]
+    g0, a0, d0, b0 = composed(k0)
     mu0 = mu(k0)
-    B0, C0 = complex(pump.B0), complex(pump.C0)
+    B0, C0 = ar.num(pump.B0), ar.num(pump.C0)
 
     # zeroth order
     dr0 = (B0 - d0 * C0) / b0
     al0 = g0 * C0 + a0 * dr0
-    A0 = mu0[0, 0] * al0 + mu0[0, 1] * B0
-    B0f = mu0[1, 0] * al0 + mu0[1, 1] * B0
+    A0 = mu0[0] * al0 + mu0[1] * B0
+    B0f = mu0[2] * al0 + mu0[3] * B0
 
     # first order, bracketed closed form with finite-difference derivatives
     xb0 = xb(k0)
-    xc0 = xc(k0)
 
-    def bracket_pump(mu_row):
+    def bracket_pump(row):
         """(v/c) coefficient of the left-pump bracket for one mu row."""
         def inner(k):
-            mm = mu(k)
-            mc = composed(k)
-            return (mm[mu_row, 0] / mc[1, 1]) * (
-                xc(k)[0, 1] * mc[1, 1] - mc[0, 1] * xc(k)[1, 1]
-            )
-        term1 = (mu0[mu_row, 0] / b0**2) * (xb0[0, 1] * b0 - a0 * xb0[1, 1])
-        term2 = -(1.0 / b0) * deriv(inner)
+            mm, mc, xck = mu(k), composed(k), xc(k)
+            return (mm[2 * row] / mc[3]) * (xck[1] * mc[3] - mc[1] * xck[3])
+        term1 = (mu0[2 * row] / b0**2) * (xb0[1] * b0 - a0 * xb0[3])
+        term2 = -(1 / b0) * deriv(inner)
         return term1 + term2
 
-    def bracket_right(mu_row):
+    def bracket_right(row):
         """(v/c) coefficient of the right-pump bracket for one mu row."""
         def inner_gd(k):
-            mm = mu(k)
-            mc = composed(k)
-            return (mm[mu_row, 0] / mc[1, 1]) * (
-                mc[1, 1] * xc(k)[0, 0] - mc[0, 1] * xc(k)[1, 0]
-            )
+            mm, mc, xck = mu(k), composed(k), xc(k)
+            return (mm[2 * row] / mc[3]) * (mc[3] * xck[0] - mc[1] * xck[2])
 
         def inner_ab(k):
-            mm = mu(k)
-            mc = composed(k)
-            return (mm[mu_row, 0] / mc[1, 1]) * (
-                xc(k)[0, 1] * mc[1, 1] - mc[0, 1] * xc(k)[1, 1]
-            )
+            mm, mc, xck = mu(k), composed(k), xc(k)
+            return (mm[2 * row] / mc[3]) * (xck[1] * mc[3] - mc[1] * xck[3])
 
-        term1 = (mu0[mu_row, 0] / b0**2) * (
-            b0**2 * xb0[0, 0]
-            - a0 * b0 * xb0[1, 0]
-            - (xb0[0, 1] * b0 - a0 * xb0[1, 1]) * d0
+        term1 = (mu0[2 * row] / b0**2) * (
+            b0**2 * xb0[0]
+            - a0 * b0 * xb0[2]
+            - (xb0[1] * b0 - a0 * xb0[3]) * d0
         )
         term2 = -deriv(inner_gd)
         term3 = (d0 / b0) * deriv(inner_ab)
@@ -159,9 +209,11 @@ def flux_force_first_order(fields: dict, k0: float) -> float:
     return 2 * HBAR * k0 * t
 
 
-def fd_friction(chain: Chain, pump, v_over_c: float = 1e-9) -> float:
-    """Sideband finite-difference oracle for the friction coefficient dF/dv."""
-    fields = fd_first_order_fields(chain, pump, v_over_c)
+def fd_friction(chain: Chain, pump, v_over_c: float = 1e-9,
+                dps: int | None = None) -> float:
+    """Sideband finite-difference oracle for the friction coefficient dF/dv
+    (float64, or mpmath at `dps` digits; see `fd_first_order_fields`)."""
+    fields = fd_first_order_fields(chain, pump, v_over_c, dps)
     return flux_force_first_order(fields, chain.k0) / C_LIGHT
 
 

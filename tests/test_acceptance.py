@@ -32,7 +32,7 @@ from tmmcavity.mim import (
 from tmmcavity.noise import OperatorFields, attach_loss_modes, operator_fields
 from tmmcavity.statics import couplings, solve_static
 
-from helpers import fd_friction
+from helpers import fd_friction, wall_clock_limit
 
 LAM = 1.064e-6
 K0 = 2 * np.pi / LAM
@@ -59,9 +59,11 @@ def default_config():
 def default_scan(default_config):
     grid = ScanGrid(-LAM / 2, LAM / 2, 101, -LAM / 2, LAM / 2, 101)
     t0 = time.perf_counter()
-    result = scan(default_config, grid, workers=4)
-    print(f"\n[shared scan: 101x101 on 4 workers in "
-          f"{time.perf_counter() - t0:.1f} s]")
+    # vectorised, the scan takes tens of milliseconds; the guard turns a
+    # return to per-point evaluation (~37 s before jets) into a failure
+    with wall_clock_limit(10.0):
+        result = scan(default_config, grid, workers=4)
+    print(f"\n[shared scan: 101x101 in {time.perf_counter() - t0:.3f} s]")
     return result
 
 

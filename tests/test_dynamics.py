@@ -240,25 +240,28 @@ class TestForceWithVelocity:
 
 class TestLongChain:
     def test_41_element_chain_friction_against_oracle(self):
-        """A 41-element random passive chain: the first-order solve costs a
-        fixed number of 2x2 products per element, so it finishes far inside
-        the guard, and its friction matches the sideband oracle to 1e-4.
+        """41-element random passive chains drawn like the benchmark's
+        (Re zeta in [-3, -0.3], 30% absorbing): the first-order solve costs
+        a fixed number of 2x2 products per element, so it finishes far
+        inside the guard, and its friction matches the sideband oracle to
+        1e-4.
 
-        Scatterers stay at |zeta| <= 1 (30% absorbing): with stronger ones a
-        chain this long has narrow resonances and deep stop bands, where the
-        finite-difference oracle itself misses by more than 1e-4 (step
-        truncation, roundoff) while the analytic derivatives hold.
+        Chains this long have narrow resonances and deep stop bands, where
+        the float64 oracle at v/c = 1e-9 misses by up to 10% (step
+        truncation, roundoff); the oracle therefore runs in mpmath at 40
+        digits with v/c = 1e-20.
         """
-        rng = np.random.default_rng(0)
-        elements = []
-        for i in range(41):
-            if i % 2 == 0:
-                zi = rng.uniform(0.005, 0.05) if rng.random() < 0.3 else 0.0
-                elements.append(Scatterer.of(complex(rng.uniform(-1.0, -0.1), zi)))
-            else:
-                elements.append(Segment(rng.uniform(0.5e-3, 5e-3)))
-        chain = Chain(elements=tuple(elements), mobile_index=20, k0=K0)
-        with wall_clock_limit(10.0):
-            got = evaluate_chain(chain, PUMP)
-        oracle = fd_friction(chain, PUMP, v_over_c=1e-9)
-        assert abs(got["dFdv"] - oracle) / abs(oracle) < 1e-4
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            elements = []
+            for i in range(41):
+                if i % 2 == 0:
+                    zi = rng.uniform(0.005, 0.05) if rng.random() < 0.3 else 0.0
+                    elements.append(Scatterer.of(complex(rng.uniform(-3.0, -0.3), zi)))
+                else:
+                    elements.append(Segment(rng.uniform(0.5e-3, 5e-3)))
+            chain = Chain(elements=tuple(elements), mobile_index=20, k0=K0)
+            with wall_clock_limit(10.0):
+                got = evaluate_chain(chain, PUMP)
+            oracle = fd_friction(chain, PUMP, v_over_c=1e-20, dps=40)
+            assert abs(got["dFdv"] - oracle) / abs(oracle) < 1e-4, seed

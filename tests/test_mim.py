@@ -1,12 +1,16 @@
 """Membrane-in-the-middle layer: geometry, scans, overlay, model comparison."""
 
+import json
+import math
+
 import numpy as np
 import pytest
-from scipy.constants import c as C_LIGHT
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tmmcavity.mim as mim
-from tmmcavity.elements import Segment
-from tmmcavity.errors import CalibrationError, ChainError, SingularSolveError
+from tmmcavity import cli
+from tmmcavity.elements import Factorization, Segment
+from tmmcavity.errors import CalibrationError, ChainError
 from tmmcavity.mim import (
     CoupledCavityParams,
     MimConfig,
@@ -18,13 +22,15 @@ from tmmcavity.mim import (
     calibrate_coupled_params,
     compare_models,
     coupled_cavity_force,
+    evaluate_chain,
     overlay_base_curves,
     overlay_candidates,
     point_quantities,
     pump_for,
     scan,
 )
-from tmmcavity.statics import solve_static
+from tmmcavity.opalg import VOMatrix
+from tmmcavity.statics import solve_static, static_force
 
 from helpers import wall_clock_limit
 
@@ -46,6 +52,28 @@ class TestConfigAndGeometry:
     def test_positive_membrane_zeta_rejected(self):
         with pytest.raises(ChainError):
             MimConfig(membrane_zeta=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("membrane_zeta", -1 + 0.1j),
+        ("membrane_zeta", float("nan")),
+        ("membrane_zeta", -math.inf),
+        ("mirror_zeta", -30 + 0.1j),
+        ("mirror_zeta", float("nan")),
+        ("power_watts", float("nan")),
+        ("power_watts", math.inf),
+        ("wavelength", float("nan")),
+        ("cavity_length", math.inf),
+        ("cavity_length", "6.7cm"),
+    ])
+    def test_non_real_or_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ChainError, match=field):
+            MimConfig(**{field: value})
+
+    def test_numbers_stored_as_floats(self):
+        cfg = MimConfig(membrane_zeta=-2, mirror_zeta=np.float64(-30), power_watts=1)
+        assert cfg == MimConfig(membrane_zeta=-2.0, mirror_zeta=-30.0)
+        assert all(type(v) is float for v in (cfg.membrane_zeta, cfg.mirror_zeta,
+                                               cfg.power_watts))
 
     def test_displacement_beyond_wavelength_rejected(self):
         with pytest.raises(ChainError):
@@ -152,24 +180,160 @@ class TestScan:
             assert label in ("plus", "minus")
             assert -0.1 * LAM - 1e-12 <= dlc <= 0.1 * LAM + 1e-12
 
-    def test_singular_points_become_markers(self, monkeypatch):
-        target = FAST.replace()
-        real = mim.evaluate_chain
+    @staticmethod
+    def _singular_column(monkeypatch, x_target):
+        """Poison the grid engine's jets at one x so that column's solves are
+        non-finite and the engine's own singular mask has to catch them."""
+        real = mim._mim_factorization
 
-        def sometimes_singular(chain, pump):
-            # membrane displacement is half the gap-length difference
-            x = (chain.elements[3].length - chain.elements[1].length) / 2
-            if abs(x - 0.2 * LAM) < 1e-15:
-                raise SingularSolveError("synthetic")
-            return real(chain, pump)
+        def poisoned(config, left, right):
+            fac = real(config, left, right)
+            hit = np.abs((right - left) / 2 - x_target) < 1e-15
+            a = np.array(fac.m1.a)
+            a[hit] = np.nan
+            return Factorization.around(VOMatrix(fac.m1.k, a, fac.m1.da), fac.ms, fac.m2)
 
-        monkeypatch.setattr(mim, "evaluate_chain", sometimes_singular)
-        result = scan(target, self.grid(), workers=1)
+        monkeypatch.setattr(mim, "_mim_factorization", poisoned)
+
+    def test_singular_points_become_markers(self, monkeypatch, tmp_path):
+        self._singular_column(monkeypatch, 0.2 * LAM)
+        result = scan(FAST, self.grid(), workers=1)
         missing = [p for p in result.points if p.intensity is None]
         present = [p for p in result.points if p.intensity is not None]
         assert len(missing) == 4  # one x column
-        assert all(p.F0 is None and p.kBT is None for p in missing)
+        assert all(p.x == 0.2 * LAM for p in missing)
+        assert all(p.F0 is None and p.dFdv is None and p.D is None and p.kBT is None
+                   for p in missing)
         assert len(missing) + len(present) == 20
+        assert result.missing_points == 4
+
+        # the same markers reach the CSV (empty cells) and the sidecar
+        g = self.grid()
+        ini = tmp_path / "scan.ini"
+        ini.write_text(
+            "[run]\nschema_version = 1\n[pump]\nwavelength = 1064nm\n"
+            "[mim]\ncavity_length = 5mm\nmembrane_zeta = -1.0\nmirror_zeta = -3.0\n"
+            f"[grid]\nx_start = {g.x_start!r}\nx_stop = {g.x_stop!r}\nx_count = 5\n"
+            f"dlc_start = {g.dlc_start!r}\ndlc_stop = {g.dlc_stop!r}\ndlc_count = 4\n"
+        )
+        out = tmp_path / "scan.csv"
+        assert cli.run(["scan", "--config", str(ini), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 20
+        empty = [r for r in rows if r[2:] == [""] * 5]
+        assert len(empty) == 4
+        assert all(float(r[0]) == 0.2 * LAM for r in empty)
+        meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+        assert meta["missing_points"] == 4
+
+
+_QUANTITIES = ("intensity", "F0", "dFdv", "D", "kBT")
+
+
+@st.composite
+def _mim_cases(draw):
+    """A random MIM configuration and a small grid inside its limits.
+
+    Mirrors and membrane stay at moderate finesse (|zeta| <= 5 and 3): with
+    stronger ones, any two float64 evaluation orders of the same closed form
+    (a 2x2 product through BLAS or written out) differ by more than 1e-8
+    near sharp resonances and dF/dv zero crossings, up to 1e-4 relative at
+    isolated points for zeta_m = -30, zeta = -10.  The default strong-mirror
+    setup is covered by `test_default_config_agrees_at_reference_tolerance`.
+    """
+    lam = draw(st.floats(0.5e-6, 2e-6))
+    cfg = MimConfig(
+        wavelength=lam,
+        cavity_length=draw(st.floats(1e-3, 0.1)),
+        membrane_zeta=draw(st.one_of(st.just(0.0), st.floats(-3.0, -0.01))),
+        mirror_zeta=draw(st.floats(-5.0, -0.5)),
+        power_watts=draw(st.floats(1e-3, 10.0)),
+        pump_side=draw(st.sampled_from(["left", "right"])),
+    )
+    x0 = draw(st.floats(-lam, lam - 1e-9))
+    d0 = draw(st.floats(-lam, lam))
+    grid = ScanGrid(
+        x0, draw(st.floats(x0 + 1e-9, lam)), draw(st.integers(1, 5)),
+        d0, d0 + draw(st.floats(1e-10, lam)), draw(st.integers(1, 5)),
+    )
+    return cfg, grid
+
+
+class TestGridEngine:
+    """The vectorised scan against `evaluate_chain` on the same chains."""
+
+    @staticmethod
+    def _check_against_points(cfg, grid, rtol, floor_frac):
+        """Every column of `scan` against `evaluate_chain` point by point:
+        |got - want| <= max(rtol |want|, floor_frac * column max |want|).
+
+        kBT = -D/dFdv inherits the tolerances of D and dFdv: it is compared
+        at their combined relative bound, and its presence must match
+        wherever |dFdv| is above the floor.
+        """
+        result = scan(cfg, grid)
+        pump = pump_for(cfg)
+        ref = {q: np.full((grid.x_count, grid.dlc_count), np.nan) for q in _QUANTITIES}
+        for i, x in enumerate(grid.x_values):
+            for j, dlc in enumerate(grid.dlc_values):
+                q = evaluate_chain(build_mim(cfg, float(x), float(dlc)), pump)
+                for name in _QUANTITIES:
+                    if q[name] is not None:
+                        ref[name][i, j] = q[name]
+        floor = {q: floor_frac * np.nanmax(np.abs(ref[q]), initial=0.0) for q in _QUANTITIES}
+        for name in ("intensity", "F0", "dFdv", "D"):
+            got, want = getattr(result, name), ref[name]
+            assert not np.isnan(got).any()
+            np.testing.assert_array_less(
+                np.abs(got - want), np.maximum(rtol * np.abs(want), floor[name]) + 1e-300,
+                err_msg=name)
+
+        dfdv, d_coeff = ref["dFdv"], ref["D"]
+        clear = np.abs(dfdv) > floor["dFdv"]
+        assert (np.isnan(result.kBT) == np.isnan(ref["kBT"]))[clear].all()
+        both = ~np.isnan(result.kBT) & ~np.isnan(ref["kBT"])
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 off the cooling set
+            bound = (rtol + floor["dFdv"] / np.abs(dfdv) + floor["D"] / np.abs(d_coeff)) \
+                * np.abs(ref["kBT"])
+        assert (np.abs(result.kBT - ref["kBT"]) <= 2 * bound)[both].all()
+        # kBT is derived from the stored floats, exactly where dFdv < 0
+        cooling = result.dFdv < 0
+        assert (~np.isnan(result.kBT) == cooling).all()
+        assert (result.kBT[cooling] == -result.D[cooling] / result.dFdv[cooling]).all()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_mim_cases())
+    def test_scan_agrees_with_evaluate_chain(self, case):
+        """rtol 1e-8 with an absolute floor of 1e-10 of each column's max."""
+        self._check_against_points(*case, rtol=1e-8, floor_frac=1e-10)
+
+    def test_default_config_agrees_at_reference_tolerance(self):
+        """The default strong-mirror setup (zeta_m = -30, finesse ~1400) on
+        a 41 x 41 grid over one wavelength, at the tolerance of the
+        benchmark's reference check: rtol 1e-6, floor 1e-9 of the column
+        max (float64 phase rounding, amplified by the finesse, reaches
+        ~1e-7 near resonances)."""
+        grid = ScanGrid(-LAM / 2, LAM / 2, 41, -LAM / 2, LAM / 2, 41)
+        self._check_against_points(MimConfig(), grid, rtol=1e-6, floor_frac=1e-9)
+
+    def test_point_views_match_columns(self):
+        grid = ScanGrid(-0.2 * LAM, 0.2 * LAM, 3, -0.1 * LAM, 0.1 * LAM, 4)
+        result = scan(FAST, grid)
+        assert len(result.points) == 12
+        for i in range(3):
+            for j in range(4):
+                p = result.point(i, j)
+                assert p == result.points[i * 4 + j]
+                assert p.F0 == result.F0[i, j]
+        fmap = result.quantity_map("F0")
+        fmap[:] = 0.0  # a copy: the result stays intact
+        assert result.F0[0, 0] != 0.0
+
+    def test_grid_outside_geometry_raises(self):
+        grid = ScanGrid(-0.5 * LAM, 1.5 * LAM, 3, 0.0, 0.1 * LAM, 2)
+        with pytest.raises(ChainError):
+            scan(FAST, grid)
 
 
 class TestOverlay:
@@ -324,6 +488,30 @@ class TestCompareModels:
                 agree += 1
         assert total > 20
         assert agree / total >= 0.95
+
+
+    def test_columns_equal_per_point_models(self):
+        """Every column equals the per-point static force and coupled force."""
+        cfg = FAST.replace(membrane_zeta=-2.0)
+        grid = ScanGrid(-LAM / 8, LAM / 8, 7, -LAM / 4, LAM / 4, 9)
+        res = compare_models(cfg, grid)
+        cal = res.calibration
+        pump = pump_for(cfg)
+        assert res.F0_tmm.shape == res.F0_coupled.shape == (7, 9)
+        for i, x in enumerate(grid.x_values):
+            for j, dlc in enumerate(grid.dlc_values):
+                chain = build_mim(cfg, float(x), float(dlc))
+                f0 = static_force(solve_static(chain, pump), chain.mobile.pol, chain.k0)
+                delta = cfg.omega0 * (float(dlc) - cal.dlc_center) / cfg.cavity_length
+                fc = coupled_cavity_force(cal.params, -float(x), delta, cfg.k0)
+                assert res.F0_tmm[i, j] == pytest.approx(f0, rel=1e-12, abs=1e-300)
+                assert res.F0_coupled[i, j] == pytest.approx(fc, rel=1e-12)
+                p = res.points[i * 9 + j]
+                assert (p.x, p.dlc) == (float(x), float(dlc))
+                assert p.F0_tmm == res.F0_tmm[i, j]
+        rms = np.sqrt(np.mean(res.F0_tmm ** 2))
+        np.testing.assert_allclose(res.discrepancy,
+                                   np.abs(res.F0_tmm - res.F0_coupled) / rms, rtol=1e-12)
 
 
 class TestPointQuantities:
