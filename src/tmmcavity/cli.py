@@ -83,12 +83,6 @@ chain description files:
 """
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return format(float(value), ".17g")
-
-
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmmcavity-", suffix=".tmp")
@@ -104,25 +98,72 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _emit_table(columns, rows, cfg: RunConfig, meta: dict, default_name: str):
-    """Write a table as CSV (+ metadata sidecar) or a single JSON document."""
+def _grid_columns(grid: ScanGrid) -> dict:
+    """x and dLc of a row-major (x-outer) grid table, as keyed columns."""
+    rows = np.arange(grid.x_count * grid.dlc_count)
+    return {"x": (grid.x_values, rows // grid.dlc_count),
+            "dLc": (grid.dlc_values, rows % grid.dlc_count)}
+
+
+def _cells(table: dict, text: bool):
+    """(rows, columns) object array of a table's cells, and its NaN mask.
+
+    A column is a 1-D float array, or a keyed column (keys, index) whose
+    row r holds keys[index[r]]; keys are finite floats or strings.  With
+    `text`, float keys become 17-digit text, once each however many rows
+    repeat them.  The mask marks NaN cells of the float columns, whose
+    cells stay floats.
+    """
+    columns = list(table.values())
+    first = columns[0]
+    cells = np.empty((len(first[1] if isinstance(first, tuple) else first),
+                      len(columns)), dtype=object)
+    missing = np.zeros(cells.shape, dtype=bool)
+    for j, column in enumerate(columns):
+        if isinstance(column, tuple):
+            keys, index = column
+            if text:
+                keys = [k if isinstance(k, str) else "%.17g" % k for k in keys]
+            cells[:, j] = np.array(keys, dtype=object)[index]
+        else:
+            values = np.asarray(column, dtype=float)
+            cells[:, j] = values
+            missing[:, j] = np.isnan(values)
+    return cells, missing
+
+
+def _csv_text(table: dict) -> str:
+    """CSV of a columnar table: numbers at 17 significant digits, NaN empty.
+
+    The whole body is one %-format: each row gets the template of its
+    pattern of NaN cells, which leaves those fields empty and takes no
+    argument for them.
+    """
+    cells, missing = _cells(table, text=True)
+    fields = ["%s" if isinstance(c, tuple) else "%.17g" for c in table.values()]
+    flags = [1 << j for j in range(len(fields))]
+    patterns, which = np.unique(missing @ np.array(flags), return_inverse=True)
+    templates = np.array([
+        ",".join("" if p & f else field for f, field in zip(flags, fields)) + "\n"
+        for p in patterns.tolist()
+    ], dtype=object)
+    body = "".join(templates[which].tolist()) % tuple(cells[~missing].tolist())
+    return ",".join(table) + "\n" + body
+
+
+def _emit_table(table: dict, cfg: RunConfig, meta: dict, default_name: str):
+    """Write a columnar table (column name -> column, see `_cells`) as CSV
+    (+ metadata sidecar) or a single JSON document with null for NaN."""
     out = cfg.out_path or default_name
     if cfg.out_format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join([
-                v if isinstance(v, str) else "" if v is None else format(float(v), ".17g")
-                for v in row
-            ]))
-        _atomic_write(out, "\n".join(lines) + "\n")
+        _atomic_write(out, _csv_text(table))
         _atomic_write(out + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     else:
+        cells, missing = _cells(table, text=False)
+        cells[missing] = None
         doc = dict(meta)
-        doc["columns"] = list(columns)
-        doc["rows"] = [
-            [v if (v is None or isinstance(v, str)) else float(v) for v in row]
-            for row in rows
-        ]
+        doc["columns"] = list(table)
+        doc["rows"] = cells.tolist()
         _atomic_write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return out
 
@@ -211,24 +252,24 @@ def _resolve_chain(cfg: RunConfig):
 def _cmd_elements(args) -> int:
     cfg = _load_cfg(args)
     chain, _pump, _x, _dlc = _resolve_chain(cfg)
-    columns = ["index", "kind", "zeta_re", "zeta_im", "length", "mobile",
-               "m11_re", "m11_im", "m12_re", "m12_im",
-               "m21_re", "m21_im", "m22_re", "m22_im"]
-    rows = []
+    n = len(chain.elements)
+    kinds = np.array([isinstance(el, Segment) for el in chain.elements], dtype=int)
+    zeta_re, zeta_im, length = np.full((3, n), np.nan)
     for i, el in enumerate(chain.elements):
-        m = element_matrix(el, chain.k0)
         if isinstance(el, Scatterer):
-            kind, zre, zim, length = "scatterer", el.pol.zeta.real, el.pol.zeta.imag, None
+            zeta_re[i], zeta_im[i] = el.pol.zeta.real, el.pol.zeta.imag
         else:
-            kind, zre, zim, length = "segment", None, None, el.length
-        rows.append([
-            i, kind, zre, zim, length, 1.0 if i == chain.mobile_index else 0.0,
-            m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag,
-            m[1, 0].real, m[1, 0].imag, m[1, 1].real, m[1, 1].imag,
-        ])
-    out = _emit_table(columns, rows, cfg, _base_meta(cfg, "elements"),
-                      "elements.csv")
-    print(f"wrote {len(rows)} elements to {out}")
+            length[i] = el.length
+    m = np.array([element_matrix(el, chain.k0) for el in chain.elements]).reshape(n, 4)
+    table = {"index": np.arange(n, dtype=float),
+             "kind": (("scatterer", "segment"), kinds),
+             "zeta_re": zeta_re, "zeta_im": zeta_im, "length": length,
+             "mobile": (np.arange(n) == chain.mobile_index).astype(float)}
+    for col, entry in enumerate(("m11", "m12", "m21", "m22")):
+        table[entry + "_re"] = m[:, col].real
+        table[entry + "_im"] = m[:, col].imag
+    out = _emit_table(table, cfg, _base_meta(cfg, "elements"), "elements.csv")
+    print(f"wrote {n} elements to {out}")
     return 0
 
 
@@ -240,9 +281,10 @@ def _cmd_point(args) -> int:
     except SingularSolveError as exc:
         print(f"error: singular solve at x={x}, dLc={dlc}: {exc}", file=sys.stderr)
         return 1
-    columns = ["x", "dLc", "intensity", "F0", "dFdv", "D", "kBT"]
-    rows = [[x, dlc, q["intensity"], q["F0"], q["dFdv"], q["D"], q["kBT"]]]
-    out = _emit_table(columns, rows, cfg, _base_meta(cfg, "point"), "point.csv")
+    values = {"x": x, "dLc": dlc, **q}  # None (no mim coordinates, no kBT) is NaN
+    table = {name: np.array([values[name]], dtype=float)
+             for name in ("x", "dLc", "intensity", "F0", "dFdv", "D", "kBT")}
+    out = _emit_table(table, cfg, _base_meta(cfg, "point"), "point.csv")
     print(f"wrote point record to {out}")
     return 0
 
@@ -252,18 +294,21 @@ def _cmd_scan(args) -> int:
     grid = cfg.default_grid()
     cfg.grid = grid
     result = scan(cfg.mim_config(), grid, workers=cfg.workers)
-    columns = ["x", "dLc", "intensity", "F0", "dFdv", "D", "kBT"]
-    rows = result.rows()
+    table = _grid_columns(grid)
+    for q in result.QUANTITIES:
+        table[q] = getattr(result, q).ravel()
     meta = _base_meta(cfg, "scan")
     n_missing = result.missing_points
     meta["missing_points"] = n_missing
-    out = _emit_table(columns, rows, cfg, meta, "scan.csv")
+    out = _emit_table(table, cfg, meta, "scan.csv")
     if cfg.out_format == "csv":
-        ov_lines = ["x,branch,fold,dLc"]
-        for xv, label, n, dv in result.overlay:
-            ov_lines.append(f"{_fmt(xv)},{label},{n},{_fmt(dv)}")
-        _atomic_write(out + ".overlay.csv", "\n".join(ov_lines) + "\n")
-    print(f"wrote {len(rows)} scan rows to {out} ({n_missing} singular points)")
+        branches = ("plus", "minus")
+        ov = np.array([(xv, branches.index(label), n, dv)
+                       for xv, label, n, dv in result.overlay]).reshape(-1, 4)
+        overlay = {"x": ov[:, 0], "branch": (branches, ov[:, 1].astype(int)),
+                   "fold": ov[:, 2], "dLc": ov[:, 3]}
+        _atomic_write(out + ".overlay.csv", _csv_text(overlay))
+    print(f"wrote {result.intensity.size} scan rows to {out} ({n_missing} singular points)")
     return 0
 
 
@@ -272,8 +317,9 @@ def _cmd_compare(args) -> int:
     grid = cfg.default_grid()
     cfg.grid = grid
     result = compare_models(cfg.mim_config(), grid)
-    columns = ["x", "dLc", "F0_tmm", "F0_coupled", "discrepancy"]
-    rows = result.rows()
+    table = _grid_columns(grid)
+    table.update(F0_tmm=result.F0_tmm.ravel(), F0_coupled=result.F0_coupled.ravel(),
+                 discrepancy=result.discrepancy.ravel())
     meta = _base_meta(cfg, "compare")
     meta["summary_normalized_l2_discrepancy"] = result.summary
     meta["calibration"] = {
@@ -284,8 +330,8 @@ def _cmd_compare(args) -> int:
         "bare_anchor_m": result.calibration.anchor,
         "bare_fwhm_m": result.calibration.fwhm_dlc,
     }
-    out = _emit_table(columns, rows, cfg, meta, "compare.csv")
-    print(f"wrote {len(rows)} comparison rows to {out}; "
+    out = _emit_table(table, cfg, meta, "compare.csv")
+    print(f"wrote {result.F0_tmm.size} comparison rows to {out}; "
           f"summary discrepancy {result.summary:.6g}")
     return 0
 
@@ -299,20 +345,13 @@ def _cmd_couplings(args) -> int:
     dplus, dminus = resonance_shifts(
         mim_cfg.membrane_zeta, xs, mim_cfg.cavity_length, mim_cfg.k0
     )
-    columns = ["x", "delta_omega_plus", "delta_omega_minus",
-               "omega_prime", "omega_double_prime"]
-    rows = []
-    for i, xv in enumerate(xs):
-        rep = couplings(mim_cfg.membrane_zeta, float(xv),
-                        mim_cfg.cavity_length, mim_cfg.k0)
-        rows.append([
-            float(xv), float(np.atleast_1d(dplus)[i]),
-            float(np.atleast_1d(dminus)[i]),
-            rep.omega_prime, rep.omega_double_prime,
-        ])
-    out = _emit_table(columns, rows, cfg, _base_meta(cfg, "couplings"),
-                      "couplings.csv")
-    print(f"wrote {len(rows)} coupling rows to {out}")
+    reps = [couplings(mim_cfg.membrane_zeta, xv, mim_cfg.cavity_length, mim_cfg.k0)
+            for xv in xs.tolist()]
+    table = {"x": xs, "delta_omega_plus": dplus, "delta_omega_minus": dminus,
+             "omega_prime": np.array([r.omega_prime for r in reps]),
+             "omega_double_prime": np.array([r.omega_double_prime for r in reps])}
+    out = _emit_table(table, cfg, _base_meta(cfg, "couplings"), "couplings.csv")
+    print(f"wrote {xs.size} coupling rows to {out}")
     return 0
 
 

@@ -21,7 +21,9 @@ import mpmath
 import numpy as np
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
-from tmmcavity.elements import Chain, Scatterer, Segment
+import tmmcavity.mim as mim
+from tmmcavity.elements import Chain, Factorization, Scatterer, Segment
+from tmmcavity.opalg import VOMatrix
 
 
 def static_matrix(el, k: float) -> np.ndarray:
@@ -255,3 +257,18 @@ def wall_clock_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def singular_column(monkeypatch, x_target: float):
+    """Poison the grid engine's jets at one x so that column's solves are
+    non-finite and the engine's own singular mask has to catch them."""
+    real = mim._mim_factorization
+
+    def poisoned(config, left, right):
+        fac = real(config, left, right)
+        hit = np.abs((right - left) / 2 - x_target) < 1e-15
+        a = np.array(fac.m1.a)
+        a[hit] = np.nan
+        return Factorization.around(VOMatrix(fac.m1.k, a, fac.m1.da), fac.ms, fac.m2)
+
+    monkeypatch.setattr(mim, "_mim_factorization", poisoned)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import tmmcavity.mim as mim
 from tmmcavity import cli
 from tmmcavity.config import (
     load_chain_file,
@@ -17,7 +18,12 @@ from tmmcavity.config import (
     parse_power,
     validate_report,
 )
+from tmmcavity.elements import PumpSpec, Scatterer, element_matrix
 from tmmcavity.errors import ConfigError
+from tmmcavity.mim import build_mim, compare_models, evaluate_chain, pump_for, scan
+from tmmcavity.statics import couplings, resonance_shifts
+
+from helpers import singular_column
 
 LAM = 1.064e-6
 
@@ -363,3 +369,175 @@ class TestCliCommands:
         )
         assert res.returncode == 0
         assert "0.1.0" in res.stdout
+
+
+def _per_cell(v) -> str:
+    return v if isinstance(v, str) else "" if v is None else format(float(v), ".17g")
+
+
+def _per_cell_csv(columns, rows) -> bytes:
+    """A table written cell by cell: the rule the columnar writer must
+    reproduce byte for byte."""
+    lines = [",".join(columns)] + [",".join(_per_cell(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+SCAN_COLUMNS = ["x", "dLc", "intensity", "F0", "dFdv", "D", "kBT"]
+COMPARE_COLUMNS = ["x", "dLc", "F0_tmm", "F0_coupled", "discrepancy"]
+
+
+def _grid_run(tmp_path, singular_x):
+    """GOOD_RUN on a 5 x 9 grid whose largest x is `singular_x`."""
+    grid = (f"[grid]\nx_start = {-singular_x!r}\nx_stop = {singular_x!r}\nx_count = 5\n"
+            f"dlc_start = {-0.25 * LAM!r}\ndlc_stop = {0.25 * LAM!r}\ndlc_count = 9\n")
+    text = GOOD_RUN.split("[grid]")[0] + grid + "\n[output]\nformat = csv\n"
+    return write(tmp_path / "run.ini", text)
+
+
+def _singular_compare_column(monkeypatch, x_target):
+    """NaN chain forces at one x of the comparison grid."""
+    real = mim._static_force_block
+
+    def poisoned(config, pump, left, right):
+        force = real(config, pump, left, right)
+        force[np.abs((right - left) / 2 - x_target) < 1e-15] = np.nan
+        return force
+
+    monkeypatch.setattr(mim, "_static_force_block", poisoned)
+
+
+class TestTableOutput:
+    """Every CLI table, written from columns, against the per-cell rule."""
+
+    X_SING = 0.2 * LAM
+
+    def test_scan_bytes(self, monkeypatch, tmp_path):
+        singular_column(monkeypatch, self.X_SING)
+        path = _grid_run(tmp_path, self.X_SING)
+        out = tmp_path / "scan.csv"
+        assert cli.run(["scan", "--config", path, "--out", str(out)]) == 0
+        cfg = load_run_config(path)
+        result = scan(cfg.mim_config(), cfg.default_grid())
+        rows = result.rows()
+        assert sum(r[2] is None for r in rows) == 9  # the singular column
+        assert any(r[2] is not None and r[6] is None for r in rows)  # heating
+        assert any(r[6] is not None for r in rows)  # cooling
+        assert out.read_bytes() == _per_cell_csv(SCAN_COLUMNS, rows)
+        overlay = ["x,branch,fold,dLc"] + [
+            f"{_per_cell(x)},{label},{n},{_per_cell(d)}" for x, label, n, d in result.overlay
+        ]
+        assert len(overlay) > 1
+        assert (tmp_path / "scan.csv.overlay.csv").read_bytes() == (
+            "\n".join(overlay) + "\n").encode()
+
+    def test_compare_bytes(self, monkeypatch, tmp_path):
+        _singular_compare_column(monkeypatch, self.X_SING)
+        path = _grid_run(tmp_path, self.X_SING)
+        out = tmp_path / "cmp.csv"
+        assert cli.run(["compare", "--config", path, "--out", str(out)]) == 0
+        cfg = load_run_config(path)
+        rows = compare_models(cfg.mim_config(), cfg.default_grid()).rows()
+        assert sum(r[2] is None for r in rows) == 9
+        assert out.read_bytes() == _per_cell_csv(COMPARE_COLUMNS, rows)
+
+    @pytest.mark.parametrize("chain_file", [False, True])
+    def test_point_bytes(self, tmp_path, chain_file):
+        run = GOOD_RUN
+        if chain_file:
+            chain_path = write(tmp_path / "c.ini", GOOD_CHAIN)
+            run = run.replace("[mim]", "[chain]\npath = %s\n\n[mim]" % chain_path)
+        path = write(tmp_path / "run.ini", run)
+        out = tmp_path / "point.csv"
+        assert cli.run(["point", "--config", path, "--out", str(out)]) == 0
+        cfg = load_run_config(path)
+        if chain_file:
+            chain = load_chain_file(cfg.chain_path)
+            pump = PumpSpec.one_sided(cfg.power_watts, 2 * np.pi / chain.k0, cfg.pump_side)
+            x = dlc = None
+        else:
+            mim_cfg = cfg.mim_config()
+            x, dlc = cfg.membrane_x, cfg.cavity_detuning
+            chain, pump = build_mim(mim_cfg, x, dlc), pump_for(mim_cfg)
+        q = evaluate_chain(chain, pump)
+        row = [x, dlc, q["intensity"], q["F0"], q["dFdv"], q["D"], q["kBT"]]
+        assert out.read_bytes() == _per_cell_csv(SCAN_COLUMNS, [row])
+
+    @pytest.mark.parametrize("zeta", ["-1.0", "0.0"])
+    def test_couplings_bytes(self, tmp_path, zeta):
+        path = write(tmp_path / "run.ini",
+                     GOOD_RUN.replace("membrane_zeta = -1.0", f"membrane_zeta = {zeta}"))
+        out = tmp_path / "couplings.csv"
+        assert cli.run(["couplings", "--config", path, "--out", str(out)]) == 0
+        cfg = load_run_config(path)
+        m = cfg.mim_config()
+        xs = cfg.default_grid().x_values
+        dplus, dminus = resonance_shifts(m.membrane_zeta, xs, m.cavity_length, m.k0)
+        rows = []
+        for i, xv in enumerate(xs):
+            rep = couplings(m.membrane_zeta, float(xv), m.cavity_length, m.k0)
+            rows.append([float(xv), float(dplus[i]), float(dminus[i]),
+                         rep.omega_prime, rep.omega_double_prime])
+        columns = ["x", "delta_omega_plus", "delta_omega_minus",
+                   "omega_prime", "omega_double_prime"]
+        assert out.read_bytes() == _per_cell_csv(columns, rows)
+
+    def test_elements_bytes(self, tmp_path):
+        chain_path = write(tmp_path / "c.ini", GOOD_CHAIN)
+        run = GOOD_RUN.replace("[mim]", "[chain]\npath = %s\n\n[mim]" % chain_path)
+        path = write(tmp_path / "run.ini", run)
+        out = tmp_path / "elements.csv"
+        assert cli.run(["elements", "--config", path, "--out", str(out)]) == 0
+        chain = load_chain_file(chain_path)
+        rows = []
+        for i, el in enumerate(chain.elements):
+            m = element_matrix(el, chain.k0)
+            if isinstance(el, Scatterer):
+                kind, zre, zim, length = "scatterer", el.pol.zeta.real, el.pol.zeta.imag, None
+            else:
+                kind, zre, zim, length = "segment", None, None, el.length
+            rows.append([i, kind, zre, zim, length, 1.0 if i == chain.mobile_index else 0.0,
+                         *(part for v in m.ravel() for part in (v.real, v.imag))])
+        columns = ["index", "kind", "zeta_re", "zeta_im", "length", "mobile",
+                   "m11_re", "m11_im", "m12_re", "m12_im",
+                   "m21_re", "m21_im", "m22_re", "m22_im"]
+        assert out.read_bytes() == _per_cell_csv(columns, rows)
+
+    @pytest.mark.parametrize("command", ["scan", "compare"])
+    def test_grid_json(self, monkeypatch, tmp_path, command):
+        singular_column(monkeypatch, self.X_SING)
+        _singular_compare_column(monkeypatch, self.X_SING)
+        path = _grid_run(tmp_path, self.X_SING)
+        out = tmp_path / f"{command}.json"
+        assert cli.run([command, "--config", path, "--out", str(out),
+                        "--format", "json"]) == 0
+        text = out.read_text()
+
+        def not_json(token):
+            raise AssertionError(f"{token} in a JSON document")
+
+        doc = json.loads(text, parse_constant=not_json)
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+        cfg = load_run_config(path)
+        if command == "scan":
+            result = scan(cfg.mim_config(), cfg.default_grid())
+            assert doc["columns"] == SCAN_COLUMNS
+            assert doc["missing_points"] == 9
+        else:
+            result = compare_models(cfg.mim_config(), cfg.default_grid())
+            assert doc["columns"] == COMPARE_COLUMNS
+        assert doc["rows"] == [list(r) for r in result.rows()]
+        assert sum(row[2] is None for row in doc["rows"]) == 9  # NaN is null
+
+
+def test_cli_import_loads_no_scipy():
+    """`import tmmcavity.cli` stays scipy-free: scipy is imported only by
+    the calibration, inside the commands that need it."""
+    import tmmcavity
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tmmcavity.__file__)))
+    code = ("import sys, tmmcavity, tmmcavity.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

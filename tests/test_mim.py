@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import tmmcavity.mim as mim
 from tmmcavity import cli
-from tmmcavity.elements import Factorization, Segment
+from tmmcavity.elements import Segment
 from tmmcavity.errors import CalibrationError, ChainError
 from tmmcavity.mim import (
     CoupledCavityParams,
@@ -29,10 +28,9 @@ from tmmcavity.mim import (
     pump_for,
     scan,
 )
-from tmmcavity.opalg import VOMatrix
 from tmmcavity.statics import solve_static, static_force
 
-from helpers import wall_clock_limit
+from helpers import singular_column, wall_clock_limit
 
 LAM = 1.064e-6
 
@@ -180,23 +178,8 @@ class TestScan:
             assert label in ("plus", "minus")
             assert -0.1 * LAM - 1e-12 <= dlc <= 0.1 * LAM + 1e-12
 
-    @staticmethod
-    def _singular_column(monkeypatch, x_target):
-        """Poison the grid engine's jets at one x so that column's solves are
-        non-finite and the engine's own singular mask has to catch them."""
-        real = mim._mim_factorization
-
-        def poisoned(config, left, right):
-            fac = real(config, left, right)
-            hit = np.abs((right - left) / 2 - x_target) < 1e-15
-            a = np.array(fac.m1.a)
-            a[hit] = np.nan
-            return Factorization.around(VOMatrix(fac.m1.k, a, fac.m1.da), fac.ms, fac.m2)
-
-        monkeypatch.setattr(mim, "_mim_factorization", poisoned)
-
     def test_singular_points_become_markers(self, monkeypatch, tmp_path):
-        self._singular_column(monkeypatch, 0.2 * LAM)
+        singular_column(monkeypatch, 0.2 * LAM)
         result = scan(FAST, self.grid(), workers=1)
         missing = [p for p in result.points if p.intensity is None]
         present = [p for p in result.points if p.intensity is not None]
