@@ -20,11 +20,14 @@ run in one process).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import re
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .mim import (
     build_mim,
     compare_models,
     evaluate_chain,
+    point_quantities,
     pump_for,
     scan,
 )
@@ -240,18 +244,15 @@ def _resolve_chain(cfg: RunConfig):
     """Chain and pump for point/elements: explicit file or the mim layout."""
     if cfg.chain_path is not None:
         chain = load_chain_file(cfg.chain_path)
-        pump = PumpSpec.one_sided(
-            cfg.power_watts, 2 * np.pi / chain.k0, cfg.pump_side
-        )
-        return chain, pump, None, None
+        return chain, PumpSpec.one_sided(cfg.power_watts, 2 * np.pi / chain.k0,
+                                         cfg.pump_side)
     mim_cfg = cfg.mim_config()
-    chain = build_mim(mim_cfg, cfg.membrane_x, cfg.cavity_detuning)
-    return chain, pump_for(mim_cfg), cfg.membrane_x, cfg.cavity_detuning
+    return build_mim(mim_cfg, cfg.membrane_x, cfg.cavity_detuning), pump_for(mim_cfg)
 
 
 def _cmd_elements(args) -> int:
     cfg = _load_cfg(args)
-    chain, _pump, _x, _dlc = _resolve_chain(cfg)
+    chain, _pump = _resolve_chain(cfg)
     n = len(chain.elements)
     kinds = np.array([isinstance(el, Segment) for el in chain.elements], dtype=int)
     zeta_re, zeta_im, length = np.full((3, n), np.nan)
@@ -275,11 +276,20 @@ def _cmd_elements(args) -> int:
 
 def _cmd_point(args) -> int:
     cfg = _load_cfg(args)
-    chain, pump, x, dlc = _resolve_chain(cfg)
-    try:
-        q = evaluate_chain(chain, pump)
-    except SingularSolveError as exc:
-        print(f"error: singular solve at x={x}, dLc={dlc}: {exc}", file=sys.stderr)
+    if cfg.chain_path is None:
+        # the scan engine on one point: equal to the `scan` cell bit for bit
+        x, dlc = cfg.membrane_x, cfg.cavity_detuning
+        q = asdict(point_quantities(cfg.mim_config(), x, dlc))
+        singular = None if q["intensity"] is not None else (
+            "the solve divides by zero or does not stay finite")
+    else:
+        x = dlc = None  # a chain file has no mim coordinates
+        try:
+            q, singular = evaluate_chain(*_resolve_chain(cfg)), None
+        except SingularSolveError as exc:
+            q, singular = None, exc
+    if singular is not None:
+        print(f"error: singular solve at x={x}, dLc={dlc}: {singular}", file=sys.stderr)
         return 1
     values = {"x": x, "dLc": dlc, **q}  # None (no mim coordinates, no kBT) is NaN
     table = {name: np.array([values[name]], dtype=float)
@@ -293,7 +303,7 @@ def _cmd_scan(args) -> int:
     cfg = _load_cfg(args)
     grid = cfg.default_grid()
     cfg.grid = grid
-    result = scan(cfg.mim_config(), grid, workers=cfg.workers)
+    result = scan(cfg.mim_config(), grid)
     table = _grid_columns(grid)
     for q in result.QUANTITIES:
         table[q] = getattr(result, q).ravel()
@@ -321,7 +331,8 @@ def _cmd_compare(args) -> int:
     table.update(F0_tmm=result.F0_tmm.ravel(), F0_coupled=result.F0_coupled.ravel(),
                  discrepancy=result.discrepancy.ravel())
     meta = _base_meta(cfg, "compare")
-    meta["summary_normalized_l2_discrepancy"] = result.summary
+    undefined = math.isnan(result.summary)
+    meta["summary_normalized_l2_discrepancy"] = None if undefined else result.summary
     meta["calibration"] = {
         "g_rad_s": result.calibration.params.g,
         "kappa_c_rad_s": result.calibration.params.kappa_c,
@@ -331,8 +342,10 @@ def _cmd_compare(args) -> int:
         "bare_fwhm_m": result.calibration.fwhm_dlc,
     }
     out = _emit_table(table, cfg, meta, "compare.csv")
+    summary = ("undefined (no grid point has a nonzero chain force to normalise by)"
+               if undefined else f"{result.summary:.6g}")
     print(f"wrote {result.F0_tmm.size} comparison rows to {out}; "
-          f"summary discrepancy {result.summary:.6g}")
+          f"summary discrepancy {summary}")
     return 0
 
 
@@ -426,9 +439,14 @@ def _glue_grid_value(argv: list[str]) -> list[str]:
     return glued
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_glue_grid_value(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_glue_grid_value(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except TmmCavityError as exc:

@@ -226,23 +226,14 @@ def element_matrix(el: Element, k: float) -> np.ndarray:
     return propagation_matrix(k, el.length)
 
 
-def _segment_jet(k: float, d) -> VOMatrix:
-    """Static jet of free propagation over d (a length or an array of them):
-    its matrix and analytic k-derivative diag(i d, -i d) times the matrix."""
-    m = propagation_matrix(k, d)
-    if m.ndim == 2:
-        return VOMatrix(k, m, np.array([[1j * d, 0.0], [0.0, -1j * d]]) * m)
-    dm = np.zeros_like(m)
-    dm[:, 0, 0] = 1j * d * m[:, 0, 0]
-    dm[:, 1, 1] = -1j * d * m[:, 1, 1]
-    return VOMatrix(k, m, dm)
-
-
 def _element_jet(el: Element, k: float) -> VOMatrix:
-    """Static jet of one element: its matrix and analytic k-derivative at k."""
+    """Static jet of one element: its matrix and analytic k-derivative at k,
+    diag(i d, -i d) times the matrix for free propagation over d."""
     if isinstance(el, Scatterer):
         return VOMatrix(k, scatterer_matrix(el.pol))
-    return _segment_jet(k, el.length)
+    d = el.length
+    m = propagation_matrix(k, d)
+    return VOMatrix(k, m, np.array([[1j * d, 0.0], [0.0, -1j * d]]) * m)
 
 
 def _compose_static(elements, k: float) -> VOMatrix:
@@ -269,12 +260,6 @@ class Factorization:
     m2: VOMatrix
     m1_inv: VOMatrix
 
-    @staticmethod
-    def around(m1: VOMatrix, ms: VOMatrix, m2: VOMatrix) -> "Factorization":
-        """Factorization of m1 * ms * m2, with m1_inv the adjugates of m1."""
-        m1_inv = VOMatrix(m1.k, _adjugate(m1.a), _adjugate(m1.da))
-        return Factorization(m1=m1, ms=ms, m2=m2, m1_inv=m1_inv)
-
     def composed(self) -> VOMatrix:
         return self.m1 @ self.ms @ self.m2
 
@@ -298,4 +283,5 @@ def factorize(chain: Chain) -> Factorization:
     m1 = _compose_static(chain.elements[: chain.mobile_index], k)
     m2 = _compose_static(chain.elements[chain.mobile_index + 1 :], k)
     ms = moving_scatterer_matrix(chain.mobile.pol, k)
-    return Factorization.around(m1, ms, m2)
+    m1_inv = VOMatrix(k, _adjugate(m1.a), _adjugate(m1.da))
+    return Factorization(m1=m1, ms=ms, m2=m2, m1_inv=m1_inv)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,17 +30,15 @@ from .constants import c as C_LIGHT
 from .dynamics import _first_order, _velocity_force, force_with_velocity, solve_dynamic
 from .elements import (
     Chain,
-    Factorization,
     PumpSpec,
     Scatterer,
     Segment,
     _adjugate,
-    _segment_jet,
     propagation_matrix,
     scatterer_matrix,
 )
 from .errors import CalibrationError, ChainError, SingularSolveError
-from .noise import _diffusion, attach_loss_modes, diffusion, operator_fields
+from .noise import _diffusion, _kbt, attach_loss_modes, diffusion, operator_fields
 from .opalg import VOMatrix, _mm, moving_scatterer_matrix
 from .statics import _static_force, _static_solution, resonance_shifts, solve_static
 
@@ -220,27 +217,30 @@ def evaluate_chain(chain: Chain, pump: PumpSpec) -> dict:
     report = force_with_velocity(fields, chain.mobile.pol, chain.k0)
     ops = operator_fields(chain)
     d_coeff = diffusion(fields.static(), ops, chain.mobile.pol, chain.k0)
-    kbt = None
-    if report.friction < 0:
-        kbt = float(-d_coeff / report.friction)
+    kbt = float(_kbt(d_coeff, report.friction))
     return {
         "intensity": float(fields.static().intensity),
         "F0": float(report.F0),
         "dFdv": float(report.friction),
         "D": float(d_coeff),
-        "kBT": kbt,
+        "kBT": None if math.isnan(kbt) else kbt,
     }
 
 
 def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
-    """Intensity, forces, diffusion and temperature at one grid point."""
-    try:
-        q = evaluate_chain(build_mim(config, x, dlc), pump_for(config))
-    except SingularSolveError:
-        return ScanPoint(x=x, dlc=dlc, intensity=None, F0=None, dFdv=None,
-                         D=None, kBT=None)
-    return ScanPoint(x=x, dlc=dlc, intensity=q["intensity"], F0=q["F0"],
-                     dFdv=q["dFdv"], D=q["D"], kBT=q["kBT"])
+    """Intensity, forces, diffusion and temperature at one grid point.
+
+    The grid engine of `scan` on a batch of one point, so the result equals
+    the `scan` cell at the same (x, dlc) bit for bit.
+    """
+    values = _grid_stages(config, np.array([x], dtype=float),
+                          np.array([dlc], dtype=float), _dynamic_stage)
+    return _scan_point(x, dlc, values[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# grid engine: the MIM chain over arrays of gap lengths
+# ---------------------------------------------------------------------------
 
 
 # Grid points per vectorised block: enough to amortise numpy's per-call
@@ -254,25 +254,54 @@ def _grid_points(grid: ScanGrid) -> tuple[np.ndarray, np.ndarray]:
             np.tile(grid.dlc_values, grid.x_count))
 
 
-def _blocks(total: int):
-    for start in range(0, total, _BLOCK_POINTS):
-        yield slice(start, min(start + _BLOCK_POINTS, total))
+@dataclass(frozen=True)
+class _StaticStage:
+    """Static solve of a block of MIM chains, one per pair of gap lengths.
 
-
-def _mim_factorization(config: MimConfig, left, right) -> Factorization:
-    """Jets of the MIM chain split around the membrane, for arrays of gaps.
-
-    The same products `factorize(build_mim(...))` forms, each a stack over
-    the gaps; the mirror and membrane jets are single matrices that
-    broadcast.
+    `m1` = mirror P(left) and `m2` = P(right) mirror are the chain's two
+    sides around the membrane, `m` the composed matrix and `mu` = m1^-1;
+    `fields` are `_static_solution`'s (A0, B0f, C0f, D0f, out_left,
+    out_right).  `singular` marks points whose solve divides by zero or
+    does not stay finite; every later stage reads it.
     """
+
+    left: np.ndarray
+    right: np.ndarray
+    p_left: np.ndarray
+    p_right: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    m: np.ndarray
+    mu: np.ndarray
+    fields: tuple
+    F0: np.ndarray
+    singular: np.ndarray
+
+
+def _static_stage(config: MimConfig, pump: PumpSpec, left, right) -> _StaticStage:
+    """Static fields and force over arrays of gap lengths, composed like
+    `solve_static`."""
     k0 = config.k0
-    mirror = VOMatrix(k0, scatterer_matrix(config.mirror_zeta))
-    return Factorization.around(
-        mirror @ _segment_jet(k0, left),
-        moving_scatterer_matrix(config.membrane_zeta, k0),
-        _segment_jet(k0, right) @ mirror,
-    )
+    z = complex(config.membrane_zeta)
+    mirror = scatterer_matrix(config.mirror_zeta)
+    p_left, p_right = propagation_matrix(k0, left), propagation_matrix(k0, right)
+    m1, m2 = _mm(mirror, p_left), _mm(p_right, mirror)
+    mu = _adjugate(m1)  # unit determinant
+    # singular points divide by zero or overflow; the mask below marks them
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = _mm(_mm(m1, scatterer_matrix(config.membrane_zeta)), m2)
+        fields = _static_solution(m, mu, complex(pump.B0), complex(pump.C0), z)
+        f0 = _static_force(fields[0], fields[1], z, k0)
+    singular = (m[:, 1, 1] == 0) | ~np.isfinite(f0)
+    return _StaticStage(left, right, p_left, p_right, m1, m2, m, mu, fields, f0, singular)
+
+
+def _propagation_deriv(d: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """k-derivative diag(i d, -i d) P of a stack of propagation matrices."""
+    dp = np.zeros_like(p)
+    dp[:, 0, 0] = 1j * d * p[:, 0, 0]
+    dp[:, 1, 1] = -1j * d * p[:, 1, 1]
+    return dp
 
 
 def _stack_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -280,48 +309,64 @@ def _stack_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x * np.conj(y)).sum(axis=-1)
 
 
-def _scan_block(config: MimConfig, pump: PumpSpec, left, right) -> np.ndarray:
-    """(intensity, F0, dFdv, D) of `evaluate_chain`, as a (4, N) array over
-    arrays of gap lengths; NaN marks singular points.
+def _dynamic_stage(config: MimConfig, pump: PumpSpec, st: _StaticStage) -> np.ndarray:
+    """(intensity, F0, dFdv, D, kBT) of `evaluate_chain` as a (5, N) array
+    for the points of a static stage; NaN marks singular points.
 
-    The MIM is lossless, so the noise columns are the two unit pumps and
-    the static fields of each come from the same closed form.
+    The first-order jets of the two sides are the stage's m1 and m2 with
+    their k-derivatives mirror dP(left) and dP(right) mirror.  The MIM is
+    lossless, so the noise columns are the static fields at the two unit
+    pumps, from the stage's composed matrix.
     """
     k0 = config.k0
     z = complex(config.membrane_zeta)
-    fac = _mim_factorization(config, left, right)
-    comp = fac.composed()
-    m, mu = comp.static_at(k0), fac.m1_inv.static_at(k0)
-    b0, c0 = complex(pump.B0), complex(pump.C0)
-    out = np.empty((4, m.shape[0]))
-    # singular points divide by zero or overflow; the mask below marks them
+    mirror = scatterer_matrix(config.mirror_zeta)
+    dm1 = _mm(mirror, _propagation_deriv(st.left, st.p_left))
+    dm2 = _mm(_propagation_deriv(st.right, st.p_right), mirror)
+    comp = (VOMatrix(k0, st.m1, dm1) @ moving_scatterer_matrix(z, k0)
+            @ VOMatrix(k0, st.m2, dm2))
+    A0, B0f, C0f, D0f, _, _ = st.fields
+    out = np.empty((5, st.m.shape[0]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        A0, B0f, C0f, D0f, _, _ = _static_solution(m, mu, b0, c0, z)
-        A1, B1, _, _, _, _ = _first_order(comp, fac.m1_inv, k0, b0, c0, A0, B0f, z)
+        A1, B1, _, _, _, _ = _first_order(comp, VOMatrix(k0, st.mu, _adjugate(dm1)), k0,
+                                          complex(pump.B0), complex(pump.C0), A0, B0f, z)
         out[0] = abs(A0 + B0f) ** 2
-        out[1] = _static_force(A0, B0f, z, k0)
+        out[1] = st.F0
         out[2] = _velocity_force(A0, A1, B0f, B1, z, k0) / C_LIGHT
         if z == 0:
             out[3] = 0.0  # nothing scatters, no momentum kicks
         else:
-            unit_left = _static_solution(m, mu, 1.0, 0.0, z)
-            unit_right = _static_solution(m, mu, 0.0, 1.0, z)
+            unit_left = _static_solution(st.m, st.mu, 1.0, 0.0, z)
+            unit_right = _static_solution(st.m, st.mu, 0.0, 1.0, z)
             vecs = [np.stack([unit_left[i], unit_right[i]], axis=-1) for i in range(4)]
             out[3] = _diffusion(A0, B0f, C0f, D0f, *vecs, _stack_commutator, k0)
-        singular = (m[:, 1, 1] == 0) | ~np.isfinite(out).all(axis=0)
-    out[:, singular] = np.nan
+        singular = st.singular | ~np.isfinite(out[:4]).all(axis=0)
+    out[:4, singular] = np.nan
+    out[4] = _kbt(out[3], out[2])
     return out
 
 
-def _cells(values: np.ndarray) -> list:
-    """Python floats of an array, NaN as None."""
-    return [None if v != v else v for v in np.ravel(values).tolist()]
+def _grid_stages(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish) -> np.ndarray:
+    """`finish(config, pump, static_stage)` over the points (x, dlc), one
+    block of points at a time, joined along the last axis."""
+    left, right = _gaps(config, x, dlc)
+    pump = pump_for(config)
+    return np.concatenate([
+        finish(config, pump, _static_stage(config, pump, left[start:start + _BLOCK_POINTS],
+                                           right[start:start + _BLOCK_POINTS]))
+        for start in range(0, x.size, _BLOCK_POINTS)], axis=-1)
 
 
-def _table_rows(grid: ScanGrid, columns) -> list:
-    """Rows (x, dlc, *columns) in row-major order; NaN becomes None."""
-    x, dlc = _grid_points(grid)
-    return list(zip(x.tolist(), dlc.tolist(), *(_cells(c) for c in columns)))
+def _scan_point(x: float, dlc: float, values: np.ndarray) -> ScanPoint:
+    """ScanPoint of one (intensity, F0, dFdv, D, kBT) column; NaN becomes None."""
+    return ScanPoint(x, dlc, *(None if v != v else v for v in values.tolist()))
+
+
+def _folds(base: float, lo: float, hi: float, lam: float) -> list:
+    """(n, base + n lambda/2) for every fold n of a branch value in [lo, hi]."""
+    n_lo = math.ceil((lo - base) / (lam / 2))
+    n_hi = math.floor((hi - base) / (lam / 2))
+    return [(n, base + n * lam / 2) for n in range(n_lo, n_hi + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,8 +374,8 @@ class ScanResult:
     """Columnar scan: one (x_count, dlc_count) float array per quantity.
 
     NaN marks an undefined value: every quantity at a singular point, kBT
-    outside cooling regions.  `point`, `points` and `rows` are views that
-    turn NaN into None.
+    outside cooling regions.  `point(i, j)` is the view of one grid point,
+    with None for NaN.
     """
 
     config: MimConfig
@@ -349,53 +394,29 @@ class ScanResult:
         return int(np.isnan(self.intensity).sum())
 
     def point(self, i: int, j: int) -> ScanPoint:
-        return ScanPoint(float(self.grid.x_values[i]), float(self.grid.dlc_values[j]),
-                         *_cells(np.array([getattr(self, q)[i, j] for q in self.QUANTITIES])))
-
-    def rows(self) -> list:
-        """(x, dlc, intensity, F0, dFdv, D, kBT) per point, row-major."""
-        return _table_rows(self.grid, [getattr(self, q) for q in self.QUANTITIES])
-
-    @cached_property
-    def points(self) -> tuple:
-        """Every grid point as a ScanPoint, row-major."""
-        return tuple(ScanPoint(*row) for row in self.rows())
-
-    def quantity_map(self, name: str) -> np.ndarray:
-        """Grid array of one quantity, NaN where undefined (a copy)."""
-        return getattr(self, name).copy()
+        return _scan_point(float(self.grid.x_values[i]), float(self.grid.dlc_values[j]),
+                           np.array([getattr(self, q)[i, j] for q in self.QUANTITIES]))
 
 
-def scan(config: MimConfig, grid: ScanGrid, workers: int = 1) -> ScanResult:
+def scan(config: MimConfig, grid: ScanGrid) -> ScanResult:
     """Row-major scan over the grid, evaluated as array arithmetic.
 
     The grid goes through the closed-form solve in fixed-size blocks of
-    points; each value agrees with `point_quantities` at the same point to
-    roundoff.  `workers` is accepted for compatibility and ignored: the
-    result is the same for any value.
+    points; each cell equals `point_quantities` at the same point bit for
+    bit.
     """
     x, dlc = _grid_points(grid)
-    left, right = _gaps(config, x, dlc)
-    pump = pump_for(config)
-    cols = np.empty((4, x.size))
-    for block in _blocks(x.size):
-        cols[:, block] = _scan_block(config, pump, left[block], right[block])
     shape = (grid.x_count, grid.dlc_count)
-    intensity, f0, dfdv, d_coeff = (c.reshape(shape) for c in cols)
-    kbt = np.full(shape, np.nan)
-    cooling = dfdv < 0  # False at NaN
-    kbt[cooling] = -d_coeff[cooling] / dfdv[cooling]
+    intensity, f0, dfdv, d_coeff, kbt = (
+        c.reshape(shape) for c in _grid_stages(config, x, dlc, _dynamic_stage))
 
     overlay = []
     lo, hi = float(np.min(grid.dlc_values)), float(np.max(grid.dlc_values))
     base_plus, base_minus = overlay_base_curves(config, grid.x_values)
-    lam = config.wavelength
     for label, base in (("plus", base_plus), ("minus", base_minus)):
-        for xv, bv in zip(grid.x_values, base):
-            n_lo = math.ceil((lo - bv) / (lam / 2))
-            n_hi = math.floor((hi - bv) / (lam / 2))
-            for n in range(n_lo, n_hi + 1):
-                overlay.append((float(xv), label, n, float(bv + n * lam / 2)))
+        for xv, bv in zip(grid.x_values.tolist(), base.tolist()):
+            overlay.extend((xv, label, n, dv)
+                           for n, dv in _folds(bv, lo, hi, config.wavelength))
 
     return ScanResult(config=config, grid=grid, intensity=intensity, F0=f0,
                       dFdv=dfdv, D=d_coeff, kBT=kbt, overlay=tuple(overlay))
@@ -524,15 +545,9 @@ def overlay_candidates(
     anchor: float | None = None,
 ) -> list[float]:
     """All predicted resonance detunings inside `window` at position x."""
-    lam = config.wavelength
     bp, bm = overlay_base_curves(config, [x], anchor=anchor)
-    lo, hi = window
-    out = []
-    for b in (float(bp[0]), float(bm[0])):
-        n_lo = math.ceil((lo - b) / (lam / 2))
-        n_hi = math.floor((hi - b) / (lam / 2))
-        out.extend(b + n * lam / 2 for n in range(n_lo, n_hi + 1))
-    return sorted(out)
+    return sorted(dv for b in (float(bp[0]), float(bm[0]))
+                  for _, dv in _folds(b, *window, config.wavelength))
 
 
 # ---------------------------------------------------------------------------
@@ -631,21 +646,13 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
                               anchor=anchor, fwhm_dlc=fwhm)
 
 
-@dataclass(frozen=True)
-class ComparisonPoint:
-    x: float
-    dlc: float
-    F0_tmm: float | None
-    F0_coupled: float
-    discrepancy: float | None
-
-
 @dataclass(frozen=True, eq=False)
 class ComparisonResult:
     """Columnar comparison: one (x_count, dlc_count) float array per column.
 
-    NaN in `F0_tmm` and `discrepancy` marks a singular chain solve.
-    `points` and `rows` are views that turn NaN into None.
+    NaN in `F0_tmm` and `discrepancy` marks a singular chain solve; every
+    `discrepancy` and the `summary` are NaN when the chain force is zero
+    (or singular) at every grid point, where no normalisation exists.
     """
 
     config: MimConfig
@@ -657,32 +664,6 @@ class ComparisonResult:
     summary: float
     """Normalized L2 discrepancy ||F_tmm - F_cc|| / ||F_tmm|| over the grid."""
 
-    def rows(self) -> list:
-        """(x, dlc, F0_tmm, F0_coupled, discrepancy) per point, row-major."""
-        return _table_rows(self.grid, [self.F0_tmm, self.F0_coupled, self.discrepancy])
-
-    @cached_property
-    def points(self) -> tuple:
-        """Every grid point as a ComparisonPoint, row-major."""
-        return tuple(ComparisonPoint(*row) for row in self.rows())
-
-
-def _static_force_block(config: MimConfig, pump: PumpSpec, left, right) -> np.ndarray:
-    """Static force of the MIM chain over arrays of gap lengths, composed
-    like `solve_static`; NaN where the solve is singular."""
-    k0 = config.k0
-    z = complex(config.membrane_zeta)
-    mirror = scatterer_matrix(config.mirror_zeta)
-    m1 = _mm(mirror, propagation_matrix(k0, left))
-    m2 = _mm(propagation_matrix(k0, right), mirror)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m = _mm(_mm(m1, scatterer_matrix(config.membrane_zeta)), m2)
-        A0, B0f, _, _, _, _ = _static_solution(
-            m, _adjugate(m1), complex(pump.B0), complex(pump.C0), z)
-        force = _static_force(A0, B0f, z, k0)
-    force[(m[:, 1, 1] == 0) | ~np.isfinite(force)] = np.nan
-    return force
-
 
 def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
     """Static force from the chain vs the coupled-cavities model.
@@ -692,27 +673,26 @@ def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
     pump on the blue side.  The model's membrane coordinate runs toward the
     right mirror, while the chain layout shortens the left gap for +x, so
     the model is evaluated at -x.  Per-point discrepancies are normalised
-    by the RMS chain force over the grid.  Both models are evaluated as
-    array arithmetic over the whole grid.
+    by the RMS chain force over the grid.  The chain force is the static
+    stage of the `scan` engine; both models are evaluated as array
+    arithmetic over the whole grid.
     """
     cal = calibrate_coupled_params(config)
-    pump = pump_for(config)
     x, dlc = _grid_points(grid)
-    left, right = _gaps(config, x, dlc)
-    tmm = np.empty(x.size)
-    for block in _blocks(x.size):
-        tmm[block] = _static_force_block(config, pump, left[block], right[block])
+    tmm = _grid_stages(config, x, dlc,
+                       lambda config, pump, st: np.where(st.singular, np.nan, st.F0))
 
     delta = config.omega0 * (dlc - cal.dlc_center) / config.cavity_length
     cc = coupled_cavity_force(cal.params, -x, delta, config.k0)
 
     valid = np.isfinite(tmm)
     rms = float(np.sqrt(np.mean(tmm[valid] ** 2))) if valid.any() else 0.0
-    norm = rms if rms > 0 else 1.0
-    disc = np.abs(tmm - cc) / norm  # NaN where tmm is
-
-    diff = tmm[valid] - cc[valid]
-    summary = float(np.linalg.norm(diff) / np.linalg.norm(tmm[valid])) if valid.any() else math.nan
+    if rms > 0:
+        disc = np.abs(tmm - cc) / rms  # NaN where tmm is
+        summary = float(np.linalg.norm(tmm[valid] - cc[valid]) / np.linalg.norm(tmm[valid]))
+    else:
+        disc = np.full_like(tmm, np.nan)
+        summary = math.nan
     shape = (grid.x_count, grid.dlc_count)
     return ComparisonResult(config=config, grid=grid, calibration=cal,
                             F0_tmm=tmm.reshape(shape), F0_coupled=cc.reshape(shape),

@@ -214,6 +214,13 @@ class TemperatureReport:
     kelvin: float
 
 
+def _kbt(d_coeff, dfdv):
+    """k_B T = -D / (dF/dv) where dF/dv < 0 (cooling), NaN elsewhere;
+    scalars or arrays."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dfdv < 0, -d_coeff / dfdv, np.nan)
+
+
 def equilibrium_temperature(diffusion_coeff: float, friction: float) -> TemperatureReport:
     """Fluctuation-dissipation temperature k_B T = -D / (dF/dv), in joules.
 
@@ -229,5 +236,5 @@ def equilibrium_temperature(diffusion_coeff: float, friction: float) -> Temperat
         raise NonCoolingError(
             f"friction {friction} is not negative; no cooling equilibrium"
         )
-    kbt = -diffusion_coeff / friction
+    kbt = float(_kbt(diffusion_coeff, friction))
     return TemperatureReport(k_B_T=kbt, kelvin=kbt / K_BOLTZMANN)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import dataclasses
 import signal
 
 import mpmath
@@ -22,8 +23,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
 import tmmcavity.mim as mim
-from tmmcavity.elements import Chain, Factorization, Scatterer, Segment
-from tmmcavity.opalg import VOMatrix
+from tmmcavity.elements import Chain, Scatterer, Segment
 
 
 def static_matrix(el, k: float) -> np.ndarray:
@@ -260,15 +260,17 @@ def wall_clock_limit(seconds: float):
 
 
 def singular_column(monkeypatch, x_target: float):
-    """Poison the grid engine's jets at one x so that column's solves are
-    non-finite and the engine's own singular mask has to catch them."""
-    real = mim._mim_factorization
+    """Mark every point at one x singular in the MIM engine's static stage.
 
-    def poisoned(config, left, right):
-        fac = real(config, left, right)
+    `scan`, `compare_models` and `point_quantities` all run that stage, so
+    each must turn its verdict into missing values although the stage's
+    numbers at those points stay finite.
+    """
+    real = mim._static_stage
+
+    def poisoned(config, pump, left, right):
+        st = real(config, pump, left, right)
         hit = np.abs((right - left) / 2 - x_target) < 1e-15
-        a = np.array(fac.m1.a)
-        a[hit] = np.nan
-        return Factorization.around(VOMatrix(fac.m1.k, a, fac.m1.da), fac.ms, fac.m2)
+        return dataclasses.replace(st, singular=st.singular | hit)
 
-    monkeypatch.setattr(mim, "_mim_factorization", poisoned)
+    monkeypatch.setattr(mim, "_static_stage", poisoned)

@@ -5,11 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-import tmmcavity.mim as mim
 from tmmcavity import cli
 from tmmcavity.config import (
     load_chain_file,
@@ -20,7 +20,7 @@ from tmmcavity.config import (
 )
 from tmmcavity.elements import PumpSpec, Scatterer, element_matrix
 from tmmcavity.errors import ConfigError
-from tmmcavity.mim import build_mim, compare_models, evaluate_chain, pump_for, scan
+from tmmcavity.mim import ScanGrid, compare_models, evaluate_chain, point_quantities, scan
 from tmmcavity.statics import couplings, resonance_shifts
 
 from helpers import singular_column
@@ -362,6 +362,29 @@ class TestCliCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_parser_built_once(self, monkeypatch, tmp_path):
+        """Repeated commands in one process share one argparse parser (each
+        build leaves hundreds of objects in reference cycles) and still
+        give identical output."""
+        calls = []
+        real = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        path = write(tmp_path / "run.ini", GOOD_RUN)
+        outputs = {"scan": set(), "point": set()}
+        for i in range(3):
+            for command in outputs:
+                out = tmp_path / f"{command}{i}.csv"
+                assert cli.run([command, "--config", path, "--out", str(out)]) == 0
+                outputs[command].add(out.read_bytes())
+        assert len(calls) == 1
+        assert all(len(found) == 1 for found in outputs.values())
+
     def test_console_entry_point(self, tmp_path):
         res = subprocess.run(
             [sys.executable, "-m", "tmmcavity.cli", "--version"],
@@ -394,16 +417,22 @@ def _grid_run(tmp_path, singular_x):
     return write(tmp_path / "run.ini", text)
 
 
-def _singular_compare_column(monkeypatch, x_target):
-    """NaN chain forces at one x of the comparison grid."""
-    real = mim._static_force_block
+def _grid_rows(result, names):
+    """Rows (x, dLc, *columns) of a columnar grid result, row-major, None
+    for NaN: the per-point view the grid tables are checked against."""
+    g = result.grid
+    return [[x, dlc] + [None if np.isnan(v) else float(v)
+                        for v in (getattr(result, n)[i, j] for n in names)]
+            for i, x in enumerate(g.x_values.tolist())
+            for j, dlc in enumerate(g.dlc_values.tolist())]
 
-    def poisoned(config, pump, left, right):
-        force = real(config, pump, left, right)
-        force[np.abs((right - left) / 2 - x_target) < 1e-15] = np.nan
-        return force
 
-    monkeypatch.setattr(mim, "_static_force_block", poisoned)
+def _strict_json(text):
+    """Parse JSON, failing on the NaN/Infinity tokens `json` would accept."""
+    def not_json(token):
+        raise AssertionError(f"{token} in a JSON document")
+
+    return json.loads(text, parse_constant=not_json)
 
 
 class TestTableOutput:
@@ -418,7 +447,7 @@ class TestTableOutput:
         assert cli.run(["scan", "--config", path, "--out", str(out)]) == 0
         cfg = load_run_config(path)
         result = scan(cfg.mim_config(), cfg.default_grid())
-        rows = result.rows()
+        rows = _grid_rows(result, SCAN_COLUMNS[2:])
         assert sum(r[2] is None for r in rows) == 9  # the singular column
         assert any(r[2] is not None and r[6] is None for r in rows)  # heating
         assert any(r[6] is not None for r in rows)  # cooling
@@ -431,12 +460,13 @@ class TestTableOutput:
             "\n".join(overlay) + "\n").encode()
 
     def test_compare_bytes(self, monkeypatch, tmp_path):
-        _singular_compare_column(monkeypatch, self.X_SING)
+        singular_column(monkeypatch, self.X_SING)
         path = _grid_run(tmp_path, self.X_SING)
         out = tmp_path / "cmp.csv"
         assert cli.run(["compare", "--config", path, "--out", str(out)]) == 0
         cfg = load_run_config(path)
-        rows = compare_models(cfg.mim_config(), cfg.default_grid()).rows()
+        rows = _grid_rows(compare_models(cfg.mim_config(), cfg.default_grid()),
+                          COMPARE_COLUMNS[2:])
         assert sum(r[2] is None for r in rows) == 9
         assert out.read_bytes() == _per_cell_csv(COMPARE_COLUMNS, rows)
 
@@ -454,13 +484,71 @@ class TestTableOutput:
             chain = load_chain_file(cfg.chain_path)
             pump = PumpSpec.one_sided(cfg.power_watts, 2 * np.pi / chain.k0, cfg.pump_side)
             x = dlc = None
+            q = evaluate_chain(chain, pump)
         else:
-            mim_cfg = cfg.mim_config()
             x, dlc = cfg.membrane_x, cfg.cavity_detuning
-            chain, pump = build_mim(mim_cfg, x, dlc), pump_for(mim_cfg)
-        q = evaluate_chain(chain, pump)
+            q = asdict(point_quantities(cfg.mim_config(), x, dlc))
         row = [x, dlc, q["intensity"], q["F0"], q["dFdv"], q["D"], q["kBT"]]
         assert out.read_bytes() == _per_cell_csv(SCAN_COLUMNS, [row])
+
+    def test_point_equals_scan_cell(self, tmp_path):
+        """`point` with [mim] runs the scan engine on one point: its row is
+        the scan cell at the same (x, dLc), bit for bit."""
+        path = write(tmp_path / "run.ini", GOOD_RUN)
+        out = tmp_path / "point.csv"
+        assert cli.run(["point", "--config", path, "--out", str(out)]) == 0
+        cfg = load_run_config(path)
+        x, dlc = cfg.membrane_x, cfg.cavity_detuning
+        # linspace keeps both ends exact: cell (0, 1) is (x, dlc)
+        result = scan(cfg.mim_config(), ScanGrid(x, x + 1e-9, 2, dlc - 1e-9, dlc, 2))
+        row = _grid_rows(result, SCAN_COLUMNS[2:])[1]
+        assert row[:2] == [x, dlc]
+        assert out.read_bytes() == _per_cell_csv(SCAN_COLUMNS, [row])
+
+    def test_point_singular_exits_1(self, monkeypatch, tmp_path, capsys):
+        x, dlc = parse_length("50nm"), parse_length("10nm")
+        singular_column(monkeypatch, x)
+        path = write(tmp_path / "run.ini", GOOD_RUN)
+        out = tmp_path / "point.csv"
+        assert cli.run(["point", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: singular solve at x={x}, dLc={dlc}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compare_transparent_membrane_summary_undefined(self, tmp_path, capsys, fmt):
+        """Zero chain force everywhere: no normalisation, so the summary is
+        undefined (null, never a bare NaN token) and no RuntimeWarning
+        escapes."""
+        path = write(tmp_path / "run.ini",
+                     GOOD_RUN.replace("membrane_zeta = -1.0", "membrane_zeta = 0.0"))
+        out = tmp_path / f"cmp.{fmt}"
+        assert cli.run(["compare", "--config", path, "--out", str(out),
+                        "--format", fmt]) == 0
+        assert ("summary discrepancy undefined (no grid point has a nonzero chain "
+                "force to normalise by)") in capsys.readouterr().out
+        if fmt == "csv":
+            meta = _strict_json((tmp_path / "cmp.csv.meta.json").read_text())
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 12
+            assert all(float(r["F0_tmm"]) == 0.0 and r["discrepancy"] == "" for r in rows)
+        else:
+            meta = _strict_json(out.read_text())
+            assert all(row[2] == 0.0 and row[4] is None for row in meta["rows"])
+        assert meta["summary_normalized_l2_discrepancy"] is None
+
+    def test_compare_all_singular_summary_undefined(self, monkeypatch, tmp_path, capsys):
+        singular_column(monkeypatch, self.X_SING)
+        path = write(tmp_path / "run.ini", GOOD_RUN)
+        out = tmp_path / "cmp.csv"
+        x = repr(self.X_SING)
+        assert cli.run(["compare", "--config", path, "--out", str(out),
+                        f"--grid={x},{x},1,-0.1um,0.1um,3"]) == 0
+        assert "summary discrepancy undefined (no grid point has a nonzero" in (
+            capsys.readouterr().out)
+        meta = _strict_json((tmp_path / "cmp.csv.meta.json").read_text())
+        assert meta["summary_normalized_l2_discrepancy"] is None
 
     @pytest.mark.parametrize("zeta", ["-1.0", "0.0"])
     def test_couplings_bytes(self, tmp_path, zeta):
@@ -505,27 +593,23 @@ class TestTableOutput:
     @pytest.mark.parametrize("command", ["scan", "compare"])
     def test_grid_json(self, monkeypatch, tmp_path, command):
         singular_column(monkeypatch, self.X_SING)
-        _singular_compare_column(monkeypatch, self.X_SING)
         path = _grid_run(tmp_path, self.X_SING)
         out = tmp_path / f"{command}.json"
         assert cli.run([command, "--config", path, "--out", str(out),
                         "--format", "json"]) == 0
         text = out.read_text()
-
-        def not_json(token):
-            raise AssertionError(f"{token} in a JSON document")
-
-        doc = json.loads(text, parse_constant=not_json)
+        doc = _strict_json(text)
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
         cfg = load_run_config(path)
         if command == "scan":
             result = scan(cfg.mim_config(), cfg.default_grid())
-            assert doc["columns"] == SCAN_COLUMNS
+            columns = SCAN_COLUMNS
             assert doc["missing_points"] == 9
         else:
             result = compare_models(cfg.mim_config(), cfg.default_grid())
-            assert doc["columns"] == COMPARE_COLUMNS
-        assert doc["rows"] == [list(r) for r in result.rows()]
+            columns = COMPARE_COLUMNS
+        assert doc["columns"] == columns
+        assert doc["rows"] == _grid_rows(result, columns[2:])
         assert sum(row[2] is None for row in doc["rows"]) == 9  # NaN is null
 
 

@@ -156,7 +156,7 @@ class TestScan:
 
     def test_rows_row_major_and_complete(self):
         result = scan(FAST, self.grid())
-        assert len(result.points) == 20
+        assert all(getattr(result, q).shape == (5, 4) for q in result.QUANTITIES)
         xs = self.grid().x_values
         dls = self.grid().dlc_values
         for i in range(5):
@@ -166,10 +166,12 @@ class TestScan:
                 assert p.intensity is not None and p.D is not None
                 assert p.D >= 0
 
-    def test_deterministic_across_worker_counts(self):
-        a = scan(FAST, self.grid(), workers=1)
-        b = scan(FAST, self.grid(), workers=3)
-        assert a.points == b.points
+    def test_deterministic_across_calls(self):
+        a = scan(FAST, self.grid())
+        b = scan(FAST, self.grid())
+        for q in a.QUANTITIES:
+            assert getattr(a, q).tobytes() == getattr(b, q).tobytes()
+        assert a.overlay == b.overlay
 
     def test_overlay_table_present_and_in_window(self):
         result = scan(FAST, self.grid())
@@ -180,9 +182,10 @@ class TestScan:
 
     def test_singular_points_become_markers(self, monkeypatch, tmp_path):
         singular_column(monkeypatch, 0.2 * LAM)
-        result = scan(FAST, self.grid(), workers=1)
-        missing = [p for p in result.points if p.intensity is None]
-        present = [p for p in result.points if p.intensity is not None]
+        result = scan(FAST, self.grid())
+        points = [result.point(i, j) for i in range(5) for j in range(4)]
+        missing = [p for p in points if p.intensity is None]
+        present = [p for p in points if p.intensity is not None]
         assert len(missing) == 4  # one x column
         assert all(p.x == 0.2 * LAM for p in missing)
         assert all(p.F0 is None and p.dFdv is None and p.D is None and p.kBT is None
@@ -208,6 +211,18 @@ class TestScan:
         assert all(float(r[0]) == 0.2 * LAM for r in empty)
         meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
         assert meta["missing_points"] == 4
+
+    def test_singular_points_shared_by_compare_and_point(self, monkeypatch):
+        """The static stage's verdict reaches every entry point alike."""
+        singular_column(monkeypatch, 0.2 * LAM)
+        cmp = compare_models(FAST, self.grid())
+        assert np.isnan(cmp.F0_tmm[4]).all() and np.isnan(cmp.discrepancy[4]).all()
+        assert not np.isnan(cmp.F0_tmm[:4]).any()
+        assert np.isfinite(cmp.summary)
+        p = point_quantities(FAST, 0.2 * LAM, 0.05 * LAM)
+        assert (p.x, p.dlc) == (0.2 * LAM, 0.05 * LAM)
+        assert (p.intensity, p.F0, p.dFdv, p.D, p.kBT) == (None,) * 5
+        assert point_quantities(FAST, -0.2 * LAM, 0.05 * LAM).intensity is not None
 
 
 _QUANTITIES = ("intensity", "F0", "dFdv", "D", "kBT")
@@ -303,15 +318,32 @@ class TestGridEngine:
     def test_point_views_match_columns(self):
         grid = ScanGrid(-0.2 * LAM, 0.2 * LAM, 3, -0.1 * LAM, 0.1 * LAM, 4)
         result = scan(FAST, grid)
-        assert len(result.points) == 12
-        for i in range(3):
-            for j in range(4):
+        for i, x in enumerate(grid.x_values):
+            for j, dlc in enumerate(grid.dlc_values):
                 p = result.point(i, j)
-                assert p == result.points[i * 4 + j]
-                assert p.F0 == result.F0[i, j]
-        fmap = result.quantity_map("F0")
-        fmap[:] = 0.0  # a copy: the result stays intact
-        assert result.F0[0, 0] != 0.0
+                assert (p.x, p.dlc) == (x, dlc)
+                assert p == point_quantities(FAST, float(x), float(dlc))
+                for q in result.QUANTITIES:
+                    v = getattr(result, q)[i, j]
+                    assert getattr(p, q) == (None if np.isnan(v) else v)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_mim_cases())
+    def test_point_quantities_equals_scan_cell(self, case):
+        """One engine: a batch of one point gives the `scan` cell bit for
+        bit, with None exactly where the cell is NaN."""
+        cfg, grid = case
+        result = scan(cfg, grid)
+        for i, x in enumerate(grid.x_values.tolist()):
+            for j, dlc in enumerate(grid.dlc_values.tolist()):
+                p = point_quantities(cfg, x, dlc)
+                for q in result.QUANTITIES:
+                    cell, got = getattr(result, q)[i, j], getattr(p, q)
+                    if np.isnan(cell):
+                        assert got is None, q
+                    else:
+                        assert got is not None and got == cell, q
 
     def test_grid_outside_geometry_raises(self):
         grid = ScanGrid(-0.5 * LAM, 1.5 * LAM, 3, 0.0, 0.1 * LAM, 2)
@@ -363,6 +395,21 @@ class TestOverlay:
                 assert dist < fwhm
 
 
+    @pytest.mark.parametrize("membrane_zeta", [-1.0, -10.0, 0.0])
+    def test_candidates_equal_scan_overlay_rows(self, membrane_zeta):
+        """`overlay_candidates` and a scan's overlay rows fold the branch
+        curves the same way.  One x per scan: over several x the scan
+        unwraps the branch angle continuously, while a single x takes its
+        principal value, so the two differ by whole wavelengths there."""
+        cfg = FAST.replace(membrane_zeta=membrane_zeta)
+        window = (-0.6 * LAM, 0.4 * LAM)
+        for x in (0.08 * LAM, -0.19 * LAM, 0.0, 0.37 * LAM):
+            result = scan(cfg, ScanGrid(x, x, 1, *window, 3))
+            rows = sorted(dlc for xv, _, _, dlc in result.overlay if xv == x)
+            assert len(rows) == len(result.overlay) >= 2
+            assert rows == overlay_candidates(cfg, x, window)
+
+
 class TestCalibration:
     @pytest.mark.parametrize("mirror_zeta", [-0.3, -0.05, 0.0])
     def test_weak_or_transparent_mirrors_raise_typed_error(self, mirror_zeta):
@@ -381,7 +428,7 @@ class TestCalibration:
         grid = ScanGrid(-0.1 * LAM, 0.1 * LAM, 2, -0.1 * LAM, 0.1 * LAM, 2)
         with wall_clock_limit(30.0):
             res = scan(cfg, grid)
-        assert len(res.points) == 4
+        assert res.intensity.size == 4
         assert len(res.overlay) > 0
 
     def test_transparent_mirror_scan_raises_typed_error(self):
@@ -458,16 +505,17 @@ class TestCompareModels:
         kc = cal.params.kappa_c
         g = cal.params.g
         agree = total = 0
-        for p in res.points:
-            if p.F0_tmm is None or abs(p.x) > LAM / 16:
+        for (i, j), f_tmm in np.ndenumerate(res.F0_tmm):
+            x, dlc = res.grid.x_values[i], res.grid.dlc_values[j]
+            if np.isnan(f_tmm) or abs(x) > LAM / 16:
                 continue
-            delta = cfg.omega0 * (p.dlc - cal.dlc_center) / cfg.cavity_length
-            res_split = np.sqrt(g**2 + (w1 * p.x) ** 2)
+            delta = cfg.omega0 * (dlc - cal.dlc_center) / cfg.cavity_length
+            res_split = np.sqrt(g**2 + (w1 * x) ** 2)
             near = min(abs(delta - res_split), abs(delta + res_split)) < 3 * kc
             if not near:
                 continue
             total += 1
-            if np.sign(p.F0_tmm) == np.sign(p.F0_coupled):
+            if np.sign(f_tmm) == np.sign(res.F0_coupled[i, j]):
                 agree += 1
         assert total > 20
         assert agree / total >= 0.95
@@ -489,12 +537,23 @@ class TestCompareModels:
                 fc = coupled_cavity_force(cal.params, -float(x), delta, cfg.k0)
                 assert res.F0_tmm[i, j] == pytest.approx(f0, rel=1e-12, abs=1e-300)
                 assert res.F0_coupled[i, j] == pytest.approx(fc, rel=1e-12)
-                p = res.points[i * 9 + j]
-                assert (p.x, p.dlc) == (float(x), float(dlc))
-                assert p.F0_tmm == res.F0_tmm[i, j]
+        # one static stage: the chain force is the `scan` F0 bit for bit
+        assert res.F0_tmm.tobytes() == scan(cfg, grid).F0.tobytes()
         rms = np.sqrt(np.mean(res.F0_tmm ** 2))
         np.testing.assert_allclose(res.discrepancy,
                                    np.abs(res.F0_tmm - res.F0_coupled) / rms, rtol=1e-12)
+
+
+    def test_transparent_membrane_discrepancy_undefined(self):
+        """A zeta = 0 membrane feels no force anywhere: there is nothing to
+        normalise by, so every discrepancy and the summary are NaN (and no
+        RuntimeWarning escapes)."""
+        cfg = FAST.replace(membrane_zeta=0.0)
+        res = compare_models(cfg, ScanGrid(-LAM / 8, LAM / 8, 3, -LAM / 4, LAM / 4, 5))
+        assert (res.F0_tmm == 0).all()
+        assert np.isfinite(res.F0_coupled).all()
+        assert np.isnan(res.discrepancy).all()
+        assert math.isnan(res.summary)
 
 
 class TestPointQuantities:
