@@ -35,9 +35,10 @@ from . import __version__
 from .config import (
     SCHEMA_VERSION,
     RunConfig,
+    _help_epilog,
+    _meta_blocks,
     load_chain_file,
     load_run_config,
-    parse_length,
     validate_report,
 )
 from .elements import PumpSpec, Scatterer, Segment, element_matrix
@@ -52,40 +53,6 @@ from .mim import (
     scan,
 )
 from .statics import couplings, resonance_shifts
-
-_CONFIG_KEY_HELP = """\
-configuration file keys (INI; units: lengths accept m/cm/mm/um/nm/pm
-suffixes, powers accept W/kW/mW/uW/nW; bare numbers are SI):
-
-  [run]     schema_version   config schema, currently 1 (required)
-  [pump]    wavelength       pump wavelength (length; default 1064nm)
-            power            input power (power; default 1W)
-            side             pump side, left|right (default left)
-  [mim]     cavity_length    cavity length (length; default 6.7cm)
-            membrane_zeta    membrane polarisability, real <= 0 (default -1)
-            mirror_zeta      end-mirror polarisability (default -30)
-            membrane_x       membrane displacement for `point` (length)
-            cavity_detuning  cavity-length detuning for `point` (length)
-  [chain]   path             chain description file (alternative to [mim]
-                             for `point` and `elements`)
-  [grid]    x_start/x_stop   membrane displacement range (length)
-            x_count          number of x samples (int)
-            dlc_start/dlc_stop  detuning range (length)
-            dlc_count        number of detuning samples (int)
-  [output]  path             output file
-            format           csv|json (default csv)
-            workers          accepted and ignored; scans are vectorised
-                             in one process (default 1)
-
-chain description files:
-
-  [chain]      schema_version = 1; wavelength (length)
-  [element.N]  kind = scatterer|segment
-               zeta = RE IM      scatterer polarisability (two reals)
-               mobile = true     marks the one mobile scatterer
-               length           segment length (length)
-"""
-
 
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -173,7 +140,7 @@ def _emit_table(table: dict, cfg: RunConfig, meta: dict, default_name: str):
 
 
 def _base_meta(cfg: RunConfig, command: str) -> dict:
-    meta = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "generator": f"tmmcavity {__version__}",
         "command": command,
@@ -183,57 +150,23 @@ def _base_meta(cfg: RunConfig, command: str) -> dict:
             "delta_omega": "rad/s", "omega_prime": "rad/s/m",
             "omega_double_prime": "rad/s/m^2",
         },
-        "config": {
-            "wavelength_m": cfg.wavelength,
-            "power_W": cfg.power_watts,
-            "pump_side": cfg.pump_side,
-            "cavity_length_m": cfg.cavity_length,
-            "membrane_zeta": cfg.membrane_zeta,
-            "mirror_zeta": cfg.mirror_zeta,
-            "membrane_x_m": cfg.membrane_x,
-            "cavity_detuning_m": cfg.cavity_detuning,
-            "chain_path": cfg.chain_path,
-            "workers": cfg.workers,
-        },
+        **_meta_blocks(cfg),
     }
-    g = cfg.grid
-    if g is not None:
-        meta["grid"] = {
-            "x_start_m": g.x_start, "x_stop_m": g.x_stop, "x_count": g.x_count,
-            "dlc_start_m": g.dlc_start, "dlc_stop_m": g.dlc_stop,
-            "dlc_count": g.dlc_count,
-        }
-    return meta
 
 
-def _parse_grid_override(text: str) -> ScanGrid:
-    parts = text.split(",")
-    if len(parts) != 6:
-        raise ConfigError("--grid needs x0,x1,nx,dlc0,dlc1,ndlc")
-    return ScanGrid(
-        x_start=parse_length(parts[0]),
-        x_stop=parse_length(parts[1]),
-        x_count=int(parts[2]),
-        dlc_start=parse_length(parts[3]),
-        dlc_stop=parse_length(parts[4]),
-        dlc_count=int(parts[5]),
-    )
+def _overridden_cfg(args) -> RunConfig:
+    """The --config file with the --grid, --out, --format and --workers
+    overrides applied."""
+    if not args.config:
+        raise ConfigError(f"{args.command} needs --config FILE")
+    flags = {"grid": args.grid, "output.path": args.out,
+             "output.format": args.format, "output.workers": args.workers}
+    return load_run_config(args.config,
+                           {name: text for name, text in flags.items() if text is not None})
 
 
 def _load_cfg(args) -> RunConfig:
-    if not args.config:
-        raise ConfigError("this command needs --config FILE")
-    cfg = load_run_config(args.config)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        cfg.workers = args.workers
-    if args.grid is not None:
-        cfg.grid = _parse_grid_override(args.grid)
-    if args.out is not None:
-        cfg.out_path = args.out
-    if args.format is not None:
-        cfg.out_format = args.format
+    cfg = _overridden_cfg(args)
     problems = validate_report(cfg)
     if problems:
         raise ConfigError("invalid configuration: " + "; ".join(problems))
@@ -369,11 +302,7 @@ def _cmd_couplings(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if not args.config:
-        raise ConfigError("validate needs --config FILE")
-    cfg = load_run_config(args.config)
-    if args.grid is not None:
-        cfg.grid = _parse_grid_override(args.grid)
+    cfg = _overridden_cfg(args)
     problems = validate_report(cfg)
     print("resolved configuration:")
     for line in cfg.resolved_lines():
@@ -394,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Transfer-matrix engine for radiation forces, friction, "
             "diffusion and cooling of a mobile scatterer in a 1D chain"
         ),
-        epilog=_CONFIG_KEY_HELP,
+        epilog=_help_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -408,11 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", _cmd_validate, "validate a configuration file"),
     ):
         p = sub.add_parser(name, help=blurb,
-                           epilog=_CONFIG_KEY_HELP,
+                           epilog=parser.epilog,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", help="configuration file (INI)")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", default=None,
                        help="accepted and ignored: scans are vectorised "
                             "in one process")
         p.add_argument("--grid", default=None,

@@ -5,36 +5,22 @@ description files.  Values are SI; lengths and powers also accept explicit
 unit suffixes (``1064nm``, ``6.7cm``, ``1W``, ``250mW``).  Unknown sections
 or keys are hard errors: a typo must never be silently ignored.
 
-Run configuration sections and keys (see ``tmmcavity --help`` for the same
-list with units):
-
-    [run]      schema_version (int, required, currently 1)
-    [pump]     wavelength (length), power (power), side (left|right)
-    [mim]      cavity_length (length), membrane_zeta (real),
-               mirror_zeta (real), membrane_x (length),
-               cavity_detuning (length)
-    [chain]    path (chain file, alternative to [mim] for point/elements)
-    [grid]     x_start, x_stop (length), x_count (int),
-               dlc_start, dlc_stop (length), dlc_count (int)
-    [output]   path (file), format (csv|json), workers (int)
-
-Chain description files list elements in order:
-
-    [chain]    schema_version = 1, wavelength (length)
-    [element.N] kind = scatterer|segment; for scatterers
-               zeta = RE IM (two reals) and optional mobile = true;
-               for segments length (length).
+Each key is declared once, in `_RUN_KEYS` or `_CHAIN_KEYS`; loading,
+`validate_report`, the ``tmmcavity --help`` key list and the ``meta.json``
+config block are all driven by those tables.  ``tmmcavity --help`` prints
+the keys with their units.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 from .elements import Chain, Scatterer, Segment
-from .errors import ConfigError
-from .mim import MimConfig, ScanGrid
+from .errors import ConfigError, TmmCavityError
+from .mim import MimConfig, ScanGrid, build_mim
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -95,46 +81,115 @@ def parse_power(text: str) -> float:
     return _parse_with_units(text, _POWER_UNITS, "power")
 
 
-def _parse_float(text: str, key: str) -> float:
+def _parse_float(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"cannot parse number for {key}: {text!r}") from None
+        raise ConfigError(f"cannot parse number {text!r}") from None
 
 
-def _parse_int(text: str, key: str) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"cannot parse integer for {key}: {text!r}") from None
+        raise ConfigError(f"cannot parse integer {text!r}") from None
 
 
-def _parse_bool(text: str, key: str) -> bool:
+def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "1", "on"):
         return True
     if t in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"cannot parse boolean for {key}: {text!r}")
+    raise ConfigError(f"cannot parse boolean {text!r}")
 
 
-_RUN_SCHEMA = {
-    "run": {"schema_version"},
-    "pump": {"wavelength", "power", "side"},
-    "mim": {
-        "cavity_length",
-        "membrane_zeta",
-        "mirror_zeta",
-        "membrane_x",
-        "cavity_detuning",
-    },
-    "chain": {"path"},
-    "grid": {"x_start", "x_stop", "x_count", "dlc_start", "dlc_stop", "dlc_count"},
-    "output": {"path", "format", "workers"},
-}
+def _parse_version(text: str) -> int:
+    version = _parse_int(text)
+    if version != SCHEMA_VERSION:
+        raise ConfigError(
+            f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}"
+        )
+    return version
 
-_CHAIN_SCHEMA_TOP = {"schema_version", "wavelength"}
-_ELEMENT_KEYS = {"kind", "zeta", "length", "mobile"}
+
+def _parse_format(text: str) -> str:
+    fmt = text.strip().lower()
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"must be csv or json, got {fmt!r}")
+    return fmt
+
+
+def _parse_zeta(text: str) -> complex:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ConfigError(f"must be two reals, got {text!r}")
+    return complex(_parse_float(parts[0]), _parse_float(parts[1]))
+
+
+class _Key(NamedTuple):
+    """One configuration key."""
+
+    section: str
+    key: str
+    unit: str  # SI unit of the value; "" when it has none
+    doc: str  # its line in `tmmcavity --help`
+    field: str = ""  # RunConfig attribute; the ScanGrid field for [grid] keys
+    parse: Callable[[str], object] | None = None
+    meta: str = ""  # its name in the meta.json sidecar; "" when not recorded
+
+
+# Run configuration keys, in the order `--help` and `validate` list them.
+_RUN_KEYS = (
+    _Key("run", "schema_version", "", "config schema version",
+         "schema_version", _parse_version),
+    _Key("pump", "wavelength", "m", "pump wavelength", "wavelength", parse_length,
+         "wavelength_m"),
+    _Key("pump", "power", "W", "input power", "power_watts", parse_power, "power_W"),
+    _Key("pump", "side", "", "pump side, left|right", "pump_side", str.strip,
+         "pump_side"),
+    _Key("mim", "cavity_length", "m", "cavity length", "cavity_length", parse_length,
+         "cavity_length_m"),
+    _Key("mim", "membrane_zeta", "", "membrane polarisability, real <= 0",
+         "membrane_zeta", _parse_float, "membrane_zeta"),
+    _Key("mim", "mirror_zeta", "", "end-mirror polarisability", "mirror_zeta",
+         _parse_float, "mirror_zeta"),
+    _Key("mim", "membrane_x", "m", "membrane displacement for `point`", "membrane_x",
+         parse_length, "membrane_x_m"),
+    _Key("mim", "cavity_detuning", "m", "cavity-length detuning for `point`",
+         "cavity_detuning", parse_length, "cavity_detuning_m"),
+    _Key("chain", "path", "", "chain description file, in place of [mim] for "
+         "`point` and `elements`", "chain_path", str.strip, "chain_path"),
+    _Key("grid", "x_start", "m", "first membrane displacement (without [grid], "
+         "x and dLc span +-wavelength/2 in 101 steps)", "x_start", parse_length,
+         "x_start_m"),
+    _Key("grid", "x_stop", "m", "last membrane displacement", "x_stop", parse_length,
+         "x_stop_m"),
+    _Key("grid", "x_count", "", "number of x samples", "x_count", _parse_int,
+         "x_count"),
+    _Key("grid", "dlc_start", "m", "first cavity-length detuning", "dlc_start",
+         parse_length, "dlc_start_m"),
+    _Key("grid", "dlc_stop", "m", "last cavity-length detuning", "dlc_stop",
+         parse_length, "dlc_stop_m"),
+    _Key("grid", "dlc_count", "", "number of detuning samples", "dlc_count",
+         _parse_int, "dlc_count"),
+    _Key("output", "path", "", "output file", "out_path", str.strip),
+    _Key("output", "format", "", "csv|json", "out_format", _parse_format),
+    _Key("output", "workers", "", "accepted and ignored: scans are vectorised in "
+         "one process", "workers", _parse_int, "workers"),
+)
+_RUN_NAMES = {e.field: f"{e.section}.{e.key}" for e in _RUN_KEYS}
+_GRID_KEYS = tuple(e for e in _RUN_KEYS if e.section == "grid")
+
+# Chain description file keys; [element.N] stands for every numbered element.
+_CHAIN_KEYS = (
+    _Key("chain", "schema_version", "", "chain file schema, currently 1"),
+    _Key("chain", "wavelength", "m", "pump wavelength"),
+    _Key("element.N", "kind", "", "scatterer|segment"),
+    _Key("element.N", "zeta", "", "scatterer polarisability, two reals RE IM"),
+    _Key("element.N", "mobile", "", "true marks the one mobile scatterer"),
+    _Key("element.N", "length", "m", "segment length"),
+)
 
 
 def _read_ini(path: str) -> configparser.ConfigParser:
@@ -149,18 +204,30 @@ def _read_ini(path: str) -> configparser.ConfigParser:
     return cp
 
 
-def _check_unknown(cp: configparser.ConfigParser, schema: dict, path: str) -> list[str]:
+def _check_unknown(cp: configparser.ConfigParser, keys: tuple, path: str) -> list[str]:
+    known = {}
+    for e in keys:
+        known.setdefault(e.section, set()).add(e.key)
     problems = []
     for section in cp.sections():
-        if section not in schema:
+        head, numbered, _ = section.partition(".")
+        allowed = known.get(head + ".N" if numbered else section)
+        if allowed is None:
             problems.append(f"unknown section [{section}]")
             continue
-        for key in cp.options(section):
-            if key not in schema[section]:
-                problems.append(f"unknown key {key!r} in section [{section}]")
+        problems += [f"unknown key {key!r} in section [{section}]"
+                     for key in cp.options(section) if key not in allowed]
     if cp.defaults():
         problems.append("keys outside any section are not allowed")
     return [f"{path}: {p}" for p in problems]
+
+
+def _value(cp: configparser.ConfigParser, section: str, key: str, parse):
+    """The parsed value of `section.key`; a parse error names the key."""
+    try:
+        return parse(cp.get(section, key))
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{key}: {exc}") from None
 
 
 @dataclass
@@ -184,14 +251,10 @@ class RunConfig:
     source_path: str | None = None
 
     def mim_config(self) -> MimConfig:
-        return MimConfig(
-            wavelength=self.wavelength,
-            cavity_length=self.cavity_length,
-            membrane_zeta=self.membrane_zeta,
-            mirror_zeta=self.mirror_zeta,
-            power_watts=self.power_watts,
-            pump_side=self.pump_side,
-        )
+        return MimConfig(**self._mim_values())
+
+    def _mim_values(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(MimConfig)}
 
     def default_grid(self) -> ScanGrid:
         if self.grid is not None:
@@ -204,21 +267,14 @@ class RunConfig:
 
     def resolved_lines(self) -> list[str]:
         """Human-readable fully resolved configuration, defaults included."""
-        lines = [
-            f"schema_version = {self.schema_version}",
-            f"pump.wavelength = {self.wavelength!r} m",
-            f"pump.power = {self.power_watts!r} W",
-            f"pump.side = {self.pump_side}",
-            f"mim.cavity_length = {self.cavity_length!r} m",
-            f"mim.membrane_zeta = {self.membrane_zeta!r}",
-            f"mim.mirror_zeta = {self.mirror_zeta!r}",
-            f"mim.membrane_x = {self.membrane_x!r} m",
-            f"mim.cavity_detuning = {self.cavity_detuning!r} m",
-            f"chain.path = {self.chain_path}",
-            f"output.path = {self.out_path}",
-            f"output.format = {self.out_format}",
-            f"output.workers = {self.workers}",
-        ]
+        lines = []
+        for e in _RUN_KEYS:
+            if e.section == "grid":
+                continue
+            value = getattr(self, e.field)
+            text = repr(value) if isinstance(value, float) else str(value)
+            name = e.key if e.section == "run" else f"{e.section}.{e.key}"
+            lines.append(f"{name} = {text} {e.unit}".rstrip())
         g = self.grid
         if g is None:
             lines.append("grid = (default) x,dlc in [-lambda/2, lambda/2], 101x101")
@@ -231,114 +287,102 @@ class RunConfig:
         return lines
 
 
-def load_run_config(path: str) -> RunConfig:
-    """Parse and validate a run configuration file."""
+# A valid grid that stays valid when any one of its values is replaced by
+# another valid value: one point per axis, so no start/stop order applies.
+_GRID_BASE = ScanGrid(0.0, 1.0, 1, 0.0, 1.0, 1)
+
+
+def _built(make, values: dict, base) -> tuple[object, list[str]]:
+    """`make(**values)` and no problems, or None and the problems.
+
+    A problem is named by a key whose value fails on its own, the other
+    arguments taken from `base` (a valid instance, or RunConfig for its
+    defaults); a failure that no single value explains names the keys
+    whose base value would mend it.
+    """
+    try:
+        return make(**values), []
+    except TmmCavityError as exc:
+        joint = exc
+    at_base = {f: getattr(base, f) for f in values}
+
+    def error(kwargs):
+        try:
+            make(**kwargs)
+        except TmmCavityError as exc:
+            return exc
+        return None
+
+    alone = {f: error(at_base | {f: v}) for f, v in values.items()}
+    problems = [f"{_RUN_NAMES[f]}: {exc}" for f, exc in alone.items() if exc]
+    if problems:
+        return None, problems
+    mending = [f for f in values if error(values | {f: at_base[f]}) is None]
+    return None, [f"{', '.join(_RUN_NAMES[f] for f in mending or values)}: {joint}"]
+
+
+def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
+    """Parse a run configuration file and build its [grid].
+
+    `overrides` maps ``section.key`` names to text that replaces the file's
+    value; a bare section name takes all of that section's keys, as values
+    separated by commas in `--help` order (``grid`` = x0,x1,nx,dlc0,dlc1,ndlc).
+    The other range checks are `validate_report`'s.
+    """
     cp = _read_ini(path)
-    problems = _check_unknown(cp, _RUN_SCHEMA, path)
+    for name, text in (overrides or {}).items():
+        section, _, key = name.partition(".")
+        keys = [key] if key else [e.key for e in _RUN_KEYS if e.section == section]
+        values = [text] if key else text.split(",")
+        if len(values) != len(keys):
+            raise ConfigError(f"{name} needs {len(keys)} comma-separated values "
+                              f"{','.join(keys)}; got {text!r}")
+        cp.read_dict({section: dict(zip(keys, values))})
+    problems = _check_unknown(cp, _RUN_KEYS, path)
     if problems:
         raise ConfigError("; ".join(problems))
 
     cfg = RunConfig(source_path=path)
-
-    if cp.has_section("run"):
-        if cp.has_option("run", "schema_version"):
-            ver = _parse_int(cp.get("run", "schema_version"), "run.schema_version")
-            if ver != SCHEMA_VERSION:
-                raise ConfigError(
-                    f"unsupported schema_version {ver}; this build reads "
-                    f"{SCHEMA_VERSION}"
-                )
-            cfg.schema_version = ver
-
-    if cp.has_section("pump"):
-        if cp.has_option("pump", "wavelength"):
-            cfg.wavelength = parse_length(cp.get("pump", "wavelength"))
-        if cp.has_option("pump", "power"):
-            cfg.power_watts = parse_power(cp.get("pump", "power"))
-        if cp.has_option("pump", "side"):
-            cfg.pump_side = cp.get("pump", "side").strip()
-
-    if cp.has_section("mim"):
-        g = lambda key: cp.get("mim", key)
-        if cp.has_option("mim", "cavity_length"):
-            cfg.cavity_length = parse_length(g("cavity_length"))
-        if cp.has_option("mim", "membrane_zeta"):
-            cfg.membrane_zeta = _parse_float(g("membrane_zeta"), "mim.membrane_zeta")
-        if cp.has_option("mim", "mirror_zeta"):
-            cfg.mirror_zeta = _parse_float(g("mirror_zeta"), "mim.mirror_zeta")
-        if cp.has_option("mim", "membrane_x"):
-            cfg.membrane_x = parse_length(g("membrane_x"))
-        if cp.has_option("mim", "cavity_detuning"):
-            cfg.cavity_detuning = parse_length(g("cavity_detuning"))
-
-    if cp.has_section("chain") and cp.has_option("chain", "path"):
-        cfg.chain_path = cp.get("chain", "path").strip()
-
+    grid = {}
+    for e in _RUN_KEYS:
+        if cp.has_option(e.section, e.key):
+            value = _value(cp, e.section, e.key, e.parse)
+            if e.section == "grid":
+                grid[e.field] = value
+            else:
+                setattr(cfg, e.field, value)
     if cp.has_section("grid"):
-        opts = {k: cp.get("grid", k) for k in cp.options("grid")}
-        needed = {"x_start", "x_stop", "x_count", "dlc_start", "dlc_stop", "dlc_count"}
-        missing = needed - set(opts)
+        needed = [e.field for e in _GRID_KEYS]
+        missing = [field for field in needed if field not in grid]
         if missing:
             raise ConfigError(
                 f"{path}: [grid] section needs all of {sorted(needed)}; "
                 f"missing {sorted(missing)}"
             )
-        cfg.grid = ScanGrid(
-            x_start=parse_length(opts["x_start"]),
-            x_stop=parse_length(opts["x_stop"]),
-            x_count=_parse_int(opts["x_count"], "grid.x_count"),
-            dlc_start=parse_length(opts["dlc_start"]),
-            dlc_stop=parse_length(opts["dlc_stop"]),
-            dlc_count=_parse_int(opts["dlc_count"], "grid.dlc_count"),
-        )
-
-    if cp.has_section("output"):
-        if cp.has_option("output", "path"):
-            cfg.out_path = cp.get("output", "path").strip()
-        if cp.has_option("output", "format"):
-            fmt = cp.get("output", "format").strip().lower()
-            if fmt not in ("csv", "json"):
-                raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
-            cfg.out_format = fmt
-        if cp.has_option("output", "workers"):
-            cfg.workers = _parse_int(cp.get("output", "workers"), "output.workers")
-            if cfg.workers < 1:
-                raise ConfigError("output.workers must be >= 1")
-
+        cfg.grid, problems = _built(ScanGrid, grid, _GRID_BASE)
+        if problems:
+            raise ConfigError("; ".join(problems))
     return cfg
 
 
 def load_chain_file(path: str) -> Chain:
     """Parse a chain description file into a Chain."""
     cp = _read_ini(path)
-    problems = []
-    element_sections = []
-    for section in cp.sections():
-        if section == "chain":
-            for key in cp.options(section):
-                if key not in _CHAIN_SCHEMA_TOP:
-                    problems.append(f"unknown key {key!r} in section [chain]")
-        elif section.startswith("element."):
-            element_sections.append(section)
-            for key in cp.options(section):
-                if key not in _ELEMENT_KEYS:
-                    problems.append(f"unknown key {key!r} in section [{section}]")
-        else:
-            problems.append(f"unknown section [{section}]")
-    if cp.defaults():
-        problems.append("keys outside any section are not allowed")
+    problems = _check_unknown(cp, _CHAIN_KEYS, path)
     if problems:
-        raise ConfigError("; ".join(f"{path}: {p}" for p in problems))
+        raise ConfigError("; ".join(problems))
 
     if not cp.has_section("chain"):
         raise ConfigError(f"{path}: missing [chain] section")
     if cp.has_option("chain", "schema_version"):
-        ver = _parse_int(cp.get("chain", "schema_version"), "chain.schema_version")
-        if ver != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported chain schema_version {ver}")
+        _value(cp, "chain", "schema_version", _parse_version)
     if not cp.has_option("chain", "wavelength"):
         raise ConfigError(f"{path}: [chain] needs a wavelength")
-    wavelength = parse_length(cp.get("chain", "wavelength"))
+    wavelength = _value(cp, "chain", "wavelength", parse_length)
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise ConfigError(
+            f"{path}: chain.wavelength must be positive and finite, got {wavelength!r}"
+        )
 
     def sort_key(name: str):
         suffix = name.split(".", 1)[1]
@@ -349,38 +393,26 @@ def load_chain_file(path: str) -> Chain:
 
     elements = []
     mobile_index = None
-    for section in sorted(element_sections, key=sort_key):
+    for section in sorted((s for s in cp.sections() if s != "chain"), key=sort_key):
         kind = cp.get(section, "kind", fallback=None)
         if kind is None:
             raise ConfigError(f"{path}: [{section}] needs a kind")
         kind = kind.strip().lower()
         if kind == "scatterer":
-            raw = cp.get(section, "zeta", fallback=None)
-            if raw is None:
+            if not cp.has_option(section, "zeta"):
                 raise ConfigError(f"{path}: [{section}] scatterer needs zeta = RE IM")
-            parts = raw.split()
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"{path}: [{section}] zeta must be two reals, got {raw!r}"
-                )
-            z = complex(
-                _parse_float(parts[0], f"{section}.zeta"),
-                _parse_float(parts[1], f"{section}.zeta"),
-            )
-            elements.append(Scatterer.of(z))
-            if cp.has_option(section, "mobile") and _parse_bool(
-                cp.get(section, "mobile"), f"{section}.mobile"
-            ):
+            elements.append(Scatterer.of(_value(cp, section, "zeta", _parse_zeta)))
+            if cp.has_option(section, "mobile") and _value(cp, section, "mobile",
+                                                           _parse_bool):
                 if mobile_index is not None:
                     raise ConfigError(f"{path}: more than one mobile element")
                 mobile_index = len(elements) - 1
         elif kind == "segment":
-            raw = cp.get(section, "length", fallback=None)
-            if raw is None:
+            if not cp.has_option(section, "length"):
                 raise ConfigError(f"{path}: [{section}] segment needs a length")
             if cp.has_option(section, "mobile"):
                 raise ConfigError(f"{path}: segments cannot be mobile")
-            elements.append(Segment(parse_length(raw)))
+            elements.append(Segment(_value(cp, section, "length", parse_length)))
         else:
             raise ConfigError(f"{path}: unknown element kind {kind!r}")
 
@@ -394,33 +426,61 @@ def load_chain_file(path: str) -> Chain:
 
 
 def validate_report(cfg: RunConfig) -> list[str]:
-    """Aggregate invariant checks; empty list means the config is clean."""
-    problems = []
-    if cfg.wavelength <= 0:
-        problems.append("pump.wavelength must be positive")
-    if cfg.power_watts < 0:
-        problems.append("pump.power must be >= 0")
-    if cfg.pump_side not in ("left", "right"):
-        problems.append(f"pump.side must be left or right, got {cfg.pump_side!r}")
-    if cfg.cavity_length <= 0:
-        problems.append("mim.cavity_length must be positive")
-    if cfg.membrane_zeta > 0:
-        problems.append("mim.membrane_zeta must be real <= 0")
-    if abs(cfg.membrane_x) > cfg.wavelength:
-        problems.append(
-            "mim.membrane_x exceeds one wavelength; the model assumes the "
-            "membrane stays near the cavity centre (|x| << L_c)"
-        )
+    """Every problem of a loaded configuration, each named by its key; an
+    empty list means the config is clean.
+
+    The checks are those of the objects the commands build from it (the
+    MIM setup, its chain at membrane_x and cavity_detuning, the chain
+    file), then the bounds that no constructor checks.
+    """
+    problems = _built(MimConfig, cfg._mim_values(), RunConfig)[1]
+    # the chain at membrane_x and cavity_detuning depends on the cavity
+    # geometry only, so it is checked even when a scatterer or the pump is bad
+    geometry = _built(MimConfig, {"wavelength": cfg.wavelength,
+                                  "cavity_length": cfg.cavity_length}, RunConfig)[0]
+    if geometry is not None:
+        at = {"membrane_x": cfg.membrane_x, "cavity_detuning": cfg.cavity_detuning}
+        problems += _built(lambda membrane_x, cavity_detuning: build_mim(
+            geometry, membrane_x, cavity_detuning), at, RunConfig)[1]
     g = cfg.grid
     if g is not None:
         if max(abs(g.x_start), abs(g.x_stop)) > cfg.wavelength:
-            problems.append("grid x range exceeds one wavelength (|x| << L_c)")
+            problems.append("grid.x_start, grid.x_stop: x range exceeds one wavelength "
+                            "(|x| << L_c)")
         npts = g.x_count * g.dlc_count
         if npts > 4_000_000:
-            problems.append(f"grid has {npts} points; bound is 4e6")
+            problems.append(f"grid.x_count, grid.dlc_count: grid has {npts} points; "
+                            "bound is 4e6")
+    if cfg.workers < 1:
+        problems.append(f"output.workers: must be >= 1, got {cfg.workers}")
     if cfg.chain_path is not None:
         try:
             load_chain_file(cfg.chain_path)
-        except ConfigError as exc:
-            problems.append(str(exc))
+        except TmmCavityError as exc:
+            problems.append(f"chain.path: {exc}")
     return problems
+
+
+def _meta_blocks(cfg: RunConfig) -> dict:
+    """The `config` block of a meta.json sidecar, and its `grid` block when
+    the run has a grid."""
+    blocks = {"config": {e.meta: getattr(cfg, e.field) for e in _RUN_KEYS
+                         if e.meta and e.section != "grid"}}
+    if cfg.grid is not None:
+        blocks["grid"] = {e.meta: getattr(cfg.grid, e.field) for e in _GRID_KEYS}
+    return blocks
+
+
+def _help_epilog() -> str:
+    """The `tmmcavity --help` key list: every run-config and chain-file key."""
+    def rows(keys):
+        for e in keys:
+            default = getattr(RunConfig, e.field, None)
+            note = "" if default is None else f" (default {default})"
+            yield f"  {'[' + e.section + ']':<13}{e.key:<17}{e.unit:<3}{e.doc}{note}"
+
+    return "\n".join([
+        "configuration file keys (INI; lengths accept m/cm/mm/um/nm/pm suffixes,",
+        "powers accept W/kW/mW/uW/nW; bare numbers are SI; unit column is SI):",
+        "", *rows(_RUN_KEYS), "", "chain description files:", "", *rows(_CHAIN_KEYS),
+    ]) + "\n"

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -10,7 +11,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from tmmcavity import cli
+from tmmcavity import cli, config
 from tmmcavity.config import (
     load_chain_file,
     load_run_config,
@@ -176,6 +177,12 @@ class TestChainFile:
         with pytest.raises(ConfigError, match="prism"):
             load_chain_file(write(tmp_path / "c.ini", bad))
 
+    @pytest.mark.parametrize("wavelength", ["0", "-1nm", "nan", "inf"])
+    def test_wavelength_must_be_positive_and_finite(self, tmp_path, wavelength):
+        bad = GOOD_CHAIN.replace("wavelength = 1064nm", f"wavelength = {wavelength}")
+        with pytest.raises(ConfigError, match="chain.wavelength must be positive"):
+            load_chain_file(write(tmp_path / "c.ini", bad))
+
     def test_zeta_needs_two_reals(self, tmp_path):
         bad = GOOD_CHAIN.replace("zeta = -1.0 0.0", "zeta = -1.0")
         with pytest.raises(ConfigError, match="two reals"):
@@ -199,6 +206,35 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 2
         assert "membrane_x" in out and "membrane_zeta" in out
+
+    def test_validate_names_each_constructor_problem_by_key(self, tmp_path, capsys):
+        bad = GOOD_RUN.replace("mirror_zeta = -3.0", "mirror_zeta = inf")
+        bad = bad.replace("membrane_zeta = -1.0", "membrane_zeta = nan")
+        bad = bad.replace("power = 1W", "power = nan")
+        path = write(tmp_path / "run.ini", bad)
+        assert cli.run(["validate", "--config", path]) == 2
+        problems = capsys.readouterr().out.split("problems:\n")[1].splitlines()
+        assert [p.split(":")[0] for p in problems] == [
+            "  - mim.membrane_zeta", "  - mim.mirror_zeta", "  - pump.power"]
+        assert cli.run(["scan", "--config", path, "--out", str(tmp_path / "s.csv")]) == 2
+        assert "mim.membrane_zeta" in capsys.readouterr().err
+
+    def test_grid_order_problem_names_the_keys_that_mend_it(self, tmp_path):
+        bad = GOOD_RUN.replace("x_start = -0.2um", "x_start = 0.3um")
+        with pytest.raises(ConfigError, match=re.escape(
+                "grid.x_start, grid.x_stop, grid.x_count: x_stop must exceed x_start")):
+            load_run_config(write(tmp_path / "run.ini", bad))
+
+    def test_validate_applies_overrides(self, tmp_path, capsys):
+        path = write(tmp_path / "run.ini", GOOD_RUN)
+        assert cli.run(["validate", "--config", path, "--workers", "3", "--out", "zz.csv",
+                        "--format", "json", "--grid=-0.1um,0.1um,3,-0.05um,0.05um,5"]) == 0
+        out = capsys.readouterr().out
+        for line in ("output.path = zz.csv", "output.format = json", "output.workers = 3",
+                     "grid = x [-1e-07, 1e-07] m x 3; dlc [-5e-08, 5e-08] m x 5"):
+            assert f"  {line}\n" in out
+        assert cli.run(["validate", "--config", path, "--workers", "0"]) == 2
+        assert "  - output.workers: must be >= 1, got 0\n" in capsys.readouterr().out
 
     def test_point_transparent_membrane_is_null_forces(self, tmp_path):
         cfg_text = GOOD_RUN.replace("membrane_zeta = -1.0", "membrane_zeta = 0.0")
@@ -356,6 +392,32 @@ class TestCliCommands:
                     "schema_version", "power"):
             assert key in out
         assert "nm" in out and "cm" in out  # unit suffixes documented
+        # every key of both schemas, on one line with its section and unit
+        for e in config._RUN_KEYS + config._CHAIN_KEYS:
+            row = rf"^  \[{re.escape(e.section)}\] +{e.key} +{e.unit}"
+            assert re.search(row, out, re.M), e
+
+    def test_schema_reaches_validate_and_meta(self, tmp_path, capsys):
+        """Every run-config key is echoed by `validate`, and a scan's sidecar
+        keeps its config and grid names."""
+        path = write(tmp_path / "run.ini", GOOD_RUN)
+        assert cli.run(["validate", "--config", path]) == 0
+        echo = capsys.readouterr().out
+        g = load_run_config(path).grid
+        for e in config._RUN_KEYS:
+            if e.section == "grid":  # one line for the whole grid
+                assert f"{getattr(g, e.field)!r}" in echo.split("  grid = ")[1]
+            else:
+                name = e.key if e.section == "run" else f"{e.section}.{e.key}"
+                assert f"\n  {name} = " in echo, e
+        out = tmp_path / "scan.csv"
+        assert cli.run(["scan", "--config", path, "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+        assert sorted(meta["config"]) == sorted([
+            "wavelength_m", "power_W", "pump_side", "cavity_length_m", "membrane_zeta",
+            "mirror_zeta", "membrane_x_m", "cavity_detuning_m", "chain_path", "workers"])
+        assert sorted(meta["grid"]) == sorted([
+            "x_start_m", "x_stop_m", "x_count", "dlc_start_m", "dlc_stop_m", "dlc_count"])
 
     def test_missing_config_flag(self, capsys):
         code = cli.run(["scan"])
@@ -625,3 +687,86 @@ def test_cli_import_loads_no_scipy():
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def _numeric(key) -> bool:
+    try:
+        return isinstance(key.parse("1"), (int, float))
+    except ConfigError:
+        return False
+
+
+def _malformed_inputs():
+    """(id, run config, extra arguments, key the rejection must name)."""
+    cases = []
+    for e in config._RUN_KEYS:
+        for value in ("nan", "inf") if _numeric(e) else ():
+            text, n = re.subn(rf"^{e.key} = .*$", f"{e.key} = {value}", GOOD_RUN, flags=re.M)
+            assert n == 1, e
+            cases.append((f"{e.section}.{e.key}={value}", text, [], f"{e.section}.{e.key}"))
+    chain_run = GOOD_RUN.replace("[mim]", "[chain]\npath = {chain}\n\n[mim]")
+    return cases + [
+        ("chain-wavelength-0", chain_run, [], "chain.wavelength"),
+        ("grid-count-abc", GOOD_RUN, ["--grid", "0,1nm,abc,0,1nm,3"], "grid.x_count"),
+        ("grid-count-2.5", GOOD_RUN, ["--grid", "0,1nm,2.5,0,1nm,3"], "grid.x_count"),
+        ("unknown-key", GOOD_RUN.replace("power = 1W", "power = 1W\npowr = 2W"), [], "powr"),
+        ("workers-0", GOOD_RUN, ["--workers", "0"], "output.workers"),
+    ]
+
+
+MALFORMED = _malformed_inputs()
+
+# Runs `tmmcavity.cli` as `python -m` does (runpy, as __main__) once per
+# argument list, all in one interpreter so numpy is imported once; an
+# exception that escapes prints its traceback to stderr like the real entry.
+_SWEEP_DRIVER = r"""
+import json, runpy, sys, traceback
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["tmmcavity"] + argv
+    try:
+        runpy.run_module("tmmcavity.cli", run_name="__main__", alter_sys=True)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    except Exception:
+        traceback.print_exc()
+        code = None
+    for stream in (sys.stdout, sys.stderr):
+        print(f"\0exit {code}", file=stream, flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """{(case id, command): (exit code, stdout, stderr)} of the malformed inputs."""
+    root = tmp_path_factory.mktemp("sweep")
+    chain = write(root / "c.ini", GOOD_CHAIN.replace("wavelength = 1064nm", "wavelength = 0"))
+    runs = []
+    for i, (case, text, extra, _key) in enumerate(MALFORMED):
+        path = write(root / f"run{i}.ini", text.replace("{chain}", chain))
+        for command in ("validate", "scan"):
+            runs.append(((case, command), [command, "--config", path,
+                                           "--out", str(root / f"out{i}.csv")] + extra))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(config.__file__)))
+    res = subprocess.run([sys.executable, "-c", _SWEEP_DRIVER, json.dumps([a for _, a in runs])],
+                         capture_output=True, text=True, cwd=root,
+                         env={**os.environ, "PYTHONPATH": src})
+    outs = [re.split(r"\0exit (\S+)\n", stream)
+            for stream in (res.stdout, res.stderr)]
+    assert len(outs[1]) == 2 * len(runs) + 1, res.stderr[-2000:]
+    return {name: (outs[1][2 * i + 1], outs[0][2 * i], outs[1][2 * i])
+            for i, (name, _) in enumerate(runs)}
+
+
+@pytest.mark.parametrize("case,key", [(c[0], c[3]) for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_input_is_rejected_without_traceback(sweep, case, key):
+    """`validate` and `scan` both exit 2 on each malformed input, with an
+    `error:` or problem line that names the key, and never a traceback."""
+    for command in ("validate", "scan"):
+        code, out, err = sweep[case, command]
+        assert "Traceback" not in err, err
+        assert code == "2", (command, out, err)
+        lines = [ln for ln in (out + err).splitlines()
+                 if ln.startswith(("error:", "  - "))]
+        assert lines and any(key in ln for ln in lines), (command, out, err)
