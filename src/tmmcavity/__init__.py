@@ -16,7 +16,6 @@ from .elements import (
     PumpSpec,
     Scatterer,
     Segment,
-    factorize,
     propagation_matrix,
     scatterer_matrix,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "PumpSpec",
     "Scatterer",
     "Segment",
-    "factorize",
     "propagation_matrix",
     "scatterer_matrix",
     "TmmCavityError",

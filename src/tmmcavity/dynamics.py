@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from .constants import c as C_LIGHT, hbar as HBAR
 
-from .elements import Chain, Factorization, Polarisability, PumpSpec, factorize
+from .elements import Chain, Polarisability, PumpSpec, _side_jets
 from .errors import SingularSolveError
-from .opalg import VOMatrix, _entries
+from .opalg import VOMatrix, _entries, _inverse_entries, moving_scatterer_matrix
 from .statics import StaticFields, solve_static, static_force
 
 __all__ = ["FieldSet", "ForceReport", "solve_dynamic", "force_with_velocity"]
@@ -89,9 +89,10 @@ class ForceReport:
     friction: float
 
 
-def _first_order(comp: VOMatrix, m1_inv: VOMatrix, k0: float,
+def _first_order(comp: VOMatrix, m1: VOMatrix, k0: float,
                  B0: complex, C0: complex, A0, B0f, z: complex) -> tuple:
-    """(A1, B1, C1, D1, out_left1, out_right1) from the composed jet.
+    """(A1, B1, C1, D1, out_left1, out_right1) from the composed jet and
+    the jet M1 of the chain's left side.
 
     A0 and B0f are the zeroth-order left-face fields.  Plain elementwise
     arithmetic: jets of one chain give numpy scalars, jets of a grid
@@ -111,8 +112,8 @@ def _first_order(comp: VOMatrix, m1_inv: VOMatrix, k0: float,
     al1 = C0 * (gb - dgc) + d_out0 * (ab - dac) + a0 * p - da0 * q
     alt = C0 * gc + d_out0 * ac + a0 * q
 
-    mu11, _, mu21, _ = _entries(m1_inv.static_at(k0))
-    dmu11, _, dmu21, _ = _entries(m1_inv.static_deriv_at(k0))
+    mu11, _, mu21, _ = _inverse_entries(m1.static_at(k0))
+    dmu11, _, dmu21, _ = _inverse_entries(m1.static_deriv_at(k0))
 
     A1 = mu11 * al1 - dmu11 * alt
     B1 = mu21 * al1 - dmu21 * alt
@@ -121,9 +122,7 @@ def _first_order(comp: VOMatrix, m1_inv: VOMatrix, k0: float,
     return A1, B1, C1, D1, al1, p
 
 
-def solve_dynamic(
-    chain: Chain, pump: PumpSpec, fac: Factorization | None = None
-) -> FieldSet:
+def solve_dynamic(chain: Chain, pump: PumpSpec) -> FieldSet:
     """Closed-form fields at the mobile scatterer to first order in v/c.
 
     Solves the pump boundary problem for the composed operator matrix
@@ -138,22 +137,20 @@ def solve_dynamic(
     coefficients of each entry and primes are analytic k-derivatives, all
     at the pump wavenumber.  The left-port spectrum and the fields on the
     scatterer follow by applying g^/a^ and (M1)^-1, collecting
-    delta-function and delta'-function coefficients.
+    delta-function and delta'-function coefficients.  The composed operator
+    is M1 MS^ M2, with M1 and M2 the static jets of the chain's two sides
+    and MS^ the mobile scatterer's.
     """
-    if fac is None:
-        fac = factorize(chain)
     k0 = chain.k0
     # the zeroth-order fields ship through the exact same numeric path as
-    # solve_static (bit-for-bit consistency); the jets below only supply
+    # solve_static (bit-for-bit consistency), which also rejects a chain
+    # without a transmission channel; the jets below only supply
     # derivatives and first-order coefficients
     st = solve_static(chain, pump)
-    comp = fac.composed()
-    if comp.static_at(k0)[1, 1] == 0:
-        raise SingularSolveError(
-            f"no transmission channel between pump and scatterer at k={k0}"
-        )
+    m1, m2 = _side_jets(chain)
+    comp = m1 @ moving_scatterer_matrix(chain.mobile.pol, k0) @ m2
     A1, B1, C1, D1, al1, p = _first_order(
-        comp, fac.m1_inv, k0, complex(pump.B0), complex(pump.C0),
+        comp, m1, k0, complex(pump.B0), complex(pump.C0),
         st.A0, st.B0f, chain.mobile.pol.zeta,
     )
     for val in (A1, B1, al1, p):

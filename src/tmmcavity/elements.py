@@ -1,4 +1,4 @@
-"""Optical elements, chains, pump definitions and chain factorization.
+"""Optical elements, chains, pump definitions and the chain's side jets.
 
 Conventions used throughout the package:
 
@@ -15,19 +15,23 @@ A scatterer of polarisability zeta has amplitude reflectivity
 r = i zeta / (1 - i zeta) and transmissivity t = 1 / (1 - i zeta); its
 transfer matrix is [[1+iz, iz], [-iz, 1-iz]] = (1/t) [[t^2-r^2, r], [-r, 1]],
 with unit determinant.  Free propagation over d is diag(e^{ikd}, e^{-ikd}).
+
+Every solve of a chain is a function of the chain and the pump alone: the
+chain carries no solver state, and each solve composes the element
+matrices it needs itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from .constants import c as C_LIGHT, hbar as HBAR
 
 from .errors import ChainError, PassivityError
-from .opalg import VOMatrix, moving_scatterer_matrix
+from .opalg import VOMatrix
 
 __all__ = [
     "Polarisability",
@@ -38,8 +42,6 @@ __all__ = [
     "PumpSpec",
     "scatterer_matrix",
     "propagation_matrix",
-    "Factorization",
-    "factorize",
 ]
 
 
@@ -110,15 +112,12 @@ Element = Union[Scatterer, Segment]
 class Chain:
     """Ordered chain of elements with one designated mobile scatterer.
 
-    `k0` is the pump wavenumber in rad/m.  `loss_modes_attached` records
-    whether the quantum solver should add one vacuum loss mode per
-    absorptive scatterer (see `tmmcavity.noise.attach_loss_modes`).
+    `k0` is the pump wavenumber in rad/m.
     """
 
     elements: tuple
     mobile_index: int
     k0: float
-    loss_modes_attached: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -141,8 +140,12 @@ class Chain:
     def mobile(self) -> Scatterer:
         return self.elements[self.mobile_index]
 
-    def with_loss_modes(self) -> "Chain":
-        return replace(self, loss_modes_attached=True)
+
+def _check_power_and_wavelength(power_watts, wavelength):
+    if not (math.isfinite(power_watts) and power_watts >= 0):
+        raise ChainError(f"pump power must be finite and >= 0, got {power_watts}")
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise ChainError(f"wavelength must be finite and positive, got {wavelength}")
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,7 @@ class PumpSpec:
 
     Invariant: |B0|^2 + |C0|^2 = power / (hbar omega0), with B0 the
     left-hand input (travelling rightward) and C0 the right-hand input.
+    Every number must be finite; anything else raises ChainError.
     """
 
     B0: complex
@@ -159,10 +163,11 @@ class PumpSpec:
     wavelength: float
 
     def __post_init__(self):
-        if self.power_watts < 0:
-            raise ChainError("pump power must be >= 0")
-        if self.wavelength <= 0:
-            raise ChainError("wavelength must be positive")
+        _check_power_and_wavelength(self.power_watts, self.wavelength)
+        for name in ("B0", "C0"):
+            amp = complex(getattr(self, name))
+            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+                raise ChainError(f"pump amplitude {name} must be finite, got {amp}")
         total = abs(self.B0) ** 2 + abs(self.C0) ** 2
         expect = self.photon_flux
         scale = max(expect, 1.0)
@@ -183,6 +188,7 @@ class PumpSpec:
 
     @staticmethod
     def one_sided(power_watts: float, wavelength: float, side: str = "left") -> "PumpSpec":
+        _check_power_and_wavelength(power_watts, wavelength)
         omega0 = 2 * math.pi * C_LIGHT / wavelength
         amp = math.sqrt(power_watts / (HBAR * omega0))
         if side == "left":
@@ -192,7 +198,7 @@ class PumpSpec:
         raise ChainError(f"pump side must be 'left' or 'right', got {side!r}")
 
 
-def scatterer_matrix(pol: Polarisability, k: float | None = None) -> np.ndarray:
+def scatterer_matrix(pol: Polarisability) -> np.ndarray:
     """Static transfer matrix [[1+iz, iz], [-iz, 1-iz]] (k-independent)."""
     if not isinstance(pol, Polarisability):
         pol = Polarisability(pol)
@@ -222,7 +228,7 @@ def propagation_matrix(k: float, d) -> np.ndarray:
 
 def element_matrix(el: Element, k: float) -> np.ndarray:
     if isinstance(el, Scatterer):
-        return scatterer_matrix(el.pol, k)
+        return scatterer_matrix(el.pol)
     return propagation_matrix(k, el.length)
 
 
@@ -245,43 +251,9 @@ def _compose_static(elements, k: float) -> VOMatrix:
     return m
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """The chain split around the mobile scatterer: M1 * MS_hat * M2.
-
-    Every factor is a first-order jet at the chain's pump wavenumber.
-    `m1_inv` is (M1)^-1: every element matrix here has unit determinant,
-    so the inverse is the adjugate, and its k-derivative the adjugate of
-    M1's derivative.
-    """
-
-    m1: VOMatrix
-    ms: VOMatrix
-    m2: VOMatrix
-    m1_inv: VOMatrix
-
-    def composed(self) -> VOMatrix:
-        return self.m1 @ self.ms @ self.m2
-
-
-def _adjugate(m: np.ndarray) -> np.ndarray:
-    """Adjugate of a 2x2 matrix or of each matrix of an (N, 2, 2) stack."""
-    if m.ndim == 2:
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    out[..., 1, 1] = m[..., 0, 0]
-    return out
-
-
-def factorize(chain: Chain) -> Factorization:
-    """Split a chain into static left part, moving scatterer, static right
-    part, as jets at `chain.k0`."""
+def _side_jets(chain: Chain) -> tuple:
+    """(M1, M2): the static jets, at `chain.k0`, of the elements left and
+    right of the mobile scatterer."""
     k = chain.k0
-    m1 = _compose_static(chain.elements[: chain.mobile_index], k)
-    m2 = _compose_static(chain.elements[chain.mobile_index + 1 :], k)
-    ms = moving_scatterer_matrix(chain.mobile.pol, k)
-    m1_inv = VOMatrix(k, _adjugate(m1.a), _adjugate(m1.da))
-    return Factorization(m1=m1, ms=ms, m2=m2, m1_inv=m1_inv)
+    return (_compose_static(chain.elements[: chain.mobile_index], k),
+            _compose_static(chain.elements[chain.mobile_index + 1 :], k))

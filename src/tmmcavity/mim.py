@@ -33,12 +33,11 @@ from .elements import (
     PumpSpec,
     Scatterer,
     Segment,
-    _adjugate,
     propagation_matrix,
     scatterer_matrix,
 )
 from .errors import CalibrationError, ChainError, SingularSolveError
-from .noise import _diffusion, _kbt, attach_loss_modes, diffusion, operator_fields
+from .noise import _diffusion, _kbt, diffusion, operator_fields
 from .opalg import VOMatrix, _mm, moving_scatterer_matrix
 from .statics import _static_force, _static_solution, resonance_shifts, solve_static
 
@@ -126,11 +125,14 @@ class ScanGrid:
     dlc_count: int
 
     def __post_init__(self):
+        for v in (self.x_count, self.dlc_count):
+            if not isinstance(v, numbers.Integral):
+                raise ChainError(f"grid counts must be integers, got {v!r}")
         if self.x_count < 1 or self.dlc_count < 1:
             raise ChainError("grid counts must be >= 1")
         for v in (self.x_start, self.x_stop, self.dlc_start, self.dlc_stop):
-            if not math.isfinite(v):
-                raise ChainError("grid ranges must be finite")
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise ChainError("grid ranges must be finite real numbers")
         if self.x_count > 1 and self.x_stop <= self.x_start:
             raise ChainError("x_stop must exceed x_start")
         if self.dlc_count > 1 and self.dlc_stop <= self.dlc_start:
@@ -208,11 +210,10 @@ class ScanPoint:
 def evaluate_chain(chain: Chain, pump: PumpSpec) -> dict:
     """Intensity, forces, diffusion and temperature for one chain.
 
-    Loss modes are attached automatically for absorptive chains, so the
-    diffusion coefficient always carries the full commutator bookkeeping.
-    kBT is None in heating regions.
+    The diffusion coefficient carries the full commutator bookkeeping: one
+    loss mode per absorber (see `operator_fields`).  kBT is None in heating
+    regions.
     """
-    chain = attach_loss_modes(chain)
     fields = solve_dynamic(chain, pump)
     report = force_with_velocity(fields, chain.mobile.pol, chain.k0)
     ops = operator_fields(chain)
@@ -259,7 +260,7 @@ class _StaticStage:
     """Static solve of a block of MIM chains, one per pair of gap lengths.
 
     `m1` = mirror P(left) and `m2` = P(right) mirror are the chain's two
-    sides around the membrane, `m` the composed matrix and `mu` = m1^-1;
+    sides around the membrane and `m` the composed matrix;
     `fields` are `_static_solution`'s (A0, B0f, C0f, D0f, out_left,
     out_right).  `singular` marks points whose solve divides by zero or
     does not stay finite; every later stage reads it.
@@ -272,7 +273,6 @@ class _StaticStage:
     m1: np.ndarray
     m2: np.ndarray
     m: np.ndarray
-    mu: np.ndarray
     fields: tuple
     F0: np.ndarray
     singular: np.ndarray
@@ -286,14 +286,13 @@ def _static_stage(config: MimConfig, pump: PumpSpec, left, right) -> _StaticStag
     mirror = scatterer_matrix(config.mirror_zeta)
     p_left, p_right = propagation_matrix(k0, left), propagation_matrix(k0, right)
     m1, m2 = _mm(mirror, p_left), _mm(p_right, mirror)
-    mu = _adjugate(m1)  # unit determinant
     # singular points divide by zero or overflow; the mask below marks them
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         m = _mm(_mm(m1, scatterer_matrix(config.membrane_zeta)), m2)
-        fields = _static_solution(m, mu, complex(pump.B0), complex(pump.C0), z)
+        fields = _static_solution(m, m1, complex(pump.B0), complex(pump.C0), z)
         f0 = _static_force(fields[0], fields[1], z, k0)
     singular = (m[:, 1, 1] == 0) | ~np.isfinite(f0)
-    return _StaticStage(left, right, p_left, p_right, m1, m2, m, mu, fields, f0, singular)
+    return _StaticStage(left, right, p_left, p_right, m1, m2, m, fields, f0, singular)
 
 
 def _propagation_deriv(d: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -323,12 +322,12 @@ def _dynamic_stage(config: MimConfig, pump: PumpSpec, st: _StaticStage) -> np.nd
     mirror = scatterer_matrix(config.mirror_zeta)
     dm1 = _mm(mirror, _propagation_deriv(st.left, st.p_left))
     dm2 = _mm(_propagation_deriv(st.right, st.p_right), mirror)
-    comp = (VOMatrix(k0, st.m1, dm1) @ moving_scatterer_matrix(z, k0)
-            @ VOMatrix(k0, st.m2, dm2))
+    m1 = VOMatrix(k0, st.m1, dm1)
+    comp = m1 @ moving_scatterer_matrix(z, k0) @ VOMatrix(k0, st.m2, dm2)
     A0, B0f, C0f, D0f, _, _ = st.fields
     out = np.empty((5, st.m.shape[0]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        A1, B1, _, _, _, _ = _first_order(comp, VOMatrix(k0, st.mu, _adjugate(dm1)), k0,
+        A1, B1, _, _, _, _ = _first_order(comp, m1, k0,
                                           complex(pump.B0), complex(pump.C0), A0, B0f, z)
         out[0] = abs(A0 + B0f) ** 2
         out[1] = st.F0
@@ -336,8 +335,8 @@ def _dynamic_stage(config: MimConfig, pump: PumpSpec, st: _StaticStage) -> np.nd
         if z == 0:
             out[3] = 0.0  # nothing scatters, no momentum kicks
         else:
-            unit_left = _static_solution(st.m, st.mu, 1.0, 0.0, z)
-            unit_right = _static_solution(st.m, st.mu, 0.0, 1.0, z)
+            unit_left = _static_solution(st.m, st.m1, 1.0, 0.0, z)
+            unit_right = _static_solution(st.m, st.m1, 0.0, 1.0, z)
             vecs = [np.stack([unit_left[i], unit_right[i]], axis=-1) for i in range(4)]
             out[3] = _diffusion(A0, B0f, C0f, D0f, *vecs, _stack_commutator, k0)
         singular = st.singular | ~np.isfinite(out[:4]).all(axis=0)

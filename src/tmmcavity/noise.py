@@ -2,7 +2,7 @@
 
 Each static field around the mobile scatterer, promoted to an operator, is
 a linear combination of the independent input modes: the two pump ports
-and, once attached, one vacuum "loss" mode per absorptive scatterer.  The
+and one vacuum "loss" mode per absorptive scatterer.  The
 basis modes satisfy [X, X^dag] = 1 and commute pairwise, so commutators of
 the field operators are plain inner products of coefficient vectors.
 
@@ -95,28 +95,24 @@ def loss_coupling(pol: Polarisability) -> float:
 
 
 def attach_loss_modes(chain: Chain) -> Chain:
-    """Mark the chain so the quantum solver adds one loss mode per absorber.
+    """Check that every absorber's unitarity defect is positive
+    semidefinite, and return the chain unchanged.
 
-    A chain with no absorptive scatterer passes through unchanged (already
-    attached chains likewise).  Verifies that every absorber's unitarity
-    defect is positive semidefinite.
+    `operator_fields` always carries the loss modes, so there is nothing to
+    attach; the check raises PassivityError for an unphysical scatterer.
     """
-    idxs = absorptive_indices(chain)
-    for i in idxs:
+    for i in absorptive_indices(chain):
         loss_coupling(chain.elements[i].pol)  # raises if unphysical
-    if not idxs:
-        return chain
-    return chain.with_loss_modes()
+    return chain
 
 
 def operator_fields(chain: Chain) -> OperatorFields:
     """Express A, B, C, D at the mobile scatterer over the input-mode basis.
 
     One static network solve per basis mode of unit amplitude: the two pump
-    ports, then (for chains with loss modes attached) one column per
-    absorptive scatterer, whose vacuum enters through the rank-one
-    unitarity-defect coupling.  Everything is evaluated at zeroth order in
-    the velocity.
+    ports, then one column per absorptive scatterer, whose vacuum enters
+    through the rank-one unitarity-defect coupling.  Everything is
+    evaluated at zeroth order in the velocity.
     """
     k0 = chain.k0
     im = chain.mobile_index
@@ -125,13 +121,12 @@ def operator_fields(chain: Chain) -> OperatorFields:
         solve_network(chain, k0, 1.0, 0.0),
         solve_network(chain, k0, 0.0, 1.0),
     ]
-    if chain.loss_modes_attached:
-        for j in absorptive_indices(chain):
-            pol = chain.elements[j].pol
-            kappa = loss_coupling(pol)
-            src = {j: scatterer_source(pol, kappa, kappa)}
-            columns.append(solve_network(chain, k0, 0.0, 0.0, sources=src))
-            labels.append(f"loss_{j}")
+    for j in absorptive_indices(chain):
+        pol = chain.elements[j].pol
+        kappa = loss_coupling(pol)
+        src = {j: scatterer_source(pol, kappa, kappa)}
+        columns.append(solve_network(chain, k0, 0.0, 0.0, sources=src))
+        labels.append(f"loss_{j}")
 
     n = len(columns)
     a = np.zeros(n, dtype=complex)
@@ -232,7 +227,7 @@ def equilibrium_temperature(diffusion_coeff: float, friction: float) -> Temperat
     equilibrium exists and NonCoolingError is raised rather than returning
     a negative temperature.
     """
-    if friction >= 0:
+    if not friction < 0:  # NaN friction too
         raise NonCoolingError(
             f"friction {friction} is not negative; no cooling equilibrium"
         )

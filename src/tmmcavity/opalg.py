@@ -66,6 +66,13 @@ def _entries(m: np.ndarray) -> tuple:
     return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
 
 
+def _inverse_entries(m: np.ndarray) -> tuple:
+    """`_entries` of adj(m): m^-1 for unit-determinant m, and, adj being
+    linear, the k-derivative of that inverse when m is the derivative."""
+    m11, m12, m21, m22 = _entries(m)
+    return m22, -m12, -m21, m11
+
+
 class VOMatrix:
     """First-order jet of an operator-valued 2x2 matrix at one wavenumber.
 

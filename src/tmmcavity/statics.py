@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from .constants import c as C_LIGHT, hbar as HBAR
 
-from .elements import Chain, Polarisability, PumpSpec, _adjugate, element_matrix
+from .elements import Chain, Polarisability, PumpSpec, element_matrix
 from .errors import SingularSolveError
-from .opalg import _entries
+from .opalg import _entries, _inverse_entries
 
 __all__ = [
     "StaticFields",
@@ -65,15 +65,15 @@ def _check_transmission_channel(b0: complex, k: float):
         )
 
 
-def _static_solution(m, mu, B0: complex, C0: complex, z: complex) -> tuple:
-    """(A0, B0f, C0f, D0f, out_left, out_right) from the composed matrix m.
+def _static_solution(m, m1, B0: complex, C0: complex, z: complex) -> tuple:
+    """(A0, B0f, C0f, D0f, out_left, out_right) from the composed matrix m
+    and the left side M1 of the chain.
 
-    `mu` is (M1)^-1.  Plain elementwise arithmetic: one chain passes 2x2
-    matrices and gets numpy scalars, a grid passes (N, 2, 2) stacks and
-    gets (N,) arrays.
+    Plain elementwise arithmetic: one chain passes 2x2 matrices and gets
+    numpy scalars, a grid passes (N, 2, 2) stacks and gets (N,) arrays.
     """
     g, a, d, b = _entries(m)
-    mu11, mu12, mu21, mu22 = _entries(mu)
+    mu11, mu12, mu21, mu22 = _inverse_entries(m1)
     d_out = (B0 - d * C0) / b
     a_out = g * C0 + a * d_out
     A0 = mu11 * a_out + mu12 * B0
@@ -108,9 +108,8 @@ def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
     with np.errstate(over="ignore", invalid="ignore"):
         m = m1 @ ms @ m2
     _check_transmission_channel(m[1, 1], k0)
-    # unit determinant makes the inverse of m1 its adjugate
     A0, B0f, C0f, D0f, a_out, d_out = _static_solution(
-        m, _adjugate(m1), complex(pump.B0), complex(pump.C0), chain.mobile.pol.zeta
+        m, m1, complex(pump.B0), complex(pump.C0), chain.mobile.pol.zeta
     )
 
     for val in (A0, B0f, d_out, a_out):

@@ -689,6 +689,23 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_every_exported_name_resolves():
+    """Each name in the package's and every module's `__all__` exists."""
+    import importlib
+    import pkgutil
+
+    import tmmcavity
+
+    modules = [tmmcavity] + [
+        importlib.import_module(f"tmmcavity.{info.name}")
+        for info in pkgutil.iter_modules(tmmcavity.__path__)
+    ]
+    assert len(modules) > 10
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
 def _numeric(key) -> bool:
     try:
         return isinstance(key.parse("1"), (int, float))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
+import tmmcavity.dynamics as dynamics
+import tmmcavity.statics as statics
 from tmmcavity.dynamics import force_with_velocity, solve_dynamic
 from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment
 from tmmcavity.mim import evaluate_chain
@@ -83,6 +85,35 @@ class TestFieldSet:
         assert dyn.B0f == st.B0f
         assert dyn.C0f == st.C0f
         assert dyn.D0f == st.D0f
+
+    def test_composed_jet_equals_static_solve_matrix(self, monkeypatch):
+        # solve_dynamic's composed jet has, bit for bit, the static matrix
+        # solve_static solves with, so solve_static's transmission-channel
+        # check covers the first-order solve too
+        seen = {}
+
+        def spy(name, module):
+            original = getattr(module, name)
+
+            def wrapper(m, *args):
+                seen[name] = m.static_at(K0) if name == "_first_order" else m
+                return original(m, *args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy("_static_solution", statics)
+        spy("_first_order", dynamics)
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = 2 * int(rng.integers(2, 21)) + 1  # 5..41 elements
+            elements = tuple(
+                Scatterer.of(complex(rng.uniform(-6, -0.2), rng.uniform(0, 0.4)))
+                if i % 2 == 0 else Segment(rng.uniform(1e-4, 5e-3))
+                for i in range(n)
+            )
+            mobile = 2 * int(rng.integers(0, n // 2 + 1))
+            solve_dynamic(Chain(elements, mobile, K0), PUMP)
+            assert np.array_equal(seen["_first_order"], seen["_static_solution"])
 
     def test_fields_match_sideband_oracle_in_cavity(self):
         """Closed-form A1 equals the static solve differenced between the

@@ -1,4 +1,5 @@
-"""Element constructors, chain validation, factorization, conservation laws."""
+"""Element constructors, chain validation, side jets, conservation laws,
+typed failures at the pump, grid and temperature entry points."""
 
 from dataclasses import replace
 
@@ -11,13 +12,14 @@ from tmmcavity.elements import (
     PumpSpec,
     Scatterer,
     Segment,
-    factorize,
+    _side_jets,
     propagation_matrix,
     scatterer_matrix,
 )
-from tmmcavity.dynamics import solve_dynamic
-from tmmcavity.errors import ChainError, PassivityError, WavenumberError
-from tmmcavity.opalg import vo_mul
+from tmmcavity.errors import ChainError, NonCoolingError, PassivityError
+from tmmcavity.mim import MimConfig, ScanGrid, build_mim, evaluate_chain
+from tmmcavity.noise import equilibrium_temperature
+from tmmcavity.opalg import _inverse_entries, moving_scatterer_matrix, vo_mul
 from tmmcavity.statics import solve_static
 
 from helpers import compose
@@ -122,13 +124,21 @@ class TestPumpSpec:
             PumpSpec(B0=1.0, C0=0.0, power_watts=1.0, wavelength=LAM)
 
 
+def inverse(m):
+    """m^-1 as a 2x2 array, read through `_inverse_entries`."""
+    return np.array(_inverse_entries(m)).reshape(2, 2)
+
+
 class TestFactorize:
+    """The chain split M1 MS^ M2 around the mobile scatterer: `_side_jets`
+    gives the two static side jets, `moving_scatterer_matrix` the middle."""
+
     def test_lone_scatterer(self):
         chain = Chain(elements=(Scatterer.of(-1.0),), mobile_index=0, k0=K0)
-        fac = factorize(chain)
-        np.testing.assert_allclose(fac.m1.static_at(K0), np.eye(2))
-        np.testing.assert_allclose(fac.m2.static_at(K0), np.eye(2))
-        mu = fac.m1_inv.static_at(K0)
+        m1, m2 = _side_jets(chain)
+        np.testing.assert_allclose(m1.static_at(K0), np.eye(2))
+        np.testing.assert_allclose(m2.static_at(K0), np.eye(2))
+        mu = inverse(m1.static_at(K0))
         np.testing.assert_allclose(mu, np.eye(2))
 
     def test_symmetric_cavity_centre_membrane(self):
@@ -147,10 +157,10 @@ class TestFactorize:
             mobile_index=2,
             k0=K0,
         )
-        fac = factorize(chain)
+        m1, m2 = _side_jets(chain)
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        mirrored = sx @ np.linalg.inv(fac.m2.static_at(K0)) @ sx
-        np.testing.assert_allclose(fac.m1.static_at(K0), mirrored, rtol=1e-10)
+        mirrored = sx @ np.linalg.inv(m2.static_at(K0)) @ sx
+        np.testing.assert_allclose(m1.static_at(K0), mirrored, rtol=1e-10)
 
     def test_factorize_recomposes_to_direct_product(self):
         rng = np.random.default_rng(5)
@@ -164,8 +174,9 @@ class TestFactorize:
         chain = Chain(elements=elements, mobile_index=2, k0=K0)
         dk = 1e-8 * K0
         for k in K0 * (1 + np.linspace(-1e-3, 1e-3, 20)):
-            fac = factorize(replace(chain, k0=k))
-            recomposed = vo_mul(fac.m1, vo_mul(fac.ms, fac.m2))
+            m1, m2 = _side_jets(replace(chain, k0=k))
+            ms = moving_scatterer_matrix(chain.mobile.pol, k)
+            recomposed = vo_mul(m1, vo_mul(ms, m2))
             np.testing.assert_allclose(
                 recomposed.static_at(k), compose(elements, k), rtol=1e-10
             )
@@ -185,13 +196,20 @@ class TestFactorize:
             mobile_index=2,
             k0=K0,
         )
-        fac = factorize(chain)
-        mu, m1 = fac.m1_inv.static_at(K0), fac.m1.static_at(K0)
+        jet, _ = _side_jets(chain)
+        m1, dm1 = jet.static_at(K0), jet.static_deriv_at(K0)
+        mu = inverse(m1)
         np.testing.assert_allclose(mu @ m1, np.eye(2), atol=1e-12)
         # d(mu m1)/dk = 0: the adjugate of m1' is the derivative of mu
-        dprod = fac.m1_inv.static_deriv_at(K0) @ m1 + mu @ fac.m1.static_deriv_at(K0)
+        dprod = inverse(dm1) @ m1 + mu @ dm1
         deriv_scale = 1.7e-3 * np.max(np.abs(m1))  # segment length x |m1|
         np.testing.assert_allclose(dprod, 0, atol=1e-12 * deriv_scale)
+        # a stack of matrices gives the entries of each inverse
+        stack = np.stack([m1, dm1, np.eye(2)])
+        for i, entry in enumerate(_inverse_entries(stack)):
+            np.testing.assert_array_equal(
+                entry, [inverse(m).flat[i] for m in stack]
+            )
 
     def test_lossless_chain_unimodular(self):
         chain = Chain(
@@ -205,14 +223,9 @@ class TestFactorize:
             mobile_index=2,
             k0=K0,
         )
-        m = factorize(chain).composed().static_at(K0)
+        m1, m2 = _side_jets(chain)
+        m = (m1 @ moving_scatterer_matrix(chain.mobile.pol, K0) @ m2).static_at(K0)
         assert abs(np.linalg.det(m)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_factorization_at_other_wavenumber_rejected(self):
-        chain = Chain(elements=(Segment(1e-3), Scatterer.of(-1.0)), mobile_index=1, k0=K0)
-        fac = factorize(replace(chain, k0=1.01 * K0))
-        with pytest.raises(WavenumberError):
-            solve_dynamic(chain, PumpSpec.one_sided(1.0, LAM), fac)
 
 
 class TestEnergyConservation:
@@ -232,3 +245,37 @@ class TestEnergyConservation:
         flux_in = abs(pump.B0) ** 2 + abs(pump.C0) ** 2
         flux_out = abs(fields.out_left) ** 2 + abs(fields.out_right) ** 2
         assert flux_out == pytest.approx(flux_in, rel=1e-10)
+
+
+BAD_INPUTS = {
+    "negative power": (
+        ChainError, lambda: PumpSpec.one_sided(-1.0, LAM)),
+    "negative wavelength": (
+        ChainError, lambda: PumpSpec.one_sided(1.0, -1e-6)),
+    "zero wavelength": (
+        ChainError, lambda: PumpSpec.one_sided(1.0, 0.0)),
+    "infinite power": (
+        ChainError, lambda: evaluate_chain(build_mim(MimConfig()),
+                                           PumpSpec.one_sided(float("inf"), LAM))),
+    "nan wavelength": (
+        ChainError, lambda: PumpSpec(0.0, 0.0, 1.0, float("nan"))),
+    "nan amplitude": (
+        ChainError, lambda: evaluate_chain(build_mim(MimConfig()),
+                                           PumpSpec(float("nan"), 0.0, 1.0, LAM))),
+    "non-integer grid count": (
+        ChainError, lambda: ScanGrid(0, 1e-7, 2.5, 0, 1e-7, 3)),
+    "non-number grid range": (
+        ChainError, lambda: ScanGrid(0, "1e-7", 2, 0, 1e-7, 3)),
+    "nan friction": (
+        NonCoolingError, lambda: equilibrium_temperature(1.0, float("nan"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_raises_typed_error(case):
+    # each input once failed with an untyped error, a RuntimeWarning (an
+    # error under the suite's filterwarnings), a misleading error type or a
+    # NaN result
+    error, call = BAD_INPUTS[case]
+    with pytest.raises(error):
+        call()

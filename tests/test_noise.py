@@ -37,6 +37,20 @@ def lossless_chain(seed=0):
     )
 
 
+def two_absorber_chain():
+    return Chain(
+        elements=(
+            Scatterer.of(-1.0 + 0.2j),
+            Segment(1.3e-3),
+            Scatterer.of(-2.0),
+            Segment(0.9e-3),
+            Scatterer.of(-0.5 + 0.35j),
+        ),
+        mobile_index=2,
+        k0=K0,
+    )
+
+
 class TestOperatorFields:
     def test_empty_chain_unit_commutator(self):
         chain = Chain(elements=(Scatterer.of(0.0),), mobile_index=0, k0=K0)
@@ -74,13 +88,16 @@ class TestOperatorFields:
         assert ops.basis.labels[2] == "loss_0"
 
     def test_absorber_defect_without_loss_modes(self):
+        # the loss-mode column is always in the basis; the two pump columns
+        # alone break the out-commutators
         chain = Chain(
             elements=(Scatterer.of(-1.0 + 0.1j),), mobile_index=0, k0=K0
         )
-        ops = operator_fields(chain)  # loss modes not attached
+        ops = operator_fields(chain)
+        assert ops.basis.labels == ("pump_left", "pump_right", "loss_0")
         comm = OperatorFields.commutator
-        total = (comm(ops.out_left_vec, ops.out_left_vec)
-                 + comm(ops.out_right_vec, ops.out_right_vec)).real
+        total = (comm(ops.out_left_vec[:2], ops.out_left_vec[:2])
+                 + comm(ops.out_right_vec[:2], ops.out_right_vec[:2])).real
         assert total < 2.0 - 1e-3
 
     def test_absorber_restored_with_loss_modes(self):
@@ -105,19 +122,7 @@ class TestOperatorFields:
         )
 
     def test_two_absorbers_two_loss_modes_identity_outputs(self):
-        chain = attach_loss_modes(
-            Chain(
-                elements=(
-                    Scatterer.of(-1.0 + 0.2j),
-                    Segment(1.3e-3),
-                    Scatterer.of(-2.0),
-                    Segment(0.9e-3),
-                    Scatterer.of(-0.5 + 0.35j),
-                ),
-                mobile_index=2,
-                k0=K0,
-            )
-        )
+        chain = attach_loss_modes(two_absorber_chain())
         ops = operator_fields(chain)
         assert ops.basis.size == 4
         comm = OperatorFields.commutator
@@ -128,6 +133,25 @@ class TestOperatorFields:
     def test_attach_on_lossless_chain_is_identity(self):
         chain = lossless_chain(1)
         assert attach_loss_modes(chain) is chain
+
+    def test_absorptive_chain_full_basis_without_attach(self):
+        # the full basis needs no preparation of the chain: unitary outputs,
+        # and D at the value the loss modes give (2.19e-36 N^2 s; the two
+        # pump columns alone give 1.41e-36, 36% low)
+        chain = two_absorber_chain()
+        assert attach_loss_modes(chain) is chain  # it only checks passivity
+        ops = operator_fields(chain)
+        assert ops.basis.labels == ("pump_left", "pump_right", "loss_0", "loss_4")
+        outs = np.array([ops.out_left_vec, ops.out_right_vec])
+        np.testing.assert_allclose(outs @ outs.conj().T, np.eye(2), atol=1e-10)
+        fields = solve_static(chain, PUMP)
+        d_coeff = diffusion(fields, ops, chain.mobile.pol, K0)
+        assert d_coeff == pytest.approx(2.1913650600350888e-36, rel=1e-12)
+        pump_only = OperatorFields(ops.basis, *(
+            v[:2] for v in (ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec,
+                            ops.out_left_vec, ops.out_right_vec)))
+        assert diffusion(fields, pump_only, chain.mobile.pol, K0) == pytest.approx(
+            1.4068394025183412e-36, rel=1e-12)
 
 
 def gram_diffusion(fields, ops, k0):

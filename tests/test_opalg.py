@@ -5,7 +5,7 @@ import pytest
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
 from tmmcavity.opalg import VOMatrix, moving_scatterer_matrix, vo_mul
-from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment, factorize
+from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment, _side_jets
 from tmmcavity.dynamics import force_with_velocity, solve_dynamic
 from tmmcavity.errors import TmmCavityError, WavenumberError
 
@@ -31,7 +31,7 @@ def part(jet_at, name):
 def segment_jet(d, k):
     """Production jet of a lone segment: the left factor of a chain."""
     chain = Chain(elements=(Segment(d), Scatterer.of(-1.0)), mobile_index=1, k0=k)
-    return factorize(chain).m1
+    return _side_jets(chain)[0]
 
 
 class TestJetDerivatives:
