@@ -24,6 +24,7 @@ matrices it needs itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -56,6 +57,8 @@ class Polarisability:
     zeta: complex
 
     def __post_init__(self):
+        if not isinstance(self.zeta, numbers.Complex):
+            raise PassivityError(f"polarisability must be a number, got {self.zeta!r}")
         z = complex(self.zeta)
         object.__setattr__(self, "zeta", z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -101,7 +104,8 @@ class Segment:
     length: float
 
     def __post_init__(self):
-        if not math.isfinite(self.length) or self.length < 0:
+        if (not isinstance(self.length, numbers.Real) or not math.isfinite(self.length)
+                or self.length < 0):
             raise ChainError(f"segment length must be finite and >= 0, got {self.length}")
 
 
@@ -120,21 +124,25 @@ class Chain:
     k0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+        try:
+            object.__setattr__(self, "elements", tuple(self.elements))
+        except TypeError:
+            raise ChainError(f"elements must be a sequence, got {self.elements!r}") from None
         if len(self.elements) == 0:
             raise ChainError("chain is empty")
         for el in self.elements:
             if not isinstance(el, (Scatterer, Segment)):
                 raise ChainError(f"unsupported element {el!r}")
-        if not (0 <= self.mobile_index < len(self.elements)):
+        if not (isinstance(self.mobile_index, numbers.Integral)
+                and 0 <= self.mobile_index < len(self.elements)):
             raise ChainError(
                 f"mobile_index {self.mobile_index} outside chain of "
                 f"{len(self.elements)} elements"
             )
         if not isinstance(self.elements[self.mobile_index], Scatterer):
             raise ChainError("the mobile element must be a scatterer")
-        if not (math.isfinite(self.k0) and self.k0 > 0):
-            raise ChainError(f"pump wavenumber must be positive, got {self.k0}")
+        if not (isinstance(self.k0, numbers.Real) and math.isfinite(self.k0) and self.k0 > 0):
+            raise ChainError(f"pump wavenumber must be a positive real, got {self.k0!r}")
 
     @property
     def mobile(self) -> Scatterer:

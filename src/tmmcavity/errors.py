@@ -6,7 +6,8 @@ class TmmCavityError(Exception):
 
 
 class PassivityError(TmmCavityError, ValueError):
-    """Polarisability with Im(zeta) < 0 (gain medium, unsupported)."""
+    """Polarisability that is not a finite number, or has Im(zeta) < 0
+    (gain medium, unsupported)."""
 
 
 class ChainError(TmmCavityError, ValueError):

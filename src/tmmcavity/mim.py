@@ -13,9 +13,9 @@ diffusion coefficient, and (in cooling regions) the equilibrium k_B T.
 
 The resonance overlay maps the analytic branch shifts dW(x) onto detuning
 through dLc = anchor + lambda/4 - (Lc/omega0) * dW(x)  (mod lambda/2), with
-the anchor measured from the bare cavity of the same configuration, which
-absorbs both the arbitrary Lc mod lambda offset and the end-mirror
-reflection phase.
+the anchor the resonance peak of the bare cavity of the same configuration
+(exact for its two thin mirrors), which absorbs both the arbitrary
+Lc mod lambda offset and the end-mirror reflection phase.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .constants import c as C_LIGHT
 from .dynamics import _first_order, _velocity_force, force_with_velocity, solve_dynamic
 from .elements import (
     Chain,
+    Polarisability,
     PumpSpec,
     Scatterer,
     Segment,
@@ -426,95 +427,55 @@ def scan(config: MimConfig, grid: ScanGrid) -> ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def _bare_buildup(config: MimConfig, dlc: float) -> float:
-    """Travelling-wave intensity at the membrane plane of the bare cavity.
-
-    The zeta = 0 membrane is a transparent probe; the rightward amplitude
-    magnitude is position-independent, which makes the linewidth
-    measurement insensitive to where the probe sits.
-    """
-    bare = config.replace(membrane_zeta=0.0)
-    chain = build_mim(bare, 0.0, dlc)
-    fields = solve_static(chain, pump_for(bare))
-    return abs(fields.B0f) ** 2
-
-
-def _bare_seed(config: MimConfig) -> tuple[float, float]:
-    """Analytic (dlc_guess, width_guess) of the bare resonance.
-
-    Round-trip phase and two-mirror finesse; they only seed the searches.
-    """
-    lam = config.wavelength
-    k0 = config.k0
-    rm = Scatterer.of(config.mirror_zeta).pol.reflectivity
-    if rm == 0:
+def _bare_mirror(config: MimConfig) -> Polarisability:
+    """End-mirror polarisability of the bare cavity; CalibrationError if the
+    mirrors reflect nothing."""
+    pol = Polarisability(config.mirror_zeta)
+    if pol.reflectivity == 0:
         raise CalibrationError(
             "mirror_zeta = 0 makes the end mirrors transparent: the bare "
             "cavity has no resonance to calibrate against"
         )
-    # round-trip phase 2 k0 (Lc + dlc) + 2 arg(r_m) = 0 mod 2 pi
-    phase = 2 * k0 * config.cavity_length + 2 * np.angle(rm)
-    dlc_guess = (-phase % (2 * math.pi)) / (2 * k0)
-    dlc_guess = (dlc_guess + lam / 4) % (lam / 2) - lam / 4
-    big_r = abs(rm) ** 2
-    finesse = math.pi * math.sqrt(big_r) / (1 - big_r)
-    return dlc_guess, (lam / 2) / finesse
+    return pol
 
 
 def bare_peak(config: MimConfig) -> float:
-    """Detuning dlc of the bare cavity's resonance peak, measured on the chain.
+    """Detuning dlc of the bare cavity's resonance peak, in [-lambda/4, lambda/4).
 
-    The analytic round-trip phase only seeds a bounded search of the
-    computed intensity profile, so the position stays self-consistent for
-    any mirror polarisability.  Raises CalibrationError for transparent
-    mirrors.
+    With a transparent membrane the chain is a Fabry-Perot of two thin
+    mirrors over Lc + dlc.  Its buildup |t_m|^2 / |1 - r_m^2 e^{2i k0 (Lc + dlc)}|^2
+    peaks where the round-trip phase 2 k0 (Lc + dlc) + 2 arg(r_m) vanishes
+    mod 2 pi, i.e. at dlc = -Lc - arg(r_m) / k0 mod lambda/2; the peak
+    nearest dlc = 0 is returned.  Lc is reduced mod lambda/2 first (a float
+    remainder is exact), so no digits go to the many wavelengths in Lc.
+    Raises CalibrationError for transparent mirrors.
     """
-    from scipy.optimize import minimize_scalar
-
-    dlc_guess, width_guess = _bare_seed(config)
-    span = 6 * width_guess
-    res = minimize_scalar(
-        lambda d: -_bare_buildup(config, d),
-        bounds=(dlc_guess - span, dlc_guess + span),
-        method="bounded",
-        options={"xatol": width_guess * 1e-9},
-    )
-    return float(res.x)
+    rm = _bare_mirror(config).reflectivity
+    period = config.wavelength / 2
+    dlc = -config.cavity_length % period - np.angle(rm) / config.k0
+    return float((dlc + period / 2) % period - period / 2)
 
 
 def bare_resonance(config: MimConfig) -> tuple[float, float]:
-    """(dlc_res, fwhm_dlc) of the bare cavity, measured from the chain.
+    """(dlc_res, fwhm_dlc) of the bare cavity: `bare_peak` and the exact
+    full width at half maximum of the two-mirror Airy profile.
 
-    The peak comes from `bare_peak`; the full width at half maximum is
-    measured on the computed intensity profile rather than taken from
-    mirror formulas.  The profile repeats every lambda/2 in dlc, so each
-    half-maximum crossing is searched within lambda/4 of the peak; weak
-    mirrors whose contrast never falls to half the peak raise
-    CalibrationError.
+    The buildup falls to half its peak where 4R sin^2(k0 ddlc) = (1 - R)^2,
+    R = |r_m|^2, so fwhm_dlc = 2 asin((1 - R) / (2 sqrt R)) / k0, with
+    1 - R taken as |t_m|^2 = 1 / (1 + zeta_m^2) to keep strong mirrors'
+    digits.  Mirrors with R < 3 - 2 sqrt 2 (|mirror_zeta| below ~0.455)
+    never fall to half the peak and raise CalibrationError, as do
+    transparent mirrors.
     """
-    from scipy.optimize import brentq
-
-    _, width_guess = _bare_seed(config)
-    dlc_res = bare_peak(config)
-    half = _bare_buildup(config, dlc_res) / 2
-    reach = config.wavelength / 4
-
-    def crossing(sign: int) -> float:
-        dist = min(width_guess, reach)
-        while _bare_buildup(config, dlc_res + sign * dist) > half:
-            if dist >= reach:
-                raise CalibrationError(
-                    f"bare-cavity intensity never falls to half its peak "
-                    f"(mirror_zeta = {config.mirror_zeta}): the mirrors are "
-                    "too weak for a linewidth; use a larger |mirror_zeta|"
-                )
-            dist = min(dist + width_guess, reach)
-        b = dlc_res + sign * dist
-        return brentq(lambda d: _bare_buildup(config, d) - half,
-                      min(dlc_res, b), max(dlc_res, b), xtol=width_guess * 1e-9)
-
-    fwhm = crossing(+1) - crossing(-1)
-    return dlc_res, float(fwhm)
+    pol = _bare_mirror(config)
+    sin_half = abs(pol.transmissivity) ** 2 / (2 * abs(pol.reflectivity))
+    if sin_half > 1:
+        raise CalibrationError(
+            f"bare-cavity intensity never falls to half its peak "
+            f"(mirror_zeta = {config.mirror_zeta}): the mirrors are "
+            "too weak for a linewidth; use a larger |mirror_zeta|"
+        )
+    return bare_peak(config), 2 * math.asin(sin_half) / config.k0
 
 
 def overlay_base_curves(
@@ -523,7 +484,7 @@ def overlay_base_curves(
     """Resonance branch curves mapped to detuning (one fold each).
 
     dlc(x) = anchor + lambda/4 - (Lc/omega0) dW_branch(x); copies repeat
-    every lambda/2.  `anchor` defaults to the measured bare resonance peak.
+    every lambda/2.  `anchor` defaults to the bare resonance peak (`bare_peak`).
     """
     if anchor is None:
         anchor = bare_peak(config)
@@ -596,17 +557,18 @@ def coupled_cavity_force(
 class CoupledCalibration:
     params: CoupledCavityParams
     dlc_center: float  # detuning of the x = 0 degeneracy point
-    anchor: float      # measured bare resonance used for the overlay
+    anchor: float      # bare resonance peak used for the overlay
     fwhm_dlc: float
 
 
 def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     """Calibrate the coupled model against the same chain.
 
-    kappa_c comes from the measured bare-cavity half width (not from a
-    mirror formula), g from c|t|/Lc with |t|^2 = 1/(1 + zeta^2), and the
-    x = 0 degeneracy point from the midpoint of the two analytic branches,
-    anchored like the overlay.
+    kappa_c comes from the bare cavity's exact half width (`bare_resonance`:
+    the two-mirror Airy profile, not a finesse approximation), g from
+    c|t|/Lc with |t|^2 = 1/(1 + zeta^2), and the x = 0 degeneracy point
+    from the midpoint of the two analytic branches, anchored like the
+    overlay.
     """
     anchor, fwhm = bare_resonance(config)
     kappa_c = config.omega0 * (fwhm / 2) / config.cavity_length

@@ -219,6 +219,24 @@ def fd_friction(chain: Chain, pump, v_over_c: float = 1e-9,
     return flux_force_first_order(fields, chain.k0) / C_LIGHT
 
 
+def bare_intensity(config, dlc: float):
+    """|B0f|^2 at the membrane plane of the bare MIM chain (a transparent
+    membrane at x = 0) of a `MimConfig` under a unit pump, in 40-digit
+    mpmath, with k = 2 pi / lambda and the mirror gap Lc + dlc formed
+    exactly."""
+    with mpmath.workdps(40):
+        k = 2 * mpmath.pi / mpmath.mpf(config.wavelength)
+        z = mpmath.mpf(config.mirror_zeta)
+        mirror = (1 + 1j * z, 1j * z, -1j * z, 1 - 1j * z)
+        half_gap = (mpmath.mpf(config.cavity_length) + mpmath.mpf(dlc)) / 2
+        prop = (mpmath.expj(k * half_gap), 0, 0, mpmath.expj(-k * half_gap))
+        right = _mul(prop, mirror)  # membrane plane to the right face
+        m = _mul(_mul(mirror, prop), right)
+        b0, c0 = (1, 0) if config.pump_side == "left" else (0, 1)
+        out_right = (b0 - m[2] * c0) / m[3]
+        return abs(right[2] * c0 + right[3] * out_right) ** 2
+
+
 def random_static_vomatrix(rng, n_terms: int = 2):
     """Random static jets with k-dependent phase entries.
 

@@ -675,18 +675,36 @@ class TestTableOutput:
         assert sum(row[2] is None for row in doc["rows"]) == 9  # NaN is null
 
 
-def test_cli_import_loads_no_scipy():
-    """`import tmmcavity.cli` stays scipy-free: scipy is imported only by
-    the calibration, inside the commands that need it."""
+def test_cli_import_loads_no_scipy(tmp_path):
+    """`import tmmcavity.cli` and the `scan` and `compare` commands (the
+    bare-cavity calibration included) run with every scipy import blocked
+    and load no scipy module: numpy is the only run-time dependency."""
     import tmmcavity
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(tmmcavity.__file__)))
-    code = ("import sys, tmmcavity, tmmcavity.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = write(tmp_path / "run.ini", GOOD_RUN)
+    code = f"""
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError("blocked: " + name)
+
+sys.meta_path.insert(0, BlockScipy())
+import tmmcavity, tmmcavity.cli
+codes = [tmmcavity.cli.run([command, "--config", {path!r},
+                            "--grid=-0.2um,0.2um,5,-0.1um,0.1um,5",
+                            "--out", {str(tmp_path)!r} + "/" + command + ".csv"])
+         for command in ("scan", "compare")]
+print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    for command in ("scan", "compare"):
+        assert len((tmp_path / f"{command}.csv").read_text().splitlines()) == 26
 
 
 def test_every_exported_name_resolves():

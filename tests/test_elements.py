@@ -1,5 +1,6 @@
 """Element constructors, chain validation, side jets, conservation laws,
-typed failures at the pump, grid and temperature entry points."""
+typed failures at the element, chain, pump, grid and temperature entry
+points."""
 
 from dataclasses import replace
 
@@ -268,6 +269,20 @@ BAD_INPUTS = {
         ChainError, lambda: ScanGrid(0, "1e-7", 2, 0, 1e-7, 3)),
     "nan friction": (
         NonCoolingError, lambda: equilibrium_temperature(1.0, float("nan"))),
+    "non-integer mobile index": (
+        ChainError, lambda: Chain((Scatterer.of(-1.0),), 0.5, K0)),
+    "complex wavenumber": (
+        ChainError, lambda: Chain((Scatterer.of(-1.0),), 0, k0=1j)),
+    "string wavenumber": (
+        ChainError, lambda: Chain((Scatterer.of(-1.0),), 0, k0="1")),
+    "non-sequence elements": (
+        ChainError, lambda: Chain(5, 0, K0)),
+    "string segment length": (
+        ChainError, lambda: Segment("1e-3")),
+    "string polarisability": (
+        PassivityError, lambda: Scatterer.of("abc")),
+    "missing polarisability": (
+        PassivityError, lambda: Polarisability(None)),
 }
 
 

@@ -30,7 +30,7 @@ from tmmcavity.mim import (
 )
 from tmmcavity.statics import solve_static, static_force
 
-from helpers import singular_column, wall_clock_limit
+from helpers import bare_intensity, singular_column, wall_clock_limit
 
 LAM = 1.064e-6
 
@@ -411,6 +411,41 @@ class TestOverlay:
 
 
 class TestCalibration:
+    @pytest.mark.parametrize("mirror_zeta", [-0.2, -0.3, -0.7, -1.0, -2.0, -30.0])
+    def test_anchor_is_the_peak_nearest_zero(self, mirror_zeta):
+        """The anchor is the bare profile's peak in [-lambda/4, lambda/4):
+        a search window wider than the lambda/2 period once returned a
+        peak in another fold for |mirror_zeta| <= 1."""
+        cfg = MimConfig(mirror_zeta=mirror_zeta)
+        anchor = bare_peak(cfg)
+        assert -LAM / 4 <= anchor < LAM / 4
+        step = 1e-6 * LAM
+        peak = bare_intensity(cfg, anchor)
+        assert peak > bare_intensity(cfg, anchor - step)
+        assert peak > bare_intensity(cfg, anchor + step)
+
+    def test_closed_form_matches_the_chain(self):
+        """Peak and FWHM against a 40-digit evaluation of the bare chain,
+        over |mirror_zeta| in [0.46, 100], Lc in [10, 130] mm and both
+        pump sides: the anchor is the local maximum and the profile is at
+        half its peak at anchor +/- FWHM / 2."""
+        rng = np.random.default_rng(7)
+        configs = [MimConfig(cavity_length=lc, mirror_zeta=zm, pump_side=side)
+                   for zm, lc in ((-0.46, 10e-3), (100.0, 130e-3), (-100.0, 10e-3))
+                   for side in ("left", "right")]
+        configs += [MimConfig(cavity_length=rng.uniform(10e-3, 130e-3),
+                              mirror_zeta=rng.choice([-1, 1]) * 10 ** rng.uniform(
+                                  math.log10(0.46), 2),
+                              pump_side=rng.choice(["left", "right"]))
+                    for _ in range(24)]
+        for cfg in configs:
+            anchor, fwhm = bare_resonance(cfg)
+            peak = bare_intensity(cfg, anchor)
+            for sign in (-1, 1):
+                assert bare_intensity(cfg, anchor + sign * 1e-4 * fwhm) < peak, cfg
+                half = bare_intensity(cfg, anchor + sign * fwhm / 2) / peak
+                assert float(half) == pytest.approx(0.5, rel=1e-6), cfg
+
     @pytest.mark.parametrize("mirror_zeta", [-0.3, -0.05, 0.0])
     def test_weak_or_transparent_mirrors_raise_typed_error(self, mirror_zeta):
         # the contrast of a weak-mirror cavity never falls to half its peak,
