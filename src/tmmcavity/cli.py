@@ -42,9 +42,12 @@ from .config import (
     validate_report,
 )
 from .elements import PumpSpec, Scatterer, Segment, element_matrix
-from .errors import ConfigError, SingularSolveError, TmmCavityError
+from .errors import (
+    CalibrationError, ChainError, ConfigError, SingularSolveError, TmmCavityError,
+)
 from .mim import (
     ScanGrid,
+    bare_resonance,
     build_mim,
     compare_models,
     evaluate_chain,
@@ -307,6 +310,12 @@ def _cmd_validate(args) -> int:
     print("resolved configuration:")
     for line in cfg.resolved_lines():
         print("  " + line)
+    try:
+        bare_resonance(cfg.mim_config())
+    except CalibrationError as exc:  # no config error: `point` runs any mirror
+        print(f"warning: mim.mirror_zeta: {exc}")
+    except ChainError:
+        pass  # a bad [mim] value is among the problems
     if problems:
         print("problems:")
         for p in problems:

@@ -37,7 +37,7 @@ from .constants import c as C_LIGHT, hbar as HBAR
 
 from .elements import Chain, Polarisability, PumpSpec, _side_jets
 from .errors import SingularSolveError
-from .opalg import VOMatrix, _entries, _inverse_entries, moving_scatterer_matrix
+from .opalg import _entries, _inverse_entries, moving_scatterer_matrix
 from .statics import StaticFields, solve_static, static_force
 
 __all__ = ["FieldSet", "ForceReport", "solve_dynamic", "force_with_velocity"]
@@ -89,20 +89,18 @@ class ForceReport:
     friction: float
 
 
-def _first_order(comp: VOMatrix, m1: VOMatrix, k0: float,
-                 B0: complex, C0: complex, A0, B0f, z: complex) -> tuple:
-    """(A1, B1, C1, D1, out_left1, out_right1) from the composed jet and
-    the jet M1 of the chain's left side.
+def _first_order(comp: tuple, side: tuple, B0: complex, C0: complex,
+                 A0, B0f, z: complex) -> tuple:
+    """(A1, B1, C1, D1, out_left1, out_right1) from the entry tuples of the
+    composed jet's a, a', b, c, c' (`comp`) and of the chain's left side
+    M1 and its k-derivative (`side`).
 
     A0 and B0f are the zeroth-order left-face fields.  Plain elementwise
-    arithmetic: jets of one chain give numpy scalars, jets of a grid
-    ((N, 2, 2) stacks) give (N,) arrays.
+    arithmetic: entries of one chain give numpy scalars, (P,) arrays of a
+    grid give (P,) arrays.
     """
-    g0, a0, d0_, b0 = _entries(comp.static_at(k0))
-    _, da0, _, db0 = _entries(comp.static_deriv_at(k0))
-    gb, ab, db_, bb = _entries(comp.first_scalar_at(k0))
-    gc, ac, dc_, bc = _entries(comp.first_deriv_at(k0))
-    dgc, dac, ddc, dbc = _entries(comp.first_deriv_deriv_at(k0))
+    ((g0, a0, d0_, b0), (_, da0, _, db0), (gb, ab, db_, bb), (gc, ac, dc_, bc),
+     (dgc, dac, ddc, dbc)) = comp
 
     d_out0 = (B0 - d0_ * C0) / b0
     q = -(C0 * dc_ + d_out0 * bc) / b0
@@ -112,8 +110,8 @@ def _first_order(comp: VOMatrix, m1: VOMatrix, k0: float,
     al1 = C0 * (gb - dgc) + d_out0 * (ab - dac) + a0 * p - da0 * q
     alt = C0 * gc + d_out0 * ac + a0 * q
 
-    mu11, _, mu21, _ = _inverse_entries(m1.static_at(k0))
-    dmu11, _, dmu21, _ = _inverse_entries(m1.static_deriv_at(k0))
+    mu11, _, mu21, _ = _inverse_entries(side[0])
+    dmu11, _, dmu21, _ = _inverse_entries(side[1])
 
     A1 = mu11 * al1 - dmu11 * alt
     B1 = mu21 * al1 - dmu21 * alt
@@ -149,8 +147,12 @@ def solve_dynamic(chain: Chain, pump: PumpSpec) -> FieldSet:
     st = solve_static(chain, pump)
     m1, m2 = _side_jets(chain)
     comp = m1 @ moving_scatterer_matrix(chain.mobile.pol, k0) @ m2
+    entries = tuple(_entries(f(k0)) for f in (
+        comp.static_at, comp.static_deriv_at, comp.first_scalar_at,
+        comp.first_deriv_at, comp.first_deriv_deriv_at))
+    side = (_entries(m1.static_at(k0)), _entries(m1.static_deriv_at(k0)))
     A1, B1, C1, D1, al1, p = _first_order(
-        comp, m1, k0, complex(pump.B0), complex(pump.C0),
+        entries, side, complex(pump.B0), complex(pump.C0),
         st.A0, st.B0f, chain.mobile.pol.zeta,
     )
     for val in (A1, B1, al1, p):

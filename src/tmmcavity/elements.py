@@ -214,19 +214,8 @@ def scatterer_matrix(pol: Polarisability) -> np.ndarray:
     return np.array([[1 + 1j * z, 1j * z], [-1j * z, 1 - 1j * z]], dtype=complex)
 
 
-def propagation_matrix(k: float, d) -> np.ndarray:
-    """Free-propagation matrix diag(e^{ikd}, e^{-ikd}); unit determinant.
-
-    A numpy array of lengths gives the stack of their matrices, shape
-    (N, 2, 2).
-    """
-    if isinstance(d, np.ndarray) and d.ndim:
-        if not np.all(np.isfinite(d)) or np.any(d < 0):
-            raise ChainError("propagation lengths must be finite and >= 0")
-        m = np.zeros(d.shape + (2, 2), dtype=complex)
-        m[..., 0, 0] = np.exp(1j * k * d)
-        m[..., 1, 1] = np.exp(-1j * k * d)
-        return m
+def propagation_matrix(k: float, d: float) -> np.ndarray:
+    """Free-propagation matrix diag(e^{ikd}, e^{-ikd}); unit determinant."""
     if d < 0 or not math.isfinite(d):
         raise ChainError(f"propagation length must be finite and >= 0, got {d}")
     return np.array(

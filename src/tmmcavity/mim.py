@@ -34,12 +34,11 @@ from .elements import (
     PumpSpec,
     Scatterer,
     Segment,
-    propagation_matrix,
     scatterer_matrix,
 )
 from .errors import CalibrationError, ChainError, SingularSolveError
 from .noise import _diffusion, _kbt, diffusion, operator_fields
-from .opalg import VOMatrix, _mm, moving_scatterer_matrix
+from .opalg import _add, _entries, _mul, moving_scatterer_matrix
 from .statics import _static_force, _static_solution, resonance_shifts, solve_static
 
 __all__ = [
@@ -246,8 +245,11 @@ def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
 
 
 # Grid points per vectorised block: enough to amortise numpy's per-call
-# overhead, few enough to keep the block's jets at a few hundred kilobytes.
-_BLOCK_POINTS = 256
+# overhead, few enough to keep each (P,) entry array at 16 KiB.  Stay
+# below 16384 points: from 256 KiB on, numpy writes `x * np.conj(y)` into
+# its temporary operand, and that in-place complex product rounds
+# differently in the last bits, so the output would depend on the block size.
+_BLOCK_POINTS = 1024
 
 
 def _grid_points(grid: ScanGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -256,91 +258,77 @@ def _grid_points(grid: ScanGrid) -> tuple[np.ndarray, np.ndarray]:
             np.tile(grid.dlc_values, grid.x_count))
 
 
-@dataclass(frozen=True)
-class _StaticStage:
-    """Static solve of a block of MIM chains, one per pair of gap lengths.
+def _static_stage(config: MimConfig, pump: PumpSpec, left, right) -> tuple:
+    """Static fields and force of a block of MIM chains, one per pair of
+    (P,) gap lengths, composed like `solve_static` on entry tuples.
 
-    `m1` = mirror P(left) and `m2` = P(right) mirror are the chain's two
-    sides around the membrane and `m` the composed matrix;
-    `fields` are `_static_solution`'s (A0, B0f, C0f, D0f, out_left,
-    out_right).  `singular` marks points whose solve divides by zero or
-    does not stay finite; every later stage reads it.
+    Returns (F0, singular, parts).  `singular` marks points whose solve
+    divides by zero or does not stay finite; every later stage reads it.
+    `parts` = (left, right, p_left, p_right, m1, m1s, m2, m, fields): the
+    gaps and their propagation entries, the sides m1 = mirror P(left) and
+    m2 = P(right) mirror around the membrane, m1s = m1 times the membrane,
+    the composed matrix m and `_static_solution`'s fields.
     """
-
-    left: np.ndarray
-    right: np.ndarray
-    p_left: np.ndarray
-    p_right: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    m: np.ndarray
-    fields: tuple
-    F0: np.ndarray
-    singular: np.ndarray
-
-
-def _static_stage(config: MimConfig, pump: PumpSpec, left, right) -> _StaticStage:
-    """Static fields and force over arrays of gap lengths, composed like
-    `solve_static`."""
     k0 = config.k0
     z = complex(config.membrane_zeta)
-    mirror = scatterer_matrix(config.mirror_zeta)
-    p_left, p_right = propagation_matrix(k0, left), propagation_matrix(k0, right)
-    m1, m2 = _mm(mirror, p_left), _mm(p_right, mirror)
+    mirror = _entries(scatterer_matrix(config.mirror_zeta))
+    p_left = (np.exp(1j * k0 * left), None, None, np.exp(-1j * k0 * left))
+    p_right = (np.exp(1j * k0 * right), None, None, np.exp(-1j * k0 * right))
+    m1, m2 = _mul(mirror, p_left), _mul(p_right, mirror)
     # singular points divide by zero or overflow; the mask below marks them
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m = _mm(_mm(m1, scatterer_matrix(config.membrane_zeta)), m2)
+        m1s = _mul(m1, _entries(scatterer_matrix(config.membrane_zeta)))
+        m = _mul(m1s, m2)
         fields = _static_solution(m, m1, complex(pump.B0), complex(pump.C0), z)
         f0 = _static_force(fields[0], fields[1], z, k0)
-    singular = (m[:, 1, 1] == 0) | ~np.isfinite(f0)
-    return _StaticStage(left, right, p_left, p_right, m1, m2, m, fields, f0, singular)
+    singular = (m[3] == 0) | ~np.isfinite(f0)
+    return f0, singular, (left, right, p_left, p_right, m1, m1s, m2, m, fields)
 
 
-def _propagation_deriv(d: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """k-derivative diag(i d, -i d) P of a stack of propagation matrices."""
-    dp = np.zeros_like(p)
-    dp[:, 0, 0] = 1j * d * p[:, 0, 0]
-    dp[:, 1, 1] = -1j * d * p[:, 1, 1]
-    return dp
-
-
-def _stack_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[X, Y^dag] for each point of (N, modes) coefficient stacks."""
-    return (x * np.conj(y)).sum(axis=-1)
-
-
-def _dynamic_stage(config: MimConfig, pump: PumpSpec, st: _StaticStage) -> np.ndarray:
-    """(intensity, F0, dFdv, D, kBT) of `evaluate_chain` as a (5, N) array
+def _dynamic_stage(config: MimConfig, pump: PumpSpec, static: tuple) -> np.ndarray:
+    """(intensity, F0, dFdv, D, kBT) of `evaluate_chain` as a (5, P) array
     for the points of a static stage; NaN marks singular points.
 
-    The first-order jets of the two sides are the stage's m1 and m2 with
-    their k-derivatives mirror dP(left) and dP(right) mirror.  The MIM is
-    lossless, so the noise columns are the static fields at the two unit
-    pumps, from the stage's composed matrix.
+    The composed jet is the static side m1, the moving membrane's jet and
+    the side m2, with k-derivatives mirror dP(left) and dP(right) mirror,
+    dP = diag(i d, -i d) P.  The MIM is lossless, so the noise columns are
+    the static fields at the two unit pumps, from the composed matrix.
     """
+    f0, singular, (left, right, p_left, p_right, m1, m1s, m2, m, fields) = static
     k0 = config.k0
     z = complex(config.membrane_zeta)
-    mirror = scatterer_matrix(config.mirror_zeta)
-    dm1 = _mm(mirror, _propagation_deriv(st.left, st.p_left))
-    dm2 = _mm(_propagation_deriv(st.right, st.p_right), mirror)
-    m1 = VOMatrix(k0, st.m1, dm1)
-    comp = m1 @ moving_scatterer_matrix(z, k0) @ VOMatrix(k0, st.m2, dm2)
-    A0, B0f, C0f, D0f, _, _ = st.fields
-    out = np.empty((5, st.m.shape[0]))
+    mirror = _entries(scatterer_matrix(config.mirror_zeta))
+    dm1 = _mul(mirror, (1j * left * p_left[0], None, None, -1j * left * p_left[3]))
+    dm2 = _mul((1j * right * p_right[0], None, None, -1j * right * p_right[3]), mirror)
+    # vo_mul's formulas without their zero terms: the sides are static, the
+    # membrane has a' = b = 0 and its Doppler terms c, c' sit off the diagonal
+    ms = moving_scatterer_matrix(z, k0)
+    c_ms = (None, ms.c[0, 1], ms.c[1, 0], None)
+    dc_ms = (None, ms.dc[0, 1], ms.dc[1, 0], None)
+    da_l = _mul(dm1, _entries(ms.a))
+    c_l = _mul(m1, c_ms)
+    dc_l = _add(_mul(dm1, c_ms), _mul(m1, dc_ms))
+    c_dm2 = _mul(c_l, dm2)
+    comp = (m, _add(_mul(da_l, m2), _mul(m1s, dm2)), c_dm2, _mul(c_l, m2),
+            _add(_mul(dc_l, m2), c_dm2))
+    A0, B0f, C0f, D0f, _, _ = fields
+    out = np.empty((5, m[0].size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        A1, B1, _, _, _, _ = _first_order(comp, m1, k0,
-                                          complex(pump.B0), complex(pump.C0), A0, B0f, z)
+        A1, B1, _, _, _, _ = _first_order(comp, (m1, dm1), complex(pump.B0),
+                                          complex(pump.C0), A0, B0f, z)
         out[0] = abs(A0 + B0f) ** 2
-        out[1] = st.F0
+        out[1] = f0
         out[2] = _velocity_force(A0, A1, B0f, B1, z, k0) / C_LIGHT
         if z == 0:
             out[3] = 0.0  # nothing scatters, no momentum kicks
         else:
-            unit_left = _static_solution(st.m, st.m1, 1.0, 0.0, z)
-            unit_right = _static_solution(st.m, st.m1, 0.0, 1.0, z)
-            vecs = [np.stack([unit_left[i], unit_right[i]], axis=-1) for i in range(4)]
-            out[3] = _diffusion(A0, B0f, C0f, D0f, *vecs, _stack_commutator, k0)
-        singular = st.singular | ~np.isfinite(out[:4]).all(axis=0)
+            unit_left = _static_solution(m, m1, 1.0, 0.0, z)
+            unit_right = _static_solution(m, m1, 0.0, 1.0, z)
+            out[3] = _diffusion(A0, B0f, C0f, D0f,
+                                *((unit_left[i], unit_right[i]) for i in range(4)),
+                                lambda x, y: x[0] * np.conj(y[0]) + x[1] * np.conj(y[1]),
+                                k0)
+        singular = singular | ~np.isfinite(out[:4]).all(axis=0)
     out[:4, singular] = np.nan
     out[4] = _kbt(out[3], out[2])
     return out
@@ -350,6 +338,8 @@ def _grid_stages(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish) -> n
     """`finish(config, pump, static_stage)` over the points (x, dlc), one
     block of points at a time, joined along the last axis."""
     left, right = _gaps(config, x, dlc)
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        raise ChainError("propagation lengths must be finite and >= 0")
     pump = pump_for(config)
     return np.concatenate([
         finish(config, pump, _static_stage(config, pump, left[start:start + _BLOCK_POINTS],
@@ -641,7 +631,7 @@ def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
     cal = calibrate_coupled_params(config)
     x, dlc = _grid_points(grid)
     tmm = _grid_stages(config, x, dlc,
-                       lambda config, pump, st: np.where(st.singular, np.nan, st.F0))
+                       lambda config, pump, st: np.where(st[1], np.nan, st[0]))
 
     delta = config.omega0 * (dlc - cal.dlc_center) / config.cavity_length
     cc = coupled_cavity_force(cal.params, -x, delta, config.k0)

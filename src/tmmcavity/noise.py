@@ -157,7 +157,7 @@ def _diffusion(a0, b0, c0, d0, av, bv, cv, dv, comm, k0: float):
     their operator vectors av..dv, with [X, Y^dag] = comm(x_vec, y_vec).
 
     Plain elementwise arithmetic, so one chain and a whole grid of chains
-    (arrays of fields, stacked vectors) share it.
+    (arrays of fields, per-mode tuples of arrays) share it.
     """
     total = (
         abs(a0) ** 2 * comm(av, av).real

@@ -18,14 +18,13 @@ composition can ever produce second-order terms.  Jets are immutable by
 convention (their arrays are never written after construction) and safe to
 share between threads.
 
-Every array of a jet is either one 2x2 matrix or a stack of shape (N, 2, 2),
-one matrix per point of a batch (a scan grid, say); a single matrix
-broadcasts against a stack, so fixed elements need no copies.
+Every array of a jet is one 2x2 matrix.  A batch of chains (a scan grid,
+say) is composed instead on entry tuples (m11, m12, m21, m22) of (P,)
+arrays, with None for a structurally zero entry (`_mul`), so each product
+skips the terms known to vanish.
 """
 
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -41,35 +40,39 @@ _ZERO = np.zeros((2, 2), dtype=complex)
 _ZERO.flags.writeable = False
 
 
-def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """2x2 matrix product, entrywise over a leading batch axis.
+def _dot(x1, y1, x2, y2):
+    """x1 y1 + x2 y2, a None factor dropping its term; None if both drop."""
+    t1 = None if x1 is None or y1 is None else x1 * y1
+    t2 = None if x2 is None or y2 is None else x2 * y2
+    return t2 if t1 is None else t1 if t2 is None else t1 + t2
 
-    A single pair goes through `@`; for stacks the four written-out entries
-    are ~10x faster than `np.matmul` on (N, 2, 2).
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """2x2 product of entry tuples, None being a structural zero.
+
+    Every non-zero term is summed in the order of the written-out product,
+    so the result equals the dense one bit for bit.
     """
-    if x.ndim == 2 and y.ndim == 2:
-        return x @ y
-    x11, x12, x21, x22 = x[..., 0, 0], x[..., 0, 1], x[..., 1, 0], x[..., 1, 1]
-    y11, y12, y21, y22 = y[..., 0, 0], y[..., 0, 1], y[..., 1, 0], y[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    out[..., 0, 0] = x11 * y11 + x12 * y21
-    out[..., 0, 1] = x11 * y12 + x12 * y22
-    out[..., 1, 0] = x21 * y11 + x22 * y21
-    out[..., 1, 1] = x21 * y12 + x22 * y22
-    return out
+    x11, x12, x21, x22 = x
+    y11, y12, y21, y22 = y
+    return (_dot(x11, y11, x12, y21), _dot(x11, y12, x12, y22),
+            _dot(x21, y11, x22, y21), _dot(x21, y12, x22, y22))
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    """Entrywise sum of entry tuples free of None."""
+    return tuple(u + v for u, v in zip(x, y))
 
 
 def _entries(m: np.ndarray) -> tuple:
-    """(m11, m12, m21, m22): numpy scalars of one matrix, (N,) arrays of a stack."""
-    if m.ndim == 2:
-        return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    """(m11, m12, m21, m22) of one 2x2 matrix, as numpy scalars."""
+    return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
 
 
-def _inverse_entries(m: np.ndarray) -> tuple:
-    """`_entries` of adj(m): m^-1 for unit-determinant m, and, adj being
+def _inverse_entries(m: tuple) -> tuple:
+    """Entry tuple of adj(m): m^-1 for unit-determinant m, and, adj being
     linear, the k-derivative of that inverse when m is the derivative."""
-    m11, m12, m21, m22 = _entries(m)
+    m11, m12, m21, m22 = m
     return m22, -m12, -m21, m11
 
 
@@ -149,22 +152,20 @@ def vo_mul(left: VOMatrix, right: VOMatrix) -> VOMatrix:
     """
     left._check(right.k)
     a1, da1, a2, da2 = left.a, left.da, right.a, right.da
-    # a jet's first-order parts never have more axes than its static part
-    mm = operator.matmul if a1.ndim == a2.ndim == 2 else _mm
-    a = mm(a1, a2)
-    da = mm(da1, a2) + mm(a1, da2)
+    a = a1 @ a2
+    da = da1 @ a2 + a1 @ da2
     if left.is_static and right.is_static:
         return VOMatrix(left.k, a, da)
     b1, c1, dc1 = left.b, left.c, left.dc
     b2, c2, dc2 = right.b, right.c, right.dc
-    c1_da2 = mm(c1, da2)
+    c1_da2 = c1 @ da2
     return VOMatrix(
         left.k,
         a,
         da,
-        b=mm(b1, a2) + c1_da2 + mm(a1, b2),
-        c=mm(c1, a2) + mm(a1, c2),
-        dc=mm(dc1, a2) + c1_da2 + mm(da1, c2) + mm(a1, dc2),
+        b=b1 @ a2 + c1_da2 + a1 @ b2,
+        c=c1 @ a2 + a1 @ c2,
+        dc=dc1 @ a2 + c1_da2 + da1 @ c2 + a1 @ dc2,
     )
 
 

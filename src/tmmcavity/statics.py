@@ -65,14 +65,15 @@ def _check_transmission_channel(b0: complex, k: float):
         )
 
 
-def _static_solution(m, m1, B0: complex, C0: complex, z: complex) -> tuple:
-    """(A0, B0f, C0f, D0f, out_left, out_right) from the composed matrix m
-    and the left side M1 of the chain.
+def _static_solution(m: tuple, m1: tuple, B0: complex, C0: complex, z: complex) -> tuple:
+    """(A0, B0f, C0f, D0f, out_left, out_right) from the entry tuples of the
+    composed matrix m and of the left side M1 of the chain.
 
-    Plain elementwise arithmetic: one chain passes 2x2 matrices and gets
-    numpy scalars, a grid passes (N, 2, 2) stacks and gets (N,) arrays.
+    Plain elementwise arithmetic: one chain passes the `_entries` of its
+    2x2 matrices and gets numpy scalars, a grid passes (P,) arrays and gets
+    (P,) arrays.
     """
-    g, a, d, b = _entries(m)
+    g, a, d, b = m
     mu11, mu12, mu21, mu22 = _inverse_entries(m1)
     d_out = (B0 - d * C0) / b
     a_out = g * C0 + a * d_out
@@ -109,7 +110,7 @@ def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
         m = m1 @ ms @ m2
     _check_transmission_channel(m[1, 1], k0)
     A0, B0f, C0f, D0f, a_out, d_out = _static_solution(
-        m, m1, complex(pump.B0), complex(pump.C0), chain.mobile.pol.zeta
+        _entries(m), _entries(m1), complex(pump.B0), complex(pump.C0), chain.mobile.pol.zeta
     )
 
     for val in (A0, B0f, d_out, a_out):

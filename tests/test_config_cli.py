@@ -20,8 +20,16 @@ from tmmcavity.config import (
     validate_report,
 )
 from tmmcavity.elements import PumpSpec, Scatterer, element_matrix
-from tmmcavity.errors import ConfigError
-from tmmcavity.mim import ScanGrid, compare_models, evaluate_chain, point_quantities, scan
+from tmmcavity.errors import CalibrationError, ConfigError
+from tmmcavity.mim import (
+    MimConfig,
+    ScanGrid,
+    bare_resonance,
+    compare_models,
+    evaluate_chain,
+    point_quantities,
+    scan,
+)
 from tmmcavity.statics import couplings, resonance_shifts
 
 from helpers import singular_column
@@ -197,6 +205,29 @@ class TestCliCommands:
         assert code == 0
         assert "configuration OK" in out
         assert "mirror_zeta" in out  # resolved config echoed
+
+    @pytest.mark.parametrize("mirror_zeta, warned", [("-0.3", True), ("0", True),
+                                                     ("-30", False)])
+    def test_validate_warns_when_compare_cannot_calibrate(self, tmp_path, capsys,
+                                                          mirror_zeta, warned):
+        """Mirrors too weak for the bare-cavity calibration pass `validate`
+        (exit 0: `point` runs them) with one warning line naming
+        mim.mirror_zeta and carrying `bare_resonance`'s message, and
+        `compare` then fails on them."""
+        path = write(tmp_path / "run.ini",
+                     GOOD_RUN.replace("mirror_zeta = -3.0", f"mirror_zeta = {mirror_zeta}"))
+        assert cli.run(["validate", "--config", path]) == 0
+        out = capsys.readouterr().out
+        warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+        assert "configuration OK" in out
+        if warned:
+            with pytest.raises(CalibrationError) as exc:
+                bare_resonance(MimConfig(mirror_zeta=float(mirror_zeta)))
+            assert warnings == [f"warning: mim.mirror_zeta: {exc.value}"]
+        else:
+            assert warnings == []
+        code = cli.run(["compare", "--config", path, "--out", str(tmp_path / "c.csv")])
+        assert code == (2 if warned else 0)
 
     def test_validate_reports_all_problems(self, tmp_path, capsys):
         bad = GOOD_RUN.replace("membrane_x = 50nm", "membrane_x = 2128nm")

@@ -96,7 +96,7 @@ class TestFieldSet:
             original = getattr(module, name)
 
             def wrapper(m, *args):
-                seen[name] = m.static_at(K0) if name == "_first_order" else m
+                seen[name] = m[0] if name == "_first_order" else m  # entries of a
                 return original(m, *args)
 
             monkeypatch.setattr(module, name, wrapper)

@@ -20,7 +20,7 @@ from tmmcavity.elements import (
 from tmmcavity.errors import ChainError, NonCoolingError, PassivityError
 from tmmcavity.mim import MimConfig, ScanGrid, build_mim, evaluate_chain
 from tmmcavity.noise import equilibrium_temperature
-from tmmcavity.opalg import _inverse_entries, moving_scatterer_matrix, vo_mul
+from tmmcavity.opalg import _entries, _inverse_entries, moving_scatterer_matrix, vo_mul
 from tmmcavity.statics import solve_static
 
 from helpers import compose
@@ -127,7 +127,7 @@ class TestPumpSpec:
 
 def inverse(m):
     """m^-1 as a 2x2 array, read through `_inverse_entries`."""
-    return np.array(_inverse_entries(m)).reshape(2, 2)
+    return np.array(_inverse_entries(_entries(m))).reshape(2, 2)
 
 
 class TestFactorize:
@@ -205,9 +205,9 @@ class TestFactorize:
         dprod = inverse(dm1) @ m1 + mu @ dm1
         deriv_scale = 1.7e-3 * np.max(np.abs(m1))  # segment length x |m1|
         np.testing.assert_allclose(dprod, 0, atol=1e-12 * deriv_scale)
-        # a stack of matrices gives the entries of each inverse
+        # entry tuples of (P,) arrays give the entries of each inverse
         stack = np.stack([m1, dm1, np.eye(2)])
-        for i, entry in enumerate(_inverse_entries(stack)):
+        for i, entry in enumerate(_inverse_entries(tuple(stack.reshape(-1, 4).T))):
             np.testing.assert_array_equal(
                 entry, [inverse(m).flat[i] for m in stack]
             )

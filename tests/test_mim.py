@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import tmmcavity.mim as mim
 from tmmcavity import cli
 from tmmcavity.elements import Segment
 from tmmcavity.errors import CalibrationError, ChainError
@@ -345,10 +346,28 @@ class TestGridEngine:
                     else:
                         assert got is not None and got == cell, q
 
+    def test_block_size_does_not_change_the_output(self, monkeypatch):
+        """A 129 x 129 grid (16641 points: several blocks and a ragged last
+        one) gives the same bits with the default block size and with
+        blocks of 97 points.  Blocks of 16384 points or more fail here:
+        from 256 KiB operands on, numpy computes some complex products in
+        place in a temporary, which rounds differently in the last bits."""
+        grid = ScanGrid(-LAM / 2, LAM / 2, 129, -LAM / 2, LAM / 2, 129)
+        default = scan(MimConfig(), grid)
+        monkeypatch.setattr(mim, "_BLOCK_POINTS", 97)
+        blocked = scan(MimConfig(), grid)
+        for q in default.QUANTITIES:
+            assert getattr(default, q).tobytes() == getattr(blocked, q).tobytes(), q
+
     def test_grid_outside_geometry_raises(self):
         grid = ScanGrid(-0.5 * LAM, 1.5 * LAM, 3, 0.0, 0.1 * LAM, 2)
         with pytest.raises(ChainError):
             scan(FAST, grid)
+
+    @pytest.mark.parametrize("x, dlc", [(math.nan, 0.0), (0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_point_raises(self, x, dlc):
+        with pytest.raises(ChainError, match="finite"):
+            point_quantities(FAST, x, dlc)
 
 
 class TestOverlay:
