@@ -10,11 +10,15 @@ Subcommands:
   validate   check a configuration and print it fully resolved
 
 All numeric output is written with 17 significant digits so values
-round-trip exactly.  Output files are written atomically (temp file plus
-rename); a failed run never leaves a partial file behind.  Scans are
-deterministic: the same configuration produces byte-identical output for
-any `--workers` value (accepted for compatibility; scans are vectorised and
-run in one process).
+round-trip exactly.  A CSV table holds the bytes of `'%.17g' % v` for
+each cell (NaN empty), but `_g17.g17` formats a whole block of float
+cells in numpy and leaves to Python's `%` only the values whose rounding
+it cannot decide for certain and the nonzero values outside [1e-280,
+1e290] in magnitude.  Output files are written atomically (temp file
+plus rename); a failed run never leaves a partial file behind.  Scans
+are deterministic: the same configuration produces byte-identical output
+for any `--workers` value (accepted for compatibility; scans are
+vectorised and run in one process).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .config import (
     load_run_config,
     validate_report,
 )
+from ._g17 import WORDS, g17
 from .elements import PumpSpec, Scatterer, Segment, element_matrix
 from .errors import (
     CalibrationError, ChainError, ConfigError, SingularSolveError, TmmCavityError,
@@ -57,12 +62,14 @@ from .mim import (
 )
 from .statics import couplings, resonance_shifts
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, chunks):
+    """Write the bytes chunks to `path` through a temp file and a rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmmcavity-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -79,50 +86,72 @@ def _grid_columns(grid: ScanGrid) -> dict:
             "dLc": (grid.dlc_values, rows % grid.dlc_count)}
 
 
-def _cells(table: dict, text: bool):
-    """(rows, columns) object array of a table's cells, and its NaN mask.
+def _rows(column) -> int:
+    return len(column[1] if isinstance(column, tuple) else column)
+
+
+def _cells(table: dict):
+    """(rows, columns) object array of a table's cells, None for NaN.
 
     A column is a 1-D float array, or a keyed column (keys, index) whose
-    row r holds keys[index[r]]; keys are finite floats or strings.  With
-    `text`, float keys become 17-digit text, once each however many rows
-    repeat them.  The mask marks NaN cells of the float columns, whose
-    cells stay floats.
+    row r holds keys[index[r]]; keys are finite floats or strings.
     """
     columns = list(table.values())
-    first = columns[0]
-    cells = np.empty((len(first[1] if isinstance(first, tuple) else first),
-                      len(columns)), dtype=object)
-    missing = np.zeros(cells.shape, dtype=bool)
+    cells = np.empty((_rows(columns[0]), len(columns)), dtype=object)
     for j, column in enumerate(columns):
         if isinstance(column, tuple):
             keys, index = column
-            if text:
-                keys = [k if isinstance(k, str) else "%.17g" % k for k in keys]
             cells[:, j] = np.array(keys, dtype=object)[index]
         else:
             values = np.asarray(column, dtype=float)
             cells[:, j] = values
-            missing[:, j] = np.isnan(values)
-    return cells, missing
+            cells[np.isnan(values), j] = None
+    return cells
 
 
-def _csv_text(table: dict) -> str:
-    """CSV of a columnar table: numbers at 17 significant digits, NaN empty.
+# rows per formatting pass: a 101 x 101 table takes one pass, and a
+# larger one's temporaries stay bounded
+_CSV_BLOCK_ROWS = 16384
+_CSV_CHUNK_ROWS = 512  # rows per chunk handed to the file
 
-    The whole body is one %-format: each row gets the template of its
-    pattern of NaN cells, which leaves those fields empty and takes no
-    argument for them.
+
+def _csv_chunks(table: dict):
+    """CSV of a columnar table (see `_cells`), as bytes chunks: numbers at
+    17 significant digits, NaN empty.
+
+    The float cells of a block of rows, and the float keys, go through one
+    `g17` call, so a keyed column formats each key once and copies its
+    words to the rows that repeat it.  Each cell fills a run of words
+    whose last byte is its comma or newline; dropping the NUL padding
+    leaves the CSV.
     """
-    cells, missing = _cells(table, text=True)
-    fields = ["%s" if isinstance(c, tuple) else "%.17g" for c in table.values()]
-    flags = [1 << j for j in range(len(fields))]
-    patterns, which = np.unique(missing @ np.array(flags), return_inverse=True)
-    templates = np.array([
-        ",".join("" if p & f else field for f, field in zip(flags, fields)) + "\n"
-        for p in patterns.tolist()
-    ], dtype=object)
-    body = "".join(templates[which].tolist()) % tuple(cells[~missing].tolist())
-    return ",".join(table) + "\n" + body
+    columns = [c if isinstance(c, tuple) else (c, None) for c in table.values()]
+    # string keys as words of their bytes, NUL-padded with the last byte free
+    words = [np.array(keys, dtype=f"S{8 * (max(map(len, keys)) // 8 + 1)}")
+             .view("<u8").reshape(len(keys), -1)
+             if len(keys) and isinstance(keys[0], str) else None
+             for keys, _ in columns]
+    widths = [WORDS if w is None else w.shape[1] for w in words]
+    ends = np.cumsum(widths)
+    seps = [np.uint64(ord(",")) << np.uint64(56)] * len(columns)
+    seps[-1] = np.uint64(ord("\n")) << np.uint64(56)
+    n_rows = _rows(next(iter(table.values())))
+    yield (",".join(table) + "\n").encode()
+    for first in range(0, n_rows, _CSV_BLOCK_ROWS):
+        rows = slice(first, min(first + _CSV_BLOCK_ROWS, n_rows))
+        floats = [np.asarray(keys if index is not None else keys[rows], dtype=float)
+                  for (keys, index), w in zip(columns, words) if w is None]
+        cells = iter(np.split(g17(np.concatenate(floats)),
+                              np.cumsum([len(f) for f in floats])[:-1]))
+        out = np.empty((rows.stop - rows.start, ends[-1]), "<u8")
+        for (_, index), w, end, width, sep in zip(columns, words, ends, widths, seps):
+            if w is None:
+                w = next(cells)
+            out[:, end - width:end] = w if index is None else w[index[rows]]
+            out[:, end - 1] |= sep
+        del cells, w  # the g17 cells, before the bytes copies
+        for r in range(0, len(out), _CSV_CHUNK_ROWS):
+            yield out[r:r + _CSV_CHUNK_ROWS].tobytes().translate(None, b"\0")
 
 
 def _emit_table(table: dict, cfg: RunConfig, meta: dict, default_name: str):
@@ -130,16 +159,18 @@ def _emit_table(table: dict, cfg: RunConfig, meta: dict, default_name: str):
     (+ metadata sidecar) or a single JSON document with null for NaN."""
     out = cfg.out_path or default_name
     if cfg.out_format == "csv":
-        _atomic_write(out, _csv_text(table))
-        _atomic_write(out + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        _atomic_write(out, _csv_chunks(table))
+        _atomic_write(out + ".meta.json", [_json_bytes(meta)])
     else:
-        cells, missing = _cells(table, text=False)
-        cells[missing] = None
         doc = dict(meta)
         doc["columns"] = list(table)
-        doc["rows"] = cells.tolist()
-        _atomic_write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        doc["rows"] = _cells(table).tolist()
+        _atomic_write(out, [_json_bytes(doc)])
     return out
+
+
+def _json_bytes(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _base_meta(cfg: RunConfig, command: str) -> dict:
@@ -218,14 +249,16 @@ def _cmd_point(args) -> int:
         q = asdict(point_quantities(cfg.mim_config(), x, dlc))
         singular = None if q["intensity"] is not None else (
             "the solve divides by zero or does not stay finite")
+        where = f"at x={x}, dLc={dlc}"
     else:
         x = dlc = None  # a chain file has no mim coordinates
         try:
             q, singular = evaluate_chain(*_resolve_chain(cfg)), None
         except SingularSolveError as exc:
             q, singular = None, exc
+        where = f"of chain file {cfg.chain_path}"
     if singular is not None:
-        print(f"error: singular solve at x={x}, dLc={dlc}: {singular}", file=sys.stderr)
+        print(f"error: singular solve {where}: {singular}", file=sys.stderr)
         return 1
     values = {"x": x, "dLc": dlc, **q}  # None (no mim coordinates, no kBT) is NaN
     table = {name: np.array([values[name]], dtype=float)
@@ -253,7 +286,7 @@ def _cmd_scan(args) -> int:
                        for xv, label, n, dv in result.overlay]).reshape(-1, 4)
         overlay = {"x": ov[:, 0], "branch": (branches, ov[:, 1].astype(int)),
                    "fold": ov[:, 2], "dLc": ov[:, 3]}
-        _atomic_write(out + ".overlay.csv", _csv_text(overlay))
+        _atomic_write(out + ".overlay.csv", _csv_chunks(overlay))
     print(f"wrote {result.intensity.size} scan rows to {out} ({n_missing} singular points)")
     return 0
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-from .elements import Chain, Scatterer, Segment
+from .elements import WAVELENGTH_RANGE, Chain, Scatterer, Segment
 from .errors import ConfigError, TmmCavityError
 from .mim import MimConfig, ScanGrid, build_mim
 
@@ -379,10 +379,10 @@ def load_chain_file(path: str) -> Chain:
     if not cp.has_option("chain", "wavelength"):
         raise ConfigError(f"{path}: [chain] needs a wavelength")
     wavelength = _value(cp, "chain", "wavelength", parse_length)
-    if not (math.isfinite(wavelength) and wavelength > 0):
-        raise ConfigError(
-            f"{path}: chain.wavelength must be positive and finite, got {wavelength!r}"
-        )
+    lo, hi = WAVELENGTH_RANGE
+    if not lo <= wavelength <= hi:  # NaN fails too
+        raise ConfigError(f"{path}: chain.wavelength must be positive and finite, "
+                          f"within [{lo:g}, {hi:g}] m, got {wavelength!r}")
 
     def sort_key(name: str):
         suffix = name.split(".", 1)[1]

@@ -149,11 +149,25 @@ class Chain:
         return self.elements[self.mobile_index]
 
 
+# The wavelengths the solvers accept, in m: far beyond optics on both
+# sides.  Outside them float64 gives out: (hbar k0)^2 overflows below
+# ~5e-188 m, D underflows to zero above ~1e140 m and the photon energy
+# hbar omega0 does above ~4e298 m.
+WAVELENGTH_RANGE = (1e-30, 1e30)
+
+
+def _check_wavelength(wavelength):
+    lo, hi = WAVELENGTH_RANGE
+    if not lo <= wavelength <= hi:  # NaN fails too
+        raise ChainError(
+            f"wavelength must be finite, positive and within [{lo:g}, {hi:g}] m, "
+            f"got {wavelength}")
+
+
 def _check_power_and_wavelength(power_watts, wavelength):
     if not (math.isfinite(power_watts) and power_watts >= 0):
         raise ChainError(f"pump power must be finite and >= 0, got {power_watts}")
-    if not (math.isfinite(wavelength) and wavelength > 0):
-        raise ChainError(f"wavelength must be finite and positive, got {wavelength}")
+    _check_wavelength(wavelength)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .elements import (
     PumpSpec,
     Scatterer,
     Segment,
+    _check_wavelength,
     scatterer_matrix,
 )
 from .errors import CalibrationError, ChainError, SingularSolveError
@@ -90,6 +91,7 @@ class MimConfig:
             object.__setattr__(self, name, float(value))
         if self.wavelength <= 0 or self.cavity_length <= 0:
             raise ChainError("wavelength and cavity length must be positive")
+        _check_wavelength(self.wavelength)
         if self.membrane_zeta > 0:
             raise ChainError(
                 f"membrane polarisability must be real <= 0, got {self.membrane_zeta}"

@@ -291,3 +291,37 @@ def singular_column(monkeypatch, x_target: float):
         return f0, singular | hit, parts
 
     monkeypatch.setattr(mim, "_static_stage", poisoned)
+
+
+# Membrane polarisabilities of the coupled-cavities breakdown table, from
+# R = zeta^2 / (1 + zeta^2) = 0.99 down to 0.04.
+BREAKDOWN_ZETAS = (-10.0, -5.0, -3.0, -2.0, -1.4, -1.0, -0.7, -0.5, -0.35, -0.2)
+
+
+def breakdown_case(zeta: float):
+    """Criterion 8's setup for one membrane: Lc 5 mm, mirror zeta -3 and a
+    13 x 41 grid around the calibrated degeneracy point.  Returns the
+    config, its calibration and the grid."""
+    config = mim.MimConfig(cavity_length=5e-3, mirror_zeta=-3.0, membrane_zeta=zeta)
+    cal = mim.calibrate_coupled_params(config)
+    lam, span = config.wavelength, 0.45 * config.wavelength / 2
+    grid = mim.ScanGrid(-lam / 8, lam / 8, 13, cal.dlc_center - span, cal.dlc_center + span, 41)
+    return config, cal, grid
+
+
+def breakdown_table() -> str:
+    """The README's table of the membrane reflectivity R against the
+    `compare` summary discrepancy, each to 2 significant digits."""
+    reflectivity, summary = ["R"], ["summary"]
+    for zeta in BREAKDOWN_ZETAS:
+        config, _cal, grid = breakdown_case(zeta)
+        reflectivity.append(f"{zeta ** 2 / (1 + zeta ** 2):#.2g}")
+        summary.append(f"{mim.compare_models(config, grid).summary:#.2g}")
+    return "\n".join(["| " + " | ".join(reflectivity) + " |",
+                      "|" + "---|" * len(reflectivity),
+                      "| " + " | ".join(summary) + " |"])
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/helpers.py
+    print(breakdown_table())

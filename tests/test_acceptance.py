@@ -9,6 +9,7 @@ on a 101 x 101 grid spanning one wavelength in both axes.
 
 import hashlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from tmmcavity.mim import (
     ScanGrid,
     bare_resonance,
     build_mim,
-    calibrate_coupled_params,
     compare_models,
     overlay_candidates,
     pump_for,
@@ -32,7 +32,7 @@ from tmmcavity.mim import (
 from tmmcavity.noise import OperatorFields, attach_loss_modes, operator_fields
 from tmmcavity.statics import couplings, solve_static
 
-from helpers import fd_friction, wall_clock_limit
+from helpers import breakdown_case, breakdown_table, fd_friction, wall_clock_limit
 
 LAM = 1.064e-6
 K0 = 2 * np.pi / LAM
@@ -351,14 +351,9 @@ def test_criterion_8_model_breakdown_trend():
     summaries = {}
     census = None
     try:
-        base = MimConfig(cavity_length=5e-3, mirror_zeta=-3.0)
         zetas = (-0.2, -0.35, -0.5, -0.7, -1.0, -2.0, -5.0, -10.0)  # R < 0.5 up to -0.7
         for zeta in zetas:
-            config = base.replace(membrane_zeta=zeta)
-            cal = calibrate_coupled_params(config)
-            span = 0.45 * LAM / 2
-            grid = ScanGrid(-LAM / 8, LAM / 8, 13,
-                            cal.dlc_center - span, cal.dlc_center + span, 41)
+            config, cal, grid = breakdown_case(zeta)
             result = compare_models(config, grid)
             summaries[zeta] = result.summary
             if zeta == -10.0:
@@ -387,6 +382,13 @@ def test_criterion_8_model_breakdown_trend():
     finally:
         report(8, "coupled-model breakdown trend and sign census", ok,
                f"summaries {summaries}, census {census}")
+
+
+def test_readme_breakdown_table_matches_regeneration():
+    """The README's R -> summary table is what tests/helpers.py prints now."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("| R |")
+    assert readme[start:].startswith(breakdown_table() + "\n")
 
 
 def test_criterion_9_scan_determinism(tmp_path):

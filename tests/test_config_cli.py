@@ -185,7 +185,7 @@ class TestChainFile:
         with pytest.raises(ConfigError, match="prism"):
             load_chain_file(write(tmp_path / "c.ini", bad))
 
-    @pytest.mark.parametrize("wavelength", ["0", "-1nm", "nan", "inf"])
+    @pytest.mark.parametrize("wavelength", ["0", "-1nm", "nan", "inf", "1e300", "1e-300"])
     def test_wavelength_must_be_positive_and_finite(self, tmp_path, wavelength):
         bad = GOOD_CHAIN.replace("wavelength = 1064nm", f"wavelength = {wavelength}")
         with pytest.raises(ConfigError, match="chain.wavelength must be positive"):
@@ -606,6 +606,18 @@ class TestTableOutput:
         assert cli.run(["point", "--config", path, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(
             f"error: singular solve at x={x}, dLc={dlc}: ")
+        assert not out.exists()
+
+    def test_point_singular_chain_file_exits_1(self, tmp_path, capsys):
+        """A chain file has no mim coordinates: the message names the file."""
+        chain_path = write(tmp_path / "c.ini",
+                           GOOD_CHAIN.replace("zeta = -3.0 0.0", "zeta = -1e200 0.0"))
+        path = write(tmp_path / "run.ini",
+                     GOOD_RUN.replace("[mim]", "[chain]\npath = %s\n\n[mim]" % chain_path))
+        out = tmp_path / "point.csv"
+        assert cli.run(["point", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: singular solve of chain file {chain_path}: no transmission channel")
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

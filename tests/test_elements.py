@@ -255,6 +255,12 @@ BAD_INPUTS = {
         ChainError, lambda: PumpSpec.one_sided(1.0, -1e-6)),
     "zero wavelength": (
         ChainError, lambda: PumpSpec.one_sided(1.0, 0.0)),
+    "huge wavelength": (
+        ChainError, lambda: PumpSpec.one_sided(1.0, 1e300)),
+    "tiny wavelength": (
+        ChainError, lambda: PumpSpec.one_sided(1.0, 1e-300)),
+    "huge mim wavelength": (
+        ChainError, lambda: MimConfig(wavelength=1e300)),
     "infinite power": (
         ChainError, lambda: evaluate_chain(build_mim(MimConfig()),
                                            PumpSpec.one_sided(float("inf"), LAM))),
