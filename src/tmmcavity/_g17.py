@@ -33,7 +33,7 @@ _LOWEST, _HIGHEST = 1e-280, 1e290  # no overflow or underflow inside
 _E0 = 300  # table index of exponent 0; E stays within (-300, 300)
 _MARGIN = 2.0 ** -40  # y this close to a half-unit is left to Python
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
-_CHUNK = 2048  # values per pass, which bounds the temporaries
+_CHUNK = 8192  # values per pass: each float64 temporary stays at 64 KiB
 _MINUS = np.uint64(ord("-"))
 _ZERO = np.uint64(ord("0")) << np.uint64(48)  # "0" at byte 6
 

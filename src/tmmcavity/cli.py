@@ -109,9 +109,10 @@ def _cells(table: dict):
     return cells
 
 
-# rows per formatting pass: a 101 x 101 table takes one pass, and a
-# larger one's temporaries stay bounded
-_CSV_BLOCK_ROWS = 16384
+# rows per formatting pass: few enough that a pass's arrays stay a few
+# hundred KiB, within L2, and many enough to amortise numpy's per-call
+# overhead (a 101 x 101 table takes five passes)
+_CSV_BLOCK_ROWS = 2048
 _CSV_CHUNK_ROWS = 512  # rows per chunk handed to the file
 
 
@@ -281,11 +282,8 @@ def _cmd_scan(args) -> int:
     meta["missing_points"] = n_missing
     out = _emit_table(table, cfg, meta, "scan.csv")
     if cfg.out_format == "csv":
-        branches = ("plus", "minus")
-        ov = np.array([(xv, branches.index(label), n, dv)
-                       for xv, label, n, dv in result.overlay]).reshape(-1, 4)
-        overlay = {"x": ov[:, 0], "branch": (branches, ov[:, 1].astype(int)),
-                   "fold": ov[:, 2], "dLc": ov[:, 3]}
+        x, branch, fold, dlc = result.overlay
+        overlay = {"x": x, "branch": (result.BRANCHES, branch), "fold": fold, "dLc": dlc}
         _atomic_write(out + ".overlay.csv", _csv_chunks(overlay))
     print(f"wrote {result.intensity.size} scan rows to {out} ({n_missing} singular points)")
     return 0

@@ -15,7 +15,8 @@ class ChainError(TmmCavityError, ValueError):
 
 
 class SingularSolveError(TmmCavityError, RuntimeError):
-    """No transmission channel between pump and scatterer (beta_0 = 0)."""
+    """No transmission channel between pump and scatterer (beta_0 = 0), or
+    a composition or solve that overflows the float64 range."""
 
 
 class NonCoolingError(TmmCavityError, ValueError):

@@ -37,10 +37,10 @@ from .elements import (
     _check_wavelength,
     scatterer_matrix,
 )
-from .errors import CalibrationError, ChainError, SingularSolveError
+from .errors import CalibrationError, ChainError
 from .noise import _diffusion, _kbt, diffusion, operator_fields
 from .opalg import _add, _entries, _mul, moving_scatterer_matrix
-from .statics import _static_force, _static_solution, resonance_shifts, solve_static
+from .statics import _static_force, _static_solution, resonance_shifts
 
 __all__ = [
     "MimConfig",
@@ -274,8 +274,11 @@ def _static_stage(config: MimConfig, pump: PumpSpec, left, right) -> tuple:
     k0 = config.k0
     z = complex(config.membrane_zeta)
     mirror = _entries(scatterer_matrix(config.mirror_zeta))
-    p_left = (np.exp(1j * k0 * left), None, None, np.exp(-1j * k0 * left))
-    p_right = (np.exp(1j * k0 * right), None, None, np.exp(-1j * k0 * right))
+    # e^{-ik0L} as the conjugate of e^{ik0L}: the same bits (cos is even
+    # and sin odd) for one complex exp instead of two
+    e_left, e_right = np.exp(1j * k0 * left), np.exp(1j * k0 * right)
+    p_left = (e_left, None, None, np.conj(e_left))
+    p_right = (e_right, None, None, np.conj(e_right))
     m1, m2 = _mul(mirror, p_left), _mul(p_right, mirror)
     # singular points divide by zero or overflow; the mask below marks them
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -354,11 +357,17 @@ def _scan_point(x: float, dlc: float, values: np.ndarray) -> ScanPoint:
     return ScanPoint(x, dlc, *(None if v != v else v for v in values.tolist()))
 
 
-def _folds(base: float, lo: float, hi: float, lam: float) -> list:
-    """(n, base + n lambda/2) for every fold n of a branch value in [lo, hi]."""
-    n_lo = math.ceil((lo - base) / (lam / 2))
-    n_hi = math.floor((hi - base) / (lam / 2))
-    return [(n, base + n * lam / 2) for n in range(n_lo, n_hi + 1)]
+def _folds(bases: np.ndarray, lo: float, hi: float, lam: float) -> tuple:
+    """Every fold n of the branch values `bases` with base + n lambda/2 in
+    [lo, hi], as flat columns (which, n, base + n lambda/2): `which`
+    indexes `bases` in order, and n ascends within each base."""
+    n_lo = np.ceil((lo - bases) / (lam / 2))
+    n_hi = np.floor((hi - bases) / (lam / 2))
+    counts = np.maximum(n_hi - n_lo + 1, 0).astype(np.intp)
+    which = np.repeat(np.arange(bases.size), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    n = (n_lo[which] + (np.arange(which.size) - first)).astype(np.int64)
+    return which, n, bases[which] + n * lam / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +376,10 @@ class ScanResult:
 
     NaN marks an undefined value: every quantity at a singular point, kBT
     outside cooling regions.  `point(i, j)` is the view of one grid point,
-    with None for NaN.
+    with None for NaN.  `overlay` holds the resonance overlay as columns
+    (x, branch, fold, dlc), one row per fold n of a branch curve inside the
+    grid's dLc range: `branch` indexes BRANCHES, `fold` is n and `dlc` the
+    curve's value plus n lambda/2; rows go by branch, then x, then n.
     """
 
     config: MimConfig
@@ -377,9 +389,10 @@ class ScanResult:
     dFdv: np.ndarray
     D: np.ndarray
     kBT: np.ndarray
-    overlay: tuple  # rows (x, branch_label, fold_index, dlc)
+    overlay: tuple  # columns (x, branch, fold, dlc); branch indexes BRANCHES
 
     QUANTITIES = ("intensity", "F0", "dFdv", "D", "kBT")
+    BRANCHES = ("plus", "minus")
 
     @property
     def missing_points(self) -> int:
@@ -402,16 +415,14 @@ def scan(config: MimConfig, grid: ScanGrid) -> ScanResult:
     intensity, f0, dfdv, d_coeff, kbt = (
         c.reshape(shape) for c in _grid_stages(config, x, dlc, _dynamic_stage))
 
-    overlay = []
+    xs = grid.x_values
     lo, hi = float(np.min(grid.dlc_values)), float(np.max(grid.dlc_values))
-    base_plus, base_minus = overlay_base_curves(config, grid.x_values)
-    for label, base in (("plus", base_plus), ("minus", base_minus)):
-        for xv, bv in zip(grid.x_values.tolist(), base.tolist()):
-            overlay.extend((xv, label, n, dv)
-                           for n, dv in _folds(bv, lo, hi, config.wavelength))
+    which, fold, dlc_fold = _folds(np.concatenate(overlay_base_curves(config, xs)),
+                                   lo, hi, config.wavelength)
+    overlay = (xs[which % xs.size], which // xs.size, fold, dlc_fold)
 
     return ScanResult(config=config, grid=grid, intensity=intensity, F0=f0,
-                      dFdv=dfdv, D=d_coeff, kBT=kbt, overlay=tuple(overlay))
+                      dFdv=dfdv, D=d_coeff, kBT=kbt, overlay=overlay)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +508,8 @@ def overlay_candidates(
     anchor: float | None = None,
 ) -> list[float]:
     """All predicted resonance detunings inside `window` at position x."""
-    bp, bm = overlay_base_curves(config, [x], anchor=anchor)
-    return sorted(dv for b in (float(bp[0]), float(bm[0]))
-                  for _, dv in _folds(b, *window, config.wavelength))
+    bases = np.concatenate(overlay_base_curves(config, [x], anchor=anchor))
+    return sorted(_folds(bases, *window, config.wavelength)[2].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +570,9 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     the two-mirror Airy profile, not a finesse approximation), g from
     c|t|/Lc with |t|^2 = 1/(1 + zeta^2), and the x = 0 degeneracy point
     from the midpoint of the two analytic branches, anchored like the
-    overlay.
+    overlay.  Of the two lambda/2-spaced copies of that point, the one
+    where the chain responds is picked by four probes of the grid engine's
+    static stage, so no scalar solve runs.
     """
     anchor, fwhm = bare_resonance(config)
     kappa_c = config.omega0 * (fwhm / 2) / config.cavity_length
@@ -573,25 +585,23 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     # the maps repeat only every lambda in dlc (modes one FSR apart carry
     # opposite parity at the membrane), so of the two lambda/2-spaced
     # copies of the degeneracy point only one hosts the physical mode
-    # pair; probe the chain response at both and keep the live one
+    # pair; probe the chain response at both and keep the live one.  The
+    # response of a copy is |B0f|^2 + |D0f|^2 summed over the two points a
+    # coupling split away at x = 0, a singular one counting 0; the four
+    # probes are one batch of the static stage
     cand = [(mid + lam / 2) % lam - lam / 2]
     cand.append(cand[0] + (lam / 2 if cand[0] < 0 else -lam / 2))
     split_dlc = g * config.cavity_length / config.omega0
-    pump = pump_for(config)
+    probes = np.array([c + s * split_dlc for c in cand for s in (-1.0, +1.0)])
 
-    def response(center: float) -> float:
-        total = 0.0
-        for s in (-1.0, +1.0):
-            try:
-                fields = solve_static(
-                    build_mim(config, 0.0, center + s * split_dlc), pump
-                )
-                total += abs(fields.B0f) ** 2 + abs(fields.D0f) ** 2
-            except SingularSolveError:
-                pass
-        return total
+    def response(config, pump, static):
+        _f0, singular, parts = static
+        _a0, b0f, _c0f, d0f, _, _ = parts[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(singular, 0.0, abs(b0f) ** 2 + abs(d0f) ** 2)
 
-    center = max(cand, key=response)
+    total = _grid_stages(config, np.zeros(probes.size), probes, response)
+    center = cand[int(np.argmax(total.reshape(2, 2).sum(axis=1)))]
     params = CoupledCavityParams(
         g=g, kappa_c=kappa_c, omega_prime=w1, power_watts=config.power_watts
     )

@@ -58,7 +58,13 @@ class StaticFields:
 
 
 def _check_transmission_channel(b0: complex, k: float):
-    if b0 == 0 or not (math.isfinite(b0.real) and math.isfinite(b0.imag)):
+    if not (math.isfinite(b0.real) and math.isfinite(b0.imag)):
+        raise SingularSolveError(
+            f"the composed chain matrix overflowed at k={k} (entry beta_0 is "
+            f"{b0}): the product of the element matrices exceeds the float64 "
+            "range; reduce |zeta| of the strongest scatterers"
+        )
+    if b0 == 0:
         raise SingularSolveError(
             f"no transmission channel between pump and scatterer at k={k} "
             "(composed matrix entry beta_0 vanished)"

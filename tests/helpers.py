@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import math
 import signal
 
 import mpmath
@@ -291,6 +292,38 @@ def singular_column(monkeypatch, x_target: float):
         return f0, singular | hit, parts
 
     monkeypatch.setattr(mim, "_static_stage", poisoned)
+
+
+def scalar_probe_center(config) -> float:
+    """The x = 0 degeneracy point that `calibrate_coupled_params` picks,
+    probed with scalar `solve_static` calls: of the two lambda/2-spaced
+    copies of the midpoint of the analytic branches, the one with the
+    larger |B0f|^2 + |D0f|^2 summed over the two points one coupling
+    split away, a singular solve counting 0."""
+    from tmmcavity.errors import SingularSolveError
+    from tmmcavity.statics import solve_static
+
+    anchor, _fwhm = mim.bare_resonance(config)
+    bp, bm = mim.overlay_base_curves(config, [0.0], anchor=anchor)
+    lam = config.wavelength
+    mid = (bp[0] + bm[0]) / 2
+    cand = [(mid + lam / 2) % lam - lam / 2]
+    cand.append(cand[0] + (lam / 2 if cand[0] < 0 else -lam / 2))
+    g = C_LIGHT * (1.0 / math.sqrt(1.0 + config.membrane_zeta**2)) / config.cavity_length
+    split_dlc = g * config.cavity_length / config.omega0
+    pump = mim.pump_for(config)
+
+    def response(center: float) -> float:
+        total = 0.0
+        for s in (-1.0, +1.0):
+            try:
+                fields = solve_static(mim.build_mim(config, 0.0, center + s * split_dlc), pump)
+                total += abs(fields.B0f) ** 2 + abs(fields.D0f) ** 2
+            except SingularSolveError:
+                pass
+        return total
+
+    return float(max(cand, key=response))
 
 
 # Membrane polarisabilities of the coupled-cavities breakdown table, from

@@ -546,7 +546,8 @@ class TestTableOutput:
         assert any(r[6] is not None for r in rows)  # cooling
         assert out.read_bytes() == _per_cell_csv(SCAN_COLUMNS, rows)
         overlay = ["x,branch,fold,dLc"] + [
-            f"{_per_cell(x)},{label},{n},{_per_cell(d)}" for x, label, n, d in result.overlay
+            f"{_per_cell(x)},{result.BRANCHES[b]},{n},{_per_cell(d)}"
+            for x, b, n, d in zip(*(column.tolist() for column in result.overlay))
         ]
         assert len(overlay) > 1
         assert (tmp_path / "scan.csv.overlay.csv").read_bytes() == (
@@ -616,8 +617,11 @@ class TestTableOutput:
                      GOOD_RUN.replace("[mim]", "[chain]\npath = %s\n\n[mim]" % chain_path))
         out = tmp_path / "point.csv"
         assert cli.run(["point", "--config", path, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: singular solve of chain file {chain_path}: no transmission channel")
+        err = capsys.readouterr().err
+        # mirrors of zeta -1e200 overflow the composition: the message says so
+        assert err.startswith(f"error: singular solve of chain file {chain_path}: "
+                              "the composed chain matrix overflowed")
+        assert "|zeta|" in err and "vanished" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import tmmcavity
 import tmmcavity.mim as mim
-from tmmcavity import cli
+from tmmcavity import cli, dynamics, statics
 from tmmcavity.elements import Segment
 from tmmcavity.errors import CalibrationError, ChainError
 from tmmcavity.mim import (
@@ -31,7 +32,10 @@ from tmmcavity.mim import (
 )
 from tmmcavity.statics import solve_static, static_force
 
-from helpers import bare_intensity, singular_column, wall_clock_limit
+from helpers import (
+    BREAKDOWN_ZETAS, bare_intensity, scalar_probe_center, singular_column,
+    wall_clock_limit,
+)
 
 LAM = 1.064e-6
 
@@ -172,14 +176,40 @@ class TestScan:
         b = scan(FAST, self.grid())
         for q in a.QUANTITIES:
             assert getattr(a, q).tobytes() == getattr(b, q).tobytes()
-        assert a.overlay == b.overlay
+        assert len(a.overlay) == len(b.overlay) == 4
+        for u, v in zip(a.overlay, b.overlay):
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
     def test_overlay_table_present_and_in_window(self):
         result = scan(FAST, self.grid())
-        assert len(result.overlay) > 0
-        for x, label, fold, dlc in result.overlay:
-            assert label in ("plus", "minus")
-            assert -0.1 * LAM - 1e-12 <= dlc <= 0.1 * LAM + 1e-12
+        x, branch, fold, dlc = result.overlay
+        assert len(dlc) > 0
+        assert x.shape == branch.shape == fold.shape == dlc.shape
+        assert set(x.tolist()) <= set(self.grid().x_values.tolist())
+        for b, d in zip(branch.tolist(), dlc.tolist()):
+            assert result.BRANCHES[b] in ("plus", "minus")
+            assert -0.1 * LAM - 1e-12 <= d <= 0.1 * LAM + 1e-12
+
+    @pytest.mark.parametrize("membrane_zeta, grid", [
+        (-1.0, ScanGrid(-0.2 * LAM, 0.2 * LAM, 5, -0.1 * LAM, 0.1 * LAM, 4)),
+        (-10.0, ScanGrid(-0.5 * LAM, 0.5 * LAM, 23, -1.3 * LAM, 0.7 * LAM, 3)),
+        (0.0, ScanGrid(-0.3 * LAM, 0.4 * LAM, 7, 0.05 * LAM, 0.06 * LAM, 2)),
+        (-3.0, ScanGrid(0.1 * LAM, 0.1 * LAM, 1, -0.25 * LAM, 0.25 * LAM, 1)),
+    ])
+    def test_overlay_columns_equal_the_row_loop(self, membrane_zeta, grid):
+        """The columnar overlay holds, bit for bit and in order, the rows of
+        a per-branch, per-x loop over the folds n of each branch value
+        with base + n lambda/2 in the dLc window."""
+        cfg = FAST.replace(membrane_zeta=membrane_zeta)
+        lo, hi = float(np.min(grid.dlc_values)), float(np.max(grid.dlc_values))
+        rows = []
+        for b, base in enumerate(overlay_base_curves(cfg, grid.x_values)):
+            for xv, bv in zip(grid.x_values.tolist(), base.tolist()):
+                for n in range(math.ceil((lo - bv) / (LAM / 2)),
+                               math.floor((hi - bv) / (LAM / 2)) + 1):
+                    rows.append((xv, b, n, bv + n * LAM / 2))
+        columns = scan(cfg, grid).overlay
+        assert list(zip(*(c.tolist() for c in columns))) == rows
 
     def test_singular_points_become_markers(self, monkeypatch, tmp_path):
         singular_column(monkeypatch, 0.2 * LAM)
@@ -346,6 +376,20 @@ class TestGridEngine:
                     else:
                         assert got is not None and got == cell, q
 
+    def test_backward_phase_is_the_exact_exp(self):
+        """The static stage takes e^{-ik0L} as the conjugate of e^{ik0L}:
+        on random gaps at optical k0 that is the complex exp bit for bit,
+        so the propagation entries are those of np.exp(-1j * k0 * L)."""
+        rng = np.random.default_rng(105)
+        for wavelength in (1.064e-6, 532e-9, 1.55e-6, float(rng.uniform(4e-7, 2e-6))):
+            cfg = MimConfig(wavelength=wavelength, cavity_length=0.2)
+            left, right = rng.uniform(0.0, 0.2, (2, 20000))
+            _f0, _singular, parts = mim._static_stage(cfg, pump_for(cfg), left, right)
+            for gap, p in ((left, parts[2]), (right, parts[3])):
+                assert p[1] is None and p[2] is None
+                assert p[0].tobytes() == np.exp(1j * cfg.k0 * gap).tobytes()
+                assert p[3].tobytes() == np.exp(-1j * cfg.k0 * gap).tobytes()
+
     def test_block_size_does_not_change_the_output(self, monkeypatch):
         """A 129 x 129 grid (16641 points: several blocks and a ragged last
         one) gives the same bits with the default block size and with
@@ -424,8 +468,9 @@ class TestOverlay:
         window = (-0.6 * LAM, 0.4 * LAM)
         for x in (0.08 * LAM, -0.19 * LAM, 0.0, 0.37 * LAM):
             result = scan(cfg, ScanGrid(x, x, 1, *window, 3))
-            rows = sorted(dlc for xv, _, _, dlc in result.overlay if xv == x)
-            assert len(rows) == len(result.overlay) >= 2
+            xs, _, _, dlcs = result.overlay
+            rows = sorted(dlc for xv, dlc in zip(xs.tolist(), dlcs.tolist()) if xv == x)
+            assert len(rows) == len(dlcs) >= 2
             assert rows == overlay_candidates(cfg, x, window)
 
 
@@ -483,12 +528,68 @@ class TestCalibration:
         with wall_clock_limit(30.0):
             res = scan(cfg, grid)
         assert res.intensity.size == 4
-        assert len(res.overlay) > 0
+        assert len(res.overlay[3]) > 0
 
     def test_transparent_mirror_scan_raises_typed_error(self):
         grid = ScanGrid(-0.1 * LAM, 0.1 * LAM, 2, -0.1 * LAM, 0.1 * LAM, 2)
         with wall_clock_limit(30.0), pytest.raises(CalibrationError):
             scan(MimConfig(mirror_zeta=0.0), grid)
+
+    def test_compare_makes_no_scalar_solve(self, monkeypatch, tmp_path):
+        """The degeneracy-point probe runs on the grid engine: `compare`
+        never reaches the scalar `solve_static`."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scalar solve_static on the compare path")
+
+        for module in (tmmcavity, statics, dynamics, mim):
+            monkeypatch.setattr(module, "solve_static", forbidden, raising=False)
+        grid = ScanGrid(-0.1 * LAM, 0.1 * LAM, 3, -0.1 * LAM, 0.1 * LAM, 4)
+        assert np.isfinite(compare_models(FAST, grid).summary)
+        ini = tmp_path / "compare.ini"
+        ini.write_text(
+            "[run]\nschema_version = 1\n[pump]\nwavelength = 1064nm\n"
+            "[mim]\ncavity_length = 5mm\nmembrane_zeta = -1.0\nmirror_zeta = -3.0\n"
+            f"[grid]\nx_start = {grid.x_start!r}\nx_stop = {grid.x_stop!r}\nx_count = 3\n"
+            f"dlc_start = {grid.dlc_start!r}\ndlc_stop = {grid.dlc_stop!r}\ndlc_count = 4\n"
+        )
+        out = tmp_path / "compare.csv"
+        assert cli.run(["compare", "--config", str(ini), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 13
+
+    def test_singular_probes_count_zero(self, monkeypatch):
+        """A probe point whose solve is singular adds nothing to its copy's
+        response: with both probes of the live copy singular, the other
+        copy is picked."""
+        live = calibrate_coupled_params(FAST).dlc_center
+        real = mim._static_stage
+
+        def poisoned(config, pump, left, right):
+            f0, singular, parts = real(config, pump, left, right)
+            hit = np.abs(left + right - config.cavity_length - live) < LAM / 8
+            return f0, singular | hit, parts
+
+        monkeypatch.setattr(mim, "_static_stage", poisoned)
+        other = calibrate_coupled_params(FAST).dlc_center
+        assert abs(other - live) == pytest.approx(LAM / 2, rel=1e-9)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("zeta", BREAKDOWN_ZETAS)
+    def test_probe_picks_the_scalar_probe_center_breakdown(self, zeta, side):
+        """Criterion 8's configs (R 0.04-0.99): the engine probe picks the
+        degeneracy point that scalar `solve_static` probes pick."""
+        cfg = MimConfig(cavity_length=5e-3, mirror_zeta=-3.0, membrane_zeta=zeta,
+                        pump_side=side)
+        assert calibrate_coupled_params(cfg).dlc_center == scalar_probe_center(cfg)
+
+    def test_probe_picks_the_scalar_probe_center_sweep(self):
+        """A seeded sample of the high-finesse sweep (mirror zeta in
+        [-30, -1], membrane zeta in [-10, 0], both pump sides)."""
+        rng = np.random.default_rng(2010)
+        for _ in range(40):
+            cfg = MimConfig(mirror_zeta=float(rng.uniform(-30.0, -1.0)),
+                            membrane_zeta=float(rng.uniform(-10.0, 0.0)),
+                            pump_side=str(rng.choice(["left", "right"])))
+            assert calibrate_coupled_params(cfg).dlc_center == scalar_probe_center(cfg), cfg
 
 
 class TestCoupledCavityModel:

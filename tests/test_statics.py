@@ -135,8 +135,13 @@ class TestSolveStatic:
             mobile_index=2,
             k0=K0,
         )
-        with pytest.raises(SingularSolveError):
+        with pytest.raises(SingularSolveError) as info:
             solve_static(chain, PUMP)
+        # the message names the overflow, not a vanished transmission channel
+        message = str(info.value)
+        assert message.startswith(f"the composed chain matrix overflowed at k={K0}")
+        assert "float64 range" in message and "|zeta|" in message
+        assert "vanished" not in message
 
 
 class TestStaticForce:
