@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _g17
 from .config import (
     SCHEMA_VERSION,
     RunConfig,
@@ -62,20 +63,32 @@ from .mim import (
 )
 from .statics import couplings, resonance_shifts
 
-def _atomic_write(path: str, chunks):
-    """Write the bytes chunks to `path` through a temp file and a rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmmcavity-", suffix=".tmp")
+def _atomic_write(paths: list[str], chunks):
+    """Write each (file index, bytes) chunk to paths[index] through temp
+    files, and rename them all once every chunk is written."""
+    tmps = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
+        handles = []
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+            for path in paths:
+                directory = os.path.dirname(os.path.abspath(path)) or "."
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmmcavity-",
+                                           suffix=".tmp")
+                tmps.append(tmp)
+                handles.append(os.fdopen(fd, "wb"))
+            for i, chunk in chunks:
+                handles[i].write(chunk)
+        finally:
+            for fh in handles:
+                fh.close()
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass  # renamed already
         raise
 
 
@@ -109,64 +122,109 @@ def _cells(table: dict):
     return cells
 
 
-# rows per formatting pass: few enough that a pass's arrays stay a few
+# rows per formatting block: few enough that a block's arrays stay a few
 # hundred KiB, within L2, and many enough to amortise numpy's per-call
-# overhead (a 101 x 101 table takes five passes)
+# overhead (a 41 x 41 scan table is one block, a 101 x 101 one five)
 _CSV_BLOCK_ROWS = 2048
 _CSV_CHUNK_ROWS = 512  # rows per chunk handed to the file
 
 
-def _csv_chunks(table: dict):
-    """CSV of a columnar table (see `_cells`), as bytes chunks: numbers at
-    17 significant digits, NaN empty.
+class _CsvTable:
+    """Word layout of a columnar table's CSV (see `_csv_files`)."""
 
-    The float cells of a block of rows, and the float keys, go through one
-    `g17` call, so a keyed column formats each key once and copies its
-    words to the rows that repeat it.  Each cell fills a run of words
-    whose last byte is its comma or newline; dropping the NUL padding
-    leaves the CSV.
-    """
-    columns = [c if isinstance(c, tuple) else (c, None) for c in table.values()]
-    # string keys as words of their bytes, NUL-padded with the last byte free
-    words = [np.array(keys, dtype=f"S{8 * (max(map(len, keys)) // 8 + 1)}")
-             .view("<u8").reshape(len(keys), -1)
-             if len(keys) and isinstance(keys[0], str) else None
-             for keys, _ in columns]
-    widths = [WORDS if w is None else w.shape[1] for w in words]
-    ends = np.cumsum(widths)
-    seps = [np.uint64(ord(",")) << np.uint64(56)] * len(columns)
-    seps[-1] = np.uint64(ord("\n")) << np.uint64(56)
-    n_rows = _rows(next(iter(table.values())))
-    yield (",".join(table) + "\n").encode()
-    for first in range(0, n_rows, _CSV_BLOCK_ROWS):
-        rows = slice(first, min(first + _CSV_BLOCK_ROWS, n_rows))
-        floats = [np.asarray(keys if index is not None else keys[rows], dtype=float)
-                  for (keys, index), w in zip(columns, words) if w is None]
-        cells = iter(np.split(g17(np.concatenate(floats)),
-                              np.cumsum([len(f) for f in floats])[:-1]))
-        out = np.empty((rows.stop - rows.start, ends[-1]), "<u8")
-        for (_, index), w, end, width, sep in zip(columns, words, ends, widths, seps):
+    def __init__(self, table: dict):
+        self.header = (",".join(table) + "\n").encode()
+        self.columns = [c if isinstance(c, tuple) else (c, None) for c in table.values()]
+        # string keys as words of their bytes, NUL-padded with the last byte free
+        self.words = [np.array(keys, dtype=f"S{8 * (max(map(len, keys)) // 8 + 1)}")
+                      .view("<u8").reshape(len(keys), -1)
+                      if len(keys) and isinstance(keys[0], str) else None
+                      for keys, _ in self.columns]
+        self.widths = [WORDS if w is None else w.shape[1] for w in self.words]
+        self.ends = np.cumsum(self.widths)
+        self.seps = [np.uint64(ord(",")) << np.uint64(56)] * len(self.columns)
+        self.seps[-1] = np.uint64(ord("\n")) << np.uint64(56)
+        self.n_rows = _rows(next(iter(table.values())))
+
+    def blocks(self):
+        """(rows, float arrays) of each block of rows: the block's float
+        cells and every float key.  A table without rows has one empty block."""
+        for first in range(0, max(self.n_rows, 1), _CSV_BLOCK_ROWS):
+            rows = slice(first, min(first + _CSV_BLOCK_ROWS, self.n_rows))
+            yield rows, [np.asarray(keys if index is not None else keys[rows], dtype=float)
+                         for (keys, index), w in zip(self.columns, self.words) if w is None]
+
+    def chunks(self, rows: slice, cells):
+        """Bytes chunks of a block of rows; `cells` yields the `g17` cells
+        of the block's float arrays in order."""
+        out = np.empty((rows.stop - rows.start, self.ends[-1]), "<u8")
+        for (_, index), w, end, width, sep in zip(self.columns, self.words, self.ends,
+                                                  self.widths, self.seps):
             if w is None:
                 w = next(cells)
             out[:, end - width:end] = w if index is None else w[index[rows]]
             out[:, end - 1] |= sep
-        del cells, w  # the g17 cells, before the bytes copies
         for r in range(0, len(out), _CSV_CHUNK_ROWS):
             yield out[r:r + _CSV_CHUNK_ROWS].tobytes().translate(None, b"\0")
 
 
-def _emit_table(table: dict, cfg: RunConfig, meta: dict, default_name: str):
+def _csv_files(tables: list):
+    """CSV of each columnar table (see `_cells`), as (table index, bytes
+    chunk) pairs, table after table: numbers at 17 significant digits, NaN
+    empty.
+
+    The float cells of consecutive blocks of rows, of one table or the
+    next, go through one `g17` call while they fit in one of its passes
+    (a scan's table and its overlay take one).  A keyed column formats
+    each key once per block and copies its words to the rows that repeat
+    it.  Each cell fills a run of words whose last byte is its comma or
+    newline; dropping the NUL padding leaves the CSV.
+    """
+    pending, size = [], 0
+    for i, table in enumerate(map(_CsvTable, tables)):
+        for rows, floats in table.blocks():
+            n = sum(f.size for f in floats)
+            if pending and size + n > _g17._CHUNK:
+                yield from _format_blocks(pending)
+                pending, size = [], 0
+            pending.append((i, table, rows, floats))
+            size += n
+    yield from _format_blocks(pending)
+
+
+def _format_blocks(blocks: list):
+    """(table index, bytes) chunks of blocks of `_csv_files`, whose float
+    cells take one `g17` call; a table's header leads its first block."""
+    floats = [f for *_, block_floats in blocks for f in block_floats]
+    cells = iter(np.split(g17(np.concatenate(floats)), np.cumsum([f.size for f in floats])[:-1]))
+    for i, table, rows, _ in blocks:
+        if rows.start == 0:
+            yield i, table.header
+        for chunk in table.chunks(rows, cells):
+            yield i, chunk
+
+
+def _emit_table(table: dict, cfg: RunConfig, meta: dict, default_name: str,
+                extra: dict | None = None):
     """Write a columnar table (column name -> column, see `_cells`) as CSV
-    (+ metadata sidecar) or a single JSON document with null for NaN."""
+    (+ metadata sidecar) or a single JSON document with null for NaN.
+
+    `extra` maps a file suffix to a further table written next to the CSV
+    (the scan's overlay), formatted with the main table; JSON output
+    leaves it out.
+    """
     out = cfg.out_path or default_name
     if cfg.out_format == "csv":
-        _atomic_write(out, _csv_chunks(table))
-        _atomic_write(out + ".meta.json", [_json_bytes(meta)])
+        extra = extra or {}
+        paths = [out, *(out + suffix for suffix in extra), out + ".meta.json"]
+        meta_chunk = (len(paths) - 1, _json_bytes(meta))
+        _atomic_write(paths, itertools.chain(_csv_files([table, *extra.values()]),
+                                             [meta_chunk]))
     else:
         doc = dict(meta)
         doc["columns"] = list(table)
         doc["rows"] = _cells(table).tolist()
-        _atomic_write(out, [_json_bytes(doc)])
+        _atomic_write([out], [(0, _json_bytes(doc))])
     return out
 
 
@@ -280,11 +338,9 @@ def _cmd_scan(args) -> int:
     meta = _base_meta(cfg, "scan")
     n_missing = result.missing_points
     meta["missing_points"] = n_missing
-    out = _emit_table(table, cfg, meta, "scan.csv")
-    if cfg.out_format == "csv":
-        x, branch, fold, dlc = result.overlay
-        overlay = {"x": x, "branch": (result.BRANCHES, branch), "fold": fold, "dLc": dlc}
-        _atomic_write(out + ".overlay.csv", _csv_chunks(overlay))
+    x, branch, fold, dlc = result.overlay
+    overlay = {"x": x, "branch": (result.BRANCHES, branch), "fold": fold, "dLc": dlc}
+    out = _emit_table(table, cfg, meta, "scan.csv", {".overlay.csv": overlay})
     print(f"wrote {result.intensity.size} scan rows to {out} ({n_missing} singular points)")
     return 0
 

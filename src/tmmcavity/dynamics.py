@@ -37,7 +37,7 @@ from .constants import c as C_LIGHT, hbar as HBAR
 
 from .elements import Chain, Polarisability, PumpSpec, _side_jets
 from .errors import SingularSolveError
-from .opalg import _entries, _inverse_entries, moving_scatterer_matrix
+from .opalg import _entries, _inverse_entries, _mul, moving_scatterer_matrix
 from .statics import StaticFields, solve_static, static_force
 
 __all__ = ["FieldSet", "ForceReport", "solve_dynamic", "force_with_velocity"]
@@ -90,25 +90,50 @@ class ForceReport:
 
 
 def _first_order(comp: tuple, side: tuple, B0: complex, C0: complex,
-                 A0, B0f, z: complex) -> tuple:
+                 A0, B0f, z: complex, k0: float) -> tuple:
     """(A1, B1, C1, D1, out_left1, out_right1) from the entry tuples of the
-    composed jet's a, a', b, c, c' (`comp`) and of the chain's left side
-    M1 and its k-derivative (`side`).
+    composed jet's a, a', b, c, c' (`comp`; of a' only the right column
+    is read) and of the chain's left side M1 and its k-derivative (`side`).
 
-    A0 and B0f are the zeroth-order left-face fields.  Plain elementwise
+    A0 and B0f are the zeroth-order left-face fields, z and k0 the mobile
+    scatterer's polarisability and the pump wavenumber.  Plain elementwise
     arithmetic: entries of one chain give numpy scalars, (P,) arrays of a
     grid give (P,) arrays.
+
+    The outputs are linear in the pump, and each pump side is taken on its
+    own (a side with no pump costs nothing).  The B0 part is the closed
+    form of `solve_dynamic`.  In the C0 part of the left output the
+    closed form's terms cancel down to O(1/b), as g C0 + a D_out does
+    statically; with X = b - c', that part is
+
+        al1 = (tr(adj(a) X) b - X22) / b^2 + q (a db - a' b) / b,
+        alt = -c22 / b^2,
+
+    where a has unit determinant, and with the static sides and the
+    mobile jet's traceless S^-1 c, tr(adj(a) X) = -tr(S^-1 M1^-1 M1' c)
+    and tr(adj(a) c) = 0.
     """
-    ((g0, a0, d0_, b0), (_, da0, _, db0), (gb, ab, db_, bb), (gc, ac, dc_, bc),
-     (dgc, dac, ddc, dbc)) = comp
+    ((_, a0, d0_, b0), (_, da0, _, db0), (_, ab, db_, bb), (_, ac, dc_, bc),
+     (_, dac, ddc, dbc)) = comp
 
-    d_out0 = (B0 - d0_ * C0) / b0
-    q = -(C0 * dc_ + d_out0 * bc) / b0
-    p = (-(C0 * (db_ - ddc)) - d_out0 * (bb - dbc) + db0 * q) / b0
-
-    # left output spectrum: al0 delta + (v/c)(al1 delta + alt delta')
-    al1 = C0 * (gb - dgc) + d_out0 * (ab - dac) + a0 * p - da0 * q
-    alt = C0 * gc + d_out0 * ac + a0 * q
+    # left output spectrum al0 delta + (v/c)(al1 delta + alt delta'), right
+    # output d_out0 delta + (v/c)(p delta + q delta')
+    al1 = alt = p = 0j
+    if B0 != 0:
+        d_out0 = B0 / b0
+        q = -(d_out0 * bc) / b0
+        p = (-(d_out0 * (bb - dbc)) + db0 * q) / b0
+        al1 = d_out0 * (ab - dac) + a0 * p - da0 * q
+        alt = d_out0 * ac + a0 * q
+    if C0 != 0:
+        d_unit = -d0_ / b0  # d_out0 and q of the unit right pump
+        q = -(dc_ + d_unit * bc) / b0
+        p = p + C0 * ((-(db_ - ddc) - d_unit * (bb - dbc) + db0 * q) / b0)
+        k11, k12, k21, k22 = _mul(_inverse_entries(side[0]), side[1])  # M1^-1 M1'
+        ddet = -2j * z * k0 * ((1 - 1j * z) * k12 - 1j * z * k22 + 1j * z * k11
+                               + (1 + 1j * z) * k21)
+        al1 = al1 + C0 * ((ddet - (bb - dbc) / b0) / b0 + q * (a0 * db0 - da0 * b0) / b0)
+        alt = alt + C0 * (-bc / b0 ** 2)
 
     mu11, _, mu21, _ = _inverse_entries(side[0])
     dmu11, _, dmu21, _ = _inverse_entries(side[1])
@@ -153,7 +178,7 @@ def solve_dynamic(chain: Chain, pump: PumpSpec) -> FieldSet:
     side = (_entries(m1.static_at(k0)), _entries(m1.static_deriv_at(k0)))
     A1, B1, C1, D1, al1, p = _first_order(
         entries, side, complex(pump.B0), complex(pump.C0),
-        st.A0, st.B0f, chain.mobile.pol.zeta,
+        st.A0, st.B0f, chain.mobile.pol.zeta, k0,
     )
     for val in (A1, B1, al1, p):
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):

@@ -39,8 +39,8 @@ from .elements import (
 )
 from .errors import CalibrationError, ChainError
 from .noise import _diffusion, _kbt, diffusion, operator_fields
-from .opalg import _add, _entries, _mul, moving_scatterer_matrix
-from .statics import _static_force, _static_solution, resonance_shifts
+from .opalg import _add, _entries, _inverse_entries, _mul, moving_scatterer_matrix
+from .statics import _right_face, _static_force, _static_solution, resonance_shifts
 
 __all__ = [
     "MimConfig",
@@ -247,11 +247,12 @@ def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
 
 
 # Grid points per vectorised block: enough to amortise numpy's per-call
-# overhead, few enough to keep each (P,) entry array at 16 KiB.  Stay
+# overhead (a 41 x 41 scan is one block), few enough to keep each (P,)
+# complex entry array at 32 KiB.  Stay
 # below 16384 points: from 256 KiB on, numpy writes `x * np.conj(y)` into
 # its temporary operand, and that in-place complex product rounds
 # differently in the last bits, so the output would depend on the block size.
-_BLOCK_POINTS = 1024
+_BLOCK_POINTS = 2048
 
 
 def _grid_points(grid: ScanGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -296,8 +297,11 @@ def _dynamic_stage(config: MimConfig, pump: PumpSpec, static: tuple) -> np.ndarr
 
     The composed jet is the static side m1, the moving membrane's jet and
     the side m2, with k-derivatives mirror dP(left) and dP(right) mirror,
-    dP = diag(i d, -i d) P.  The MIM is lossless, so the noise columns are
-    the static fields at the two unit pumps, from the composed matrix.
+    dP = diag(i d, -i d) P; of a' only the right column, which
+    `_first_order` reads, is built.  The MIM is lossless, so the noise
+    columns are the static fields at the two unit pumps.  They share one
+    1/b: the composed matrix has unit determinant, so the left unit pump's
+    left output is a/b and the right one's is 1/b.
     """
     f0, singular, (left, right, p_left, p_right, m1, m1s, m2, m, fields) = static
     k0 = config.k0
@@ -314,29 +318,36 @@ def _dynamic_stage(config: MimConfig, pump: PumpSpec, static: tuple) -> np.ndarr
     c_l = _mul(m1, c_ms)
     dc_l = _add(_mul(dm1, c_ms), _mul(m1, dc_ms))
     c_dm2 = _mul(c_l, dm2)
-    comp = (m, _add(_mul(da_l, m2), _mul(m1s, dm2)), c_dm2, _mul(c_l, m2),
-            _add(_mul(dc_l, m2), c_dm2))
+    comp = (m, _add(_mul(da_l, _right_column(m2)), _mul(m1s, _right_column(dm2))),
+            c_dm2, _mul(c_l, m2), _add(_mul(dc_l, m2), c_dm2))
     A0, B0f, C0f, D0f, _, _ = fields
     out = np.empty((5, m[0].size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         A1, B1, _, _, _, _ = _first_order(comp, (m1, dm1), complex(pump.B0),
-                                          complex(pump.C0), A0, B0f, z)
+                                          complex(pump.C0), A0, B0f, z, k0)
         out[0] = abs(A0 + B0f) ** 2
         out[1] = f0
         out[2] = _velocity_force(A0, A1, B0f, B1, z, k0) / C_LIGHT
         if z == 0:
             out[3] = 0.0  # nothing scatters, no momentum kicks
         else:
-            unit_left = _static_solution(m, m1, 1.0, 0.0, z)
-            unit_right = _static_solution(m, m1, 0.0, 1.0, z)
-            out[3] = _diffusion(A0, B0f, C0f, D0f,
-                                *((unit_left[i], unit_right[i]) for i in range(4)),
-                                lambda x, y: x[0] * np.conj(y[0]) + x[1] * np.conj(y[1]),
-                                k0)
+            mu11, mu12, mu21, mu22 = _inverse_entries(m1)
+            r = 1 / m[3]
+            a_out = np.stack([m[1] * r, r])  # unit pumps from the left, the right
+            b_in = np.array([[1.0], [0.0]])
+            av = mu11 * a_out + mu12 * b_in
+            bv = mu21 * a_out + mu22 * b_in
+            out[3] = _diffusion(A0, B0f, C0f, D0f, av, bv, *_right_face(av, bv, z), k0)
         singular = singular | ~np.isfinite(out[:4]).all(axis=0)
     out[:4, singular] = np.nan
     out[4] = _kbt(out[3], out[2])
     return out
+
+
+def _right_column(m: tuple) -> tuple:
+    """Entry tuple of m with its left column a structural zero: a product
+    x @ _right_column(m) is the right column of x @ m alone."""
+    return None, m[1], None, m[3]
 
 
 def _grid_stages(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish) -> np.ndarray:
@@ -492,12 +503,10 @@ def overlay_base_curves(
     if anchor is None:
         anchor = bare_peak(config)
     xs = np.asarray(x_values, dtype=float)
-    dplus, dminus = resonance_shifts(config.membrane_zeta, xs,
-                                     config.cavity_length, config.k0)
+    shifts = np.reshape(resonance_shifts(config.membrane_zeta, xs,
+                                         config.cavity_length, config.k0), (2, -1))
     scale = config.cavity_length / config.omega0
-    lam = config.wavelength
-    base_plus = anchor + lam / 4 - scale * np.atleast_1d(dplus)
-    base_minus = anchor + lam / 4 - scale * np.atleast_1d(dminus)
+    base_plus, base_minus = anchor + config.wavelength / 4 - scale * shifts
     return base_plus, base_minus
 
 
@@ -563,6 +572,14 @@ class CoupledCalibration:
     fwhm_dlc: float
 
 
+# Probe responses of the two degeneracy-point copies closer than this,
+# relative to the larger, are a tie.  With a transparent membrane the
+# copies are one bare cavity, and rounding of the gaps alone sets them
+# apart by up to ~4e-10 (mirror zeta -100, Lc 1-100 mm); a membrane of
+# polarisability zeta sets them apart by ~3-6 |zeta|.
+_TIE_RTOL = 1e-9
+
+
 def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     """Calibrate the coupled model against the same chain.
 
@@ -572,7 +589,8 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     from the midpoint of the two analytic branches, anchored like the
     overlay.  Of the two lambda/2-spaced copies of that point, the one
     where the chain responds is picked by four probes of the grid engine's
-    static stage, so no scalar solve runs.
+    static stage, so no scalar solve runs; when the two responses tie, the
+    copy nearer dlc = 0 is taken.
     """
     anchor, fwhm = bare_resonance(config)
     kappa_c = config.omega0 * (fwhm / 2) / config.cavity_length
@@ -601,7 +619,13 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
             return np.where(singular, 0.0, abs(b0f) ** 2 + abs(d0f) ** 2)
 
     total = _grid_stages(config, np.zeros(probes.size), probes, response)
-    center = cand[int(np.argmax(total.reshape(2, 2).sum(axis=1)))]
+    responses = total.reshape(2, 2).sum(axis=1)
+    if abs(responses[0] - responses[1]) <= _TIE_RTOL * responses.max():
+        # a tie (a transparent membrane makes both copies the same bare
+        # cavity): rounding must not decide, so take the copy nearer dlc = 0
+        center = min(cand, key=abs)
+    else:
+        center = cand[int(np.argmax(responses))]
     params = CoupledCavityParams(
         g=g, kappa_c=kappa_c, omega_prime=w1, power_watts=config.power_watts
     )

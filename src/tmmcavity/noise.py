@@ -20,7 +20,8 @@ through the ordinary static network.
 Momentum diffusion combines the classical amplitudes with the operator
 commutators; all six cross terms sit in one 2 Re{...} with the sign of a
 term following the momentum direction of the two beams involved, which
-makes the whole expression a Gram form and hence non-negative.
+makes the whole expression a Gram form over the input modes.  It is
+evaluated in that form, so it is non-negative by construction.
 """
 
 from __future__ import annotations
@@ -152,29 +153,18 @@ def operator_fields(chain: Chain) -> OperatorFields:
     )
 
 
-def _diffusion(a0, b0, c0, d0, av, bv, cv, dv, comm, k0: float):
-    """Diffusion formula of `diffusion` for the static fields a0..d0 and
-    their operator vectors av..dv, with [X, Y^dag] = comm(x_vec, y_vec).
+def _diffusion(a0, b0, c0, d0, av, bv, cv, dv, k0: float):
+    """(hbar k0)^2 sum_i |A0* a_i + B0* b_i - C0* c_i - D0* d_i|^2, the
+    Gram form of `diffusion`, for the static fields a0..d0 and their
+    coefficients av..dv over the input modes i (the first axis).
 
-    Plain elementwise arithmetic, so one chain and a whole grid of chains
-    (arrays of fields, per-mode tuples of arrays) share it.
+    Plain array arithmetic, so one chain ((n,) arrays over its modes) and a
+    whole grid of chains ((P,) arrays of fields, (n, P) coefficients)
+    share it.
     """
-    total = (
-        abs(a0) ** 2 * comm(av, av).real
-        + abs(b0) ** 2 * comm(bv, bv).real
-        + abs(c0) ** 2 * comm(cv, cv).real
-        + abs(d0) ** 2 * comm(dv, dv).real
-    )
-    cross = (
-        np.conj(a0) * b0 * comm(av, bv)
-        - np.conj(a0) * c0 * comm(av, cv)
-        - np.conj(a0) * d0 * comm(av, dv)
-        - np.conj(b0) * c0 * comm(bv, cv)
-        - np.conj(b0) * d0 * comm(bv, dv)
-        + np.conj(c0) * d0 * comm(cv, dv)
-    )
-    total += 2 * cross.real
-    return (HBAR * k0) ** 2 * total
+    gram = (np.conj(a0) * av + np.conj(b0) * bv - np.conj(c0) * cv
+            - np.conj(d0) * dv)
+    return (HBAR * k0) ** 2 * (abs(gram) ** 2).sum(axis=0)
 
 
 def diffusion(
@@ -188,17 +178,22 @@ def diffusion(
                              - B0* C0 [B,C+] - B0* D0 [B,D+] + C0* D0 [C,D+] } )
 
     The sign of each term is the product of the momentum signs of the two
-    beams, so D is the vacuum variance of the linearised force operator and
-    is non-negative whenever the commutator table is consistent.
+    beams, so D is the vacuum variance of the linearised force operator.
+    With [X, Y+] = sum_i x_i y_i* over the orthonormal input modes the sum
+    is the Gram form
+
+        D = (hbar k0)^2 sum_i |A0* a_i + B0* b_i - C0* c_i - D0* d_i|^2,
+
+    which is how it is evaluated: non-negative by construction, and free
+    of the cancellation between the ten printed terms.
     """
     z = pol.zeta if isinstance(pol, Polarisability) else complex(pol)
     if z == 0:
         return 0.0  # nothing scatters, no momentum kicks
-    return _diffusion(
+    return float(_diffusion(
         fields.A0, fields.B0f, fields.C0f, fields.D0f,
-        ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec,
-        OperatorFields.commutator, k0,
-    )
+        ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec, k0,
+    ))
 
 
 @dataclass(frozen=True)

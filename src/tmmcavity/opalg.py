@@ -60,8 +60,8 @@ def _mul(x: tuple, y: tuple) -> tuple:
 
 
 def _add(x: tuple, y: tuple) -> tuple:
-    """Entrywise sum of entry tuples free of None."""
-    return tuple(u + v for u, v in zip(x, y))
+    """Entrywise sum of entry tuples, None being a structural zero."""
+    return tuple(v if u is None else u if v is None else u + v for u, v in zip(x, y))
 
 
 def _entries(m: np.ndarray) -> tuple:

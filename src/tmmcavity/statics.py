@@ -78,16 +78,24 @@ def _static_solution(m: tuple, m1: tuple, B0: complex, C0: complex, z: complex) 
     Plain elementwise arithmetic: one chain passes the `_entries` of its
     2x2 matrices and gets numpy scalars, a grid passes (P,) arrays and gets
     (P,) arrays.
+
+    The left output g C0 + a D_out equals (a B0 + C0) / b, because m has
+    unit determinant; that form keeps the digits g C0 + a D_out loses to
+    cancellation under a right pump (g - a d / b = 1 / b).
     """
-    g, a, d, b = m
+    _, a, d, b = m
     mu11, mu12, mu21, mu22 = _inverse_entries(m1)
     d_out = (B0 - d * C0) / b
-    a_out = g * C0 + a * d_out
+    a_out = a * (B0 / b) + C0 / b
     A0 = mu11 * a_out + mu12 * B0
     B0f = mu21 * a_out + mu22 * B0
-    C0f = (1 - 1j * z) * A0 - 1j * z * B0f
-    D0f = 1j * z * A0 + (1 + 1j * z) * B0f
-    return A0, B0f, C0f, D0f, a_out, d_out
+    return (A0, B0f, *_right_face(A0, B0f, z), a_out, d_out)
+
+
+def _right_face(a0, b0, z: complex) -> tuple:
+    """(C, D) on the right face of a static scatterer from (A, B) on its
+    left face; scalars or arrays."""
+    return (1 - 1j * z) * a0 - 1j * z * b0, 1j * z * a0 + (1 + 1j * z) * b0
 
 
 def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
@@ -97,9 +105,10 @@ def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
     amplitude pair to the far-left one, and mu = (M1)^-1:
 
         D_out = (B0 - d C0) / b
-        A0    = (mu11 a / b + mu12) B0 + mu11 (g b - a d) / b * C0
+        A0    = (mu11 a / b + mu12) B0 + mu11 / b * C0
 
-    and the right-face fields follow from the static scatterer relations.
+    (every element matrix, and so m, has g b - a d = 1), and the right-face
+    fields follow from the static scatterer relations.
     The composition is done directly on the numeric element matrices.
     """
     k0 = chain.k0
@@ -155,34 +164,28 @@ def static_force(fields: StaticFields, pol: Polarisability, k0: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _branch_angle(zeta: float, u: np.ndarray, branch: int) -> np.ndarray:
-    """Two-argument inverse tangent of the resonance-shift closed form.
+def _branch_angles(zeta: float, u: np.ndarray) -> np.ndarray:
+    """Two-argument inverse tangents of the resonance-shift closed form,
+    both branches as one (2, n) array.
 
-    `u` is 2 k0 x; branch +1 takes (num, den) = (z^2 cos u + R, z(cos u - R))
-    and branch -1 the opposite root pairing, with R = sqrt(1 + z^2 sin^2 u).
-    The two branches differ by pi, i.e. one free spectral range.
+    `u` is 2 k0 x; branch +1 (row 0) takes (num, den) = (z^2 cos u + R,
+    z(cos u - R)) and branch -1 (row 1) the opposite root pairing, with
+    R = sqrt(1 + z^2 sin^2 u).  The two branches differ by pi, i.e. one
+    free spectral range.
     """
     s, co = np.sin(u), np.cos(u)
-    root = np.sqrt(1.0 + zeta**2 * s**2)
-    if branch >= 0:
-        num = zeta**2 * co + root
-        den = zeta * (co - root)
-    else:
-        num = zeta**2 * co - root
-        den = zeta * (co + root)
-    return np.arctan2(num, den)
+    root = np.sqrt(1.0 + zeta**2 * s**2) * np.array([[1.0], [-1.0]])
+    return np.arctan2(zeta**2 * co + root, zeta * (co - root))
 
 
 def _unwrap_anchored(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Unwrap an angle scan continuously, anchored at the point nearest x=0."""
-    theta = np.atleast_1d(theta).astype(float)
-    if theta.size == 1:
-        return theta
+    """Unwrap angle scans (rows of theta) continuously, each anchored at
+    the point nearest x=0."""
     unwrapped = np.unwrap(theta)
-    i0 = int(np.argmin(np.abs(np.atleast_1d(x))))
+    i0 = int(np.argmin(np.abs(x)))
     # re-anchor so the value nearest x = 0 keeps its principal branch
-    shift = round((unwrapped[i0] - theta[i0]) / (2 * np.pi))
-    return unwrapped - 2 * np.pi * shift
+    shift = np.round((unwrapped[:, i0] - theta[:, i0]) / (2 * np.pi))
+    return unwrapped - 2 * np.pi * shift[:, None]
 
 
 def resonance_shifts(zeta: float, x, L_c: float, k0: float):
@@ -209,16 +212,13 @@ def resonance_shifts(zeta: float, x, L_c: float, k0: float):
         return plus, minus
 
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    u = 2.0 * k0 * xa
-    out = []
-    for branch in (+1, -1):
-        theta = _branch_angle(float(zeta), u, branch)
-        if xa.size > 1:
-            theta = _unwrap_anchored(theta, xa)
-        out.append((C_LIGHT / L_c) * theta)
+    theta = _branch_angles(float(zeta), 2.0 * k0 * xa)
+    if xa.size > 1:
+        theta = _unwrap_anchored(theta, xa)
+    plus, minus = (C_LIGHT / L_c) * theta
     if np.isscalar(x):
-        return float(out[0][0]), float(out[1][0])
-    return out[0], out[1]
+        return float(plus[0]), float(minus[0])
+    return plus, minus
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,100 @@ def _fd_fields(chain: Chain, pump, v_over_c, ar) -> dict:
     return dict(A0=A0, A1=A1, B0f=B0f, B1=B1, C0f=C0f, C1=C1, D0f=D0f, D1=D1)
 
 
+def mp_static_fields(chain: Chain, pump, dps: int = 50) -> dict:
+    """Static fields A0, B0f, C0f, D0f, out_left and out_right of `chain`
+    under `pump`, composed and solved in mpmath at `dps` digits with the
+    textbook formulas (out_left = g C0 + a out_right), whose cancellation
+    the extra digits absorb."""
+    with mpmath.workdps(dps):
+        fields = _mp_static_fields(chain, mpmath.mpc(pump.B0), mpmath.mpc(pump.C0))
+        return {name: complex(v) for name, v in fields.items()}
+
+
+def _mp_static_fields(chain: Chain, B0, C0) -> dict:
+    """`mp_static_fields` as mpmath numbers, at the working precision."""
+    k0 = mpmath.mpf(chain.k0)
+    zm = mpmath.mpc(chain.mobile.pol.zeta)
+
+    def element(el):
+        if isinstance(el, Scatterer):
+            z = mpmath.mpc(el.pol.zeta)
+            return (1 + 1j * z, 1j * z, -1j * z, 1 - 1j * z)
+        kd = k0 * mpmath.mpf(el.length)
+        return (mpmath.expj(kd), 0, 0, mpmath.expj(-kd))
+
+    m1 = m = (1, 0, 0, 1)
+    for i, el in enumerate(chain.elements):
+        m = _mul(m, element(el))
+        if i + 1 == chain.mobile_index:
+            m1 = m
+    d_out = (B0 - m[2] * C0) / m[3]
+    a_out = m[0] * C0 + m[1] * d_out
+    mu = _inv(m1)
+    A0 = mu[0] * a_out + mu[1] * B0
+    B0f = mu[2] * a_out + mu[3] * B0
+    return dict(A0=A0, B0f=B0f, C0f=(1 - 1j * zm) * A0 - 1j * zm * B0f,
+                D0f=1j * zm * A0 + (1 + 1j * zm) * B0f, out_left=a_out, out_right=d_out)
+
+
+def mp_diffusion(chain: Chain, pump, dps: int = 50) -> float:
+    """Momentum diffusion of a lossless chain in mpmath at `dps` digits: the
+    printed commutator sum (`printed_sum`) over the two unit-pump columns,
+    every field composed and solved as in `mp_static_fields`."""
+    names = ("A0", "B0f", "C0f", "D0f")
+    with mpmath.workdps(dps):
+        f = _mp_static_fields(chain, mpmath.mpc(pump.B0), mpmath.mpc(pump.C0))
+        unit = [_mp_static_fields(chain, mpmath.mpc(b0), mpmath.mpc(c0))
+                for b0, c0 in ((1, 0), (0, 1))]
+        total = printed_sum(*(f[n] for n in names), *([u[n] for u in unit] for n in names),
+                            lambda x, y: x[0] * mpmath.conj(y[0]) + x[1] * mpmath.conj(y[1]),
+                            mpmath.conj)
+        return float((HBAR * chain.k0) ** 2 * total)
+
+
+def printed_sum(a0, b0, c0, d0, av, bv, cv, dv, comm, conj=np.conj):
+    """The diffusion bracket as printed in `noise.diffusion`: four diagonal
+    commutator terms and 2 Re of six signed cross terms, with
+    [X, Y^dag] = comm(x_vec, y_vec); D = (hbar k0)^2 times this."""
+    total = (
+        abs(a0) ** 2 * comm(av, av).real
+        + abs(b0) ** 2 * comm(bv, bv).real
+        + abs(c0) ** 2 * comm(cv, cv).real
+        + abs(d0) ** 2 * comm(dv, dv).real
+    )
+    cross = (
+        conj(a0) * b0 * comm(av, bv)
+        - conj(a0) * c0 * comm(av, cv)
+        - conj(a0) * d0 * comm(av, dv)
+        - conj(b0) * c0 * comm(bv, cv)
+        - conj(b0) * d0 * comm(bv, dv)
+        + conj(c0) * d0 * comm(cv, dv)
+    )
+    return total + 2 * cross.real
+
+
+def printed_sum_diffusion(fields, ops, k0: float, dps: int | None = None) -> float:
+    """Oracle for `noise.diffusion`: the printed commutator sum over the
+    operator vectors of `noise.operator_fields`, term by term.
+
+    In float64 with `dps` None.  With `dps` digits the same float inputs go
+    through mpmath, so the cancellation between the ten terms (D scales
+    like zeta^2 while its terms do not) costs no digits."""
+    from tmmcavity.noise import OperatorFields
+
+    amps = (fields.A0, fields.B0f, fields.C0f, fields.D0f)
+    vecs = (ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec)
+    if dps is None:
+        total = printed_sum(*amps, *vecs, OperatorFields.commutator)
+        return (HBAR * k0) ** 2 * float(total)
+    with mpmath.workdps(dps):
+        total = printed_sum(*(mpmath.mpc(complex(v)) for v in amps),
+                            *([mpmath.mpc(complex(v)) for v in vec] for vec in vecs),
+                            lambda x, y: mpmath.fsum(u * mpmath.conj(w) for u, w in zip(x, y)),
+                            mpmath.conj)
+        return float((HBAR * k0) ** 2 * total)
+
+
 def flux_force_first_order(fields: dict, k0: float) -> float:
     """F1 from the exact momentum-flux balance, first-order expansion.
 
@@ -299,7 +393,8 @@ def scalar_probe_center(config) -> float:
     probed with scalar `solve_static` calls: of the two lambda/2-spaced
     copies of the midpoint of the analytic branches, the one with the
     larger |B0f|^2 + |D0f|^2 summed over the two points one coupling
-    split away, a singular solve counting 0."""
+    split away, a singular solve counting 0.  Responses within 1e-9 of
+    each other, relative, are a tie, which the copy nearer dlc = 0 wins."""
     from tmmcavity.errors import SingularSolveError
     from tmmcavity.statics import solve_static
 
@@ -323,7 +418,10 @@ def scalar_probe_center(config) -> float:
                 pass
         return total
 
-    return float(max(cand, key=response))
+    responses = [response(c) for c in cand]
+    if abs(responses[0] - responses[1]) <= 1e-9 * max(responses):
+        return float(min(cand, key=abs))  # a tie: the copy nearer dlc = 0
+    return float(cand[int(responses[1] > responses[0])])
 
 
 # Membrane polarisabilities of the coupled-cavities breakdown table, from

@@ -93,6 +93,11 @@ def test_chunks_do_not_change_the_cells(monkeypatch):
     assert (g17(values) == whole).all()
 
 
+def csv_text(table: dict) -> bytes:
+    """The writer's CSV of one table."""
+    return b"".join(chunk for _, chunk in cli._csv_files([table]))
+
+
 def csv_reference(table: dict) -> bytes:
     """The writer's rule, one cell at a time: keyed columns take keys[index],
     NaN is an empty field."""
@@ -108,15 +113,11 @@ def csv_reference(table: dict) -> bytes:
     return ("\n".join([",".join(table), *rows]) + "\n").encode()
 
 
-@pytest.mark.parametrize("block_rows, chunk_rows", [(16384, 1024), (7, 3)])
-def test_csv_nan_cells_and_keyed_columns(monkeypatch, block_rows, chunk_rows):
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
-    rng = np.random.default_rng(11)
-    n = 50
+def mixed_table(rng, n: int) -> dict:
+    """n rows of float, NaN, signed-zero, float-keyed and string-keyed cells."""
     values = rng.normal(size=n) * 10.0 ** rng.integers(-12, 20, n)
     values[rng.random(n) < 0.3] = np.nan
-    table = {
+    return {
         "x": (np.array([-5.3e-7, 0.0, 2.5e-7]), rng.integers(0, 3, n)),
         "kind": (("scatterer", "a-label-longer-than-one-word"), rng.integers(0, 2, n)),
         "F0": values,
@@ -124,9 +125,48 @@ def test_csv_nan_cells_and_keyed_columns(monkeypatch, block_rows, chunk_rows):
         "zeros": np.where(rng.random(n) < 0.5, 0.0, -0.0),
         "branch": (("plus", "minus"), rng.integers(0, 2, n)),
     }
-    assert b"".join(cli._csv_chunks(table)) == csv_reference(table)
+
+
+@pytest.mark.parametrize("block_rows, chunk_rows", [(16384, 1024), (7, 3)])
+def test_csv_nan_cells_and_keyed_columns(monkeypatch, block_rows, chunk_rows):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+    table = mixed_table(np.random.default_rng(11), 50)
+    assert csv_text(table) == csv_reference(table)
+
+
+@pytest.mark.parametrize("block_rows, pass_values", [(2048, 12288), (7, 40), (5, 1)])
+def test_tables_sharing_passes_keep_their_bytes(monkeypatch, block_rows, pass_values):
+    # blocks of several tables share g17 calls; each file still gets its
+    # own table's bytes, table after table
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(_g17, "_CHUNK", pass_values)
+    rng = np.random.default_rng(12)
+    tables = [mixed_table(rng, n) for n in (50, 0, 13, 1)]
+    chunks = list(cli._csv_files(tables))
+    order = [i for i, _ in chunks]
+    assert order == sorted(order)
+    for i, table in enumerate(tables):
+        assert b"".join(c for j, c in chunks if j == i) == csv_reference(table)
+
+
+def test_scan_and_overlay_format_in_one_pass(monkeypatch, tmp_path):
+    # a 41 x 41 scan's table and overlay are one block each and share one
+    # g17 call, which makes one pass
+    passes = []
+    real = _g17._fill
+    monkeypatch.setattr(_g17, "_fill", lambda x, cells: passes.append(x.size) or real(x, cells))
+    ini = tmp_path / "run.ini"
+    ini.write_text("[mim]\ncavity_length = 6.7cm\n\n[grid]\nx_start = -0.5um\n"
+                   "x_stop = 0.5um\nx_count = 41\ndlc_start = -0.5um\ndlc_stop = 0.5um\n"
+                   "dlc_count = 41\n", encoding="utf-8")
+    out = str(tmp_path / "scan.csv")
+    assert cli.run(["scan", "--config", str(ini), "--out", out]) == 0
+    overlay_rows = len(open(out + ".overlay.csv").readlines()) - 1
+    assert overlay_rows > 0
+    assert passes == [2 * 41 + 5 * 41 * 41 + 3 * overlay_rows]
 
 
 def test_csv_without_rows():
     table = {"x": np.array([]), "branch": (("plus", "minus"), np.array([], dtype=int))}
-    assert b"".join(cli._csv_chunks(table)) == b"x,branch\n"
+    assert csv_text(table) == b"x,branch\n"

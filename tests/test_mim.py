@@ -30,10 +30,13 @@ from tmmcavity.mim import (
     pump_for,
     scan,
 )
+from tmmcavity.constants import c as C_LIGHT
+from tmmcavity.dynamics import solve_dynamic
 from tmmcavity.statics import solve_static, static_force
 
 from helpers import (
-    BREAKDOWN_ZETAS, bare_intensity, scalar_probe_center, singular_column,
+    BREAKDOWN_ZETAS, bare_intensity, fd_first_order_fields, flux_force_first_order,
+    mp_diffusion, mp_static_fields, scalar_probe_center, singular_column,
     wall_clock_limit,
 )
 
@@ -376,6 +379,74 @@ class TestGridEngine:
                     else:
                         assert got is not None and got == cell, q
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_mim_cases(), st.floats(-30.0, -0.5), st.floats(-10.0, 0.0))
+    def test_scan_diffusion_nonnegative(self, case, mirror_zeta, membrane_zeta):
+        """D >= 0 at every non-singular cell of random MIM scans, up to
+        high finesse (mirror zeta -30, membrane zeta -10)."""
+        cfg, grid = case
+        cfg = cfg.replace(mirror_zeta=mirror_zeta, membrane_zeta=membrane_zeta)
+        d_coeff = scan(cfg, grid).D
+        assert (d_coeff[~np.isnan(d_coeff)] >= 0).all()
+
+    def test_diffusion_matches_50_digit_evaluation(self):
+        """The default strong-mirror setup on an 11 x 11 grid over one
+        wavelength: D against the printed sum over the two unit-pump
+        columns in 50-digit arithmetic.  The Gram form's median error is
+        4.5e-11 (the printed sum's was 2.1e-10); the max is set by the
+        float64 phase k0 L, which the finesse amplifies."""
+        cfg = MimConfig()
+        grid = ScanGrid(-LAM / 2, LAM / 2, 11, -LAM / 2, LAM / 2, 11)
+        d_coeff, pump = scan(cfg, grid).D, pump_for(cfg)
+        errors = [abs(d_coeff[i, j] / mp_diffusion(build_mim(cfg, x, dlc), pump) - 1)
+                  for i, x in enumerate(grid.x_values.tolist())
+                  for j, dlc in enumerate(grid.dlc_values.tolist())]
+        assert np.median(errors) < 1e-10
+        assert max(errors) < 1e-7
+
+    def test_right_pump_matches_50_digit_composition(self):
+        """Right-pumped high-finesse chains (mirror zeta -30 to -10,
+        membrane zeta -10 to -3): the static fields of `solve_static` and
+        the intensity of the grid engine against the same chain composed in
+        50-digit mpmath, at rtol 1e-8.  Forming the left output as
+        g C0 + a D_out cancels to ~1e-7 here; (a B0 + C0) / b keeps ~1e-9."""
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            cfg = MimConfig(mirror_zeta=float(rng.uniform(-30, -10)),
+                            membrane_zeta=float(rng.uniform(-10, -3)), pump_side="right")
+            x, dlc = rng.uniform(-cfg.wavelength / 2, cfg.wavelength / 2, 2).tolist()
+            chain, pump = build_mim(cfg, x, dlc), pump_for(cfg)
+            ref = mp_static_fields(chain, pump)
+            fields = solve_static(chain, pump)
+            for name in ("A0", "B0f", "C0f", "D0f", "out_left", "out_right"):
+                assert getattr(fields, name) == pytest.approx(ref[name], rel=1e-8), name
+            intensity = abs(ref["A0"] + ref["B0f"]) ** 2
+            assert point_quantities(cfg, x, dlc).intensity == pytest.approx(intensity, rel=1e-8)
+
+    def test_right_pump_first_order_matches_80_digit_oracle(self):
+        """The same right-pumped chains: A1 and B1 of `solve_dynamic` at
+        rtol 1e-8, and dF/dv of the grid engine and of `evaluate_chain` at
+        rtol 2e-6, against the 80-digit sideband oracle.  The closed form's
+        C0 terms cancel like g C0 + a D_out (A1 off by up to 6e-8, dF/dv by
+        up to 1.4e-4 here); the k-derivative of det = 1 keeps ~2e-9 and
+        ~5e-7."""
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            cfg = MimConfig(mirror_zeta=float(rng.uniform(-30, -10)),
+                            membrane_zeta=float(rng.uniform(-10, -3)), pump_side="right")
+            x, dlc = rng.uniform(-cfg.wavelength / 2, cfg.wavelength / 2, 2).tolist()
+            chain, pump = build_mim(cfg, x, dlc), pump_for(cfg)
+            ref = fd_first_order_fields(chain, pump, v_over_c=1e-30, dps=80)
+            fields = solve_dynamic(chain, pump)
+            for name in ("A1", "B1"):
+                assert getattr(fields, name) == pytest.approx(ref[name], rel=1e-8), name
+            friction = flux_force_first_order(ref, chain.k0) / C_LIGHT
+            assert point_quantities(cfg, x, dlc).dFdv == pytest.approx(friction, rel=2e-6,
+                                                                       abs=0)
+            assert evaluate_chain(chain, pump)["dFdv"] == pytest.approx(friction, rel=2e-6,
+                                                                        abs=0)
+
     def test_backward_phase_is_the_exact_exp(self):
         """The static stage takes e^{-ik0L} as the conjugate of e^{ik0L}:
         on random gaps at optical k0 that is the complex exp bit for bit,
@@ -590,6 +661,22 @@ class TestCalibration:
                             membrane_zeta=float(rng.uniform(-10.0, 0.0)),
                             pump_side=str(rng.choice(["left", "right"])))
             assert calibrate_coupled_params(cfg).dlc_center == scalar_probe_center(cfg), cfg
+
+
+    def test_tied_copies_pick_the_one_nearer_zero(self):
+        """A transparent membrane makes both degeneracy-point copies one
+        bare cavity, so their responses tie up to rounding: on 60 random
+        zeta = 0 configs the engine and the scalar probes both take the copy
+        nearer dlc = 0 (rounding decided 16 of these 60 before)."""
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            cfg = MimConfig(wavelength=float(rng.uniform(0.5e-6, 2e-6)),
+                            cavity_length=float(10 ** rng.uniform(-3, -1)),
+                            mirror_zeta=float(rng.uniform(-100, -0.5)), membrane_zeta=0.0,
+                            pump_side=str(rng.choice(["left", "right"])))
+            center = calibrate_coupled_params(cfg).dlc_center
+            assert center == scalar_probe_center(cfg), cfg
+            assert abs(center) <= cfg.wavelength / 4
 
 
 class TestCoupledCavityModel:

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import c as C_LIGHT, hbar as HBAR, k as K_BOLTZMANN
 
 from tmmcavity.dynamics import force_with_velocity, solve_dynamic
 from tmmcavity.elements import Chain, Polarisability, PumpSpec, Scatterer, Segment
-from tmmcavity.errors import NonCoolingError
+from tmmcavity.errors import NonCoolingError, SingularSolveError
 from tmmcavity.noise import (
     OperatorFields,
     attach_loss_modes,
@@ -16,6 +17,8 @@ from tmmcavity.noise import (
     operator_fields,
 )
 from tmmcavity.statics import solve_static
+
+from helpers import printed_sum_diffusion
 
 LAM = 1.064e-6
 K0 = 2 * np.pi / LAM
@@ -146,24 +149,29 @@ class TestOperatorFields:
         np.testing.assert_allclose(outs @ outs.conj().T, np.eye(2), atol=1e-10)
         fields = solve_static(chain, PUMP)
         d_coeff = diffusion(fields, ops, chain.mobile.pol, K0)
-        assert d_coeff == pytest.approx(2.1913650600350888e-36, rel=1e-12)
+        assert d_coeff == pytest.approx(2.1913650600350888e-36, rel=1e-12, abs=0)
         pump_only = OperatorFields(ops.basis, *(
             v[:2] for v in (ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec,
                             ops.out_left_vec, ops.out_right_vec)))
         assert diffusion(fields, pump_only, chain.mobile.pol, K0) == pytest.approx(
-            1.4068394025183412e-36, rel=1e-12)
+            1.4068394025183412e-36, rel=1e-12, abs=0)
 
 
-def gram_diffusion(fields, ops, k0):
-    """Independent positivity form: D = (hbar k0)^2 |w|^2 with the signed
-    coefficient superposition w."""
-    w = (
-        np.conj(fields.A0) * ops.a_vec
-        + np.conj(fields.B0f) * ops.b_vec
-        - np.conj(fields.C0f) * ops.c_vec
-        - np.conj(fields.D0f) * ops.d_vec
-    )
-    return (HBAR * k0) ** 2 * float(np.vdot(w, w).real)
+@st.composite
+def random_chains(draw):
+    """A chain of 2-21 scatterers (|zeta| <= 10, some absorbing) and the
+    segments between them, a mobile scatterer and a pump from either side."""
+    n = draw(st.integers(2, 21))
+    elements = []
+    for i in range(n):
+        if i:
+            elements.append(Segment(draw(st.floats(1e-4, 5e-3))))
+        re = draw(st.floats(-10.0, 10.0))
+        im = draw(st.one_of(st.just(0.0), st.floats(0.0, (100.0 - re * re) ** 0.5)))
+        elements.append(Scatterer.of(complex(re, im)))
+    mobile = 2 * draw(st.integers(0, n - 1))
+    side = draw(st.sampled_from(["left", "right"]))
+    return Chain(tuple(elements), mobile, K0), PumpSpec.one_sided(1.0, LAM, side)
 
 
 class TestDiffusion:
@@ -206,10 +214,34 @@ class TestDiffusion:
         )
         fields = solve_static(chain, PUMP)
         ops = operator_fields(chain)
-        d_sum = diffusion(fields, ops, chain.mobile.pol, K0)
-        d_gram = gram_diffusion(fields, ops, K0)
-        assert d_sum == pytest.approx(d_gram, rel=1e-9)
-        assert d_sum >= 0
+        d_gram = diffusion(fields, ops, chain.mobile.pol, K0)
+        d_sum = printed_sum_diffusion(fields, ops, K0)
+        assert d_gram == pytest.approx(d_sum, rel=1e-9, abs=0)
+        assert d_gram >= 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_chains())
+    def test_diffusion_nonnegative_and_equal_to_printed_sum(self, case):
+        """Random 3-41-element chains, |zeta| <= 10, absorbers, both pump
+        sides: D >= 0 and equal to the printed commutator sum of the same
+        fields and operator vectors, evaluated in 50-digit arithmetic."""
+        chain, pump = case
+        zeta = chain.mobile.pol.zeta
+        # the four amplitudes cancel to O(zeta) in each Gram term, which
+        # costs float64 ~1e-16 / |zeta| of D
+        assume(zeta == 0 or abs(zeta) >= 1e-4)
+        try:
+            fields = solve_static(chain, pump)
+        except SingularSolveError:
+            return
+        ops = operator_fields(chain)
+        d_gram = diffusion(fields, ops, chain.mobile.pol, K0)
+        assert d_gram >= 0
+        if zeta == 0:
+            assert d_gram == 0
+            return
+        assert d_gram == pytest.approx(printed_sum_diffusion(fields, ops, K0, dps=50),
+                                       rel=1e-9, abs=0)
 
     def test_pump_phase_invariance(self):
         chain = lossless_chain(7)
@@ -222,7 +254,7 @@ class TestDiffusion:
             d = diffusion(fields, ops, chain.mobile.pol, K0)
             if base is None:
                 base = d
-            assert d == pytest.approx(base, rel=1e-12)
+            assert d == pytest.approx(base, rel=1e-12, abs=0)
 
 
 class TestEquilibriumTemperature:
