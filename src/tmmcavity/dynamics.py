@@ -37,7 +37,7 @@ from .constants import c as C_LIGHT, hbar as HBAR
 
 from .elements import Chain, Polarisability, PumpSpec, _side_jets
 from .errors import SingularSolveError
-from .opalg import _entries, _inverse_entries, _mul, moving_scatterer_matrix
+from .opalg import _entries, _inverse_entries, moving_scatterer_matrix
 from .statics import StaticFields, solve_static, static_force
 
 __all__ = ["FieldSet", "ForceReport", "solve_dynamic", "force_with_velocity"]
@@ -89,72 +89,59 @@ class ForceReport:
     friction: float
 
 
-def _first_order(comp: tuple, side: tuple, B0: complex, C0: complex,
-                 A0, B0f, z: complex, k0: float) -> tuple:
-    """(A1, B1, C1, D1, out_left1, out_right1) from the entry tuples of the
-    composed jet's a, a', b, c, c' (`comp`; of a' only the right column
-    is read) and of the chain's left side M1 and its k-derivative (`side`).
+def _first_order(comp: tuple, B0: complex) -> tuple:
+    """(al1, alt, p, q): the (v/c) parts al1 delta + alt delta' of the left
+    output and p delta + q delta' of the right output under a left pump B0,
+    from the entry tuples of the composed jet's a, a', b, c, c' (`comp`; of
+    a' only the right column is read).
 
-    A0 and B0f are the zeroth-order left-face fields, z and k0 the mobile
-    scatterer's polarisability and the pump wavenumber.  Plain elementwise
-    arithmetic: entries of one chain give numpy scalars, (P,) arrays of a
-    grid give (P,) arrays.
-
-    The outputs are linear in the pump, and each pump side is taken on its
-    own (a side with no pump costs nothing).  The B0 part is the closed
-    form of `solve_dynamic`.  In the C0 part of the left output the
-    closed form's terms cancel down to O(1/b), as g C0 + a D_out does
-    statically; with X = b - c', that part is
-
-        al1 = (tr(adj(a) X) b - X22) / b^2 + q (a db - a' b) / b,
-        alt = -c22 / b^2,
-
-    where a has unit determinant, and with the static sides and the
-    mobile jet's traceless S^-1 c, tr(adj(a) X) = -tr(S^-1 M1^-1 M1' c)
-    and tr(adj(a) c) = 0.
+    Plain elementwise arithmetic: entries of one chain give numpy scalars,
+    (P,) arrays of a grid give (P,) arrays.  A right pump is the left pump
+    of the reversed chain (see `solve_dynamic`), so no C0 form is derived.
     """
-    ((_, a0, d0_, b0), (_, da0, _, db0), (_, ab, db_, bb), (_, ac, dc_, bc),
-     (_, dac, ddc, dbc)) = comp
-
-    # left output spectrum al0 delta + (v/c)(al1 delta + alt delta'), right
-    # output d_out0 delta + (v/c)(p delta + q delta')
-    al1 = alt = p = 0j
+    ((_, a0, _, b0), (_, da0, _, db0), (_, ab, _, bb), (_, ac, _, bc),
+     (_, dac, _, dbc)) = comp
+    al1 = alt = p = q = 0j
     if B0 != 0:
         d_out0 = B0 / b0
         q = -(d_out0 * bc) / b0
         p = (-(d_out0 * (bb - dbc)) + db0 * q) / b0
         al1 = d_out0 * (ab - dac) + a0 * p - da0 * q
         alt = d_out0 * ac + a0 * q
-    if C0 != 0:
-        d_unit = -d0_ / b0  # d_out0 and q of the unit right pump
-        q = -(dc_ + d_unit * bc) / b0
-        p = p + C0 * ((-(db_ - ddc) - d_unit * (bb - dbc) + db0 * q) / b0)
-        k11, k12, k21, k22 = _mul(_inverse_entries(side[0]), side[1])  # M1^-1 M1'
-        ddet = -2j * z * k0 * ((1 - 1j * z) * k12 - 1j * z * k22 + 1j * z * k11
-                               + (1 + 1j * z) * k21)
-        al1 = al1 + C0 * ((ddet - (bb - dbc) / b0) / b0 + q * (a0 * db0 - da0 * b0) / b0)
-        alt = alt + C0 * (-bc / b0 ** 2)
+    return al1, alt, p, q
 
+
+def _left_face(side: tuple, al1, alt) -> tuple:
+    """(A1, B1) on the mobile scatterer's left face from the left output
+    al1 delta + alt delta', through (M1)^-1 of the entry tuples of M1 and
+    M1' (`side`): f(k) delta'(k - k0) is f(k0) delta' - f'(k0) delta."""
     mu11, _, mu21, _ = _inverse_entries(side[0])
     dmu11, _, dmu21, _ = _inverse_entries(side[1])
+    return mu11 * al1 - dmu11 * alt, mu21 * al1 - dmu21 * alt
 
-    A1 = mu11 * al1 - dmu11 * alt
-    B1 = mu21 * al1 - dmu21 * alt
-    C1 = (1 - 1j * z) * A1 - 1j * z * B1 + 2j * z * B0f
-    D1 = 1j * z * A1 + (1 + 1j * z) * B1 + 2j * z * A0
-    return A1, B1, C1, D1, al1, p
+
+def _jets(chain: Chain) -> tuple:
+    """Entry tuples of the composed jet's a, a', b, c, c' and of the left
+    side M1 and its k-derivative, at `chain.k0`."""
+    k0 = chain.k0
+    m1, m2 = _side_jets(chain)
+    comp = m1 @ moving_scatterer_matrix(chain.mobile.pol, k0) @ m2
+    entries = tuple(_entries(f(k0)) for f in (
+        comp.static_at, comp.static_deriv_at, comp.first_scalar_at,
+        comp.first_deriv_at, comp.first_deriv_deriv_at))
+    return entries, (_entries(m1.static_at(k0)), _entries(m1.static_deriv_at(k0)))
 
 
 def solve_dynamic(chain: Chain, pump: PumpSpec) -> FieldSet:
     """Closed-form fields at the mobile scatterer to first order in v/c.
 
-    Solves the pump boundary problem for the composed operator matrix
+    Solves the left-pump boundary problem for the composed operator matrix
     [[g^, a^], [d^, b^]]: the outgoing right-port spectrum is
     D(k) = d0 delta + (v/c)(p delta + q delta'), with
 
-        d0 = (B0 - d C0)/b,
-        q  = -(C0 dc + d0 bc)/b,
-        p  = [-C0 (db - dc') - d0 (bb - bc') + b' q]/b,
+        d0 = B0/b,
+        q  = -d0 bc/b,
+        p  = [-d0 (bb - bc') + b' q]/b,
 
     where xb, xc are the first-order scalar- and derivative-part
     coefficients of each entry and primes are analytic k-derivatives, all
@@ -163,41 +150,37 @@ def solve_dynamic(chain: Chain, pump: PumpSpec) -> FieldSet:
     delta-function and delta'-function coefficients.  The composed operator
     is M1 MS^ M2, with M1 and M2 the static jets of the chain's two sides
     and MS^ the mobile scatterer's.
+
+    The fields are linear in the pump, and a right pump C0 is the left pump
+    C0 of the reversed chain, whose scatterer moves with velocity -v: the
+    chain's output spectra are those of the reversed chain with the ports
+    swapped and the (v/c) parts negated, (out_left1, out_right1) =
+    -(out_right1', out_left1') and likewise for the delta' parts.  A
+    two-sided pump adds the two parts, and the face fields follow from the
+    total left output, so (A1, B1, C1, D1) = -(D1', C1', B1', A1') for a
+    right pump alone.
     """
-    k0 = chain.k0
+    k0, z = chain.k0, chain.mobile.pol.zeta
     # the zeroth-order fields ship through the exact same numeric path as
     # solve_static (bit-for-bit consistency), which also rejects a chain
     # without a transmission channel; the jets below only supply
     # derivatives and first-order coefficients
     st = solve_static(chain, pump)
-    m1, m2 = _side_jets(chain)
-    comp = m1 @ moving_scatterer_matrix(chain.mobile.pol, k0) @ m2
-    entries = tuple(_entries(f(k0)) for f in (
-        comp.static_at, comp.static_deriv_at, comp.first_scalar_at,
-        comp.first_deriv_at, comp.first_deriv_deriv_at))
-    side = (_entries(m1.static_at(k0)), _entries(m1.static_deriv_at(k0)))
-    A1, B1, C1, D1, al1, p = _first_order(
-        entries, side, complex(pump.B0), complex(pump.C0),
-        st.A0, st.B0f, chain.mobile.pol.zeta, k0,
-    )
+    entries, side = _jets(chain)
+    al1, alt, p, _ = _first_order(entries, complex(pump.B0))
+    if pump.C0 != 0:
+        mirrored = Chain(chain.elements[::-1], len(chain.elements) - 1 - chain.mobile_index, k0)
+        al1_m, _, p_m, q_m = _first_order(_jets(mirrored)[0], complex(pump.C0))
+        al1, alt, p = al1 - p_m, alt - q_m, p - al1_m
+    A1, B1 = _left_face(side, al1, alt)
     for val in (A1, B1, al1, p):
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             raise SingularSolveError(f"first-order solve diverged at k={k0}")
+    C1 = (1 - 1j * z) * A1 - 1j * z * B1 + 2j * z * st.B0f
+    D1 = 1j * z * A1 + (1 + 1j * z) * B1 + 2j * z * st.A0
 
-    return FieldSet(
-        A0=st.A0,
-        A1=A1,
-        B0f=st.B0f,
-        B1=B1,
-        C0f=st.C0f,
-        C1=C1,
-        D0f=st.D0f,
-        D1=D1,
-        out_left0=st.out_left,
-        out_left1=al1,
-        out_right0=st.out_right,
-        out_right1=p,
-    )
+    return FieldSet(A0=st.A0, A1=A1, B0f=st.B0f, B1=B1, C0f=st.C0f, C1=C1, D0f=st.D0f, D1=D1,
+                    out_left0=st.out_left, out_left1=al1, out_right0=st.out_right, out_right1=p)
 
 
 def _velocity_force(a0, a1, b0, b1, z: complex, k0: float):

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .constants import c as C_LIGHT
-from .dynamics import _first_order, _velocity_force, force_with_velocity, solve_dynamic
+from .dynamics import _first_order, _left_face, _velocity_force, force_with_velocity, solve_dynamic
 from .elements import (
     Chain,
     Polarisability,
@@ -295,7 +295,8 @@ def _dynamic_stage(config: MimConfig, pump: PumpSpec, static: tuple) -> np.ndarr
     """(intensity, F0, dFdv, D, kBT) of `evaluate_chain` as a (5, P) array
     for the points of a static stage; NaN marks singular points.
 
-    The composed jet is the static side m1, the moving membrane's jet and
+    The pump is a left one (`_grid_stages` mirrors a right pump).  The
+    composed jet is the static side m1, the moving membrane's jet and
     the side m2, with k-derivatives mirror dP(left) and dP(right) mirror,
     dP = diag(i d, -i d) P; of a' only the right column, which
     `_first_order` reads, is built.  The MIM is lossless, so the noise
@@ -323,8 +324,8 @@ def _dynamic_stage(config: MimConfig, pump: PumpSpec, static: tuple) -> np.ndarr
     A0, B0f, C0f, D0f, _, _ = fields
     out = np.empty((5, m[0].size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        A1, B1, _, _, _, _ = _first_order(comp, (m1, dm1), complex(pump.B0),
-                                          complex(pump.C0), A0, B0f, z, k0)
+        al1, alt, _, _ = _first_order(comp, complex(pump.B0))
+        A1, B1 = _left_face((m1, dm1), al1, alt)
         out[0] = abs(A0 + B0f) ** 2
         out[1] = f0
         out[2] = _velocity_force(A0, A1, B0f, B1, z, k0) / C_LIGHT
@@ -352,15 +353,24 @@ def _right_column(m: tuple) -> tuple:
 
 def _grid_stages(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish) -> np.ndarray:
     """`finish(config, pump, static_stage)` over the points (x, dlc), one
-    block of points at a time, joined along the last axis."""
-    left, right = _gaps(config, x, dlc)
+    block of points at a time, joined along the last axis.
+
+    The stages always see a left pump.  The MIM is mirror-symmetric, so a
+    right pump is the left pump of the chain at -x, whose gaps are the
+    swapped gaps bit for bit (half - (-x) is half + x); its F0 is negated
+    back, and intensity, dF/dv, D and kBT are the same in both frames.
+    """
+    mirrored = config.pump_side == "right"
+    left, right = _gaps(config, -x if mirrored else x, dlc)
     if not (np.isfinite(left).all() and np.isfinite(right).all()):
         raise ChainError("propagation lengths must be finite and >= 0")
-    pump = pump_for(config)
-    return np.concatenate([
-        finish(config, pump, _static_stage(config, pump, left[start:start + _BLOCK_POINTS],
-                                           right[start:start + _BLOCK_POINTS]))
-        for start in range(0, x.size, _BLOCK_POINTS)], axis=-1)
+    pump = PumpSpec.one_sided(config.power_watts, config.wavelength)
+    blocks = []
+    for start in range(0, x.size, _BLOCK_POINTS):
+        f0, singular, parts = _static_stage(config, pump, left[start:start + _BLOCK_POINTS],
+                                            right[start:start + _BLOCK_POINTS])
+        blocks.append(finish(config, pump, (-f0 if mirrored else f0, singular, parts)))
+    return np.concatenate(blocks, axis=-1)
 
 
 def _scan_point(x: float, dlc: float, values: np.ndarray) -> ScanPoint:
@@ -590,7 +600,9 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     overlay.  Of the two lambda/2-spaced copies of that point, the one
     where the chain responds is picked by four probes of the grid engine's
     static stage, so no scalar solve runs; when the two responses tie, the
-    copy nearer dlc = 0 is taken.
+    copy nearer dlc = 0 is taken.  The probes sit at x = 0, where the
+    mirrored chain of a right pump is the chain itself: both pump sides
+    probe it under a left pump and pick the same copy.
     """
     anchor, fwhm = bare_resonance(config)
     kappa_c = config.omega0 * (fwhm / 2) / config.cavity_length

@@ -20,10 +20,11 @@ import signal
 
 import mpmath
 import numpy as np
+from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
 import tmmcavity.mim as mim
-from tmmcavity.elements import Chain, Scatterer, Segment
+from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment
 
 
 def static_matrix(el, k: float) -> np.ndarray:
@@ -40,6 +41,40 @@ def compose(elements, k: float) -> np.ndarray:
     for el in elements:
         m = m @ static_matrix(el, k)
     return m
+
+
+def reversed_chain(chain: Chain) -> Chain:
+    """The chain seen from its other end: its left pump is a right pump of
+    `chain`, its scatterer's velocity -v."""
+    return Chain(chain.elements[::-1], len(chain.elements) - 1 - chain.mobile_index, chain.k0)
+
+
+def side_growth(chain: Chain) -> float:
+    """|M1| |M2|, the largest entries of the transfer matrices of the two
+    sides of the mobile scatterer: the factor by which the closed-form
+    solves amplify float64 rounding (~1/|t| of a side in a stop band)."""
+    k, i = chain.k0, chain.mobile_index
+    return float(np.abs(compose(chain.elements[:i], k)).max()
+                 * np.abs(compose(chain.elements[i + 1:], k)).max())
+
+
+@st.composite
+def random_chains(draw):
+    """A chain of 2-21 scatterers (|zeta| <= 10, some absorbing) and the
+    segments between them, a mobile scatterer and a 1 W, 1064 nm pump from
+    either side."""
+    n = draw(st.integers(2, 21))
+    elements = []
+    for i in range(n):
+        if i:
+            elements.append(Segment(draw(st.floats(1e-4, 5e-3))))
+        re = draw(st.floats(-10.0, 10.0))
+        im = draw(st.one_of(st.just(0.0), st.floats(0.0, (100.0 - re * re) ** 0.5)))
+        elements.append(Scatterer.of(complex(re, im)))
+    mobile = 2 * draw(st.integers(0, n - 1))
+    side = draw(st.sampled_from(["left", "right"]))
+    return Chain(tuple(elements), mobile, 2 * math.pi / 1.064e-6), PumpSpec.one_sided(
+        1.0, 1.064e-6, side)
 
 
 # 2x2 matrices as tuples (m11, m12, m21, m22) of Python complex or mpmath

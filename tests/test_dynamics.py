@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
 import tmmcavity.dynamics as dynamics
@@ -15,12 +16,16 @@ from helpers import (
     fd_first_order_fields,
     fd_friction,
     flux_force_first_order,
+    random_chains,
+    reversed_chain,
+    side_growth,
     wall_clock_limit,
 )
 
 LAM = 1.064e-6
 K0 = 2 * np.pi / LAM
 PUMP = PumpSpec.one_sided(1.0, LAM)
+RIGHT = PumpSpec.one_sided(1.0, LAM, side="right")
 
 
 def cavity_chain(zeta, zm, lc, x, dlc):
@@ -54,8 +59,8 @@ class TestFieldSet:
         chain = Chain(elements=(Scatterer.of(z),), mobile_index=0, k0=K0)
         f = solve_dynamic(chain, PUMP)
         r = chain.mobile.pol.reflectivity
-        assert f.A0 == pytest.approx(r * PUMP.B0, rel=1e-12)
-        assert f.A1 == pytest.approx(-2 * r * PUMP.B0, rel=1e-12)
+        assert f.A0 == pytest.approx(r * PUMP.B0, rel=1e-12, abs=0)
+        assert f.A1 == pytest.approx(-2 * r * PUMP.B0, rel=1e-12, abs=0)
         assert f.B1 == 0
         # C1 and D1 cancel analytically; leave room for roundoff at the
         # ~1e9 amplitude scale
@@ -70,9 +75,9 @@ class TestFieldSet:
         f = solve_dynamic(chain, pump)
         r = chain.mobile.pol.reflectivity
         t = chain.mobile.pol.transmissivity
-        assert f.D0f == pytest.approx(r * pump.C0, rel=1e-12)
-        assert f.D1 == pytest.approx(2 * r * pump.C0, rel=1e-12)
-        assert f.A0 == pytest.approx(t * pump.C0, rel=1e-12)
+        assert f.D0f == pytest.approx(r * pump.C0, rel=1e-12, abs=0)
+        assert f.D1 == pytest.approx(2 * r * pump.C0, rel=1e-12, abs=0)
+        assert f.A0 == pytest.approx(t * pump.C0, rel=1e-12, abs=0)
         assert f.A1 == pytest.approx(0.0, abs=1e-7 * abs(pump.C0))
         assert f.B1 == 0
 
@@ -121,10 +126,10 @@ class TestFieldSet:
         chain = cavity_chain(-1.0, -3.0, 1e-2, 0.21 * LAM, -0.13 * LAM)
         dyn = solve_dynamic(chain, PUMP)
         fd = fd_first_order_fields(chain, PUMP, v_over_c=1e-9)
-        assert dyn.A1 == pytest.approx(fd["A1"], rel=1e-4)
-        assert dyn.B1 == pytest.approx(fd["B1"], rel=1e-4)
-        assert dyn.C1 == pytest.approx(fd["C1"], rel=1e-4)
-        assert dyn.D1 == pytest.approx(fd["D1"], rel=1e-4)
+        assert dyn.A1 == pytest.approx(fd["A1"], rel=1e-4, abs=0)
+        assert dyn.B1 == pytest.approx(fd["B1"], rel=1e-4, abs=0)
+        assert dyn.C1 == pytest.approx(fd["C1"], rel=1e-4, abs=0)
+        assert dyn.D1 == pytest.approx(fd["D1"], rel=1e-4, abs=0)
 
     def test_both_pumps_and_absorber_against_oracle(self):
         power = 0.7
@@ -146,7 +151,7 @@ class TestFieldSet:
         fd = fd_first_order_fields(chain, pump, v_over_c=1e-9)
         for name, got in (("A1", dyn.A1), ("B1", dyn.B1),
                           ("C1", dyn.C1), ("D1", dyn.D1)):
-            assert got == pytest.approx(fd[name], rel=1e-5), name
+            assert got == pytest.approx(fd[name], rel=1e-5, abs=0), name
 
     def test_response_function_hand_solution(self):
         """Scatterer + gap + mirror, solved by the response-function route.
@@ -180,7 +185,7 @@ class TestFieldSet:
         )
         got = solve_dynamic(chain, PUMP)
         for name, val in expect.items():
-            assert getattr(got, name) == pytest.approx(val, rel=1e-12), name
+            assert getattr(got, name) == pytest.approx(val, rel=1e-12, abs=0), name
 
 
 class TestForceWithVelocity:
@@ -198,8 +203,8 @@ class TestForceWithVelocity:
                                   chain.mobile.pol, K0)
         flux = PUMP.photon_flux
         expect_f1 = -4 * HBAR * K0 * flux * zeta**2 / (1 + zeta**2)
-        assert rep.F1 == pytest.approx(expect_f1, rel=1e-10)
-        assert rep.friction == pytest.approx(expect_f1 / C_LIGHT, rel=1e-10)
+        assert rep.F1 == pytest.approx(expect_f1, rel=1e-10, abs=0)
+        assert rep.friction == pytest.approx(expect_f1 / C_LIGHT, rel=1e-10, abs=0)
         assert rep.friction < 0  # drag opposing recession
 
     def test_friction_formula_equals_flux_expansion(self):
@@ -220,7 +225,7 @@ class TestForceWithVelocity:
                      C0f=dyn.C0f, C1=dyn.C1, D0f=dyn.D0f, D1=dyn.D1),
                 K0,
             )
-            assert rep.F1 == pytest.approx(flux_f1, rel=1e-9)
+            assert rep.F1 == pytest.approx(flux_f1, rel=1e-9, abs=0)
 
     def test_red_cooling_blue_heating_across_resonance(self):
         """Friction < 0 just below a resonance in dLc, > 0 just above."""
@@ -296,3 +301,51 @@ class TestLongChain:
                 got = evaluate_chain(chain, PUMP)
             oracle = fd_friction(chain, PUMP, v_over_c=1e-20, dps=40)
             assert abs(got["dFdv"] - oracle) / abs(oracle) < 1e-4, seed
+
+
+class TestMirror:
+    """A right pump is the left pump of the reversed chain: the faces map as
+    (A, B, C, D) <-> (D', C', B', A') and the two ports swap.  Agreement is
+    to float64 rounding amplified by `side_growth`, which deep stop bands
+    of these chains push past 1e12."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(random_chains())
+    def test_right_pump_static_is_the_reversed_left_pump(self, case):
+        """Random 3-41-element chains, |zeta| <= 10, absorbers, any mobile
+        scatterer: `solve_static` with its own right-pump form against the
+        reversed chain pumped from the left (worst 3.3e-13 of the growth
+        in 4000 examples)."""
+        chain, _ = case
+        st = solve_static(chain, RIGHT)
+        rev = solve_static(reversed_chain(chain), PUMP)
+        got = np.array([st.A0, st.B0f, st.C0f, st.D0f, st.out_left, st.out_right])
+        want = np.array([rev.D0f, rev.C0f, rev.B0f, rev.A0, rev.out_right, rev.out_left])
+        assert np.abs(got - want).max() <= 1e-11 * side_growth(chain) * np.abs(want).max()
+
+    def test_right_and_two_sided_first_order_match_80_digit_oracle(self):
+        """Seeded chains of the same kind: A1, B1, C1 and D1 of right-pumped
+        and two-sided `solve_dynamic` against the 80-digit sideband oracle,
+        relative to the largest of them (on 40 random chains with both
+        pumps the error stayed below 4e-13 of the growth)."""
+        amp = np.sqrt(PUMP.photon_flux / 2)
+        two_sided = PumpSpec(B0=amp, C0=amp * np.exp(0.7j), power_watts=1.0, wavelength=LAM)
+        rng = np.random.default_rng(16)
+        for _ in range(6):
+            n = int(rng.integers(2, 22))
+            elements = []
+            for i in range(n):
+                if i:
+                    elements.append(Segment(rng.uniform(1e-4, 5e-3)))
+                re = rng.uniform(-10, 10)
+                im = rng.uniform(0, (100 - re * re) ** 0.5) if rng.random() < 0.5 else 0.0
+                elements.append(Scatterer.of(complex(re, im)))
+            chain = Chain(tuple(elements), 2 * int(rng.integers(0, n)), K0)
+            bound = 1e-10 + 1e-12 * side_growth(chain)
+            for pump in (RIGHT, two_sided):
+                dyn = solve_dynamic(chain, pump)
+                fd = fd_first_order_fields(chain, pump, v_over_c=1e-30, dps=80)
+                got = np.array([dyn.A1, dyn.B1, dyn.C1, dyn.D1])
+                want = np.array([fd[name] for name in ("A1", "B1", "C1", "D1")])
+                assert np.abs(got - want).max() <= bound * np.abs(want).max(), (n, pump.B0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 from scipy.constants import c as C_LIGHT, hbar as HBAR, k as K_BOLTZMANN
 
 from tmmcavity.dynamics import force_with_velocity, solve_dynamic
@@ -18,7 +18,7 @@ from tmmcavity.noise import (
 )
 from tmmcavity.statics import solve_static
 
-from helpers import printed_sum_diffusion
+from helpers import printed_sum_diffusion, random_chains
 
 LAM = 1.064e-6
 K0 = 2 * np.pi / LAM
@@ -155,23 +155,6 @@ class TestOperatorFields:
                             ops.out_left_vec, ops.out_right_vec)))
         assert diffusion(fields, pump_only, chain.mobile.pol, K0) == pytest.approx(
             1.4068394025183412e-36, rel=1e-12, abs=0)
-
-
-@st.composite
-def random_chains(draw):
-    """A chain of 2-21 scatterers (|zeta| <= 10, some absorbing) and the
-    segments between them, a mobile scatterer and a pump from either side."""
-    n = draw(st.integers(2, 21))
-    elements = []
-    for i in range(n):
-        if i:
-            elements.append(Segment(draw(st.floats(1e-4, 5e-3))))
-        re = draw(st.floats(-10.0, 10.0))
-        im = draw(st.one_of(st.just(0.0), st.floats(0.0, (100.0 - re * re) ** 0.5)))
-        elements.append(Scatterer.of(complex(re, im)))
-    mobile = 2 * draw(st.integers(0, n - 1))
-    side = draw(st.sampled_from(["left", "right"]))
-    return Chain(tuple(elements), mobile, K0), PumpSpec.one_sided(1.0, LAM, side)
 
 
 class TestDiffusion:
