@@ -27,9 +27,7 @@ from .errors import (
     PassivityError,
     SingularSolveError,
     TmmCavityError,
-    WavenumberError,
 )
-from .opalg import VOMatrix, moving_scatterer_matrix, vo_mul
 from .statics import (
     CouplingReport,
     StaticFields,
@@ -82,11 +80,7 @@ __all__ = [
     "SingularSolveError",
     "NonCoolingError",
     "ConfigError",
-    "WavenumberError",
     "CalibrationError",
-    "VOMatrix",
-    "vo_mul",
-    "moving_scatterer_matrix",
     "StaticFields",
     "CouplingReport",
     "solve_static",

@@ -1,8 +1,8 @@
 """First-order-in-velocity fields, velocity-dependent force, and friction.
 
 The moving scatterer turns the composed chain matrix into an operator in
-wavenumber, carried as a first-order jet at the pump wavenumber (see
-`tmmcavity.opalg`).  With a monochromatic pump the spectral
+wavenumber, carried as a first-order jet at the pump wavenumber by the
+kernel in `tmmcavity.opalg`.  With a monochromatic pump the spectral
 amplitudes are delta functions plus, at first order in v/c, derivative-of-
 delta terms; solving the boundary problem in that basis and integrating
 gives the closed-form fields below.  Every k-derivative is evaluated
@@ -29,16 +29,14 @@ free-standing lossless scatterer dF/dv = -4 hbar k0 Phi z^2/(1+z^2) / c.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from .constants import c as C_LIGHT, hbar as HBAR
 
-from .elements import Chain, Polarisability, PumpSpec, _side_jets
-from .errors import SingularSolveError
-from .opalg import _entries, _inverse_entries, moving_scatterer_matrix
-from .statics import StaticFields, solve_static, static_force
+from .elements import Chain, Polarisability, PumpSpec
+from .opalg import _chain_fields
+from .statics import StaticFields, static_force
 
 __all__ = ["FieldSet", "ForceReport", "solve_dynamic", "force_with_velocity"]
 
@@ -89,98 +87,26 @@ class ForceReport:
     friction: float
 
 
-def _first_order(comp: tuple, B0: complex) -> tuple:
-    """(al1, alt, p, q): the (v/c) parts al1 delta + alt delta' of the left
-    output and p delta + q delta' of the right output under a left pump B0,
-    from the entry tuples of the composed jet's a, a', b, c, c' (`comp`; of
-    a' only the right column is read).
-
-    Plain elementwise arithmetic: entries of one chain give numpy scalars,
-    (P,) arrays of a grid give (P,) arrays.  A right pump is the left pump
-    of the reversed chain (see `solve_dynamic`), so no C0 form is derived.
-    """
-    ((_, a0, _, b0), (_, da0, _, db0), (_, ab, _, bb), (_, ac, _, bc),
-     (_, dac, _, dbc)) = comp
-    al1 = alt = p = q = 0j
-    if B0 != 0:
-        d_out0 = B0 / b0
-        q = -(d_out0 * bc) / b0
-        p = (-(d_out0 * (bb - dbc)) + db0 * q) / b0
-        al1 = d_out0 * (ab - dac) + a0 * p - da0 * q
-        alt = d_out0 * ac + a0 * q
-    return al1, alt, p, q
-
-
-def _left_face(side: tuple, al1, alt) -> tuple:
-    """(A1, B1) on the mobile scatterer's left face from the left output
-    al1 delta + alt delta', through (M1)^-1 of the entry tuples of M1 and
-    M1' (`side`): f(k) delta'(k - k0) is f(k0) delta' - f'(k0) delta."""
-    mu11, _, mu21, _ = _inverse_entries(side[0])
-    dmu11, _, dmu21, _ = _inverse_entries(side[1])
-    return mu11 * al1 - dmu11 * alt, mu21 * al1 - dmu21 * alt
-
-
-def _jets(chain: Chain) -> tuple:
-    """Entry tuples of the composed jet's a, a', b, c, c' and of the left
-    side M1 and its k-derivative, at `chain.k0`."""
-    k0 = chain.k0
-    m1, m2 = _side_jets(chain)
-    comp = m1 @ moving_scatterer_matrix(chain.mobile.pol, k0) @ m2
-    entries = tuple(_entries(f(k0)) for f in (
-        comp.static_at, comp.static_deriv_at, comp.first_scalar_at,
-        comp.first_deriv_at, comp.first_deriv_deriv_at))
-    return entries, (_entries(m1.static_at(k0)), _entries(m1.static_deriv_at(k0)))
-
-
 def solve_dynamic(chain: Chain, pump: PumpSpec) -> FieldSet:
     """Closed-form fields at the mobile scatterer to first order in v/c.
 
-    Solves the left-pump boundary problem for the composed operator matrix
-    [[g^, a^], [d^, b^]]: the outgoing right-port spectrum is
-    D(k) = d0 delta + (v/c)(p delta + q delta'), with
-
-        d0 = B0/b,
-        q  = -d0 bc/b,
-        p  = [-d0 (bb - bc') + b' q]/b,
-
-    where xb, xc are the first-order scalar- and derivative-part
-    coefficients of each entry and primes are analytic k-derivatives, all
-    at the pump wavenumber.  The left-port spectrum and the fields on the
-    scatterer follow by applying g^/a^ and (M1)^-1, collecting
-    delta-function and delta'-function coefficients.  The composed operator
-    is M1 MS^ M2, with M1 and M2 the static jets of the chain's two sides
-    and MS^ the mobile scatterer's.
-
-    The fields are linear in the pump, and a right pump C0 is the left pump
-    C0 of the reversed chain, whose scatterer moves with velocity -v: the
-    chain's output spectra are those of the reversed chain with the ports
-    swapped and the (v/c) parts negated, (out_left1, out_right1) =
-    -(out_right1', out_left1') and likewise for the delta' parts.  A
-    two-sided pump adds the two parts, and the face fields follow from the
-    total left output, so (A1, B1, C1, D1) = -(D1', C1', B1', A1') for a
-    right pump alone.
+    The kernel `opalg._solve_left_pump` with the (v/c) parts: it solves the
+    left-pump boundary problem for the composed operator M1 MS^ M2 (see
+    `opalg._first_order`) and applies (M1)^-1 to the left output, every
+    k-derivative analytic at the pump wavenumber.  The zeroth-order fields
+    are those of `solve_static`, bit for bit.  A right pump is the left
+    pump of the reversed chain, whose scatterer moves at -v; a two-sided
+    pump adds the two.  C1 and D1 follow from the right-face relations
+    above, on the total fields.
     """
-    k0, z = chain.k0, chain.mobile.pol.zeta
-    # the zeroth-order fields ship through the exact same numeric path as
-    # solve_static (bit-for-bit consistency), which also rejects a chain
-    # without a transmission channel; the jets below only supply
-    # derivatives and first-order coefficients
-    st = solve_static(chain, pump)
-    entries, side = _jets(chain)
-    al1, alt, p, _ = _first_order(entries, complex(pump.B0))
-    if pump.C0 != 0:
-        mirrored = Chain(chain.elements[::-1], len(chain.elements) - 1 - chain.mobile_index, k0)
-        al1_m, _, p_m, q_m = _first_order(_jets(mirrored)[0], complex(pump.C0))
-        al1, alt, p = al1 - p_m, alt - q_m, p - al1_m
-    A1, B1 = _left_face(side, al1, alt)
-    for val in (A1, B1, al1, p):
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise SingularSolveError(f"first-order solve diverged at k={k0}")
-    C1 = (1 - 1j * z) * A1 - 1j * z * B1 + 2j * z * st.B0f
-    D1 = 1j * z * A1 + (1 + 1j * z) * B1 + 2j * z * st.A0
-
-    return FieldSet(A0=st.A0, A1=A1, B0f=st.B0f, B1=B1, C0f=st.C0f, C1=C1, D0f=st.D0f, D1=D1,
-                    out_left0=st.out_left, out_left1=al1, out_right0=st.out_right, out_right1=p)
+    z = chain.mobile.pol.zeta
+    (A0, B0f, C0f, D0f, out_left, out_right,
+     A1, B1, out_left1, out_right1) = (x[0] for x in _chain_fields(chain, pump, True))
+    C1 = (1 - 1j * z) * A1 - 1j * z * B1 + 2j * z * B0f
+    D1 = 1j * z * A1 + (1 + 1j * z) * B1 + 2j * z * A0
+    return FieldSet(A0=A0, A1=A1, B0f=B0f, B1=B1, C0f=C0f, C1=C1, D0f=D0f, D1=D1,
+                    out_left0=out_left, out_left1=out_left1, out_right0=out_right,
+                    out_right1=out_right1)
 
 
 def _velocity_force(a0, a1, b0, b1, z: complex, k0: float):

@@ -1,4 +1,4 @@
-"""Optical elements, chains, pump definitions and the chain's side jets.
+"""Optical elements, chains and pump definitions.
 
 Conventions used throughout the package:
 
@@ -18,7 +18,7 @@ with unit determinant.  Free propagation over d is diag(e^{ikd}, e^{-ikd}).
 
 Every solve of a chain is a function of the chain and the pump alone: the
 chain carries no solver state, and each solve composes the element
-matrices it needs itself.
+matrices it needs itself (`tmmcavity.opalg`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from .constants import c as C_LIGHT, hbar as HBAR
 
 from .errors import ChainError, PassivityError
-from .opalg import VOMatrix
 
 __all__ = [
     "Polarisability",
@@ -242,29 +241,3 @@ def element_matrix(el: Element, k: float) -> np.ndarray:
         return scatterer_matrix(el.pol)
     return propagation_matrix(k, el.length)
 
-
-def _element_jet(el: Element, k: float) -> VOMatrix:
-    """Static jet of one element: its matrix and analytic k-derivative at k,
-    diag(i d, -i d) times the matrix for free propagation over d."""
-    if isinstance(el, Scatterer):
-        return VOMatrix(k, scatterer_matrix(el.pol))
-    d = el.length
-    m = propagation_matrix(k, d)
-    return VOMatrix(k, m, np.array([[1j * d, 0.0], [0.0, -1j * d]]) * m)
-
-
-def _compose_static(elements, k: float) -> VOMatrix:
-    if not elements:
-        return VOMatrix.identity(k)
-    m = _element_jet(elements[0], k)
-    for el in elements[1:]:
-        m = m @ _element_jet(el, k)
-    return m
-
-
-def _side_jets(chain: Chain) -> tuple:
-    """(M1, M2): the static jets, at `chain.k0`, of the elements left and
-    right of the mobile scatterer."""
-    k = chain.k0
-    return (_compose_static(chain.elements[: chain.mobile_index], k),
-            _compose_static(chain.elements[chain.mobile_index + 1 :], k))

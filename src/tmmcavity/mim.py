@@ -27,20 +27,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .constants import c as C_LIGHT
-from .dynamics import _first_order, _left_face, _velocity_force, force_with_velocity, solve_dynamic
-from .elements import (
-    Chain,
-    Polarisability,
-    PumpSpec,
-    Scatterer,
-    Segment,
-    _check_wavelength,
-    scatterer_matrix,
-)
+from .dynamics import _velocity_force, solve_dynamic
+from .elements import Chain, Polarisability, PumpSpec, Scatterer, Segment, _check_wavelength
 from .errors import CalibrationError, ChainError
 from .noise import _diffusion, _kbt, diffusion, operator_fields
-from .opalg import _add, _entries, _inverse_entries, _mul, moving_scatterer_matrix
-from .statics import _right_face, _static_force, _static_solution, resonance_shifts
+from .opalg import _inverse_entries, _right_face, _solve_left_pump, _static_force
+from .statics import resonance_shifts
 
 __all__ = [
     "MimConfig",
@@ -214,17 +206,20 @@ def evaluate_chain(chain: Chain, pump: PumpSpec) -> dict:
 
     The diffusion coefficient carries the full commutator bookkeeping: one
     loss mode per absorber (see `operator_fields`).  kBT is None in heating
-    regions.
+    regions.  Intensity, F0 and dF/dv are the grid engine's array formulas
+    on one-element arrays, so a left-pumped MIM chain gives the `scan`
+    cell's values bit for bit.
     """
+    k0, z = chain.k0, chain.mobile.pol.zeta
     fields = solve_dynamic(chain, pump)
-    report = force_with_velocity(fields, chain.mobile.pol, chain.k0)
-    ops = operator_fields(chain)
-    d_coeff = diffusion(fields.static(), ops, chain.mobile.pol, chain.k0)
-    kbt = float(_kbt(d_coeff, report.friction))
+    A0, A1, B0f, B1 = (np.array([v]) for v in (fields.A0, fields.A1, fields.B0f, fields.B1))
+    friction = _velocity_force(A0, A1, B0f, B1, z, k0)[0] / C_LIGHT
+    d_coeff = diffusion(fields.static(), operator_fields(chain), chain.mobile.pol, k0)
+    kbt = float(_kbt(d_coeff, friction))
     return {
-        "intensity": float(fields.static().intensity),
-        "F0": float(report.F0),
-        "dFdv": float(report.friction),
+        "intensity": float((abs(A0 + B0f) ** 2)[0]),
+        "F0": float(_static_force(A0, B0f, z, k0)[0]),
+        "dFdv": float(friction),
         "D": float(d_coeff),
         "kBT": None if math.isnan(kbt) else kbt,
     }
@@ -236,8 +231,8 @@ def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
     The grid engine of `scan` on a batch of one point, so the result equals
     the `scan` cell at the same (x, dlc) bit for bit.
     """
-    values = _grid_stages(config, np.array([x], dtype=float),
-                          np.array([dlc], dtype=float), _dynamic_stage)
+    values = _grid_solve(config, np.array([x], dtype=float), np.array([dlc], dtype=float),
+                         _quantities, first_order=True)
     return _scan_point(x, dlc, values[:, 0])
 
 
@@ -261,115 +256,68 @@ def _grid_points(grid: ScanGrid) -> tuple[np.ndarray, np.ndarray]:
             np.tile(grid.dlc_values, grid.x_count))
 
 
-def _static_stage(config: MimConfig, pump: PumpSpec, left, right) -> tuple:
-    """Static fields and force of a block of MIM chains, one per pair of
-    (P,) gap lengths, composed like `solve_static` on entry tuples.
-
-    Returns (F0, singular, parts).  `singular` marks points whose solve
-    divides by zero or does not stay finite; every later stage reads it.
-    `parts` = (left, right, p_left, p_right, m1, m1s, m2, m, fields): the
-    gaps and their propagation entries, the sides m1 = mirror P(left) and
-    m2 = P(right) mirror around the membrane, m1s = m1 times the membrane,
-    the composed matrix m and `_static_solution`'s fields.
-    """
-    k0 = config.k0
-    z = complex(config.membrane_zeta)
-    mirror = _entries(scatterer_matrix(config.mirror_zeta))
-    # e^{-ik0L} as the conjugate of e^{ik0L}: the same bits (cos is even
-    # and sin odd) for one complex exp instead of two
-    e_left, e_right = np.exp(1j * k0 * left), np.exp(1j * k0 * right)
-    p_left = (e_left, None, None, np.conj(e_left))
-    p_right = (e_right, None, None, np.conj(e_right))
-    m1, m2 = _mul(mirror, p_left), _mul(p_right, mirror)
-    # singular points divide by zero or overflow; the mask below marks them
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m1s = _mul(m1, _entries(scatterer_matrix(config.membrane_zeta)))
-        m = _mul(m1s, m2)
-        fields = _static_solution(m, m1, complex(pump.B0), complex(pump.C0), z)
-        f0 = _static_force(fields[0], fields[1], z, k0)
-    singular = (m[3] == 0) | ~np.isfinite(f0)
-    return f0, singular, (left, right, p_left, p_right, m1, m1s, m2, m, fields)
-
-
-def _dynamic_stage(config: MimConfig, pump: PumpSpec, static: tuple) -> np.ndarray:
+def _quantities(config: MimConfig, solution) -> np.ndarray:
     """(intensity, F0, dFdv, D, kBT) of `evaluate_chain` as a (5, P) array
-    for the points of a static stage; NaN marks singular points.
+    from a first-order kernel solution; NaN marks singular points.
 
-    The pump is a left one (`_grid_stages` mirrors a right pump).  The
-    composed jet is the static side m1, the moving membrane's jet and
-    the side m2, with k-derivatives mirror dP(left) and dP(right) mirror,
-    dP = diag(i d, -i d) P; of a' only the right column, which
-    `_first_order` reads, is built.  The MIM is lossless, so the noise
-    columns are the static fields at the two unit pumps.  They share one
-    1/b: the composed matrix has unit determinant, so the left unit pump's
-    left output is a/b and the right one's is 1/b.
+    The MIM is lossless, so the noise columns are the static fields at the
+    two unit pumps.  They share one 1/b: the composed matrix has unit
+    determinant, so the left unit pump's left output is a/b and the right
+    one's is 1/b.
     """
-    f0, singular, (left, right, p_left, p_right, m1, m1s, m2, m, fields) = static
     k0 = config.k0
     z = complex(config.membrane_zeta)
-    mirror = _entries(scatterer_matrix(config.mirror_zeta))
-    dm1 = _mul(mirror, (1j * left * p_left[0], None, None, -1j * left * p_left[3]))
-    dm2 = _mul((1j * right * p_right[0], None, None, -1j * right * p_right[3]), mirror)
-    # vo_mul's formulas without their zero terms: the sides are static, the
-    # membrane has a' = b = 0 and its Doppler terms c, c' sit off the diagonal
-    ms = moving_scatterer_matrix(z, k0)
-    c_ms = (None, ms.c[0, 1], ms.c[1, 0], None)
-    dc_ms = (None, ms.dc[0, 1], ms.dc[1, 0], None)
-    da_l = _mul(dm1, _entries(ms.a))
-    c_l = _mul(m1, c_ms)
-    dc_l = _add(_mul(dm1, c_ms), _mul(m1, dc_ms))
-    c_dm2 = _mul(c_l, dm2)
-    comp = (m, _add(_mul(da_l, _right_column(m2)), _mul(m1s, _right_column(dm2))),
-            c_dm2, _mul(c_l, m2), _add(_mul(dc_l, m2), c_dm2))
-    A0, B0f, C0f, D0f, _, _ = fields
-    out = np.empty((5, m[0].size))
+    A0, B0f, C0f, D0f, _, _ = solution.fields
+    A1, B1 = solution.first[:2]
+    m = solution.m
+    out = np.empty((5, A0.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        al1, alt, _, _ = _first_order(comp, complex(pump.B0))
-        A1, B1 = _left_face((m1, dm1), al1, alt)
         out[0] = abs(A0 + B0f) ** 2
-        out[1] = f0
+        out[1] = solution.f0
         out[2] = _velocity_force(A0, A1, B0f, B1, z, k0) / C_LIGHT
         if z == 0:
             out[3] = 0.0  # nothing scatters, no momentum kicks
         else:
-            mu11, mu12, mu21, mu22 = _inverse_entries(m1)
+            mu11, mu12, mu21, mu22 = _inverse_entries(solution.m1)
             r = 1 / m[3]
             a_out = np.stack([m[1] * r, r])  # unit pumps from the left, the right
             b_in = np.array([[1.0], [0.0]])
             av = mu11 * a_out + mu12 * b_in
             bv = mu21 * a_out + mu22 * b_in
             out[3] = _diffusion(A0, B0f, C0f, D0f, av, bv, *_right_face(av, bv, z), k0)
-        singular = singular | ~np.isfinite(out[:4]).all(axis=0)
+        singular = solution.singular | ~np.isfinite(out[:4]).all(axis=0)
     out[:4, singular] = np.nan
     out[4] = _kbt(out[3], out[2])
     return out
 
 
-def _right_column(m: tuple) -> tuple:
-    """Entry tuple of m with its left column a structural zero: a product
-    x @ _right_column(m) is the right column of x @ m alone."""
-    return None, m[1], None, m[3]
+def _grid_solve(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish,
+                first_order: bool = False) -> np.ndarray:
+    """`finish(config, solution)` of the kernel's solutions of the MIM
+    chains at the points (x, dlc), one block of points at a time, joined
+    along the last axis.
 
-
-def _grid_stages(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish) -> np.ndarray:
-    """`finish(config, pump, static_stage)` over the points (x, dlc), one
-    block of points at a time, joined along the last axis.
-
-    The stages always see a left pump.  The MIM is mirror-symmetric, so a
-    right pump is the left pump of the chain at -x, whose gaps are the
-    swapped gaps bit for bit (half - (-x) is half + x); its F0 is negated
+    The kernel always sees a left pump.  A right pump is the left pump of
+    the reversed element list, the chain with its gaps swapped (for the
+    mirror-symmetric MIM, the chain at -x bit for bit); its F0 is negated
     back, and intensity, dF/dv, D and kBT are the same in both frames.
     """
     mirrored = config.pump_side == "right"
-    left, right = _gaps(config, -x if mirrored else x, dlc)
+    left, right = _gaps(config, x, dlc)
+    if mirrored:
+        left, right = right, left
     if not (np.isfinite(left).all() and np.isfinite(right).all()):
         raise ChainError("propagation lengths must be finite and >= 0")
-    pump = PumpSpec.one_sided(config.power_watts, config.wavelength)
+    b0 = complex(PumpSpec.one_sided(config.power_watts, config.wavelength).B0)
+    mirror = Scatterer.of(config.mirror_zeta)
     blocks = []
     for start in range(0, x.size, _BLOCK_POINTS):
-        f0, singular, parts = _static_stage(config, pump, left[start:start + _BLOCK_POINTS],
-                                            right[start:start + _BLOCK_POINTS])
-        blocks.append(finish(config, pump, (-f0 if mirrored else f0, singular, parts)))
+        block = slice(start, start + _BLOCK_POINTS)
+        solution = _solve_left_pump((mirror, left[block]), complex(config.membrane_zeta),
+                                    (right[block], mirror), config.k0, b0, first_order)
+        if mirrored:
+            solution = solution._replace(f0=-solution.f0)
+        blocks.append(finish(config, solution))
     return np.concatenate(blocks, axis=-1)
 
 
@@ -434,7 +382,7 @@ def scan(config: MimConfig, grid: ScanGrid) -> ScanResult:
     x, dlc = _grid_points(grid)
     shape = (grid.x_count, grid.dlc_count)
     intensity, f0, dfdv, d_coeff, kbt = (
-        c.reshape(shape) for c in _grid_stages(config, x, dlc, _dynamic_stage))
+        c.reshape(shape) for c in _grid_solve(config, x, dlc, _quantities, first_order=True))
 
     xs = grid.x_values
     lo, hi = float(np.min(grid.dlc_values)), float(np.max(grid.dlc_values))
@@ -598,8 +546,8 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     c|t|/Lc with |t|^2 = 1/(1 + zeta^2), and the x = 0 degeneracy point
     from the midpoint of the two analytic branches, anchored like the
     overlay.  Of the two lambda/2-spaced copies of that point, the one
-    where the chain responds is picked by four probes of the grid engine's
-    static stage, so no scalar solve runs; when the two responses tie, the
+    where the chain responds is picked by four static probes of the grid
+    engine, so no scalar solve runs; when the two responses tie, the
     copy nearer dlc = 0 is taken.  The probes sit at x = 0, where the
     mirrored chain of a right pump is the chain itself: both pump sides
     probe it under a left pump and pick the same copy.
@@ -618,19 +566,18 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     # pair; probe the chain response at both and keep the live one.  The
     # response of a copy is |B0f|^2 + |D0f|^2 summed over the two points a
     # coupling split away at x = 0, a singular one counting 0; the four
-    # probes are one batch of the static stage
+    # probes are one static batch of the grid engine
     cand = [(mid + lam / 2) % lam - lam / 2]
     cand.append(cand[0] + (lam / 2 if cand[0] < 0 else -lam / 2))
     split_dlc = g * config.cavity_length / config.omega0
     probes = np.array([c + s * split_dlc for c in cand for s in (-1.0, +1.0)])
 
-    def response(config, pump, static):
-        _f0, singular, parts = static
-        _a0, b0f, _c0f, d0f, _, _ = parts[-1]
+    def response(config, solution):
+        _a0, b0f, _c0f, d0f, _, _ = solution.fields
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(singular, 0.0, abs(b0f) ** 2 + abs(d0f) ** 2)
+            return np.where(solution.singular, 0.0, abs(b0f) ** 2 + abs(d0f) ** 2)
 
-    total = _grid_stages(config, np.zeros(probes.size), probes, response)
+    total = _grid_solve(config, np.zeros(probes.size), probes, response)
     responses = total.reshape(2, 2).sum(axis=1)
     if abs(responses[0] - responses[1]) <= _TIE_RTOL * responses.max():
         # a tie (a transparent membrane makes both copies the same bare
@@ -673,13 +620,13 @@ def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
     right mirror, while the chain layout shortens the left gap for +x, so
     the model is evaluated at -x.  Per-point discrepancies are normalised
     by the RMS chain force over the grid.  The chain force is the static
-    stage of the `scan` engine; both models are evaluated as array
+    solve of the `scan` engine; both models are evaluated as array
     arithmetic over the whole grid.
     """
     cal = calibrate_coupled_params(config)
     x, dlc = _grid_points(grid)
-    tmm = _grid_stages(config, x, dlc,
-                       lambda config, pump, st: np.where(st[1], np.nan, st[0]))
+    tmm = _grid_solve(config, x, dlc,
+                      lambda config, solution: np.where(solution.singular, np.nan, solution.f0))
 
     delta = config.omega0 * (dlc - cal.dlc_center) / config.cavity_length
     cc = coupled_cavity_force(cal.params, -x, delta, config.k0)

@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .constants import c as C_LIGHT, hbar as HBAR
+from .constants import c as C_LIGHT
 
-from .elements import Chain, Polarisability, PumpSpec, element_matrix
-from .errors import SingularSolveError
-from .opalg import _entries, _inverse_entries
+from .elements import Chain, Polarisability, PumpSpec
+from .opalg import _chain_fields, _static_force
 
 __all__ = [
     "StaticFields",
@@ -57,95 +56,14 @@ class StaticFields:
         return abs(self.A0 + self.B0f) ** 2
 
 
-def _check_transmission_channel(b0: complex, k: float):
-    if not (math.isfinite(b0.real) and math.isfinite(b0.imag)):
-        raise SingularSolveError(
-            f"the composed chain matrix overflowed at k={k} (entry beta_0 is "
-            f"{b0}): the product of the element matrices exceeds the float64 "
-            "range; reduce |zeta| of the strongest scatterers"
-        )
-    if b0 == 0:
-        raise SingularSolveError(
-            f"no transmission channel between pump and scatterer at k={k} "
-            "(composed matrix entry beta_0 vanished)"
-        )
-
-
-def _static_solution(m: tuple, m1: tuple, B0: complex, C0: complex, z: complex) -> tuple:
-    """(A0, B0f, C0f, D0f, out_left, out_right) from the entry tuples of the
-    composed matrix m and of the left side M1 of the chain.
-
-    Plain elementwise arithmetic: one chain passes the `_entries` of its
-    2x2 matrices and gets numpy scalars, a grid passes (P,) arrays and gets
-    (P,) arrays.
-
-    The left output g C0 + a D_out equals (a B0 + C0) / b, because m has
-    unit determinant; that form keeps the digits g C0 + a D_out loses to
-    cancellation under a right pump (g - a d / b = 1 / b).
-    """
-    _, a, d, b = m
-    mu11, mu12, mu21, mu22 = _inverse_entries(m1)
-    d_out = (B0 - d * C0) / b
-    a_out = a * (B0 / b) + C0 / b
-    A0 = mu11 * a_out + mu12 * B0
-    B0f = mu21 * a_out + mu22 * B0
-    return (A0, B0f, *_right_face(A0, B0f, z), a_out, d_out)
-
-
-def _right_face(a0, b0, z: complex) -> tuple:
-    """(C, D) on the right face of a static scatterer from (A, B) on its
-    left face; scalars or arrays."""
-    return (1 - 1j * z) * a0 - 1j * z * b0, 1j * z * a0 + (1 + 1j * z) * b0
-
-
 def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
-    """Solve the v = 0 scattering problem for the fields at the scatterer.
-
-    With the composed chain matrix [[g, a], [d, b]] mapping the far-right
-    amplitude pair to the far-left one, and mu = (M1)^-1:
-
-        D_out = (B0 - d C0) / b
-        A0    = (mu11 a / b + mu12) B0 + mu11 / b * C0
-
-    (every element matrix, and so m, has g b - a d = 1), and the right-face
-    fields follow from the static scatterer relations.
-    The composition is done directly on the numeric element matrices.
+    """Solve the v = 0 scattering problem for the fields at the scatterer:
+    the kernel `opalg._solve_left_pump` on the chain (see
+    `opalg._static_solution` for the closed form), a right pump on the
+    reversed chain.  Raises SingularSolveError where the chain matrix entry
+    beta_0 vanishes or the solve does not stay finite.
     """
-    k0 = chain.k0
-    m1 = np.eye(2, dtype=complex)
-    for el in chain.elements[: chain.mobile_index]:
-        m1 = m1 @ element_matrix(el, k0)
-    m2 = np.eye(2, dtype=complex)
-    for el in chain.elements[chain.mobile_index + 1 :]:
-        m2 = m2 @ element_matrix(el, k0)
-    ms = element_matrix(chain.mobile, k0)
-    # a singular chain may overflow here; the checks below report it as a
-    # SingularSolveError instead of a RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = m1 @ ms @ m2
-    _check_transmission_channel(m[1, 1], k0)
-    A0, B0f, C0f, D0f, a_out, d_out = _static_solution(
-        _entries(m), _entries(m1), complex(pump.B0), complex(pump.C0), chain.mobile.pol.zeta
-    )
-
-    for val in (A0, B0f, d_out, a_out):
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise SingularSolveError(f"static solve diverged at k={k0}")
-
-    return StaticFields(
-        A0=A0, B0f=B0f, C0f=C0f, D0f=D0f, out_left=a_out, out_right=d_out
-    )
-
-
-def _static_force(a0, b0, z: complex, k0: float):
-    """Static force from the left-face amplitudes; scalars or arrays."""
-    az2 = abs(z) ** 2
-    bracket = (
-        (az2 + z.imag) * abs(a0) ** 2
-        + (az2 - z.imag) * abs(b0) ** 2
-        + 2 * ((az2 + 1j * z.real) * a0 * np.conj(b0)).real
-    )
-    return -2 * HBAR * k0 * bracket
+    return StaticFields(*(x[0] for x in _chain_fields(chain, pump)))
 
 
 def static_force(fields: StaticFields, pol: Polarisability, k0: float) -> float:

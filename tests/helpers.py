@@ -366,15 +366,22 @@ def bare_intensity(config, dlc: float):
         return abs(right[2] * c0 + right[3] * out_right) ** 2
 
 
-def random_static_vomatrix(rng, n_terms: int = 2):
+def matrix(entries) -> np.ndarray:
+    """The 2x2 array of an entry tuple of the kernel: None (a zero matrix
+    or entry) reads 0, a one-element array its element."""
+    if entries is None:
+        return np.zeros((2, 2), dtype=complex)
+    return np.array([0.0 if e is None else np.ravel(e)[0] for e in entries],
+                    dtype=complex).reshape(2, 2)
+
+
+def random_static_jet(rng, n_terms: int = 2):
     """Random static jets with k-dependent phase entries.
 
-    Returns `jet(k)`, the VOMatrix at k with its analytic k-derivative, and
-    `plain(k)`, the same matrix as a plain numpy array for cross-checks.
-    Entry (i, j) is sum_t coeff_t exp(i k d_t).
+    Returns `jet(k)`, the jet (a, a', None, None, None) at k with its
+    analytic k-derivative, and `plain(k)`, the same matrix as a plain numpy
+    array for cross-checks.  Entry (i, j) is sum_t coeff_t exp(i k d_t).
     """
-    from tmmcavity.opalg import VOMatrix
-
     coeffs = rng.normal(size=(2, 2, n_terms)) + 1j * rng.normal(size=(2, 2, n_terms))
     phases = rng.uniform(-2e-3, 2e-3, size=(2, 2, n_terms))
 
@@ -383,7 +390,8 @@ def random_static_vomatrix(rng, n_terms: int = 2):
 
     def jet(k):
         terms = coeffs * np.exp(1j * k * phases)
-        return VOMatrix(k, terms.sum(axis=-1), (1j * phases * terms).sum(axis=-1))
+        return (tuple(terms.sum(axis=-1).ravel()),
+                tuple((1j * phases * terms).sum(axis=-1).ravel()), None, None, None)
 
     return jet, plain
 
@@ -407,20 +415,21 @@ def wall_clock_limit(seconds: float):
 
 
 def singular_column(monkeypatch, x_target: float):
-    """Mark every point at one x singular in the MIM engine's static stage.
+    """Mark every point at one x singular in the kernel solves of the MIM
+    engine.
 
-    `scan`, `compare_models` and `point_quantities` all run that stage, so
-    each must turn its verdict into missing values although the stage's
+    `scan`, `compare_models` and `point_quantities` all run the engine, so
+    each must turn the kernel's verdict into missing values although its
     numbers at those points stay finite.
     """
-    real = mim._static_stage
+    real = mim._solve_left_pump
 
-    def poisoned(config, pump, left, right):
-        f0, singular, parts = real(config, pump, left, right)
-        hit = np.abs((right - left) / 2 - x_target) < 1e-15
-        return f0, singular | hit, parts
+    def poisoned(left, z, right, k0, B0, first_order=False):
+        solution = real(left, z, right, k0, B0, first_order)
+        hit = np.abs((right[0] - left[1]) / 2 - x_target) < 1e-15
+        return solution._replace(singular=solution.singular | hit)
 
-    monkeypatch.setattr(mim, "_static_stage", poisoned)
+    monkeypatch.setattr(mim, "_solve_left_pump", poisoned)
 
 
 def scalar_probe_center(config) -> float:

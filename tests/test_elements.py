@@ -1,4 +1,5 @@
-"""Element constructors, chain validation, side jets, conservation laws,
+"""Element constructors, chain validation, the kernel's side jets,
+conservation laws,
 typed failures at the element, chain, pump, grid and temperature entry
 points."""
 
@@ -13,17 +14,18 @@ from tmmcavity.elements import (
     PumpSpec,
     Scatterer,
     Segment,
-    _side_jets,
     propagation_matrix,
     scatterer_matrix,
 )
 from tmmcavity.errors import ChainError, NonCoolingError, PassivityError
 from tmmcavity.mim import MimConfig, ScanGrid, build_mim, evaluate_chain
 from tmmcavity.noise import equilibrium_temperature
-from tmmcavity.opalg import _entries, _inverse_entries, moving_scatterer_matrix, vo_mul
+from tmmcavity.opalg import (
+    _inverse_entries, _left_jet, _moving_scatterer, _op_mul, _right_jet, _static_jet,
+)
 from tmmcavity.statics import solve_static
 
-from helpers import compose
+from helpers import compose, matrix
 
 LAM = 1.064e-6
 K0 = 2 * np.pi / LAM
@@ -127,19 +129,38 @@ class TestPumpSpec:
 
 def inverse(m):
     """m^-1 as a 2x2 array, read through `_inverse_entries`."""
-    return np.array(_inverse_entries(_entries(m))).reshape(2, 2)
+    return np.array(_inverse_entries(tuple(m.ravel()))).reshape(2, 2)
+
+
+def side_jets(chain: Chain) -> tuple:
+    """The kernel's static jets of the elements left and right of the
+    mobile scatterer at `chain.k0`: M1 in full, M2 as its right column."""
+    i, k = chain.mobile_index, chain.k0
+    lengths = [el if isinstance(el, Scatterer) else np.array([el.length])
+               for el in chain.elements]
+    return (_static_jet(*_left_jet(lengths[:i], k, True)),
+            _static_jet(*_right_jet(lengths[i + 1:], k, True)))
+
+
+def full_right_side(chain: Chain) -> np.ndarray:
+    """M2 in full: the left-to-right product of the right-side elements."""
+    lengths = [el if isinstance(el, Scatterer) else np.array([el.length])
+               for el in chain.elements[chain.mobile_index + 1:]]
+    return matrix(_left_jet(lengths, chain.k0, False)[0])
 
 
 class TestFactorize:
-    """The chain split M1 MS^ M2 around the mobile scatterer: `_side_jets`
-    gives the two static side jets, `moving_scatterer_matrix` the middle."""
+    """The chain split M1 MS^ M2 around the mobile scatterer: `_left_jet`
+    and `_right_jet` give the two static side jets, `_moving_scatterer`
+    the middle."""
 
     def test_lone_scatterer(self):
         chain = Chain(elements=(Scatterer.of(-1.0),), mobile_index=0, k0=K0)
-        m1, m2 = _side_jets(chain)
-        np.testing.assert_allclose(m1.static_at(K0), np.eye(2))
-        np.testing.assert_allclose(m2.static_at(K0), np.eye(2))
-        mu = inverse(m1.static_at(K0))
+        m1, m2 = side_jets(chain)
+        np.testing.assert_allclose(matrix(m1[0]), np.eye(2))
+        np.testing.assert_allclose(matrix(m2[0]), [[0, 0], [0, 1]])
+        assert m1[1] is None and m2[1] is None
+        mu = inverse(matrix(m1[0]))
         np.testing.assert_allclose(mu, np.eye(2))
 
     def test_symmetric_cavity_centre_membrane(self):
@@ -158,10 +179,12 @@ class TestFactorize:
             mobile_index=2,
             k0=K0,
         )
-        m1, m2 = _side_jets(chain)
+        m1, m2 = side_jets(chain)
+        full = full_right_side(chain)
+        np.testing.assert_array_equal(matrix(m2[0])[:, 1], full[:, 1])
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        mirrored = sx @ np.linalg.inv(m2.static_at(K0)) @ sx
-        np.testing.assert_allclose(m1.static_at(K0), mirrored, rtol=1e-10)
+        mirrored = sx @ np.linalg.inv(full) @ sx
+        np.testing.assert_allclose(matrix(m1[0]), mirrored, rtol=1e-10)
 
     def test_factorize_recomposes_to_direct_product(self):
         rng = np.random.default_rng(5)
@@ -175,17 +198,23 @@ class TestFactorize:
         chain = Chain(elements=elements, mobile_index=2, k0=K0)
         dk = 1e-8 * K0
         for k in K0 * (1 + np.linspace(-1e-3, 1e-3, 20)):
-            m1, m2 = _side_jets(replace(chain, k0=k))
-            ms = moving_scatterer_matrix(chain.mobile.pol, k)
-            recomposed = vo_mul(m1, vo_mul(ms, m2))
+            m1, m2 = side_jets(replace(chain, k0=k))
+            ms = _moving_scatterer(chain.mobile.pol.zeta, k)
+            recomposed = _op_mul(m1, _op_mul(ms, m2))
+            # the right side is its right column, and so is the product
             np.testing.assert_allclose(
-                recomposed.static_at(k), compose(elements, k), rtol=1e-10
+                matrix(recomposed[0])[:, 1], compose(elements, k)[:, 1], rtol=1e-10
             )
             fd_deriv = (compose(elements, k + dk) - compose(elements, k - dk)) / (2 * dk)
             np.testing.assert_allclose(
-                recomposed.static_deriv_at(k), fd_deriv,
+                matrix(recomposed[1])[:, 1], fd_deriv[:, 1],
                 rtol=1e-6, atol=1e-6 * np.max(np.abs(fd_deriv)),
             )
+            left = compose(elements[:2], k)
+            np.testing.assert_allclose(matrix(m1[0]), left, rtol=1e-12)
+            fd_left = (compose(elements[:2], k + dk) - compose(elements[:2], k - dk)) / (2 * dk)
+            np.testing.assert_allclose(matrix(m1[1]), fd_left, rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(fd_left)))
 
     def test_m1_inverse_is_inverse(self):
         chain = Chain(
@@ -197,8 +226,8 @@ class TestFactorize:
             mobile_index=2,
             k0=K0,
         )
-        jet, _ = _side_jets(chain)
-        m1, dm1 = jet.static_at(K0), jet.static_deriv_at(K0)
+        jet, _ = side_jets(chain)
+        m1, dm1 = matrix(jet[0]), matrix(jet[1])
         mu = inverse(m1)
         np.testing.assert_allclose(mu @ m1, np.eye(2), atol=1e-12)
         # d(mu m1)/dk = 0: the adjugate of m1' is the derivative of mu
@@ -224,8 +253,9 @@ class TestFactorize:
             mobile_index=2,
             k0=K0,
         )
-        m1, m2 = _side_jets(chain)
-        m = (m1 @ moving_scatterer_matrix(chain.mobile.pol, K0) @ m2).static_at(K0)
+        m1, _ = side_jets(chain)
+        m2 = _static_jet(tuple(full_right_side(chain).ravel()), None)
+        m = matrix(_op_mul(_op_mul(m1, _moving_scatterer(chain.mobile.pol.zeta, K0)), m2)[0])
         assert abs(np.linalg.det(m)) == pytest.approx(1.0, rel=1e-12)
 
 

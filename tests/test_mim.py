@@ -32,6 +32,7 @@ from tmmcavity.mim import (
 )
 from tmmcavity.constants import c as C_LIGHT
 from tmmcavity.dynamics import solve_dynamic
+from tmmcavity.opalg import _factor
 from tmmcavity.statics import solve_static, static_force
 
 from helpers import (
@@ -307,9 +308,10 @@ class TestGridEngine:
     """The vectorised scan against `evaluate_chain` on the same chains."""
 
     @staticmethod
-    def _check_against_points(cfg, grid, rtol, floor_frac):
+    def _check_against_points(cfg, grid, rtol, floor_frac, exact=()):
         """Every column of `scan` against `evaluate_chain` point by point:
-        |got - want| <= max(rtol |want|, floor_frac * column max |want|).
+        |got - want| <= max(rtol |want|, floor_frac * column max |want|),
+        and got == want for the columns named in `exact`.
 
         kBT = -D/dFdv inherits the tolerances of D and dFdv: it is compared
         at their combined relative bound, and its presence must match
@@ -328,6 +330,8 @@ class TestGridEngine:
         for name in ("intensity", "F0", "dFdv", "D"):
             got, want = getattr(result, name), ref[name]
             assert not np.isnan(got).any()
+            if name in exact:
+                assert (got == want).all(), name
             np.testing.assert_array_less(
                 np.abs(got - want), np.maximum(rtol * np.abs(want), floor[name]) + 1e-300,
                 err_msg=name)
@@ -349,8 +353,14 @@ class TestGridEngine:
               suppress_health_check=[HealthCheck.too_slow])
     @given(_mim_cases())
     def test_scan_agrees_with_evaluate_chain(self, case):
-        """rtol 1e-8 with an absolute floor of 1e-10 of each column's max."""
-        self._check_against_points(*case, rtol=1e-8, floor_frac=1e-10)
+        """One kernel: under a left pump, intensity, F0 and dF/dv equal bit
+        for bit.  A right pump, which `evaluate_chain` maps back to the
+        chain's own frame, and D, whose noise columns come from the dense
+        network, agree at rtol 1e-8 with an absolute floor of 1e-10 of each
+        column's max."""
+        cfg, grid = case
+        exact = ("intensity", "F0", "dFdv") if cfg.pump_side == "left" else ()
+        self._check_against_points(cfg, grid, rtol=1e-8, floor_frac=1e-10, exact=exact)
 
     def test_default_config_agrees_at_reference_tolerance(self):
         """The default strong-mirror setup (zeta_m = -30, finesse ~1400) on
@@ -472,18 +482,20 @@ class TestGridEngine:
                                                                         abs=0)
 
     def test_backward_phase_is_the_exact_exp(self):
-        """The static stage takes e^{-ik0L} as the conjugate of e^{ik0L}:
-        on random gaps at optical k0 that is the complex exp bit for bit,
-        so the propagation entries are those of np.exp(-1j * k0 * L)."""
+        """The kernel takes e^{-ik0L} as the conjugate of e^{ik0L}, and its
+        k-derivative -iL e^{-ik0L} as the conjugate of iL e^{ik0L}: on
+        random gaps at optical k0 that is the complex exp bit for bit, so
+        the propagation entries are those of np.exp(-1j * k0 * L)."""
         rng = np.random.default_rng(105)
         for wavelength in (1.064e-6, 532e-9, 1.55e-6, float(rng.uniform(4e-7, 2e-6))):
-            cfg = MimConfig(wavelength=wavelength, cavity_length=0.2)
-            left, right = rng.uniform(0.0, 0.2, (2, 20000))
-            _f0, _singular, parts = mim._static_stage(cfg, pump_for(cfg), left, right)
-            for gap, p in ((left, parts[2]), (right, parts[3])):
-                assert p[1] is None and p[2] is None
-                assert p[0].tobytes() == np.exp(1j * cfg.k0 * gap).tobytes()
-                assert p[3].tobytes() == np.exp(-1j * cfg.k0 * gap).tobytes()
+            k0 = MimConfig(wavelength=wavelength, cavity_length=0.2).k0
+            for gap in rng.uniform(0.0, 0.2, (2, 20000)):
+                p, dp = _factor(gap, k0, True)
+                assert p[1] is p[2] is dp[1] is dp[2] is None
+                back = np.exp(-1j * k0 * gap)
+                assert p[0].tobytes() == np.exp(1j * k0 * gap).tobytes()
+                assert p[3].tobytes() == back.tobytes()
+                assert dp[3].tobytes() == (-1j * gap * back).tobytes()
 
     def test_block_size_does_not_change_the_output(self, monkeypatch):
         """A 129 x 129 grid (16641 points: several blocks and a ragged last
@@ -656,14 +668,14 @@ class TestCalibration:
         response: with both probes of the live copy singular, the other
         copy is picked."""
         live = calibrate_coupled_params(FAST).dlc_center
-        real = mim._static_stage
+        real = mim._solve_left_pump
 
-        def poisoned(config, pump, left, right):
-            f0, singular, parts = real(config, pump, left, right)
-            hit = np.abs(left + right - config.cavity_length - live) < LAM / 8
-            return f0, singular | hit, parts
+        def poisoned(left, z, right, k0, B0, first_order=False):
+            solution = real(left, z, right, k0, B0, first_order)
+            hit = np.abs(left[1] + right[0] - FAST.cavity_length - live) < LAM / 8
+            return solution._replace(singular=solution.singular | hit)
 
-        monkeypatch.setattr(mim, "_static_stage", poisoned)
+        monkeypatch.setattr(mim, "_solve_left_pump", poisoned)
         other = calibrate_coupled_params(FAST).dlc_center
         assert abs(other - live) == pytest.approx(LAM / 2, rel=1e-9, abs=0)
 

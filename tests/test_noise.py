@@ -60,7 +60,7 @@ class TestOperatorFields:
         ops = operator_fields(chain)
         assert ops.basis.labels == ("pump_left", "pump_right")
         # the field travelling rightward at the scatterer is the left pump
-        assert OperatorFields.commutator(ops.b_vec, ops.b_vec) == pytest.approx(1.0)
+        assert OperatorFields.commutator(ops.b_vec, ops.b_vec) == pytest.approx(1.0, abs=0)
         np.testing.assert_allclose(ops.b_vec, [1.0, 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -68,8 +68,8 @@ class TestOperatorFields:
         chain = lossless_chain(seed)
         ops = operator_fields(chain)
         comm = OperatorFields.commutator
-        assert comm(ops.out_left_vec, ops.out_left_vec) == pytest.approx(1.0, rel=1e-10)
-        assert comm(ops.out_right_vec, ops.out_right_vec) == pytest.approx(1.0, rel=1e-10)
+        assert comm(ops.out_left_vec, ops.out_left_vec) == pytest.approx(1.0, rel=1e-10, abs=0)
+        assert comm(ops.out_right_vec, ops.out_right_vec) == pytest.approx(1.0, rel=1e-10, abs=0)
         assert abs(comm(ops.out_left_vec, ops.out_right_vec)) < 1e-10
 
     def test_basis_gram_identity(self):
@@ -109,19 +109,19 @@ class TestOperatorFields:
         )
         ops = operator_fields(chain)
         comm = OperatorFields.commutator
-        assert comm(ops.out_left_vec, ops.out_left_vec) == pytest.approx(1.0, rel=1e-10)
-        assert comm(ops.out_right_vec, ops.out_right_vec) == pytest.approx(1.0, rel=1e-10)
+        assert comm(ops.out_left_vec, ops.out_left_vec) == pytest.approx(1.0, rel=1e-10, abs=0)
+        assert comm(ops.out_right_vec, ops.out_right_vec) == pytest.approx(1.0, rel=1e-10, abs=0)
         assert abs(comm(ops.out_left_vec, ops.out_right_vec)) < 1e-10
 
     def test_absorbed_fraction_equals_squared_coupling(self):
         pol = Polarisability(-1.0 + 0.1j)
         assert pol.absorbed_fraction > 0
         assert 2 * loss_coupling(pol) ** 2 == pytest.approx(
-            pol.absorbed_fraction * 2, rel=1e-12
+            pol.absorbed_fraction * 2, rel=1e-12, abs=0
         )
         # per the rank-one defect: kappa^2 = (1 - |r+t|^2)/2 = absorbed/2 x 2
         assert loss_coupling(pol) ** 2 == pytest.approx(
-            (1 - abs(pol.reflectivity + pol.transmissivity) ** 2) / 2
+            (1 - abs(pol.reflectivity + pol.transmissivity) ** 2) / 2, abs=0
         )
 
     def test_two_absorbers_two_loss_modes_identity_outputs(self):
@@ -162,7 +162,7 @@ class TestDiffusion:
         chain = Chain(elements=(Scatterer.of(0.0),), mobile_index=0, k0=K0)
         fields = solve_static(chain, PUMP)
         ops = operator_fields(chain)
-        assert diffusion(fields, ops, chain.mobile.pol, K0) == pytest.approx(0.0)
+        assert diffusion(fields, ops, chain.mobile.pol, K0) == pytest.approx(0.0, abs=0)
 
     def test_free_scatterer_positive_and_linear_in_flux(self):
         chain = Chain(elements=(Scatterer.of(-1.5),), mobile_index=0, k0=K0)
@@ -174,8 +174,8 @@ class TestDiffusion:
             d = diffusion(fields, ops, chain.mobile.pol, K0)
             assert d > 0
             d_vals.append(d)
-        assert d_vals[1] / d_vals[0] == pytest.approx(2.0, rel=1e-10)
-        assert d_vals[2] / d_vals[1] == pytest.approx(2.0, rel=1e-10)
+        assert d_vals[1] / d_vals[0] == pytest.approx(2.0, rel=1e-10, abs=0)
+        assert d_vals[2] / d_vals[1] == pytest.approx(2.0, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_printed_sum_equals_gram_form(self, seed):
@@ -244,7 +244,7 @@ class TestEquilibriumTemperature:
     def test_cooling_region_positive_kbt(self):
         rep = equilibrium_temperature(1e-40, -1e-16)
         assert rep.k_B_T > 0
-        assert rep.kelvin == pytest.approx(rep.k_B_T / K_BOLTZMANN)
+        assert rep.kelvin == pytest.approx(rep.k_B_T / K_BOLTZMANN, abs=0)
 
     def test_temperature_diverges_as_friction_vanishes(self):
         d = 1e-40

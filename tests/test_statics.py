@@ -31,10 +31,10 @@ class TestSolveStatic:
         # transparent scatterer in empty space: the incident wave passes by
         chain = free_chain(0.0)
         f = solve_static(chain, PUMP)
-        assert f.B0f == pytest.approx(PUMP.B0)
-        assert f.A0 == pytest.approx(0.0)
-        assert f.D0f == pytest.approx(PUMP.B0)
-        assert f.C0f == pytest.approx(0.0)
+        assert f.B0f == pytest.approx(PUMP.B0, abs=0)
+        assert f.A0 == pytest.approx(0.0, abs=0)
+        assert f.D0f == pytest.approx(PUMP.B0, abs=0)
+        assert f.C0f == pytest.approx(0.0, abs=0)
 
     @pytest.mark.parametrize("zeta", [-0.5, -1.0, -4.0])
     def test_free_scatterer_fresnel_split(self, zeta):
@@ -42,10 +42,10 @@ class TestSolveStatic:
         f = solve_static(chain, PUMP)
         # measured against the incident amplitude B0f
         assert abs(f.A0 / f.B0f) ** 2 == pytest.approx(
-            zeta**2 / (1 + zeta**2), rel=1e-12
+            zeta**2 / (1 + zeta**2), rel=1e-12, abs=0
         )
         assert abs(f.D0f / f.B0f) ** 2 == pytest.approx(
-            1 / (1 + zeta**2), rel=1e-12
+            1 / (1 + zeta**2), rel=1e-12, abs=0
         )
         assert f.C0f == pytest.approx(0.0, abs=1e-9 * abs(f.B0f))
 
@@ -64,12 +64,12 @@ class TestSolveStatic:
             sol = solve_network(chain, K0, PUMP.B0, PUMP.C0)
             a_net, b_net = sol.left_face(2)
             c_net, d_net = sol.right_face(2)
-            assert f.A0 == pytest.approx(a_net, rel=1e-9)
-            assert f.B0f == pytest.approx(b_net, rel=1e-9)
-            assert f.C0f == pytest.approx(c_net, rel=1e-9)
-            assert f.D0f == pytest.approx(d_net, rel=1e-9)
-            assert f.out_left == pytest.approx(sol.out_left, rel=1e-9)
-            assert f.out_right == pytest.approx(sol.out_right, rel=1e-9)
+            assert f.A0 == pytest.approx(a_net, rel=1e-9, abs=0)
+            assert f.B0f == pytest.approx(b_net, rel=1e-9, abs=0)
+            assert f.C0f == pytest.approx(c_net, rel=1e-9, abs=0)
+            assert f.D0f == pytest.approx(d_net, rel=1e-9, abs=0)
+            assert f.out_left == pytest.approx(sol.out_left, rel=1e-9, abs=0)
+            assert f.out_right == pytest.approx(sol.out_right, rel=1e-9, abs=0)
 
     def test_scatterer_plane_flux_balance(self):
         chain = Chain(
@@ -86,7 +86,7 @@ class TestSolveStatic:
         f = solve_static(chain, PUMP)
         flux_in = abs(f.B0f) ** 2 + abs(f.C0f) ** 2
         flux_out = abs(f.A0) ** 2 + abs(f.D0f) ** 2
-        assert flux_out == pytest.approx(flux_in, rel=1e-10)
+        assert flux_out == pytest.approx(flux_in, rel=1e-10, abs=0)
 
     def test_fabry_perot_buildup(self):
         """On-resonance antinode enhancement equals (1-|r|^2)/(1-|r|)^2."""
@@ -117,7 +117,7 @@ class TestSolveStatic:
         )
         enhancement = -res.fun / pump.photon_flux
         expect = (1 - rm**2) / (1 - rm) ** 2
-        assert enhancement == pytest.approx(expect, rel=5e-3)
+        assert enhancement == pytest.approx(expect, rel=5e-3, abs=0)
 
     def test_singular_solve_detected(self):
         # passive chains keep |beta_0| >= 1, so the genuinely singular case
@@ -157,7 +157,7 @@ class TestStaticForce:
         flux = PUMP.photon_flux
         expect = 2 * HBAR * K0 * flux * zeta**2 / (1 + zeta**2)
         assert static_force(f, chain.mobile.pol, K0) == pytest.approx(
-            expect, rel=1e-10
+            expect, rel=1e-10, abs=0
         )
 
     @pytest.mark.parametrize("seed", range(5))
@@ -177,7 +177,7 @@ class TestStaticForce:
             abs(f.A0) ** 2 + abs(f.B0f) ** 2 - abs(f.C0f) ** 2 - abs(f.D0f) ** 2
         )
         assert static_force(f, chain.mobile.pol, K0) == pytest.approx(
-            flux_form, rel=1e-9
+            flux_form, rel=1e-9, abs=0
         )
 
     def test_node_force_vanishes(self):
@@ -219,8 +219,8 @@ class TestResonanceShifts:
         dplus, dminus = resonance_shifts(zeta, x, LC, K0)
         expect_plus = (C_LIGHT / LC) * np.arctan(-1 / zeta)
         fsr = np.pi * C_LIGHT / LC
-        assert dplus == pytest.approx(expect_plus, rel=1e-12)
-        assert abs(dplus - dminus) == pytest.approx(fsr, rel=1e-12)
+        assert dplus == pytest.approx(expect_plus, rel=1e-12, abs=0)
+        assert abs(dplus - dminus) == pytest.approx(fsr, rel=1e-12, abs=0)
 
     def test_branches_fsr_apart_small_zeta(self):
         # each branch wobbles by ~|zeta| c/L_c, so the separation approaches
@@ -237,15 +237,15 @@ class TestResonanceShifts:
         dplus, dminus = resonance_shifts(-10.0, xs, LC, K0)
         min_gap = np.min(np.abs(dplus - dminus))
         assert min_gap > 0
-        assert min_gap == pytest.approx(2 * C_LIGHT / (np.sqrt(101) * LC), rel=0.05)
+        assert min_gap == pytest.approx(2 * C_LIGHT / (np.sqrt(101) * LC), rel=0.05, abs=0)
 
     def test_periodicity_half_wavelength(self):
         zeta = -1.3
         for x in (0.07 * LAM, -0.19 * LAM):
             a = resonance_shifts(zeta, x, LC, K0)
             b = resonance_shifts(zeta, x + LAM / 2, LC, K0)
-            assert a[0] == pytest.approx(b[0], rel=1e-9)
-            assert a[1] == pytest.approx(b[1], rel=1e-9)
+            assert a[0] == pytest.approx(b[0], rel=1e-9, abs=0)
+            assert a[1] == pytest.approx(b[1], rel=1e-9, abs=0)
 
     def test_scan_unwrap_is_continuous(self):
         xs = np.linspace(-LAM / 2, LAM / 2, 2001)
@@ -260,7 +260,7 @@ class TestCouplings:
         """|omega'| <= 2 k0 c / L_c ~ 2 pi x 8.42 MHz/nm, approached as
         |zeta| grows."""
         bound = 2 * K0 * C_LIGHT / LC
-        assert bound / (2 * np.pi) * 1e-9 == pytest.approx(8.42e6, rel=2e-3)
+        assert bound / (2 * np.pi) * 1e-9 == pytest.approx(8.42e6, rel=2e-3, abs=0)
         xs = np.linspace(-LAM / 4, LAM / 4, 20001)
         for zeta, closeness in ((-1.0, 0.5), (-100.0, 0.999)):
             w1 = np.array(
@@ -274,9 +274,9 @@ class TestCouplings:
         """|omega''(0)| = (4 k0^2 c / L_c)|zeta| ~ 2 pi x 0.10 |zeta| MHz/nm^2."""
         rep = couplings(zeta, 0.0, LC, K0)
         expect = 4 * K0**2 * C_LIGHT / LC * abs(zeta)
-        assert abs(rep.omega_double_prime) == pytest.approx(expect, rel=1e-12)
+        assert abs(rep.omega_double_prime) == pytest.approx(expect, rel=1e-12, abs=0)
         assert expect / (2 * np.pi) * 1e-18 == pytest.approx(
-            0.10e6 * abs(zeta), rel=0.02
+            0.10e6 * abs(zeta), rel=0.02, abs=0
         )
 
     def test_never_both_zero(self):
@@ -304,9 +304,9 @@ class TestCouplings:
         for x in (0.11 * LAM, 0.23 * LAM):
             a = couplings(zeta, x, LC, K0)
             b = couplings(zeta, -x, LC, K0)
-            assert a.omega_prime == pytest.approx(-b.omega_prime, rel=1e-12)
+            assert a.omega_prime == pytest.approx(-b.omega_prime, rel=1e-12, abs=0)
             assert a.omega_double_prime == pytest.approx(
-                b.omega_double_prime, rel=1e-12
+                b.omega_double_prime, rel=1e-12, abs=0
             )
 
     def test_linear_coupling_is_derivative_of_shift(self):
@@ -318,9 +318,9 @@ class TestCouplings:
                 dp_lo, dm_lo = resonance_shifts(zeta, x - h, LC, K0)
                 fd_plus = (dp_hi - dp_lo) / (2 * h)
                 rep = couplings(zeta, x, LC, K0)
-                assert rep.omega_prime == pytest.approx(fd_plus, rel=1e-4)
+                assert rep.omega_prime == pytest.approx(fd_plus, rel=1e-4, abs=0)
                 fd_minus = (dm_hi - dm_lo) / (2 * h)
-                assert -rep.omega_prime == pytest.approx(fd_minus, rel=1e-4)
+                assert -rep.omega_prime == pytest.approx(fd_minus, rel=1e-4, abs=0)
 
     def test_quadratic_coupling_is_second_derivative(self):
         h = LAM * 1e-4
@@ -330,4 +330,4 @@ class TestCouplings:
                     for s in (-1, 0, 1)]
             fd2 = (vals[2] - 2 * vals[1] + vals[0]) / h**2
             rep = couplings(zeta, x, LC, K0)
-            assert rep.omega_double_prime == pytest.approx(fd2, rel=1e-3)
+            assert rep.omega_double_prime == pytest.approx(fd2, rel=1e-3, abs=0)
