@@ -16,8 +16,6 @@ from .elements import (
     PumpSpec,
     Scatterer,
     Segment,
-    propagation_matrix,
-    scatterer_matrix,
 )
 from .errors import (
     CalibrationError,
@@ -65,53 +63,8 @@ from .mim import (
     scan,
 )
 
-__all__ = [
-    "__version__",
-    "Chain",
-    "Polarisability",
-    "PumpSpec",
-    "Scatterer",
-    "Segment",
-    "propagation_matrix",
-    "scatterer_matrix",
-    "TmmCavityError",
-    "PassivityError",
-    "ChainError",
-    "SingularSolveError",
-    "NonCoolingError",
-    "ConfigError",
-    "CalibrationError",
-    "StaticFields",
-    "CouplingReport",
-    "solve_static",
-    "static_force",
-    "resonance_shifts",
-    "couplings",
-    "FieldSet",
-    "ForceReport",
-    "solve_dynamic",
-    "force_with_velocity",
-    "ModeBasis",
-    "OperatorFields",
-    "TemperatureReport",
-    "attach_loss_modes",
-    "operator_fields",
-    "diffusion",
-    "equilibrium_temperature",
-    "MimConfig",
-    "ScanGrid",
-    "ScanPoint",
-    "ScanResult",
-    "CoupledCavityParams",
-    "build_mim",
-    "pump_for",
-    "evaluate_chain",
-    "point_quantities",
-    "scan",
-    "bare_peak",
-    "bare_resonance",
-    "overlay_candidates",
-    "coupled_cavity_force",
-    "calibrate_coupled_params",
-    "compare_models",
+# every name imported above from a submodule, and the version
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items())
+    if getattr(value, "__module__", "").startswith(__name__ + ".")
 ]

@@ -47,7 +47,7 @@ from .config import (
     validate_report,
 )
 from ._g17 import WORDS, g17
-from .elements import PumpSpec, Scatterer, Segment, element_matrix
+from .elements import PumpSpec, Scatterer, Segment
 from .errors import (
     CalibrationError, ChainError, ConfigError, SingularSolveError, TmmCavityError,
 )
@@ -61,6 +61,7 @@ from .mim import (
     pump_for,
     scan,
 )
+from .opalg import _element_entries
 from .statics import couplings, resonance_shifts
 
 def _atomic_write(paths: list[str], chunks):
@@ -287,7 +288,7 @@ def _cmd_elements(args) -> int:
             zeta_re[i], zeta_im[i] = el.pol.zeta.real, el.pol.zeta.imag
         else:
             length[i] = el.length
-    m = np.array([element_matrix(el, chain.k0) for el in chain.elements]).reshape(n, 4)
+    m = np.array([_element_entries(el, chain.k0) for el in chain.elements], dtype=complex)
     table = {"index": np.arange(n, dtype=float),
              "kind": (("scatterer", "segment"), kinds),
              "zeta_re": zeta_re, "zeta_im": zeta_im, "length": length,

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-from .elements import WAVELENGTH_RANGE, Chain, Scatterer, Segment
-from .errors import ConfigError, TmmCavityError
+from .elements import Chain, Scatterer, Segment, _check_wavelength
+from .errors import ChainError, ConfigError, TmmCavityError
 from .mim import MimConfig, ScanGrid, build_mim
 
 __all__ = [
@@ -379,10 +379,10 @@ def load_chain_file(path: str) -> Chain:
     if not cp.has_option("chain", "wavelength"):
         raise ConfigError(f"{path}: [chain] needs a wavelength")
     wavelength = _value(cp, "chain", "wavelength", parse_length)
-    lo, hi = WAVELENGTH_RANGE
-    if not lo <= wavelength <= hi:  # NaN fails too
-        raise ConfigError(f"{path}: chain.wavelength must be positive and finite, "
-                          f"within [{lo:g}, {hi:g}] m, got {wavelength!r}")
+    try:
+        _check_wavelength(wavelength)
+    except ChainError as exc:
+        raise ConfigError(f"{path}: chain.{exc}") from None
 
     def sort_key(name: str):
         suffix = name.split(".", 1)[1]

@@ -16,9 +16,11 @@ r = i zeta / (1 - i zeta) and transmissivity t = 1 / (1 - i zeta); its
 transfer matrix is [[1+iz, iz], [-iz, 1-iz]] = (1/t) [[t^2-r^2, r], [-r, 1]],
 with unit determinant.  Free propagation over d is diag(e^{ikd}, e^{-ikd}).
 
-Every solve of a chain is a function of the chain and the pump alone: the
-chain carries no solver state, and each solve composes the element
-matrices it needs itself (`tmmcavity.opalg`).
+These entries are written once, in `tmmcavity.opalg` (`_factor`), which
+every solve, the noise columns and the `elements` command read.  Every
+solve of a chain is a function of the chain and the pump alone: the chain
+carries no solver state, and each solve composes the element matrices it
+needs itself.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
 from .constants import c as C_LIGHT, hbar as HBAR
 
 from .errors import ChainError, PassivityError
@@ -40,8 +41,6 @@ __all__ = [
     "Element",
     "Chain",
     "PumpSpec",
-    "scatterer_matrix",
-    "propagation_matrix",
 ]
 
 
@@ -159,7 +158,7 @@ def _check_wavelength(wavelength):
     lo, hi = WAVELENGTH_RANGE
     if not lo <= wavelength <= hi:  # NaN fails too
         raise ChainError(
-            f"wavelength must be finite, positive and within [{lo:g}, {hi:g}] m, "
+            f"wavelength must be positive and finite, within [{lo:g}, {hi:g}] m, "
             f"got {wavelength}")
 
 
@@ -217,27 +216,4 @@ class PumpSpec:
         if side == "right":
             return PumpSpec(0.0, amp, power_watts, wavelength)
         raise ChainError(f"pump side must be 'left' or 'right', got {side!r}")
-
-
-def scatterer_matrix(pol: Polarisability) -> np.ndarray:
-    """Static transfer matrix [[1+iz, iz], [-iz, 1-iz]] (k-independent)."""
-    if not isinstance(pol, Polarisability):
-        pol = Polarisability(pol)
-    z = pol.zeta
-    return np.array([[1 + 1j * z, 1j * z], [-1j * z, 1 - 1j * z]], dtype=complex)
-
-
-def propagation_matrix(k: float, d: float) -> np.ndarray:
-    """Free-propagation matrix diag(e^{ikd}, e^{-ikd}); unit determinant."""
-    if d < 0 or not math.isfinite(d):
-        raise ChainError(f"propagation length must be finite and >= 0, got {d}")
-    return np.array(
-        [[np.exp(1j * k * d), 0.0], [0.0, np.exp(-1j * k * d)]], dtype=complex
-    )
-
-
-def element_matrix(el: Element, k: float) -> np.ndarray:
-    if isinstance(el, Scatterer):
-        return scatterer_matrix(el.pol)
-    return propagation_matrix(k, el.length)
 

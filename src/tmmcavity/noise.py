@@ -15,7 +15,13 @@ S = [[r, t], [t, r]] has the rank-one unitarity defect
 so attaching a single extra input channel with coupling
 kappa = sqrt((1-|r+t|^2)/2) into both outgoing directions restores
 out-commutators exactly; the coupling propagates to the rest of the chain
-through the ordinary static network.
+through the ordinary static fields.
+
+Such a source sits inside the chain, so its column is not a pump of the
+transfer-matrix kernel.  Each column is instead one linear system over
+every interface amplitude of the static chain (`_interface_amplitudes`),
+built from the kernel's element matrices; the two pump columns are solved
+the same way.
 
 Momentum diffusion combines the classical amplitudes with the operator
 commutators; all six cross terms sit in one 2 Re{...} with the sign of a
@@ -32,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from .constants import c as C_LIGHT, hbar as HBAR, k as K_BOLTZMANN
 
-from .elements import Chain, Polarisability
-from .errors import NonCoolingError, PassivityError
-from .network import absorptive_indices, scatterer_source, solve_network
+from .elements import Chain, Polarisability, Scatterer
+from .errors import NonCoolingError, PassivityError, SingularSolveError
+from .opalg import _element_entries
 from .statics import StaticFields
 
 __all__ = [
@@ -102,46 +108,78 @@ def attach_loss_modes(chain: Chain) -> Chain:
     `operator_fields` always carries the loss modes, so there is nothing to
     attach; the check raises PassivityError for an unphysical scatterer.
     """
-    for i in absorptive_indices(chain):
-        loss_coupling(chain.elements[i].pol)  # raises if unphysical
+    for el in chain.elements:
+        if isinstance(el, Scatterer) and el.pol.absorptive:
+            loss_coupling(el.pol)  # raises if unphysical
     return chain
+
+
+def _interface_amplitudes(chain: Chain, in_left: complex, in_right: complex,
+                          source=None) -> np.ndarray:
+    """The amplitude pairs (leftward, rightward) at the N+1 interfaces of
+    the static chain, index 0 the far left, under the pumps `in_left` and
+    `in_right` and, if given, `source` = (j, s): scatterer j emitting the
+    transfer-form source vector s.
+
+    One linear system over every interface amplitude: v_i = M_i v_{i+1} +
+    s_i for each element i, with the kernel's element matrices M_i, and the
+    two pump conditions (rightward input at the far left, leftward input at
+    the far right).  Raises SingularSolveError if it has no solution (a
+    fully blocked transmission channel).
+    """
+    k0 = chain.k0
+    n = len(chain.elements)
+    dim = 2 * (n + 1)
+    a = np.zeros((dim, dim), dtype=complex)
+    rhs = np.zeros(dim, dtype=complex)
+    for i, el in enumerate(chain.elements):
+        a[2 * i, 2 * i] = a[2 * i + 1, 2 * i + 1] = 1.0
+        a[2 * i:2 * i + 2, 2 * i + 2:2 * i + 4] = -np.array(
+            _element_entries(el, k0), dtype=complex).reshape(2, 2)
+    if source is not None:
+        j, s = source
+        rhs[2 * j:2 * j + 2] = s
+    a[2 * n, 1] = 1.0
+    rhs[2 * n] = in_left
+    a[2 * n + 1, 2 * n] = 1.0
+    rhs[2 * n + 1] = in_right
+    try:
+        sol = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSolveError(f"chain network is singular at k={k0}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularSolveError(f"chain network solution diverged at k={k0}")
+    return sol.reshape(n + 1, 2)
 
 
 def operator_fields(chain: Chain) -> OperatorFields:
     """Express A, B, C, D at the mobile scatterer over the input-mode basis.
 
-    One static network solve per basis mode of unit amplitude: the two pump
-    ports, then one column per absorptive scatterer, whose vacuum enters
-    through the rank-one unitarity-defect coupling.  Everything is
-    evaluated at zeroth order in the velocity.
+    One static interface solve (`_interface_amplitudes`) per basis mode of
+    unit amplitude: the two pump ports, then one column per absorptive
+    scatterer, whose vacuum enters through the rank-one unitarity-defect
+    coupling kappa into both outgoing directions.  Everything is evaluated
+    at zeroth order in the velocity.
     """
-    k0 = chain.k0
     im = chain.mobile_index
     labels = ["pump_left", "pump_right"]
-    columns = [
-        solve_network(chain, k0, 1.0, 0.0),
-        solve_network(chain, k0, 0.0, 1.0),
-    ]
-    for j in absorptive_indices(chain):
-        pol = chain.elements[j].pol
-        kappa = loss_coupling(pol)
-        src = {j: scatterer_source(pol, kappa, kappa)}
-        columns.append(solve_network(chain, k0, 0.0, 0.0, sources=src))
+    columns = [_interface_amplitudes(chain, 1.0, 0.0),
+               _interface_amplitudes(chain, 0.0, 1.0)]
+    for j, el in enumerate(chain.elements):
+        if not (isinstance(el, Scatterer) and el.pol.absorptive):
+            continue
+        kappa = loss_coupling(el.pol)
+        r, t = el.pol.reflectivity, el.pol.transmissivity
+        # kappa emitted leftward on the left face and rightward on the right
+        # face, in transfer form v_left = M v_right + s
+        src = np.array([kappa - (r / t) * kappa, -kappa / t], dtype=complex)
+        columns.append(_interface_amplitudes(chain, 0.0, 0.0, (j, src)))
         labels.append(f"loss_{j}")
 
-    n = len(columns)
-    a = np.zeros(n, dtype=complex)
-    b = np.zeros(n, dtype=complex)
-    c = np.zeros(n, dtype=complex)
-    d = np.zeros(n, dtype=complex)
-    o_l = np.zeros(n, dtype=complex)
-    o_r = np.zeros(n, dtype=complex)
-    for i, sol in enumerate(columns):
-        a[i], b[i] = sol.left_face(im)
-        c[i], d[i] = sol.right_face(im)
-        o_l[i] = sol.out_left
-        o_r[i] = sol.out_right
-
+    # (A, B) on the left face, (C, D) on the right face, and the two
+    # outgoing ports, one contiguous row each over the modes
+    a, b, c, d, o_l, o_r = np.array(columns)[
+        :, [im, im, im + 1, im + 1, 0, -1], [0, 1, 0, 1, 0, 1]].T.copy()
     return OperatorFields(
         basis=ModeBasis(tuple(labels)),
         a_vec=a,

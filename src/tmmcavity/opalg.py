@@ -111,6 +111,12 @@ def _factor(el, k0: float, deriv: bool) -> tuple:
     return (fwd, None, None, np.conj(fwd)), (dfwd, None, None, np.conj(dfwd))
 
 
+def _element_entries(el, k0: float) -> tuple:
+    """The dense entries (m11, m12, m21, m22) of the matrix of one
+    `Scatterer` or `Segment` at k0, structural zeros as 0.0."""
+    return _dense(_factor(el if isinstance(el, Scatterer) else el.length, k0, False)[0])
+
+
 def _static_jet(m: tuple, dm) -> tuple:
     return m, dm, None, None, None
 

@@ -19,7 +19,7 @@ from tmmcavity.config import (
     parse_power,
     validate_report,
 )
-from tmmcavity.elements import PumpSpec, Scatterer, element_matrix
+from tmmcavity.elements import PumpSpec, Scatterer
 from tmmcavity.errors import CalibrationError, ConfigError
 from tmmcavity.mim import (
     MimConfig,
@@ -32,7 +32,7 @@ from tmmcavity.mim import (
 )
 from tmmcavity.statics import couplings, resonance_shifts
 
-from helpers import singular_column
+from helpers import singular_column, static_matrix
 
 LAM = 1.064e-6
 
@@ -101,16 +101,16 @@ zeta = -3.0 0.0
 
 class TestUnits:
     def test_length_suffixes(self):
-        assert parse_length("1064nm") == pytest.approx(1.064e-6)
-        assert parse_length("6.7cm") == pytest.approx(6.7e-2)
-        assert parse_length("5mm") == pytest.approx(5e-3)
-        assert parse_length("0.5um") == pytest.approx(5e-7)
-        assert parse_length("2.5e-3") == pytest.approx(2.5e-3)  # bare SI
-        assert parse_length("-532 nm") == pytest.approx(-5.32e-7)
+        assert parse_length("1064nm") == pytest.approx(1.064e-6, rel=1e-6, abs=0)
+        assert parse_length("6.7cm") == pytest.approx(6.7e-2, rel=1e-6, abs=0)
+        assert parse_length("5mm") == pytest.approx(5e-3, rel=1e-6, abs=0)
+        assert parse_length("0.5um") == pytest.approx(5e-7, rel=1e-6, abs=0)
+        assert parse_length("2.5e-3") == pytest.approx(2.5e-3, rel=1e-6, abs=0)  # bare SI
+        assert parse_length("-532 nm") == pytest.approx(-5.32e-7, rel=1e-6, abs=0)
 
     def test_power_suffixes(self):
         assert parse_power("1W") == 1.0
-        assert parse_power("250mW") == pytest.approx(0.25)
+        assert parse_power("250mW") == pytest.approx(0.25, rel=1e-6, abs=0)
         assert parse_power("2") == 2.0
 
     def test_garbage_rejected(self):
@@ -123,8 +123,8 @@ class TestUnits:
 class TestRunConfig:
     def test_good_config_loads(self, tmp_path):
         cfg = load_run_config(write(tmp_path / "run.ini", GOOD_RUN))
-        assert cfg.wavelength == pytest.approx(1.064e-6)
-        assert cfg.cavity_length == pytest.approx(5e-3)
+        assert cfg.wavelength == pytest.approx(1.064e-6, rel=1e-6, abs=0)
+        assert cfg.cavity_length == pytest.approx(5e-3, rel=1e-6, abs=0)
         assert cfg.grid.x_count == 4
         assert validate_report(cfg) == []
 
@@ -160,7 +160,7 @@ class TestChainFile:
         chain = load_chain_file(write(tmp_path / "c.ini", GOOD_CHAIN))
         assert len(chain.elements) == 5
         assert chain.mobile_index == 2
-        assert chain.k0 == pytest.approx(2 * np.pi / LAM)
+        assert chain.k0 == pytest.approx(2 * np.pi / LAM, rel=1e-6, abs=0)
 
     def test_missing_mobile_rejected(self, tmp_path):
         bad = GOOD_CHAIN.replace("mobile = true\n", "")
@@ -307,8 +307,8 @@ class TestCliCommands:
         assert rows[2]["kind"] == "scatterer"
         assert float(rows[2]["mobile"]) == 1.0
         # scatterer matrix entry m11 = 1 + i z with z = -1: (1, -1)
-        assert float(rows[2]["m11_re"]) == pytest.approx(1.0)
-        assert float(rows[2]["m11_im"]) == pytest.approx(-1.0)
+        assert float(rows[2]["m11_re"]) == pytest.approx(1.0, rel=1e-6, abs=0)
+        assert float(rows[2]["m11_im"]) == pytest.approx(-1.0, rel=1e-6, abs=0)
 
     def test_couplings_strong_membrane_bound(self, tmp_path):
         cfg_text = GOOD_RUN.replace("cavity_length = 5mm", "cavity_length = 6.7cm")
@@ -322,7 +322,7 @@ class TestCliCommands:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         w1_max = max(abs(float(r["omega_prime"])) for r in rows)
-        assert w1_max / (2 * np.pi) * 1e-9 == pytest.approx(8.42e6, rel=5e-3)
+        assert w1_max / (2 * np.pi) * 1e-9 == pytest.approx(8.42e6, rel=5e-3, abs=0)
 
     def test_scan_csv_and_grid_override(self, tmp_path):
         path = write(tmp_path / "run.ini", GOOD_RUN)
@@ -687,7 +687,7 @@ class TestTableOutput:
         chain = load_chain_file(chain_path)
         rows = []
         for i, el in enumerate(chain.elements):
-            m = element_matrix(el, chain.k0)
+            m = static_matrix(el, chain.k0)
             if isinstance(el, Scatterer):
                 kind, zre, zim, length = "scatterer", el.pol.zeta.real, el.pol.zeta.imag, None
             else:
