@@ -41,7 +41,7 @@ from .statics import StaticFields, static_force
 __all__ = ["FieldSet", "ForceReport", "solve_dynamic", "force_with_velocity"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSet:
     """Zeroth- and first-order field amplitudes around the mobile scatterer.
 
@@ -74,7 +74,7 @@ class FieldSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForceReport:
     """Static force, its velocity coefficient, and the friction dF/dv.
 

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polarisability:
     """Dimensionless complex response of a thin scatterer.
 
@@ -55,10 +55,12 @@ class Polarisability:
     zeta: complex
 
     def __post_init__(self):
-        if not isinstance(self.zeta, numbers.Complex):
-            raise PassivityError(f"polarisability must be a number, got {self.zeta!r}")
-        z = complex(self.zeta)
-        object.__setattr__(self, "zeta", z)
+        z = self.zeta
+        if type(z) is not complex:
+            if not isinstance(z, numbers.Complex):
+                raise PassivityError(f"polarisability must be a number, got {z!r}")
+            z = complex(z)
+            object.__setattr__(self, "zeta", z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise PassivityError(f"polarisability must be finite, got {z}")
         if z.imag < 0:
@@ -86,31 +88,38 @@ class Polarisability:
         return 1.0 - abs(self.reflectivity) ** 2 - abs(self.transmissivity) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scatterer:
     pol: Polarisability
+
+    def __post_init__(self):
+        if not isinstance(self.pol, Polarisability):
+            raise ChainError(
+                f"scatterer needs a Polarisability, got {self.pol!r}; "
+                "use Scatterer.of(zeta) for a number")
 
     @staticmethod
     def of(zeta: complex) -> "Scatterer":
         return Scatterer(Polarisability(zeta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """Free-space stretch; zero length is legal and acts as identity."""
 
     length: float
 
     def __post_init__(self):
-        if (not isinstance(self.length, numbers.Real) or not math.isfinite(self.length)
-                or self.length < 0):
-            raise ChainError(f"segment length must be finite and >= 0, got {self.length}")
+        length = self.length
+        if not ((type(length) is float or isinstance(length, numbers.Real))
+                and math.isfinite(length) and length >= 0):
+            raise ChainError(f"segment length must be finite and >= 0, got {length}")
 
 
 Element = Union[Scatterer, Segment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chain:
     """Ordered chain of elements with one designated mobile scatterer.
 
@@ -163,12 +172,15 @@ def _check_wavelength(wavelength):
 
 
 def _check_power_and_wavelength(power_watts, wavelength):
+    for name, value in (("pump power", power_watts), ("wavelength", wavelength)):
+        if not isinstance(value, numbers.Real):
+            raise ChainError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(power_watts) and power_watts >= 0):
         raise ChainError(f"pump power must be finite and >= 0, got {power_watts}")
     _check_wavelength(wavelength)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PumpSpec:
     """Monochromatic pump amplitudes in sqrt(photon flux) units.
 
@@ -185,7 +197,10 @@ class PumpSpec:
     def __post_init__(self):
         _check_power_and_wavelength(self.power_watts, self.wavelength)
         for name in ("B0", "C0"):
-            amp = complex(getattr(self, name))
+            amp = getattr(self, name)
+            if not isinstance(amp, numbers.Complex):
+                raise ChainError(f"pump amplitude {name} must be a number, got {amp!r}")
+            amp = complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ChainError(f"pump amplitude {name} must be finite, got {amp}")
         total = abs(self.B0) ** 2 + abs(self.C0) ** 2

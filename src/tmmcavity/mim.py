@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MimConfig:
     """Parameters of the membrane-in-the-middle setup.
 
@@ -107,7 +107,7 @@ class MimConfig:
         return MimConfig(**d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanGrid:
     """Rectangular (x, dLc) grid, both in metres; row-major x-outer order."""
 
@@ -184,7 +184,7 @@ def pump_for(config: MimConfig) -> PumpSpec:
     return PumpSpec.one_sided(config.power_watts, config.wavelength, config.pump_side)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanPoint:
     """One grid point; quantity fields are None where undefined.
 
@@ -339,7 +339,7 @@ def _folds(bases: np.ndarray, lo: float, hi: float, lam: float) -> tuple:
     return which, n, bases[which] + n * lam / 2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ScanResult:
     """Columnar scan: one (x_count, dlc_count) float array per quantity.
 
@@ -484,7 +484,7 @@ def overlay_candidates(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoupledCavityParams:
     """Two-coupled-modes model parameters.
 
@@ -522,7 +522,7 @@ def coupled_cavity_force(
     return -(2 * w1 * kc / (k0 * C_LIGHT)) * (num / den) * params.power_watts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoupledCalibration:
     params: CoupledCavityParams
     dlc_center: float  # detuning of the x = 0 degeneracy point
@@ -592,7 +592,7 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
                               anchor=anchor, fwhm_dlc=fwhm)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ComparisonResult:
     """Columnar comparison: one (x_count, dlc_count) float array per column.
 

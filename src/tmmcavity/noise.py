@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeBasis:
     """Ordered labels of the independent input modes."""
 
@@ -65,7 +65,7 @@ class ModeBasis:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatorFields:
     """Coefficient vectors of the four field operators over the mode basis.
 
@@ -234,7 +234,7 @@ def diffusion(
     ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TemperatureReport:
     """Equilibrium temperature as k_B T (joules) and T (kelvin)."""
 

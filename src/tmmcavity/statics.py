@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticFields:
     """Velocity-independent amplitudes around the mobile scatterer."""
 
@@ -139,7 +139,7 @@ def resonance_shifts(zeta: float, x, L_c: float, k0: float):
     return plus, minus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CouplingReport:
     """Resonance shifts and position couplings at one membrane position.
 

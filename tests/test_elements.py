@@ -3,7 +3,8 @@ conservation laws,
 typed failures at the element, chain, pump, grid and temperature entry
 points."""
 
-from dataclasses import replace
+import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from tmmcavity.elements import (
     Scatterer,
     Segment,
 )
-from tmmcavity.errors import ChainError, NonCoolingError, PassivityError
+from tmmcavity.errors import ChainError, NonCoolingError, PassivityError, TmmCavityError
 from tmmcavity.mim import MimConfig, ScanGrid, build_mim, evaluate_chain
 from tmmcavity.noise import equilibrium_temperature
 from tmmcavity.opalg import (
@@ -322,6 +323,8 @@ BAD_INPUTS = {
         PassivityError, lambda: Scatterer.of("abc")),
     "missing polarisability": (
         PassivityError, lambda: Polarisability(None)),
+    "non-numeric string pump amplitude": (
+        ChainError, lambda: PumpSpec("x", 0.0, 1.0, LAM)),
 }
 
 
@@ -333,3 +336,87 @@ def test_bad_input_raises_typed_error(case):
     error, call = BAD_INPUTS[case]
     with pytest.raises(error):
         call()
+
+
+def test_scatterer_without_polarisability_names_the_factory():
+    with pytest.raises(ChainError, match=r"Scatterer\.of\(zeta\)"):
+        Scatterer(-1 + 0j)
+
+
+# Malformed values swept over every argument of every record constructor
+# and pump factory: each either raises a TmmCavityError or, where listed in
+# SWEEP_ACCEPTED, is a legal input.  "complex" stands where a real is
+# expected, "negative" where a non-negative number is.
+SWEEP_VALUES = {
+    "str": "1",
+    "None": None,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "complex": 1 + 1j,
+    "negative": -1,
+}
+
+SWEEP_TARGETS = {
+    "Polarisability": (Polarisability, {"zeta": -1.0}),
+    "Scatterer": (Scatterer, {"pol": Polarisability(-1.0)}),
+    "Scatterer.of": (Scatterer.of, {"zeta": -1.0}),
+    "Segment": (Segment, {"length": 1e-3}),
+    "Chain": (Chain, {"elements": (Scatterer.of(-1.0),), "mobile_index": 0, "k0": K0}),
+    "PumpSpec": (PumpSpec, {"B0": PumpSpec.one_sided(1.0, LAM).B0, "C0": 0.0,
+                            "power_watts": 1.0, "wavelength": LAM}),
+    "PumpSpec.one_sided": (PumpSpec.one_sided,
+                           {"power_watts": 1.0, "wavelength": LAM, "side": "left"}),
+    "MimConfig": (MimConfig, asdict(MimConfig())),
+    "ScanGrid": (ScanGrid, {"x_start": 0.0, "x_stop": 1e-7, "x_count": 2,
+                            "dlc_start": 0.0, "dlc_stop": 1e-7, "dlc_count": 3}),
+}
+
+SWEEP_ACCEPTED = {
+    ("Polarisability", "zeta"): {"complex", "negative"},
+    ("Scatterer.of", "zeta"): {"complex", "negative"},
+    # C0 = -1 or 1+1j misses |B0|^2 + |C0|^2 = P/(hbar omega0) by ~1 photon/s
+    # of ~5e18, inside the invariant's relative tolerance of 1e-9
+    ("PumpSpec", "C0"): {"complex", "negative"},
+    ("MimConfig", "membrane_zeta"): {"negative"},
+    ("MimConfig", "mirror_zeta"): {"negative"},
+    ("ScanGrid", "x_start"): {"negative"},
+    ("ScanGrid", "dlc_start"): {"negative"},
+}
+
+
+@pytest.mark.parametrize("target", sorted(SWEEP_TARGETS))
+def test_malformed_values_raise_only_typed_errors(target):
+    build, good = SWEEP_TARGETS[target]
+    build(**good)
+    wrong = []
+    for arg in good:
+        for label, value in SWEEP_VALUES.items():
+            try:
+                build(**{**good, arg: value})
+            except TmmCavityError:
+                outcome = "rejected"
+            except Exception as exc:  # an untyped escape
+                outcome = f"{type(exc).__name__}: {exc}"
+            else:
+                outcome = "accepted"
+            expect = "accepted" if label in SWEEP_ACCEPTED.get((target, arg), ()) else "rejected"
+            if outcome != expect:
+                wrong.append(f"{arg}={value!r} {outcome}, expected {expect}")
+    assert wrong == []
+
+
+@pytest.mark.parametrize("zeta", [np.float64(-1.5), np.int64(-2), np.complex128(-1 + 0.5j),
+                                  -1.5, -2, complex(-1, 0.5)])
+def test_polarisability_stores_python_complex(zeta):
+    # an exact complex skips the numbers.Complex check; every other number
+    # is converted, numpy scalars included
+    pol = Scatterer.of(zeta).pol
+    assert type(pol.zeta) is complex
+    assert pol.zeta == complex(zeta)
+
+
+@pytest.mark.parametrize("length", [np.float64(1e-3), np.int64(2), 1e-3, 2, 0.0, -0.0])
+def test_segment_accepts_real_numbers(length):
+    # an exact float skips the numbers.Real check; the length is kept as given
+    assert Segment(length).length is length
