@@ -92,18 +92,14 @@ def solve_dynamic(chain: Chain, pump: PumpSpec) -> FieldSet:
 
     The kernel `opalg._solve_left_pump` with the (v/c) parts: it solves the
     left-pump boundary problem for the composed operator M1 MS^ M2 (see
-    `opalg._first_order`) and applies (M1)^-1 to the left output, every
-    k-derivative analytic at the pump wavenumber.  The zeroth-order fields
-    are those of `solve_static`, bit for bit.  A right pump is the left
-    pump of the reversed chain, whose scatterer moves at -v; a two-sided
-    pump adds the two.  C1 and D1 follow from the right-face relations
-    above, on the total fields.
+    `opalg._first_order`) and carries the right output back through M2 and
+    M2' to the scatterer, every k-derivative analytic at the pump
+    wavenumber.  The zeroth-order fields are those of `solve_static`, bit
+    for bit.  A right pump is the left pump of the reversed chain, whose
+    scatterer moves at -v; a two-sided pump adds the two.
     """
-    z = chain.mobile.pol.zeta
     (A0, B0f, C0f, D0f, out_left, out_right,
-     A1, B1, out_left1, out_right1) = (x[0] for x in _chain_fields(chain, pump, True))
-    C1 = (1 - 1j * z) * A1 - 1j * z * B1 + 2j * z * B0f
-    D1 = 1j * z * A1 + (1 + 1j * z) * B1 + 2j * z * A0
+     A1, B1, C1, D1, out_left1, out_right1) = (x[0] for x in _chain_fields(chain, pump, True))
     return FieldSet(A0=A0, A1=A1, B0f=B0f, B1=B1, C0f=C0f, C1=C1, D0f=D0f, D1=D1,
                     out_left0=out_left, out_left1=out_left1, out_right0=out_right,
                     out_right1=out_right1)

@@ -31,7 +31,7 @@ from .dynamics import _velocity_force, solve_dynamic
 from .elements import Chain, Polarisability, PumpSpec, Scatterer, Segment, _check_wavelength
 from .errors import CalibrationError, ChainError
 from .noise import _diffusion, _kbt, diffusion, operator_fields
-from .opalg import _inverse_entries, _right_face, _solve_left_pump, _static_force
+from .opalg import _right_face, _solve_left_pump, _static_force
 from .statics import resonance_shifts
 
 __all__ = [
@@ -261,15 +261,15 @@ def _quantities(config: MimConfig, solution) -> np.ndarray:
     from a first-order kernel solution; NaN marks singular points.
 
     The MIM is lossless, so the noise columns are the static fields at the
-    two unit pumps.  They share one 1/b: the composed matrix has unit
-    determinant, so the left unit pump's left output is a/b and the right
-    one's is 1/b.
+    two unit pumps: the solution's own fields over its pump from the
+    left, and from the right the left face r (m1_22, -m1_21) that M1 maps
+    to a pure left output, r = 1/b being that output (the composed matrix
+    has unit determinant).
     """
     k0 = config.k0
     z = complex(config.membrane_zeta)
     A0, B0f, C0f, D0f, _, _ = solution.fields
     A1, B1 = solution.first[:2]
-    m = solution.m
     out = np.empty((5, A0.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out[0] = abs(A0 + B0f) ** 2
@@ -278,13 +278,15 @@ def _quantities(config: MimConfig, solution) -> np.ndarray:
         if z == 0:
             out[3] = 0.0  # nothing scatters, no momentum kicks
         else:
-            mu11, mu12, mu21, mu22 = _inverse_entries(solution.m1)
-            r = 1 / m[3]
-            a_out = np.stack([m[1] * r, r])  # unit pumps from the left, the right
-            b_in = np.array([[1.0], [0.0]])
-            av = mu11 * a_out + mu12 * b_in
-            bv = mu21 * a_out + mu22 * b_in
-            out[3] = _diffusion(A0, B0f, C0f, D0f, av, bv, *_right_face(av, bv, z), k0)
+            # at zero power the fields are zero, so is every Gram term
+            b0 = solution.pump or 1.0
+            _, _, m21, m22 = solution.m1
+            r = 1 / solution.m[3]
+            ar, br = m22 * r, -m21 * r
+            cr, dr = _right_face(ar, br, z)
+            out[3] = _diffusion(A0, B0f, C0f, D0f, np.stack([A0 / b0, ar]),
+                                np.stack([B0f / b0, br]), np.stack([C0f / b0, cr]),
+                                np.stack([D0f / b0, dr]), k0)
         singular = solution.singular | ~np.isfinite(out[:4]).all(axis=0)
     out[:4, singular] = np.nan
     out[4] = _kbt(out[3], out[2])

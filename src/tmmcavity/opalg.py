@@ -55,13 +55,6 @@ def _add(x, y):
     return tuple(v if u is None else u if v is None else u + v for u, v in zip(x, y))
 
 
-def _inverse_entries(m: tuple) -> tuple:
-    """Entry tuple of adj(m): m^-1 for unit-determinant m, and, adj being
-    linear, the k-derivative of that inverse when m is the derivative."""
-    m11, m12, m21, m22 = m
-    return m22, -m12, -m21, m11
-
-
 def _dense(m) -> tuple:
     """m with every structural zero (or a zero matrix None) as 0.0."""
     return (0.0,) * 4 if m is None else tuple(0.0 if e is None else e for e in m)
@@ -162,33 +155,15 @@ _OFF = np.array([0, 1, 1, 0], dtype=complex)
 # ---------------------------------------------------------------------------
 
 
+def _apply(m: tuple, x, y) -> tuple:
+    """The entry tuple m applied to the column (x, y)."""
+    return m[0] * x + m[1] * y, m[2] * x + m[3] * y
+
+
 def _right_face(a0, b0, z: complex) -> tuple:
     """(C, D) on the right face of a static scatterer from (A, B) on its
     left face; scalars or arrays."""
     return (1 - 1j * z) * a0 - 1j * z * b0, 1j * z * a0 + (1 + 1j * z) * b0
-
-
-def _static_solution(m: tuple, m1: tuple, B0, z: complex) -> tuple:
-    """(A0, B0f, C0f, D0f, out_left, out_right) under a left pump B0, from
-    the right column (a, b) of the composed matrix m and the entries of
-    the left side M1.
-
-    With m = [[g, a], [d, b]] mapping the far-right amplitude pair to the
-    far-left one and mu = (M1)^-1 (the adjugate: every element matrix, and
-    so M1, has unit determinant):
-
-        D_out = B0 / b,    out_left = a D_out,
-        A0    = mu11 out_left + mu12 B0,    B0f = mu21 out_left + mu22 B0,
-
-    and the right-face fields follow from the static scatterer relations.
-    """
-    _, a, _, b = m
-    mu11, mu12, mu21, mu22 = _inverse_entries(m1)
-    d_out = B0 / b
-    a_out = a * d_out
-    A0 = mu11 * a_out + mu12 * B0
-    B0f = mu21 * a_out + mu22 * B0
-    return (A0, B0f, *_right_face(A0, B0f, z), a_out, d_out)
 
 
 def _static_force(a0, b0, z: complex, k0: float):
@@ -203,9 +178,9 @@ def _static_force(a0, b0, z: complex, k0: float):
 
 
 def _first_order(comp: tuple, B0) -> tuple:
-    """(al1, alt, p, q): the (v/c) parts al1 delta + alt delta' of the left
-    output and p delta + q delta' of the right output under a left pump B0,
-    from the right columns of the composed jet's a, a', b, c, c' (`comp`):
+    """(al1, p, q): the (v/c) part al1 delta of the left output and p delta
+    + q delta' of the right output under a left pump B0, from the right
+    columns of the composed jet's a, a', b, c, c' (`comp`):
 
         d0 = B0/b,    q = -d0 bc/b,    p = [-d0 (bb - bc') + b' q]/b,
 
@@ -217,31 +192,22 @@ def _first_order(comp: tuple, B0) -> tuple:
     d_out0 = B0 / b0
     q = -(d_out0 * bc) / b0
     p = (-(d_out0 * (bb - dbc)) + db0 * q) / b0
-    return d_out0 * (ab - dac) + a0 * p - da0 * q, d_out0 * ac + a0 * q, p, q
-
-
-def _left_face(m1: tuple, dm1: tuple, al1, alt) -> tuple:
-    """(A1, B1) on the mobile scatterer's left face from the left output
-    al1 delta + alt delta', through (M1)^-1 of M1 and M1':
-    f(k) delta'(k - k0) is f(k0) delta' - f'(k0) delta."""
-    mu11, _, mu21, _ = _inverse_entries(m1)
-    dmu11, _, dmu21, _ = _inverse_entries(dm1)
-    return mu11 * al1 - dmu11 * alt, mu21 * al1 - dmu21 * alt
+    return d_out0 * (ab - dac) + a0 * p - da0 * q, p, q
 
 
 class _Solution(NamedTuple):
-    """One left-pumped solve: `_static_solution`'s fields, the static force
-    f0, the mask of singular points (beta_0 = m[3] zero or not finite, or a
-    force or first-order field not finite), M1, the right columns of the
-    composed matrix, of M2 and of M2', and (A1, B1, al1, p, q) if asked."""
+    """One left-pumped solve: the pump B0, the fields (A0, B0f, C0f, D0f,
+    out_left, out_right), the static force f0, the mask of singular points
+    (beta_0 = m[3] zero or not finite, or a force or first-order field not
+    finite), M1, the composed matrix m, and the (v/c) parts (A1, B1, C1,
+    D1, out_left1, out_right1) if asked."""
 
+    pump: complex | np.ndarray
     fields: tuple
     f0: np.ndarray
     singular: np.ndarray
     m1: tuple
     m: tuple
-    m2: tuple
-    dm2: tuple
     first: tuple | None
 
 
@@ -252,7 +218,20 @@ def _solve_left_pump(left, z: complex, right, k0: float, B0,
 
     `left` and `right` are the elements on each side, each a `Scatterer`
     or a segment length (a number or a (P,) array, which makes a batch).
-    The composed matrix is the jet product M1 MS^ M2.
+    The composed matrix m = M1 MS^ M2 maps the far-right amplitude pair to
+    the far-left one, so its right column (a, b) gives the outputs
+    out_right = B0/b and out_left = a out_right.  Every field at the
+    scatterer comes from its unpumped side: the right face is M2's right
+    column times out_right, and the left face follows through the
+    scatterer.  Products only, so no cancellation of the pumped side's
+    growing entries enters.  With nothing on the pumped side the left face
+    is the port itself, (out_left, B0).
+
+    At first order the right output is out_right delta + (v/c)(p delta +
+    q delta'), and f(k) delta'(k - k0) is f(k0) delta' - f'(k0) delta, so
+    the right face's (v/c) part is p M2 - q M2' on the right columns.  The
+    moving scatterer adds its Doppler source: its d/dk part 2 i z k on the
+    reflection entries leaves -2 i z times the crossed static fields.
     """
     ms = _moving_scatterer(z, k0) if first_order else _static_jet(_scatterer(z), None)
     m1, dm1 = _left_jet(left, k0, first_order)
@@ -260,24 +239,36 @@ def _solve_left_pump(left, z: complex, right, k0: float, B0,
     # singular points divide by zero or overflow; the mask below marks them
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         comp = _op_mul(_op_mul(_static_jet(m1, dm1), ms), _static_jet(m2, dm2))
-        m, m1 = comp[0], _dense(m1)
-        fields = _static_solution(m, m1, B0, z)
-        f0 = _static_force(fields[0], fields[1], z, k0)
+        m, s = comp[0], _scatterer(z)
+        _, m2c, _, m2d = _dense(m2)
+        d_out = B0 / m[3]
+        a_out = m[1] * d_out
+        C0f, D0f = m2c * d_out, m2d * d_out
+        A0, B0f = _apply(s, C0f, D0f) if left else (a_out, B0)
+        f0 = _static_force(A0, B0f, z, k0)
         singular = (m[3] == 0) | ~np.isfinite(m[3]) | ~np.isfinite(f0)
         first = None
         if first_order:
-            al1, alt, p, q = _first_order(tuple(_dense(part) for part in comp), B0)
-            A1, B1 = _left_face(m1, _dense(dm1), al1, alt)
-            # al1 and p feed A1 and B1, which stay finite only if they do
+            al1, p, q = _first_order(tuple(_dense(part) for part in comp), B0)
+            _, dm2c, _, dm2d = _dense(dm2)
+            C1, D1 = p * m2c - q * dm2c, p * m2d - q * dm2d
+            if left:
+                sc1, sd1 = _apply(s, C1, D1)
+                A1, B1 = sc1 - 2j * z * D0f, sd1 - 2j * z * C0f
+            else:
+                A1, B1 = al1, np.zeros_like(al1)
+            # p and q feed every first-order field, finite only if they are
             singular = singular | ~np.isfinite(A1) | ~np.isfinite(B1)
-            first = (A1, B1, al1, p, q)
-    return _Solution(fields, f0, singular, m1, m, _dense(m2), _dense(dm2), first)
+            first = (A1, B1, C1, D1, al1, p)
+    return _Solution(B0, (A0, B0f, C0f, D0f, a_out, d_out), f0, singular, _dense(m1), m,
+                     first)
 
 
 def _chain_fields(chain: Chain, pump: PumpSpec, first_order: bool = False) -> tuple:
     """(A0, B0f, C0f, D0f, out_left, out_right) at the mobile scatterer of
-    one chain, as one-element arrays, followed by (A1, B1, out_left1,
-    out_right1) if `first_order`; SingularSolveError where a grid writes NaN.
+    one chain, as one-element arrays, followed by their (v/c) parts (A1,
+    B1, C1, D1, out_left1, out_right1) if `first_order`; SingularSolveError
+    where a grid writes NaN.
 
     The fields are linear in the pump: the left pump B0 is solved on the
     chain and the right pump C0 on the reversed chain (`_reversed_frame`),
@@ -302,30 +293,25 @@ def _chain_fields(chain: Chain, pump: PumpSpec, first_order: bool = False) -> tu
                 f"the composed chain matrix overflowed at k={k0} (entry beta_0 is {b0}): "
                 "the product of the element matrices exceeds the float64 range; "
                 "reduce |zeta| of the strongest scatterers")
+        parts = sol.fields + (sol.first if first_order else ())
         if reverse:
-            parts = _reversed_frame(sol, z)
-        else:
-            parts = sol.fields + (sol.first[:4] if first_order else ())
+            parts = _reversed_frame(parts)
         total = parts if total is None else tuple(x + y for x, y in zip(total, parts))
     return total
 
 
-def _reversed_frame(sol: _Solution, z: complex) -> tuple:
+def _reversed_frame(parts: tuple) -> tuple:
     """`_chain_fields`' parts of a solve of the reversed chain, in the
-    chain's own frame.
+    chain's own frame: a relabelling.
 
-    The reversed chain's scatterer moves at -v, so the ports swap and the
-    (v/c) parts change sign.  The chain's left face (A, B) is the reversed
-    chain's right face (D, C): its right side M2 times its right output
-    d0 delta + (v/c)(p delta + q delta'), where f(k) delta' is f(k0) delta'
-    - f'(k0) delta.  Products only, so a side without elements gives B = 0
-    exactly.  The right face follows from the scatterer relations.
+    The chain's left face (A, B) is the reversed chain's right face (D, C),
+    its right face (C, D) the reversed left face (B, A), and the ports
+    swap.  The reversed chain's scatterer moves at -v, so the (v/c) parts
+    also change sign.
     """
-    _, _, _, _, out_left, out_right = sol.fields
-    m2, dm2 = sol.m2, sol.dm2
-    A0, B0f = m2[3] * out_right, m2[1] * out_right
-    parts = (A0, B0f, *_right_face(A0, B0f, z), out_right, out_left)
-    if sol.first is None:
-        return parts
-    _, _, al1, p, q = sol.first
-    return parts + (dm2[3] * q - m2[3] * p, dm2[1] * q - m2[1] * p, -p, -al1)
+    A, B, C, D, out_left, out_right = parts[:6]
+    static = (D, C, B, A, out_right, out_left)
+    if len(parts) == 6:
+        return static
+    A1, B1, C1, D1, out_left1, out_right1 = parts[6:]
+    return static + (-D1, -C1, -B1, -A1, -out_right1, -out_left1)

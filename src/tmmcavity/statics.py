@@ -58,10 +58,10 @@ class StaticFields:
 
 def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
     """Solve the v = 0 scattering problem for the fields at the scatterer:
-    the kernel `opalg._solve_left_pump` on the chain (see
-    `opalg._static_solution` for the closed form), a right pump on the
-    reversed chain.  Raises SingularSolveError where the chain matrix entry
-    beta_0 vanishes or the solve does not stay finite.
+    the kernel `opalg._solve_left_pump` on the chain (the closed form is
+    in its docstring), a right pump on the reversed chain.  Raises
+    SingularSolveError where the chain matrix entry beta_0 vanishes or the
+    solve does not stay finite.
     """
     return StaticFields(*(x[0] for x in _chain_fields(chain, pump)))
 
@@ -115,20 +115,11 @@ def resonance_shifts(zeta: float, x, L_c: float, k0: float):
                            z [cos(2 k0 x) -/+ R]),   R = sqrt(1+z^2 sin^2),
 
     which places the branches one free spectral range (pi c / L_c) apart as
-    zeta -> 0.  Scalar x gives the principal values; an array x is treated
-    as a scan and unwrapped continuously, anchored at the sample nearest
-    x = 0.  Returns (plus_branch, minus_branch).
+    zeta -> 0; at zeta = 0 they sit at +/- (pi/2) c/L_c for every x.
+    Scalar x gives the principal values; an array x is treated as a scan
+    and unwrapped continuously, anchored at the sample nearest x = 0.
+    Returns (plus_branch, minus_branch).
     """
-    if zeta == 0.0:
-        # bare-cavity limit: branches sit half an FSR either side of the
-        # formula's reference, with no x dependence
-        base = np.broadcast_to(np.pi / 2, np.shape(np.atleast_1d(x))).astype(float)
-        plus = base * (C_LIGHT / L_c)
-        minus = -base * (C_LIGHT / L_c)
-        if np.isscalar(x):
-            return float(plus[0]), float(minus[0])
-        return plus, minus
-
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     theta = _branch_angles(float(zeta), 2.0 * k0 * xa)
     if xa.size > 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import math
 import signal
 
@@ -153,9 +154,12 @@ def _fd_fields(chain: Chain, pump, v_over_c, ar) -> dict:
             m = _mul(m, element(el, k))
         return m
 
+    # every derivative re-reads the sides at the same few wavenumbers
+    @functools.cache
     def m1(k):
         return product(left, k)
 
+    @functools.cache
     def m2(k):
         return product(right, k)
 

@@ -9,12 +9,14 @@ import tmmcavity.opalg as opalg
 from tmmcavity.dynamics import force_with_velocity, solve_dynamic
 from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment
 from tmmcavity.mim import evaluate_chain
-from tmmcavity.statics import solve_static, static_force
+from tmmcavity.statics import StaticFields, solve_static, static_force
 
 from helpers import (
     fd_first_order_fields,
     fd_friction,
     flux_force_first_order,
+    mp_diffusion,
+    mp_static_fields,
     random_chains,
     reversed_chain,
     side_growth,
@@ -106,18 +108,19 @@ class TestFieldSet:
         # the first-order solve reads, bit for bit, the composed static
         # matrix that the static solution and its singularity check use
         seen = {}
+        first_order, solve = opalg._first_order, opalg._solve_left_pump
 
-        def spy(name):
-            original = getattr(opalg, name)
+        def spy_first_order(comp, *args):
+            seen["first"] = comp[0]  # entries of a
+            return first_order(comp, *args)
 
-            def wrapper(m, *args):
-                seen[name] = m[0] if name == "_first_order" else m  # entries of a
-                return original(m, *args)
+        def spy_solve(left, z, right, k0, B0, *args):
+            sol = solve(left, z, right, k0, B0, *args)
+            seen["static"], seen["B0"] = sol, B0
+            return sol
 
-            monkeypatch.setattr(opalg, name, wrapper)
-
-        spy("_static_solution")
-        spy("_first_order")
+        monkeypatch.setattr(opalg, "_first_order", spy_first_order)
+        monkeypatch.setattr(opalg, "_solve_left_pump", spy_solve)
         rng = np.random.default_rng(11)
         for _ in range(40):
             n = 2 * int(rng.integers(2, 21)) + 1  # 5..41 elements
@@ -128,8 +131,14 @@ class TestFieldSet:
             )
             mobile = 2 * int(rng.integers(0, n // 2 + 1))
             solve_dynamic(Chain(elements, mobile, K0), PUMP)
-            a, b = seen["_static_solution"][1::2]
-            assert np.array_equal(seen["_first_order"][1::2], (a, b))
+            sol = seen["static"]
+            a, b = sol.m[1::2]
+            assert np.array_equal(seen["first"][1::2], (a, b))
+            # the static outputs and the singularity mask come from that b
+            out_left, out_right = sol.fields[4:]
+            assert np.array_equal(out_right, seen["B0"] / b)
+            assert np.array_equal(out_left, a * out_right)
+            assert not sol.singular.any() and np.isfinite(b).all() and (b != 0).all()
 
     def test_fields_match_sideband_oracle_in_cavity(self):
         """Closed-form A1 equals the static solve differenced between the
@@ -314,26 +323,87 @@ class TestLongChain:
             assert abs(got["dFdv"] - oracle) / abs(oracle) < 1e-4, seed
 
 
+def stop_band_chain(zeta: float, cells: int) -> Chain:
+    """`cells` cells of (scatterer, lambda/4 + 1 mm) closed by a scatterer,
+    the middle scatterer mobile."""
+    elements = (Scatterer.of(zeta), Segment(LAM / 4 + 1e-3)) * cells + (Scatterer.of(zeta),)
+    return Chain(elements, 2 * (cells // 2), K0)
+
+
+def long_random_chain(seed: int) -> Chain:
+    """21-61 scatterers with |zeta| <= 30, every other chain with absorbers,
+    the segments between them, and a random mobile scatterer."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(21, 62))
+    elements = []
+    for i in range(n):
+        if i:
+            elements.append(Segment(rng.uniform(1e-4, 5e-3)))
+        re = rng.uniform(-30, 30)
+        im = rng.uniform(0, 5) if seed % 2 and rng.random() < 0.3 else 0.0
+        elements.append(Scatterer.of(complex(re, im)))
+    return Chain(tuple(elements), 2 * int(rng.integers(0, n)), K0)
+
+
+class TestStopBand:
+    """Left-pumped fields where the side transfer matrices grow like |1/t|^N
+    (`side_growth` up to ~1e62): every field at the scatterer comes from its
+    unpumped side, so none of that growth cancels."""
+
+    @staticmethod
+    def assert_matches_oracle(chain, dps, v_over_c, rtol):
+        dyn = solve_dynamic(chain, PUMP)
+        mp = mp_static_fields(chain, PUMP, dps=dps)
+        fd = fd_first_order_fields(chain, PUMP, v_over_c=v_over_c, dps=dps)
+        pol = chain.mobile.pol
+        first = ("A1", "B1", "C1", "D1")
+        got = {name: getattr(dyn, name) for name in ("A0", "B0f", "C0f", "D0f") + first}
+        want = {**{name: mp[name] for name in ("A0", "B0f", "C0f", "D0f")},
+                **{name: fd[name] for name in first}}
+        got["F0"] = static_force(dyn.static(), pol, K0)
+        want["F0"] = static_force(StaticFields(**mp), pol, K0)
+        if not any(isinstance(el, Scatterer) and el.pol.absorptive for el in chain.elements):
+            got["D"] = evaluate_chain(chain, PUMP)["D"]
+            want["D"] = mp_diffusion(chain, PUMP, dps=dps)
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=rtol, abs=0), name
+
+    @pytest.mark.parametrize("zeta, cells, dps", [(-3.0, 10, 120), (-3.0, 20, 120),
+                                                  (-30.0, 10, 120), (-30.0, 40, 250)])
+    def test_periodic_stop_band_against_mpmath(self, zeta, cells, dps):
+        """The chains of the ROADMAP's stop-band table: side growth 3e6 to
+        3e62, errors 6e-13 to 2e-11."""
+        self.assert_matches_oracle(stop_band_chain(zeta, cells), dps, 1e-60, 1e-10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_random_chain_against_mpmath(self, seed):
+        """41-121-element chains (side growth up to ~1e62): the oracle
+        needs ~400 digits at v/c = 1e-60; the kernel's worst was 7e-10."""
+        self.assert_matches_oracle(long_random_chain(seed), 400, 1e-60, 1e-8)
+
+
 class TestMirror:
     """A right pump is the left pump of the reversed chain: the faces map as
-    (A, B, C, D) <-> (D', C', B', A') and the two ports swap.  Agreement is
-    to float64 rounding amplified by `side_growth`, which deep stop bands
-    of these chains push past 1e12."""
+    (A, B, C, D) <-> (D', C', B', A'), the two ports swap, and the (v/c)
+    parts change sign with the scatterer's velocity."""
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(random_chains())
     def test_right_pump_static_is_the_reversed_left_pump(self, case):
         """Random 3-41-element chains, |zeta| <= 10, absorbers, any mobile
-        scatterer: `solve_static` with its own right-pump form against the
-        reversed chain pumped from the left (worst 3.3e-13 of the growth
-        in 4000 examples)."""
+        scatterer: `solve_static` and `solve_dynamic` with a right pump
+        equal the relabelled left pump of the reversed chain bit for bit."""
         chain, _ = case
         st = solve_static(chain, RIGHT)
         rev = solve_static(reversed_chain(chain), PUMP)
-        got = np.array([st.A0, st.B0f, st.C0f, st.D0f, st.out_left, st.out_right])
-        want = np.array([rev.D0f, rev.C0f, rev.B0f, rev.A0, rev.out_right, rev.out_left])
-        assert np.abs(got - want).max() <= 1e-11 * side_growth(chain) * np.abs(want).max()
+        assert ((st.A0, st.B0f, st.C0f, st.D0f, st.out_left, st.out_right)
+                == (rev.D0f, rev.C0f, rev.B0f, rev.A0, rev.out_right, rev.out_left))
+        dyn = solve_dynamic(chain, RIGHT)
+        rev = solve_dynamic(reversed_chain(chain), PUMP)
+        assert dyn.static() == solve_static(chain, RIGHT)
+        assert ((dyn.A1, dyn.B1, dyn.C1, dyn.D1, dyn.out_left1, dyn.out_right1)
+                == (-rev.D1, -rev.C1, -rev.B1, -rev.A1, -rev.out_right1, -rev.out_left1))
 
     def test_right_and_two_sided_first_order_match_80_digit_oracle(self):
         """Seeded chains of the same kind: A1, B1, C1 and D1 of right-pumped

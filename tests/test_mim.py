@@ -383,6 +383,21 @@ class TestGridEngine:
                     v = getattr(result, q)[i, j]
                     assert getattr(p, q) == (None if np.isnan(v) else v)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("zeta", [-1.0, -0.2])
+    def test_zero_power_gives_zero_quantities(self, side, zeta):
+        """A 0 W pump is valid input: every field is zero, so intensity,
+        F0, dF/dv and D are zero in every cell and at every point, and no
+        cell is marked singular."""
+        cfg = MimConfig(cavity_length=5e-3, membrane_zeta=zeta, mirror_zeta=-3.0,
+                        power_watts=0.0, pump_side=side)
+        grid = ScanGrid(-0.2 * LAM, 0.2 * LAM, 3, -0.1 * LAM, 0.1 * LAM, 4)
+        result = scan(cfg, grid)
+        for q in ("intensity", "F0", "dFdv", "D"):
+            assert (getattr(result, q) == 0).all(), q
+        p = point_quantities(cfg, 0.1 * LAM, 0.05 * LAM)
+        assert (p.intensity, p.F0, p.dFdv, p.D) == (0, 0, 0, 0)
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_mim_cases())

@@ -250,6 +250,12 @@ class TestResonanceShifts:
         dplus, dminus = resonance_shifts(-1e-4, xs, LC, K0)
         fsr = np.pi * C_LIGHT / LC
         np.testing.assert_allclose(dplus - dminus, fsr, rtol=1e-3)
+        # a bare cavity: half an FSR either side of the reference, every x
+        half = (np.pi / 2) * (C_LIGHT / LC)
+        for zeta in (0.0, -0.0):
+            assert resonance_shifts(zeta, xs[7], LC, K0) == (half, -half)
+            dplus, dminus = resonance_shifts(zeta, xs, LC, K0)
+            assert (dplus == half).all() and (dminus == -half).all()
 
     def test_avoided_crossing_gap_positive(self):
         """Strong membrane: the branch pair never touches; the minimum
