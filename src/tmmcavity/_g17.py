@@ -16,8 +16,19 @@ whose rounding is not certain, and every nonzero value outside
 Python's `%` instead, which stays the reference.
 
 A cell's bytes: 0 the sign; 1-5 the "0.000" in front of a fixed-point
-value below 1e-4; 6-23 the digits, with the point after the first q of
-them; 24-28 the exponent of a scientific value; 29-31 NUL.
+value below 1; 6 the first digit; 7 the point of a scientific value or
+of one in [1, 10); 8-23 the other 16 digits, four 4-digit groups; 24-28
+the exponent of a scientific value; 29-31 NUL.  A fixed-point value of
+10 or more has its point further on: its digits in front of the point
+close up on the first, into byte 7, and the point follows them.
+
+A pass computes in a fixed set of work arrays, updated in place, with
+integer intermediates as narrow as they go: the exponent and the digit
+groups int16, N's two 8-digit halves int32, trailing-zero counts uint8.
+What only some values need (an exponent off by one, a tie or an unsure
+rounding, the carry to 10^17, trailing zeros beyond the last group, a
+fixed-point value of 10 or more, the values outside the range) is done
+on their indices alone.
 """
 
 from __future__ import annotations
@@ -34,34 +45,49 @@ _E0 = 300  # table index of exponent 0; E stays within (-300, 300)
 _MARGIN = 2.0 ** -40  # y this close to a half-unit is left to Python
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
 # values per pass: a 2048-row block of a scan table (five float columns
-# and the grid keys) takes one, and each float64 temporary stays at 96 KiB
+# and the grid keys) takes one, and each float64 work array stays at 96 KiB
 _CHUNK = 12288
-_MINUS = np.uint64(ord("-"))
-_ZERO = np.uint64(ord("0")) << np.uint64(48)  # "0" at byte 6
+_MINUS = ord("-")
+_ZERO = ord("0") << 48  # "0" at byte 6
 
 
 class _Tables(NamedTuple):
-    hi: np.ndarray  # 10^k = hi + lo to ~2^-106, index k + _E0
-    lo: np.ndarray
-    four: np.ndarray  # 0..9999 as a word of 4 ASCII digits
+    # by exponent E, index E + _E0
+    scale: np.ndarray  # (4, _) 10^(16-E) = hi + lo to ~2^-106; hi's Dekker halves
+    lead: np.ndarray  # word 0 but sign and digit: "0.000" prefix, or the point
+    tail: np.ndarray  # word 3: "e+XX" of a scientific value
+    # by digits
+    first: np.ndarray  # word 0 of first digit d: ASCII at byte 6
+    four: np.ndarray  # 0..9999 as 4 ASCII digits in bytes 0-3 of a word
+    last: np.ndarray  # the same in bytes 4-7, trailing zeros NUL: the last group
     zeros: np.ndarray  # trailing zeros of a 4-digit group, 4 for 0000
-    head: np.ndarray  # word 0 of exponent E (index E + _E0): "0.000" prefix
-    tail: np.ndarray  # word 3 of exponent E: "e+XX" of a scientific value
-    stay: np.ndarray  # (3, code) words 0-2: the digits that keep their place
-    move: np.ndarray  # (3, code): the digits one place on, behind the point
-    point: np.ndarray  # (3, code): the point
+    keep: np.ndarray  # (3, s) masks of words 0-2 showing s digits
+    # words 1-2 of a fixed-point value of 10 or more, q digits in front of
+    # its point (see `_fixed`)
+    moved: np.ndarray  # (2, q) digits 1..q-1, one byte down
+    after: np.ndarray  # (2, q) the digits after the point, in place
+    point: np.ndarray  # (2, q) the point
+
+
+def _split(a):
+    high = a * _SPLIT
+    high -= high - a
+    return high, a - high
 
 
 def _words(data: np.ndarray) -> np.ndarray:
-    """Bytes (..., 8 m) as (..., m) native uint64 words, little-endian."""
-    return np.ascontiguousarray(data).view("<u8").astype(np.uint64)
+    """Bytes (n, 8 m) as m rows of n native uint64 words, little-endian;
+    one row alone when m is 1."""
+    words = np.ascontiguousarray(data).view("<u8").astype(np.uint64).T.copy()
+    return words[0] if len(words) == 1 else words
 
 
 @functools.cache
 def _tables() -> _Tables:
     """Built on first use, in a few milliseconds."""
     hi, lo = [], []
-    for k in range(-_E0, _E0):
+    for e in range(-_E0, _E0):
+        k = min(16 - e, 300)  # k above 300 only for E < -284: never read
         if k >= 0:
             h = float(10 ** k)
             hi.append(h)
@@ -72,17 +98,14 @@ def _tables() -> _Tables:
             num, den = h.as_integer_ratio()
             hi.append(h)
             lo.append((den - num * q) / (den * q))
-    v = np.arange(10000, dtype=np.uint16)
-    group = np.zeros((10000, 8), np.uint8)
-    for i in range(4):
-        group[:, 3 - i] = v // 10 ** i % 10 + ord("0")
-    zeros = sum((v % 10 ** i == 0).astype(np.uint8) for i in range(1, 5))
-    # exponent words
+    hi = np.array(hi)
+    scale = np.array([hi, *_split(hi), lo])
     e = np.arange(-_E0, _E0)
-    head = np.zeros((e.size, 8), np.uint8)
+    lead = np.zeros((e.size, 8), np.uint8)
     for small in range(-4, 0):
         prefix = b"0." + b"0" * (-small - 1)
-        head[small + _E0, 1:1 + len(prefix)] = np.frombuffer(prefix, np.uint8)
+        lead[small + _E0, 1:1 + len(prefix)] = np.frombuffer(prefix, np.uint8)
+    lead[(e < -4) | (e == 0) | (e >= 17), 7] = ord(".")
     tail = np.zeros((e.size, 8), np.uint8)
     mag = np.abs(e)
     tail[:, 0] = ord("e")
@@ -91,142 +114,200 @@ def _tables() -> _Tables:
     tail[:, 3] = mag // 10 % 10 + ord("0")
     tail[:, 4] = mag % 10 + ord("0")
     tail[(e >= -4) & (e < 17)] = 0
-    # layout code q * 18 + keep: the point after digit q (0: no point
-    # among the digits), `keep` digits shown
-    q = np.arange(18)[:, None, None]
-    keep = np.arange(18)[None, :, None]
-    j = np.arange(18)
-    masks = np.zeros((3, 18, 18, 24), np.uint8)
-    masks[0, ..., 6:] = ((q == 0) | (j < q)) & (j < keep)
-    masks[1, ..., 6:] = (q > 0) & (j > q) & (j <= keep)
-    masks[:2] *= 0xFF
-    masks[2, ..., 6:] = ((q > 0) & (j == q)) * ord(".")
-    layout = _words(masks.reshape(3, 18 * 18, 24)).transpose(0, 2, 1).copy()
-    return _Tables(np.array(hi), np.array(lo), _words(group).ravel(), zeros,
-                   _words(head).ravel(), _words(tail).ravel(), *layout)
+    first = (np.arange(10, dtype=np.uint64) + ord("0")) << np.uint64(48)
+    v = np.arange(10000)
+    group = np.zeros((10000, 4), np.uint8)
+    for i in range(4):
+        group[:, 3 - i] = v // 10 ** i % 10 + ord("0")
+    zeros = sum((v % 10 ** i == 0).astype(np.uint8) for i in range(1, 5))
+    bare = np.where(np.arange(4) < 4 - zeros[:, None], group, 0)
+    four, last = (_words(np.pad(g, ((0, 0), (i, 4 - i)))) for g, i in ((group, 0), (bare, 4)))
+    # s digits shown: the point goes with the 16 digits after the first
+    s = np.arange(18)[:, None]
+    j = np.arange(24)[None, :]
+    keep = np.where((j != 7) | (s > 1), 0xFF, 0).astype(np.uint8)
+    keep[:, 8:] *= (j[:, 8:] - 7 < s).astype(np.uint8)
+    # a fixed-point value of 10 or more: its digits 1..q-1 one byte down,
+    # into the point's slot, bytes 8-23 (words 1-2)
+    q = np.arange(18)[:, None]
+    b = np.arange(8, 24)
+    moved, after = (np.where(mask, 0xFF, 0).astype(np.uint8)
+                    for mask in (b <= 5 + q, b >= 7 + q))
+    point = np.where(b == 6 + q, ord("."), 0).astype(np.uint8)
+    return _Tables(scale, _words(lead), _words(tail), first, four, last,
+                   zeros, _words(keep), _words(moved), _words(after), _words(point))
 
 
-def _split(a):
-    high = a * _SPLIT
-    high -= high - a
-    return high, a - high
-
-
-def _scaled(a, k, t):
-    """a * 10^k as an unevaluated sum yh + yl, and whether it is exact."""
-    ph, pl = t.hi[k + _E0], t.lo[k + _E0]
-    yh = a * ph
-    ah, al = _split(a)
-    bh, bl = _split(ph)
-    # a * ph - yh, exactly: ((ah bh - yh) + ah bl + al bh) + al bl
-    yl = ah * bh
+def _scaled(a, ie, t, out):
+    """a 10^(16-E) as the unevaluated sum out[0] + out[1], for E + _E0 in
+    ie; out's other three rows are work space."""
+    yh, yl, u, v, w = out
+    np.take(t.scale[0], ie, out=w, mode="clip")
+    np.multiply(a, w, out=yh)
+    # a * 10^k - yh, exactly: ((ah bh - yh) + al bh + ah bl) + al bl
+    np.multiply(a, _SPLIT, out=u)
+    np.subtract(u, a, out=v)
+    u -= v  # ah
+    np.subtract(a, u, out=v)  # al
+    np.take(t.scale[1], ie, out=w, mode="clip")  # bh
+    np.multiply(u, w, out=yl)
     yl -= yh
-    ah *= bl
-    yl += ah
-    bh *= al
-    yl += bh
-    al *= bl
-    yl += al
-    exact = pl == 0
-    pl *= a
-    yl += pl
-    return yh, yl, exact
+    w *= v
+    yl += w
+    np.take(t.scale[2], ie, out=w, mode="clip")  # bl
+    u *= w
+    yl += u
+    v *= w
+    yl += v
+    np.take(t.scale[3], ie, out=w, mode="clip")  # lo
+    w *= a
+    yl += w
 
 
-def _round17(a, t):
-    """N in [1e16, 1e17) and E with |x| ~ N 10^(E-16), and the values
-    whose rounding is not certain, for |x| in [_LOWEST, _HIGHEST]."""
-    e = np.floor(np.log10(a)).astype(np.int64)
-    yh, yl, exact = _scaled(a, 16 - e, t)
-    up = (yh > 1e17) | ((yh == 1e17) & (yl >= 0))
-    down = (yh < 1e16) | ((yh == 1e16) & (yl < 0))
-    fix = np.flatnonzero(up | down)
-    if fix.size:
-        e[fix] += up[fix]
-        e[fix] -= down[fix]
-        yh[fix], yl[fix], exact[fix] = _scaled(a[fix], 16 - e[fix], t)
-    floor = np.floor(yl)
-    yl -= floor  # the fraction
-    n = yh.astype(np.int64)  # an even integer: yh >= 2^53
-    n += floor.astype(np.int64)
-    n += (yl > 0.5) | ((yl == 0.5) & exact & ((n & 1) == 1))  # half to even
-    unsure = ~exact & (np.abs(yl - 0.5) < _MARGIN)
-    carry = n == 10 ** 17
-    n[carry] = 10 ** 16
-    e += carry
-    return n, e, unsure
+def _digits(n, halves, groups, work):
+    """N's first digit, and its other 16 as four 4-digit groups written to
+    `groups`, from the int64 n (consumed); `halves` (int32, twice n's
+    size) and the int64 `work` are work space.  Each product and
+    quotient keeps its operand's dtype, and only copies narrow it."""
+    high, low = halves.reshape(2, -1)  # digits 0-8 and 9-16
+    np.floor_divide(n, 10 ** 8, out=work)
+    np.copyto(high, work, casting="same_kind")
+    work *= 10 ** 8
+    n -= work
+    np.copyto(low, n, casting="same_kind")
+    part = work.view(np.int32)[:n.size]
+    first = np.empty(n.size, np.int16)
+    for half, scale, out in ((high, 10 ** 8, (first, high)),
+                             (high, 10 ** 4, groups[:2]), (low, 10 ** 4, groups[2:])):
+        np.floor_divide(half, scale, out=part)
+        np.copyto(out[0], part, casting="same_kind")
+        part *= scale
+        half -= part
+        np.copyto(out[1], half, casting="same_kind")
+    return first
 
 
-def _digit_words(n, t):
-    """Words 0-2 of N's 17 digits at bytes 6-22 (u), words 1-2 of the same
-    one byte later (v), and the number of digits once trailing zeros go.
-    Consumes n."""
-    top = n // 10 ** 9  # d0-d7
-    n -= top * 10 ** 9
-    d8 = n // 10 ** 8
-    n -= d8 * 10 ** 8
-    gc = n // 10000  # d9-d12
-    n -= gc * 10000  # d13-d16
-    ga = top // 10000  # d0-d3
-    top -= ga * 10000  # d4-d7
-    tz = t.zeros[n]
-    z = np.flatnonzero(n == 0)
-    if z.size:
-        tz[z] = np.where(gc[z] != 0, 4 + t.zeros[gc[z]],
-                         np.where(d8[z] != 0, 8,
-                                  np.where(top[z] != 0, 9 + t.zeros[top[z]],
-                                           13 + t.zeros[ga[z]])))
-    u0 = t.four[ga]
-    u1 = u0 >> 16
-    u0 &= 0xFFFF
-    u0 <<= 48
-    u1 |= t.four[top] << 16
-    u1 |= (d8.astype(np.uint64) + ord("0")) << 48
-    u2 = t.four[gc]
-    u1 |= (u2 & 0xFF) << 56
-    u2 >>= 8
-    u2 |= t.four[n] << 24
-    v1 = u1 << 8
-    v1 |= u0 >> 56
-    v2 = u2 << 8
-    v2 |= u1 >> 56
-    return (u0, u1, u2), (None, v1, v2), 17 - tz.astype(np.int64)
+def _shown(groups, t):
+    """Significant digits of N once trailing zeros go, from its last 16
+    digits as four 4-digit groups (its first digit is never 0)."""
+    tz = np.zeros(groups.shape[1], np.uint8)
+    for g in groups:  # first to last: a nonzero group resets the count
+        tz *= g == 0
+        tz += t.zeros.take(g)
+    return 17 - tz
 
 
-def _layout(e, s):
-    """Layout code of each value: q * 18 + keep (see `_tables`)."""
-    sci = (e < -4) | (e >= 17)
-    q = np.where(sci, 1, e + 1)  # digits in front of the point
-    keep = np.where(sci | (e < 0), s, np.maximum(s, q))
-    q = np.where(s > q, np.maximum(q, 0), 0)
-    return q * 18 + keep
+def _fixed(words, rows, e, groups, t):
+    """Words 0-2 of the fixed-point values with 1 <= E <= 16 among `rows`:
+    their E + 1 digits in front of the point close up on the first, and
+    the point follows them when digits, shown as laid out, do."""
+    q = e + 1
+    w0, w1, w2 = (word[rows] for word in words[:3])
+    whole1, whole2 = (t.four.take(g) | t.four.take(h) << 32 for g, h in (groups[:2], groups[2:]))
+    w0 |= whole1 << 56
+    w1 &= t.after[0].take(q)
+    w2 &= t.after[1].take(q)
+    shown = (w1 | w2) != 0
+    words[0][rows] = w0
+    words[1][rows] = (whole1 >> 8 | whole2 << 56) & t.moved[0].take(q) | w1 | (
+        t.point[0].take(q) * shown)
+    words[2][rows] = (whole2 >> 8) & t.moved[1].take(q) | w2 | t.point[1].take(q) * shown
 
 
-def _fill(x, cells):
-    """Write the cells of the float64 values x (cells start all NUL)."""
+def _fill(x, cells, work):
+    """Write the cells of the float64 values x, computing in the (6, n)
+    float64 `work`, n >= x.size."""
     t = _tables()
-    a = np.abs(x)
-    fast = (a >= _LOWEST) & (a <= _HIGHEST)
-    rows = slice(None) if fast.all() else np.flatnonzero(fast)
-    n, e, unsure = _round17(a[rows], t)
-    u, v, s = _digit_words(n, t)
-    code = _layout(e, s)
-    e += _E0
-    cells[rows, 0] = (np.signbit(x[rows]) * _MINUS) | t.head[e] | (
-        u[0] & t.stay[0][code]) | t.point[0][code]
-    for w in (1, 2):
-        cells[rows, w] = (u[w] & t.stay[w][code]) | (v[w] & t.move[w][code]) | (
-            t.point[w][code])
-    cells[rows, 3] = t.tail[e]
-    if isinstance(rows, slice):
-        slow = np.flatnonzero(unsure)
-    else:
-        zero = np.flatnonzero(a == 0)
-        cells[zero, 0] = (np.signbit(x[zero]) * _MINUS) | _ZERO
-        slow = np.concatenate([np.flatnonzero(~fast & (a != 0) & ~np.isnan(x)),
-                               rows[unsure]])
+    m = x.size
+    # six float64 rows, later reused under other dtypes: v holds N, w its
+    # halves, a its digit groups, u integer scratch, and yh..v the words
+    work = work[:, :m]
+    yh, yl, u, v, w, a = work
+    ie = np.empty(m, np.int16)  # E + _E0
+
+    # values outside the range are scaled as pi, which takes none of the
+    # rarer paths below, and their cells are mended last
+    np.abs(x, out=a)
+    inside = a >= _LOWEST
+    inside &= a <= _HIGHEST
+    outside = np.flatnonzero(~inside)
+    a[outside] = np.pi
+    np.log10(a, out=u)
+    np.floor(u, out=u)
+    u += _E0
+    np.copyto(ie, u, casting="unsafe")
+    _scaled(a, ie, t, work[:5])
+
+    # E off by one: y outside (1e16, 1e17), or on an end
+    np.subtract(yh, 5.5e16, out=u)
+    np.abs(u, out=u)
+    edge = np.flatnonzero(u >= 4.5e16)
+    if edge.size:
+        yhe, yle, iee = yh[edge], yl[edge], ie[edge]
+        iee += (yhe > 1e17) | ((yhe == 1e17) & (yle >= 0))
+        iee -= (yhe < 1e16) | ((yhe == 1e16) & (yle < 0))
+        ie[edge] = iee
+        redo = np.empty((5, edge.size))
+        _scaled(a[edge], iee, t, redo)
+        yh[edge], yl[edge] = redo[:2]
+
+    # N = yh + rint(yl): yh is an even integer (yh >= 2^53), so rint's
+    # half to even on yl is half to even on N
+    n = v.view(np.int64)
+    np.copyto(n, yh, casting="unsafe")
+    np.rint(yl, out=u)
+    step = w.view(np.int64)
+    np.copyto(step, u, casting="unsafe")
+    n += step
+    yl -= u
+    np.abs(yl, out=yl)
+    near = np.flatnonzero(yl > 0.5 - _MARGIN)  # a tie, or close to one,
+    unsure = near[t.scale[3].take(ie[near]) != 0]  # and the product not exact
+    if edge.size:
+        carry = edge[n[edge] == 10 ** 17]
+        n[carry] = 10 ** 16
+        ie[carry] += 1
+    groups = a.view(np.int16).reshape(4, m)
+    first = _digits(n, w.view(np.int32), groups, u.view(np.int64))
+
+    words = work[:4].view(np.uint64)
+    w0, w1, w2, w3 = words
+    spare = w.view(np.uint64)
+    np.take(t.lead, ie, out=w0, mode="clip")
+    np.take(t.first, first, out=spare, mode="clip")
+    w0 |= spare
+    np.right_shift(x.view(np.uint64), 63, out=spare)
+    spare *= _MINUS
+    w0 |= spare
+    np.take(t.four, groups[1], out=w1, mode="clip")
+    w1 <<= 32
+    np.take(t.four, groups[0], out=spare, mode="clip")
+    w1 |= spare
+    np.take(t.four, groups[2], out=w2, mode="clip")
+    np.take(t.last, groups[3], out=spare, mode="clip")
+    w2 |= spare
+    np.take(t.tail, ie, out=w3, mode="clip")
+
+    short = np.flatnonzero(groups[3] == 0)  # fewer digits, maybe no point
+    if short.size:
+        s = _shown(groups.take(short, axis=1), t)
+        for word, mask in zip(words, t.keep):
+            word[short] &= mask.take(s)
+    wide = np.flatnonzero((ie - (_E0 + 1)).view(np.uint16) < 16)  # 1 <= E <= 16
+    if wide.size:
+        _fixed(words, wide, ie[wide] - _E0, groups.take(wide, axis=1), t)
+    if outside.size:  # NaN all NUL, zeros "0" and "-0", the rest to Python
+        y = x[outside]
+        zero = y == 0
+        for word in words:
+            word[outside] = 0
+        w0[outside[zero]] = (y[zero].view(np.uint64) >> np.uint64(63)) * np.uint64(
+            _MINUS) | np.uint64(_ZERO)
+        unsure = np.concatenate([outside[~zero & (y == y)], unsure])
+    for j, word in enumerate(words):
+        cells[:, j] = word
     text = cells.view(np.uint8)
-    for i in slow.tolist():
+    for i in unsure.tolist():
         b = ("%.17g" % x[i]).encode()
         text[i] = 0
         text[i, :len(b)] = np.frombuffer(b, np.uint8)
@@ -234,9 +315,16 @@ def _fill(x, cells):
 
 def g17(values) -> np.ndarray:
     """(n, WORDS) '<u8' cells: cell i holds the ASCII of '%.17g' %
-    values[i] with NULs at fixed places; a NaN's cell is all NUL."""
+    values[i] with NULs at fixed places; a NaN's cell is all NUL.  The
+    cells are a view of a block that also held the work arrays."""
     x = np.asarray(values, dtype=np.float64).ravel()
-    cells = np.zeros((x.size, WORDS), "<u8")
+    # the cells and the work arrays of every pass in one allocation, freed
+    # with the cells: apart, the work arrays left a hole in the heap, and a
+    # compare command's peak RSS was 0.5-0.8 MB higher
+    n, per_pass = x.size * WORDS, min(x.size, _CHUNK)
+    block = np.empty(n + 6 * per_pass, "<u8")
+    cells = block[:n].reshape(x.size, WORDS)
+    work = block[n:].view(np.float64).reshape(6, per_pass)
     for start in range(0, x.size, _CHUNK):
-        _fill(x[start:start + _CHUNK], cells[start:start + _CHUNK])
+        _fill(x[start:start + _CHUNK], cells[start:start + _CHUNK], work)
     return cells

@@ -127,7 +127,10 @@ def _cells(table: dict):
 # hundred KiB, within L2, and many enough to amortise numpy's per-call
 # overhead (a 41 x 41 scan table is one block, a 101 x 101 one five)
 _CSV_BLOCK_ROWS = 2048
-_CSV_CHUNK_ROWS = 512  # rows per chunk handed to the file
+# bytes of laid-out rows per chunk handed to the file: one buffer of at most
+# this size serves every chunk of a block, and it and the bytes made from it
+# stay below glibc's default 128 KiB threshold for mapping fresh pages
+_CSV_CHUNK_BYTES = 1 << 16
 
 
 class _CsvTable:
@@ -136,15 +139,21 @@ class _CsvTable:
     def __init__(self, table: dict):
         self.header = (",".join(table) + "\n").encode()
         self.columns = [c if isinstance(c, tuple) else (c, None) for c in table.values()]
-        # string keys as words of their bytes, NUL-padded with the last byte free
+        # each cell's last byte: its comma, or the row's newline
+        self.seps = [np.uint64(ord(",") << 56)] * (len(self.columns) - 1) + [
+            np.uint64(ord("\n") << 56)]
+        # string keys as words of their bytes, NUL-padded, and their separator
         self.words = [np.array(keys, dtype=f"S{8 * (max(map(len, keys)) // 8 + 1)}")
                       .view("<u8").reshape(len(keys), -1)
                       if len(keys) and isinstance(keys[0], str) else None
                       for keys, _ in self.columns]
-        self.widths = [WORDS if w is None else w.shape[1] for w in self.words]
-        self.ends = np.cumsum(self.widths)
-        self.seps = [np.uint64(ord(",")) << np.uint64(56)] * len(self.columns)
-        self.seps[-1] = np.uint64(ord("\n")) << np.uint64(56)
+        for w, sep in zip(self.words, self.seps):
+            if w is not None:
+                w[:, -1] |= sep
+        widths = [WORDS if w is None else w.shape[1] for w in self.words]
+        ends = np.cumsum(widths).tolist()
+        self.spans = [slice(end - width, end) for end, width in zip(ends, widths)]
+        self.chunk_rows = max(1, _CSV_CHUNK_BYTES // (8 * ends[-1]))
         self.n_rows = _rows(next(iter(table.values())))
 
     def blocks(self):
@@ -158,15 +167,19 @@ class _CsvTable:
     def chunks(self, rows: slice, cells):
         """Bytes chunks of a block of rows; `cells` yields the `g17` cells
         of the block's float arrays in order."""
-        out = np.empty((rows.stop - rows.start, self.ends[-1]), "<u8")
-        for (_, index), w, end, width, sep in zip(self.columns, self.words, self.ends,
-                                                  self.widths, self.seps):
+        sources = [next(cells) if w is None else w for w in self.words]
+        for source, w, sep in zip(sources, self.words, self.seps):
             if w is None:
-                w = next(cells)
-            out[:, end - width:end] = w if index is None else w[index[rows]]
-            out[:, end - 1] |= sep
-        for r in range(0, len(out), _CSV_CHUNK_ROWS):
-            yield out[r:r + _CSV_CHUNK_ROWS].tobytes().translate(None, b"\0")
+                source[:, -1] |= sep
+        n = rows.stop - rows.start
+        out = np.empty((min(n, self.chunk_rows), self.spans[-1].stop), "<u8")
+        for first in range(0, n, self.chunk_rows):
+            part = out[:min(self.chunk_rows, n - first)]
+            at = slice(first, first + len(part))
+            keys = slice(rows.start + first, rows.start + first + len(part))
+            for (_, index), source, span in zip(self.columns, sources, self.spans):
+                part[:, span] = source[at] if index is None else source.take(index[keys], axis=0)
+            yield part.tobytes().translate(None, b"\0")
 
 
 def _csv_files(tables: list):
@@ -179,7 +192,9 @@ def _csv_files(tables: list):
     (a scan's table and its overlay take one).  A keyed column formats
     each key once per block and copies its words to the rows that repeat
     it.  Each cell fills a run of words whose last byte is its comma or
-    newline; dropping the NUL padding leaves the CSV.
+    newline; the rows are laid out a chunk of at most `_CSV_CHUNK_BYTES`
+    at a time, in one reused buffer, and dropping the NUL padding leaves
+    the CSV.
     """
     pending, size = [], 0
     for i, table in enumerate(map(_CsvTable, tables)):
@@ -197,11 +212,13 @@ def _format_blocks(blocks: list):
     """(table index, bytes) chunks of blocks of `_csv_files`, whose float
     cells take one `g17` call; a table's header leads its first block."""
     floats = [f for *_, block_floats in blocks for f in block_floats]
-    cells = iter(np.split(g17(np.concatenate(floats)), np.cumsum([f.size for f in floats])[:-1]))
+    cells = g17(np.concatenate(floats))
+    ends = np.cumsum([f.size for f in floats]).tolist()
+    parts = iter([cells[end - f.size:end] for f, end in zip(floats, ends)])
     for i, table, rows, _ in blocks:
         if rows.start == 0:
             yield i, table.header
-        for chunk in table.chunks(rows, cells):
+        for chunk in table.chunks(rows, parts):
             yield i, chunk
 
 

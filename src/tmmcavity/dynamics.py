@@ -29,19 +29,17 @@ free-standing lossless scatterer dF/dv = -4 hbar k0 Phi z^2/(1+z^2) / c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from .constants import c as C_LIGHT, hbar as HBAR
 
-from .elements import Chain, Polarisability, PumpSpec
+from .elements import Chain, Polarisability, PumpSpec, _record
 from .opalg import _chain_fields
 from .statics import StaticFields, static_force
 
 __all__ = ["FieldSet", "ForceReport", "solve_dynamic", "force_with_velocity"]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class FieldSet:
     """Zeroth- and first-order field amplitudes around the mobile scatterer.
 
@@ -74,7 +72,7 @@ class FieldSet:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ForceReport:
     """Static force, its velocity coefficient, and the friction dF/dv.
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
 from .constants import c as C_LIGHT, hbar as HBAR
@@ -44,7 +44,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"{type(self).__name__} is frozen: cannot assign {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"{type(self).__name__} is frozen: cannot delete {name!r}")
+
+
+def _record(cls=None, /, **options):
+    """`dataclass(frozen=True, slots=True, **options)` for the package's
+    records, whose instances refuse to set or delete any attribute with
+    `FrozenInstanceError`.
+
+    The frozen `__setattr__` that `dataclasses` generates calls `super()`
+    on the class that `slots=True` replaced, so on CPython 3.11 a name
+    that is not a field raised `TypeError` instead.
+    """
+    def make(cls):
+        cls = dataclass(cls, frozen=True, slots=True, **options)
+        cls.__setattr__ = _refuse_assignment
+        cls.__delattr__ = _refuse_deletion
+        return cls
+
+    return make if cls is None else make(cls)
+
+
+@_record
 class Polarisability:
     """Dimensionless complex response of a thin scatterer.
 
@@ -88,7 +114,7 @@ class Polarisability:
         return 1.0 - abs(self.reflectivity) ** 2 - abs(self.transmissivity) ** 2
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Scatterer:
     pol: Polarisability
 
@@ -103,7 +129,7 @@ class Scatterer:
         return Scatterer(Polarisability(zeta))
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Segment:
     """Free-space stretch; zero length is legal and acts as identity."""
 
@@ -119,7 +145,7 @@ class Segment:
 Element = Union[Scatterer, Segment]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Chain:
     """Ordered chain of elements with one designated mobile scatterer.
 
@@ -180,7 +206,7 @@ def _check_power_and_wavelength(power_watts, wavelength):
     _check_wavelength(wavelength)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class PumpSpec:
     """Monochromatic pump amplitudes in sqrt(photon flux) units.
 

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, field
 
 import numpy as np
 
 from .constants import c as C_LIGHT
 from .dynamics import _velocity_force, solve_dynamic
-from .elements import Chain, Polarisability, PumpSpec, Scatterer, Segment, _check_wavelength
+from .elements import (
+    Chain, Polarisability, PumpSpec, Scatterer, Segment, _check_wavelength, _record,
+)
 from .errors import CalibrationError, ChainError
 from .noise import _diffusion, _kbt, diffusion, operator_fields
 from .opalg import _right_face, _solve_left_pump, _static_force
@@ -55,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class MimConfig:
     """Parameters of the membrane-in-the-middle setup.
 
@@ -107,7 +109,7 @@ class MimConfig:
         return MimConfig(**d)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ScanGrid:
     """Rectangular (x, dLc) grid, both in metres; row-major x-outer order."""
 
@@ -117,6 +119,7 @@ class ScanGrid:
     dlc_start: float
     dlc_stop: float
     dlc_count: int
+    _axes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v in (self.x_count, self.dlc_count):
@@ -134,11 +137,22 @@ class ScanGrid:
 
     @property
     def x_values(self) -> np.ndarray:
-        return np.linspace(self.x_start, self.x_stop, self.x_count)
+        return self._axis_values()[0]
 
     @property
     def dlc_values(self) -> np.ndarray:
-        return np.linspace(self.dlc_start, self.dlc_stop, self.dlc_count)
+        return self._axis_values()[1]
+
+    def _axis_values(self) -> tuple:
+        """(x_values, dlc_values), derived on first use and kept read-only,
+        so a command that reads the axes several times builds each once."""
+        if self._axes is None:
+            axes = (np.linspace(self.x_start, self.x_stop, self.x_count),
+                    np.linspace(self.dlc_start, self.dlc_stop, self.dlc_count))
+            for axis in axes:
+                axis.setflags(write=False)
+            object.__setattr__(self, "_axes", axes)
+        return self._axes
 
 
 def build_mim(config: MimConfig, x: float = 0.0, dlc: float = 0.0) -> Chain:
@@ -184,7 +198,7 @@ def pump_for(config: MimConfig) -> PumpSpec:
     return PumpSpec.one_sided(config.power_watts, config.wavelength, config.pump_side)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ScanPoint:
     """One grid point; quantity fields are None where undefined.
 
@@ -341,7 +355,7 @@ def _folds(bases: np.ndarray, lo: float, hi: float, lam: float) -> tuple:
     return which, n, bases[which] + n * lam / 2
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@_record(eq=False)
 class ScanResult:
     """Columnar scan: one (x_count, dlc_count) float array per quantity.
 
@@ -486,7 +500,7 @@ def overlay_candidates(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class CoupledCavityParams:
     """Two-coupled-modes model parameters.
 
@@ -524,7 +538,7 @@ def coupled_cavity_force(
     return -(2 * w1 * kc / (k0 * C_LIGHT)) * (num / den) * params.power_watts
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class CoupledCalibration:
     params: CoupledCavityParams
     dlc_center: float  # detuning of the x = 0 degeneracy point
@@ -594,7 +608,7 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
                               anchor=anchor, fwhm_dlc=fwhm)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@_record(eq=False)
 class ComparisonResult:
     """Columnar comparison: one (x_count, dlc_count) float array per column.
 

@@ -33,12 +33,11 @@ evaluated in that form, so it is non-negative by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from .constants import c as C_LIGHT, hbar as HBAR, k as K_BOLTZMANN
 
-from .elements import Chain, Polarisability, Scatterer
+from .elements import Chain, Polarisability, Scatterer, _record
 from .errors import NonCoolingError, PassivityError, SingularSolveError
 from .opalg import _element_entries
 from .statics import StaticFields
@@ -54,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ModeBasis:
     """Ordered labels of the independent input modes."""
 
@@ -65,7 +64,7 @@ class ModeBasis:
         return len(self.labels)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class OperatorFields:
     """Coefficient vectors of the four field operators over the mode basis.
 
@@ -234,7 +233,7 @@ def diffusion(
     ))
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class TemperatureReport:
     """Equilibrium temperature as k_B T (joules) and T (kelvin)."""
 

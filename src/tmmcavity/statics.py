@@ -16,12 +16,11 @@ continuously anchored at x = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from .constants import c as C_LIGHT
 
-from .elements import Chain, Polarisability, PumpSpec
+from .elements import Chain, Polarisability, PumpSpec, _record
 from .opalg import _chain_fields, _static_force
 
 __all__ = [
@@ -34,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class StaticFields:
     """Velocity-independent amplitudes around the mobile scatterer."""
 
@@ -130,7 +129,7 @@ def resonance_shifts(zeta: float, x, L_c: float, k0: float):
     return plus, minus
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class CouplingReport:
     """Resonance shifts and position couplings at one membrane position.
 

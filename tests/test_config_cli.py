@@ -341,6 +341,23 @@ class TestCliCommands:
         meta = json.loads(open(out + ".meta.json").read())
         assert meta["grid"]["x_count"] == 3
 
+    @pytest.mark.parametrize("command", ["scan", "compare"])
+    def test_grid_axes_built_once_per_command(self, tmp_path, monkeypatch, command):
+        # the scan reads each axis for its points, its overlay bounds and the
+        # table's key columns; the grid derives each once and keeps it
+        path = write(tmp_path / "run.ini", GOOD_RUN)
+        axes = []
+        real = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: axes.append(a) or real(*a, **k))
+        assert cli.run([command, "--config", path, "--out", str(tmp_path / "out.csv")]) == 0
+        assert axes == [(-2e-7, 2e-7, 4), (-1e-7, 1e-7, 3)]
+        grid = load_run_config(path).grid
+        assert grid.x_values is grid.x_values
+        for values, (start, stop, count) in ((grid.x_values, axes[0]), (grid.dlc_values, axes[1])):
+            assert values.tobytes() == real(start, stop, count).tobytes()
+            with pytest.raises(ValueError):  # shared by every reader, so read-only
+                values[0] = 0.0
+
     def test_grid_negative_start_both_spellings(self, tmp_path):
         # a separate value starting with '-' must not be read as an option
         path = write(tmp_path / "run.ini", GOOD_RUN)

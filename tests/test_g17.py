@@ -1,12 +1,16 @@
 """The vectorised `%.17g` kernel and the CSV writer built on it, byte for
 byte against Python's `'%.17g' %`, which stays the reference."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmmcavity import _g17, cli
 from tmmcavity._g17 import g17
+from tmmcavity.mim import MimConfig, ScanGrid, scan
 
 
 def kernel_text(values) -> list[bytes]:
@@ -127,11 +131,13 @@ def mixed_table(rng, n: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("block_rows, chunk_rows", [(16384, 1024), (7, 3)])
+@pytest.mark.parametrize("block_rows, chunk_rows", [(16384, 1024), (7, 3), (7, 0.5)])
 def test_csv_nan_cells_and_keyed_columns(monkeypatch, block_rows, chunk_rows):
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+    # chunks of whole rows, and of less than a row (one row each)
     table = mixed_table(np.random.default_rng(11), 50)
+    row_bytes = 8 * cli._CsvTable(table).spans[-1].stop
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli, "_CSV_CHUNK_BYTES", int(chunk_rows * row_bytes))
     assert csv_text(table) == csv_reference(table)
 
 
@@ -155,7 +161,8 @@ def test_scan_and_overlay_format_in_one_pass(monkeypatch, tmp_path):
     # g17 call, which makes one pass
     passes = []
     real = _g17._fill
-    monkeypatch.setattr(_g17, "_fill", lambda x, cells: passes.append(x.size) or real(x, cells))
+    monkeypatch.setattr(_g17, "_fill",
+                        lambda x, *out: passes.append(x.size) or real(x, *out))
     ini = tmp_path / "run.ini"
     ini.write_text("[mim]\ncavity_length = 6.7cm\n\n[grid]\nx_start = -0.5um\n"
                    "x_stop = 0.5um\nx_count = 41\ndlc_start = -0.5um\ndlc_stop = 0.5um\n"
@@ -170,3 +177,42 @@ def test_scan_and_overlay_format_in_one_pass(monkeypatch, tmp_path):
 def test_csv_without_rows():
     table = {"x": np.array([]), "branch": (("plus", "minus"), np.array([], dtype=int))}
     assert csv_text(table) == b"x,branch\n"
+
+
+def traced_peak(work) -> int:
+    """Peak bytes that tracemalloc sees allocated while `work()` runs."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_allocations_stay_small():
+    """The writer's tracemalloc peaks: one g17 call on 10 000 values, and
+    the CSV of a 41 x 41 scan table with its overlay.
+
+    Measured with numpy 2.4 at 1.08 MB and 1.01 MB, of which the cells
+    are 0.32 MB and 0.29 MB and the g17 call's work arrays 0.48 MB and
+    0.43 MB; each ceiling is the measure plus 25%.  A g17 pass that
+    allocates every intermediate afresh, and a writer that lays out a
+    whole 2048-row block at once, peak at 1.39 MB and 1.37 MB.
+    """
+    rng = np.random.default_rng(22)
+    values = rng.normal(size=10_000) * 10.0 ** rng.integers(-30, 30, 10_000)
+    values[::7] = np.nan
+    grid = ScanGrid(-5.32e-7, 5.32e-7, 41, -5.32e-7, 5.32e-7, 41)
+    result = scan(MimConfig(cavity_length=6.7e-2, membrane_zeta=-1.0, mirror_zeta=-30.0), grid)
+    table = cli._grid_columns(grid)
+    for q in result.QUANTITIES:
+        table[q] = getattr(result, q).ravel()
+    x, branch, fold, dlc = result.overlay
+    overlay = {"x": x, "branch": (result.BRANCHES, branch), "fold": fold, "dLc": dlc}
+    g17(values[:1])  # the tables are built once per process
+    start = time.perf_counter()
+    assert traced_peak(lambda: g17(values)) <= 1_350_000
+    # each chunk goes to the file, and is dropped, before the next is made
+    assert traced_peak(lambda: sum(len(c) for _, c in cli._csv_files([table, overlay]))) <= (
+        1_260_000)
+    assert time.perf_counter() - start < 0.2
