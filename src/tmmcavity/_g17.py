@@ -44,8 +44,8 @@ _LOWEST, _HIGHEST = 1e-280, 1e290  # no overflow or underflow inside
 _E0 = 300  # table index of exponent 0; E stays within (-300, 300)
 _MARGIN = 2.0 ** -40  # y this close to a half-unit is left to Python
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
-# values per pass: a 2048-row block of a scan table (five float columns
-# and the grid keys) takes one, and each float64 work array stays at 96 KiB
+# values per pass: each float64 work array stays at 96 KiB, and a 41 x 41
+# scan table with its overlay takes one (a 101 x 101 table takes a few)
 _CHUNK = 12288
 _MINUS = ord("-")
 _ZERO = ord("0") << 48  # "0" at byte 6

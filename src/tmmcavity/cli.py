@@ -36,7 +36,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, _g17
+from . import __version__
 from .config import (
     SCHEMA_VERSION,
     RunConfig,
@@ -123,10 +123,11 @@ def _cells(table: dict):
     return cells
 
 
-# rows per formatting block: few enough that a block's arrays stay a few
-# hundred KiB, within L2, and many enough to amortise numpy's per-call
-# overhead (a 41 x 41 scan table is one block, a 101 x 101 one five)
-_CSV_BLOCK_ROWS = 2048
+# float cells per `g17` call, which holds 32 B per cell: a table is cut
+# into blocks of rows below this, and a command's consecutive blocks share
+# a call up to it, so a 101 x 101 scan or compare table is one call and a
+# 4e6-point grid's writer still holds at most 2 MiB of cells
+_CSV_BLOCK_CELLS = 1 << 16
 # bytes of laid-out rows per chunk handed to the file: one buffer of at most
 # this size serves every chunk of a block, and it and the bytes made from it
 # stay below glibc's default 128 KiB threshold for mapping fresh pages
@@ -155,30 +156,44 @@ class _CsvTable:
         self.spans = [slice(end - width, end) for end, width in zip(ends, widths)]
         self.chunk_rows = max(1, _CSV_CHUNK_BYTES // (8 * ends[-1]))
         self.n_rows = _rows(next(iter(table.values())))
+        # at most one float cell per float column and row of a block
+        self.block_rows = max(1, _CSV_BLOCK_CELLS // max(1, sum(w is None for w in self.words)))
 
     def blocks(self):
-        """(rows, float arrays) of each block of rows: the block's float
-        cells and every float key.  A table without rows has one empty block."""
-        for first in range(0, max(self.n_rows, 1), _CSV_BLOCK_ROWS):
-            rows = slice(first, min(first + _CSV_BLOCK_ROWS, self.n_rows))
-            yield rows, [np.asarray(keys if index is not None else keys[rows], dtype=float)
-                         for (keys, index), w in zip(self.columns, self.words) if w is None]
+        """(rows, float arrays, indices) of each block of rows: the floats
+        the block formats, and per column the block's index into its keys,
+        or None where the column's source holds one cell per row.  A float
+        keyed column formats each key once, unless it has more keys than
+        the block has rows, when it formats the row's value instead; so a
+        block has at most `block_rows` float cells per float column.  A
+        table without rows has one empty block."""
+        for first in range(0, max(self.n_rows, 1), self.block_rows):
+            rows = slice(first, min(first + self.block_rows, self.n_rows))
+            floats, indices = [], []
+            for (keys, index), w in zip(self.columns, self.words):
+                if index is not None and (w is not None or len(keys) <= rows.stop - first):
+                    indices.append(index[rows])
+                    if w is None:
+                        floats.append(np.asarray(keys, dtype=float))
+                else:
+                    indices.append(None)
+                    floats.append(np.asarray(keys, dtype=float)[
+                        rows if index is None else index[rows]])
+            yield rows, floats, indices
 
-    def chunks(self, rows: slice, cells):
-        """Bytes chunks of a block of rows; `cells` yields the `g17` cells
-        of the block's float arrays in order."""
+    def chunks(self, n: int, indices: list, cells):
+        """Bytes chunks of a block of n rows with `blocks`' indices; `cells`
+        yields the `g17` cells of the block's float arrays in order."""
         sources = [next(cells) if w is None else w for w in self.words]
         for source, w, sep in zip(sources, self.words, self.seps):
             if w is None:
                 source[:, -1] |= sep
-        n = rows.stop - rows.start
         out = np.empty((min(n, self.chunk_rows), self.spans[-1].stop), "<u8")
         for first in range(0, n, self.chunk_rows):
             part = out[:min(self.chunk_rows, n - first)]
             at = slice(first, first + len(part))
-            keys = slice(rows.start + first, rows.start + first + len(part))
-            for (_, index), source, span in zip(self.columns, sources, self.spans):
-                part[:, span] = source[at] if index is None else source.take(index[keys], axis=0)
+            for index, source, span in zip(indices, sources, self.spans):
+                part[:, span] = source[at] if index is None else source.take(index[at], axis=0)
             yield part.tobytes().translate(None, b"\0")
 
 
@@ -188,22 +203,22 @@ def _csv_files(tables: list):
     empty.
 
     The float cells of consecutive blocks of rows, of one table or the
-    next, go through one `g17` call while they fit in one of its passes
-    (a scan's table and its overlay take one).  A keyed column formats
-    each key once per block and copies its words to the rows that repeat
-    it.  Each cell fills a run of words whose last byte is its comma or
-    newline; the rows are laid out a chunk of at most `_CSV_CHUNK_BYTES`
-    at a time, in one reused buffer, and dropping the NUL padding leaves
-    the CSV.
+    next, go through one `g17` call while they hold at most
+    `_CSV_BLOCK_CELLS` cells (a scan's table and its overlay take one).
+    A keyed column formats each key once per block and copies its words
+    to the rows that repeat it.  Each cell fills a run of words whose last
+    byte is its comma or newline; the rows are laid out a chunk of at most
+    `_CSV_CHUNK_BYTES` at a time, in one reused buffer, and dropping the
+    NUL padding leaves the CSV.
     """
     pending, size = [], 0
     for i, table in enumerate(map(_CsvTable, tables)):
-        for rows, floats in table.blocks():
+        for rows, floats, indices in table.blocks():
             n = sum(f.size for f in floats)
-            if pending and size + n > _g17._CHUNK:
+            if pending and size + n > _CSV_BLOCK_CELLS:
                 yield from _format_blocks(pending)
                 pending, size = [], 0
-            pending.append((i, table, rows, floats))
+            pending.append((i, table, rows, floats, indices))
             size += n
     yield from _format_blocks(pending)
 
@@ -211,14 +226,14 @@ def _csv_files(tables: list):
 def _format_blocks(blocks: list):
     """(table index, bytes) chunks of blocks of `_csv_files`, whose float
     cells take one `g17` call; a table's header leads its first block."""
-    floats = [f for *_, block_floats in blocks for f in block_floats]
+    floats = [f for _, _, _, block_floats, _ in blocks for f in block_floats]
     cells = g17(np.concatenate(floats))
     ends = np.cumsum([f.size for f in floats]).tolist()
     parts = iter([cells[end - f.size:end] for f, end in zip(floats, ends)])
-    for i, table, rows, _ in blocks:
+    for i, table, rows, _, indices in blocks:
         if rows.start == 0:
             yield i, table.header
-        for chunk in table.chunks(rows, parts):
+        for chunk in table.chunks(rows.stop - rows.start, indices, parts):
             yield i, chunk
 
 

@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-from .elements import Chain, Scatterer, Segment, _check_wavelength
+from .elements import (
+    Chain, Scatterer, Segment, _check_length, _check_mobile_zeta, _check_wavelength,
+)
 from .errors import ChainError, ConfigError, TmmCavityError
 from .mim import MimConfig, ScanGrid, build_mim
 
@@ -223,10 +225,11 @@ def _check_unknown(cp: configparser.ConfigParser, keys: tuple, path: str) -> lis
 
 
 def _value(cp: configparser.ConfigParser, section: str, key: str, parse):
-    """The parsed value of `section.key`; a parse error names the key."""
+    """The parsed value of `section.key`; an error of the parse, or of the
+    record it builds, names the key."""
     try:
         return parse(cp.get(section, key))
-    except ConfigError as exc:
+    except TmmCavityError as exc:
         raise ConfigError(f"{section}.{key}: {exc}") from None
 
 
@@ -391,6 +394,11 @@ def load_chain_file(path: str) -> Chain:
         except ValueError:
             return (1, 0, suffix)
 
+    def segment(text: str) -> Segment:
+        seg = Segment(parse_length(text))
+        _check_length(seg.length, wavelength, "segment length")
+        return seg
+
     elements = []
     mobile_index = None
     for section in sorted((s for s in cp.sections() if s != "chain"), key=sort_key):
@@ -401,20 +409,26 @@ def load_chain_file(path: str) -> Chain:
         if kind == "scatterer":
             if not cp.has_option(section, "zeta"):
                 raise ConfigError(f"{path}: [{section}] scatterer needs zeta = RE IM")
-            elements.append(Scatterer.of(_value(cp, section, "zeta", _parse_zeta)))
+            elements.append(_value(cp, section, "zeta",
+                                   lambda text: Scatterer.of(_parse_zeta(text))))
             if cp.has_option(section, "mobile") and _value(cp, section, "mobile",
                                                            _parse_bool):
                 if mobile_index is not None:
-                    raise ConfigError(f"{path}: more than one mobile element")
+                    raise ConfigError(f"{path}: {section}.mobile: more than one mobile element")
+                try:
+                    _check_mobile_zeta(elements[-1].pol.zeta)
+                except ChainError as exc:
+                    raise ConfigError(f"{path}: {section}.zeta: {exc}") from None
                 mobile_index = len(elements) - 1
         elif kind == "segment":
             if not cp.has_option(section, "length"):
                 raise ConfigError(f"{path}: [{section}] segment needs a length")
             if cp.has_option(section, "mobile"):
-                raise ConfigError(f"{path}: segments cannot be mobile")
-            elements.append(Segment(_value(cp, section, "length", parse_length)))
+                raise ConfigError(f"{path}: {section}.mobile: segments cannot be mobile")
+            elements.append(_value(cp, section, "length", segment))
         else:
-            raise ConfigError(f"{path}: unknown element kind {kind!r}")
+            raise ConfigError(f"{path}: {section}.kind: unknown element kind {kind!r}; "
+                              "must be scatterer or segment")
 
     if mobile_index is None:
         raise ConfigError(f"{path}: no element marked mobile = true")

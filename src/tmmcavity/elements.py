@@ -147,7 +147,8 @@ Element = Union[Scatterer, Segment]
 
 @_record
 class Chain:
-    """Ordered chain of elements with one designated mobile scatterer.
+    """Ordered chain of elements with one designated mobile scatterer,
+    whose |zeta| is at most `MOBILE_ZETA_LIMIT`.
 
     `k0` is the pump wavenumber in rad/m.
     """
@@ -174,6 +175,7 @@ class Chain:
             )
         if not isinstance(self.elements[self.mobile_index], Scatterer):
             raise ChainError("the mobile element must be a scatterer")
+        _check_mobile_zeta(self.elements[self.mobile_index].pol.zeta)
         if not (isinstance(self.k0, numbers.Real) and math.isfinite(self.k0) and self.k0 > 0):
             raise ChainError(f"pump wavenumber must be a positive real, got {self.k0!r}")
 
@@ -195,6 +197,34 @@ def _check_wavelength(wavelength):
         raise ChainError(
             f"wavelength must be positive and finite, within [{lo:g}, {hi:g}] m, "
             f"got {wavelength}")
+
+
+# The largest |zeta| of the mobile scatterer.  The bracket of the static
+# force (`opalg._static_force`) loses ~1e-16 zeta^2 of F0 to cancellation,
+# so beyond it F0 keeps no digit; further out that garbage overflows (F0^2
+# in `compare` from |zeta| ~ 1e95, zeta^2 itself from ~1.3e154).
+MOBILE_ZETA_LIMIT = 1e8
+
+
+def _check_mobile_zeta(zeta):
+    if not abs(zeta) <= MOBILE_ZETA_LIMIT:
+        raise ChainError(
+            f"the mobile scatterer's |zeta| must be at most {MOBILE_ZETA_LIMIT:g}, where "
+            f"its static force still keeps digits; got {zeta}")
+
+
+# The longest cavity or chain-file segment, in wavelengths: float64 places
+# a position along it to ~2e-6 of a wavelength.  Far beyond, the phases
+# keep no digit, and the coupled-cavities model's rates, which go as
+# 1/length, underflow in its force (a 1e100 m cavity divides by zero).
+LENGTH_LIMIT = 1e10
+
+
+def _check_length(length, wavelength, name: str):
+    if not length <= LENGTH_LIMIT * wavelength:  # NaN fails too
+        raise ChainError(
+            f"{name} must be at most {LENGTH_LIMIT:g} wavelengths "
+            f"({LENGTH_LIMIT * wavelength:g} m), got {length}")
 
 
 def _check_power_and_wavelength(power_watts, wavelength):

@@ -29,7 +29,8 @@ import numpy as np
 from .constants import c as C_LIGHT
 from .dynamics import _velocity_force, solve_dynamic
 from .elements import (
-    Chain, Polarisability, PumpSpec, Scatterer, Segment, _check_wavelength, _record,
+    Chain, Polarisability, PumpSpec, Scatterer, Segment, _check_length, _check_mobile_zeta,
+    _check_wavelength, _record,
 )
 from .errors import CalibrationError, ChainError
 from .noise import _diffusion, _kbt, diffusion, operator_fields
@@ -66,7 +67,9 @@ class MimConfig:
     one real polarisability `mirror_zeta`, default -30 (|r|^2 ~ 0.99889,
     finesse of order 10^3: resonances resolve on coarse grids in seconds,
     and the value can be overridden freely).  Every number must be a finite
-    real; anything else raises ChainError.
+    real, the cavity length between one and `LENGTH_LIMIT` wavelengths and
+    |membrane_zeta| at most `MOBILE_ZETA_LIMIT`; anything else raises
+    ChainError.
     """
 
     wavelength: float = 1.064e-6
@@ -86,10 +89,16 @@ class MimConfig:
         if self.wavelength <= 0 or self.cavity_length <= 0:
             raise ChainError("wavelength and cavity length must be positive")
         _check_wavelength(self.wavelength)
+        # each half of the cavity holds a standing wave: Lc/2 >= lambda/2
+        if self.cavity_length < self.wavelength:
+            raise ChainError(f"cavity length must be at least one wavelength "
+                             f"({self.wavelength} m), got {self.cavity_length}")
+        _check_length(self.cavity_length, self.wavelength, "cavity length")
         if self.membrane_zeta > 0:
             raise ChainError(
                 f"membrane polarisability must be real <= 0, got {self.membrane_zeta}"
             )
+        _check_mobile_zeta(self.membrane_zeta)
         if self.power_watts < 0:
             raise ChainError("pump power must be >= 0")
         if self.pump_side not in ("left", "right"):

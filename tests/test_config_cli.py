@@ -1,6 +1,8 @@
 """Configuration parsing, validation, CLI commands, output formats."""
 
+import configparser
 import csv
+import io
 import json
 import os
 import re
@@ -803,6 +805,14 @@ def _malformed_inputs():
             text, n = re.subn(rf"^{e.key} = .*$", f"{e.key} = {value}", GOOD_RUN, flags=re.M)
             assert n == 1, e
             cases.append((f"{e.section}.{e.key}={value}", text, [], f"{e.section}.{e.key}"))
+    # a huge membrane zeta (F0's squares overflow from ~1e95, the couplings
+    # from ~1e103, zeta^2 itself from ~1.4e154) and cavity lengths whose
+    # coupled-cavities rates underflow or overflow
+    for key, old, values in (("membrane_zeta", "-1.0", ("-1e95", "-1e103", "-1.4e154")),
+                             ("cavity_length", "5mm", ("1e100", "1e300", "1e-300"))):
+        for value in values:
+            text = GOOD_RUN.replace(f"{key} = {old}", f"{key} = {value}")
+            cases.append((f"mim.{key}={value}", text, [], f"mim.{key}"))
     chain_run = GOOD_RUN.replace("[mim]", "[chain]\npath = {chain}\n\n[mim]")
     return cases + [
         ("chain-wavelength-0", chain_run, [], "chain.wavelength"),
@@ -814,6 +824,33 @@ def _malformed_inputs():
 
 
 MALFORMED = _malformed_inputs()
+_RUN_COMMANDS = ("validate", "scan", "compare", "couplings")
+
+
+def _malformed_chains():
+    """(id, chain file text, key the failure must name) for each [chain]
+    and [element.N] key set to nan, inf, a huge finite value and garbage."""
+    targets = (("chain", "schema_version"), ("chain", "wavelength"), ("element.2", "kind"),
+               ("element.2", "length"), ("element.3", "zeta"), ("element.3", "mobile"),
+               ("element.1", "zeta"))
+    cases = []
+    for section, key in targets:
+        for label, value in (("nan", "nan"), ("inf", "inf"), ("huge", "1e300"),
+                             ("garbage", "abc")):
+            if key == "zeta":
+                value = f"-{value} 0.0"
+            cp = configparser.ConfigParser(interpolation=None)
+            cp.read_string(GOOD_CHAIN)
+            cp[section][key] = value
+            text = io.StringIO()
+            cp.write(text)
+            cases.append((f"{section}.{key}={label}", text.getvalue(), f"{section}.{key}"))
+    return cases
+
+
+MALFORMED_CHAINS = _malformed_chains()
+_CHAIN_COMMANDS = ("point-left", "point-right", "elements", "validate")
+
 
 # Runs `tmmcavity.cli` as `python -m` does (runpy, as __main__) once per
 # argument list, all in one interpreter so numpy is imported once; an
@@ -835,19 +872,12 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-@pytest.fixture(scope="module")
-def sweep(tmp_path_factory):
-    """{(case id, command): (exit code, stdout, stderr)} of the malformed inputs."""
-    root = tmp_path_factory.mktemp("sweep")
-    chain = write(root / "c.ini", GOOD_CHAIN.replace("wavelength = 1064nm", "wavelength = 0"))
-    runs = []
-    for i, (case, text, extra, _key) in enumerate(MALFORMED):
-        path = write(root / f"run{i}.ini", text.replace("{chain}", chain))
-        for command in ("validate", "scan"):
-            runs.append(((case, command), [command, "--config", path,
-                                           "--out", str(root / f"out{i}.csv")] + extra))
+def _run_sweep(root, runs: list) -> dict:
+    """{name: (exit code, stdout, stderr)} of (name, argv) runs of the
+    driver in one interpreter, where a RuntimeWarning is an error."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(config.__file__)))
-    res = subprocess.run([sys.executable, "-c", _SWEEP_DRIVER, json.dumps([a for _, a in runs])],
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _SWEEP_DRIVER,
+                          json.dumps([a for _, a in runs])],
                          capture_output=True, text=True, cwd=root,
                          env={**os.environ, "PYTHONPATH": src})
     outs = [re.split(r"\0exit (\S+)\n", stream)
@@ -857,15 +887,60 @@ def sweep(tmp_path_factory):
             for i, (name, _) in enumerate(runs)}
 
 
+def _assert_rejected(code, out, err, key):
+    """A typed rejection: exit 2, an `error:` or problem line that names
+    the key, and no traceback or warning."""
+    assert "Traceback" not in err and "Warning" not in err, err
+    assert code == "2", (out, err)
+    lines = [ln for ln in (out + err).splitlines() if ln.startswith(("error:", "  - "))]
+    assert lines and any(key in ln for ln in lines), (out, err)
+
+
 @pytest.mark.parametrize("case,key", [(c[0], c[3]) for c in MALFORMED],
                          ids=[c[0] for c in MALFORMED])
 def test_malformed_input_is_rejected_without_traceback(sweep, case, key):
-    """`validate` and `scan` both exit 2 on each malformed input, with an
-    `error:` or problem line that names the key, and never a traceback."""
-    for command in ("validate", "scan"):
-        code, out, err = sweep[case, command]
-        assert "Traceback" not in err, err
-        assert code == "2", (command, out, err)
-        lines = [ln for ln in (out + err).splitlines()
-                 if ln.startswith(("error:", "  - "))]
-        assert lines and any(key in ln for ln in lines), (command, out, err)
+    """`validate`, `scan`, `compare` and `couplings` all exit 2 on each
+    malformed input, with an `error:` or problem line that names the key,
+    and never a traceback or a RuntimeWarning."""
+    for command in _RUN_COMMANDS:
+        _assert_rejected(*sweep["run", case, command], key)
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """{(kind, case id, command): (exit code, stdout, stderr)} of the
+    malformed run configs ("run") and chain files ("chain"), `point` on a
+    chain file pumped from each side."""
+    root = tmp_path_factory.mktemp("sweep")
+    chain = write(root / "c.ini", GOOD_CHAIN.replace("wavelength = 1064nm", "wavelength = 0"))
+    runs = []
+    for i, (case, text, extra, _key) in enumerate(MALFORMED):
+        path = write(root / f"run{i}.ini", text.replace("{chain}", chain))
+        for command in _RUN_COMMANDS:
+            runs.append((("run", case, command), [command, "--config", path,
+                                                  "--out", str(root / f"out{i}.csv")] + extra))
+    for i, (case, text, _key) in enumerate(MALFORMED_CHAINS):
+        chain = write(root / f"chain{i}.ini", text)
+        for command in _CHAIN_COMMANDS:
+            name, _, side = command.partition("-")
+            run = write(root / f"chain{i}-{command}.ini",
+                        f"[pump]\nside = {side or 'left'}\n\n[chain]\npath = {chain}\n")
+            runs.append((("chain", case, command), [name, "--config", run,
+                                                    "--out", str(root / f"out{i}.csv")]))
+    return _run_sweep(root, runs)
+
+
+@pytest.mark.parametrize("case,key", [(c[0], c[2]) for c in MALFORMED_CHAINS],
+                         ids=[c[0] for c in MALFORMED_CHAINS])
+def test_malformed_chain_file_is_rejected_without_traceback(sweep, case, key):
+    """`point` from either side, `elements` and `validate` exit 2 on each
+    malformed chain-file value, with a line that names the key, and never
+    a traceback or a RuntimeWarning.  A huge zeta on a fixed scatterer is
+    a legal (perfect) mirror, which every command runs cleanly."""
+    for command in _CHAIN_COMMANDS:
+        code, out, err = sweep["chain", case, command]
+        if case == "element.1.zeta=huge":
+            assert "Traceback" not in err and "Warning" not in err, err
+            assert code == "0", (out, err)
+        else:
+            _assert_rejected(code, out, err, key)

@@ -17,7 +17,7 @@ from tmmcavity.elements import (
     Segment,
 )
 from tmmcavity.errors import ChainError, NonCoolingError, PassivityError, TmmCavityError
-from tmmcavity.mim import MimConfig, ScanGrid, build_mim, evaluate_chain
+from tmmcavity.mim import MimConfig, ScanGrid, build_mim, compare_models, evaluate_chain
 from tmmcavity.noise import equilibrium_temperature
 from tmmcavity.opalg import (
     _element_entries, _left_jet, _moving_scatterer, _op_mul, _right_jet,
@@ -290,6 +290,18 @@ BAD_INPUTS = {
         ChainError, lambda: PumpSpec.one_sided(1.0, 1e-300)),
     "huge mim wavelength": (
         ChainError, lambda: MimConfig(wavelength=1e300)),
+    "huge membrane zeta": (
+        ChainError, lambda: evaluate_chain(build_mim(MimConfig(membrane_zeta=-1.4e154)),
+                                           PumpSpec.one_sided(1.0, LAM))),
+    "huge mobile zeta": (
+        ChainError, lambda: solve_static(Chain((Scatterer.of(-1e300),), 0, K0),
+                                         PumpSpec.one_sided(1.0, LAM))),
+    "huge cavity length": (
+        ChainError, lambda: compare_models(MimConfig(cavity_length=1e100),
+                                           ScanGrid(0, 1e-7, 2, 0, 1e-7, 2))),
+    "sub-wavelength cavity length": (
+        ChainError, lambda: compare_models(MimConfig(cavity_length=1e-300),
+                                           ScanGrid(0, 1e-7, 2, 0, 1e-7, 2))),
     "infinite power": (
         ChainError, lambda: evaluate_chain(build_mim(MimConfig()),
                                            PumpSpec.one_sided(float("inf"), LAM))),
