@@ -31,7 +31,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -66,15 +65,19 @@ from .statics import couplings, resonance_shifts
 
 def _atomic_write(paths: list[str], chunks):
     """Write each (file index, bytes) chunk to paths[index] through temp
-    files, and rename them all once every chunk is written."""
+    files, and rename them all once every chunk is written.
+
+    Each temp file is created new under a random name with mode 0666, so
+    the process umask sets the output's mode as it would for `open`.
+    """
     tmps = []
     try:
         handles = []
         try:
             for path in paths:
                 directory = os.path.dirname(os.path.abspath(path)) or "."
-                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmmcavity-",
-                                           suffix=".tmp")
+                tmp = os.path.join(directory, f".tmmcavity-{os.urandom(8).hex()}.tmp")
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 tmps.append(tmp)
                 handles.append(os.fdopen(fd, "wb"))
             for i, chunk in chunks:

@@ -13,16 +13,17 @@ the keys with their units.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .elements import (
     Chain, Scatterer, Segment, _check_length, _check_mobile_zeta, _check_wavelength,
 )
 from .errors import ChainError, ConfigError, TmmCavityError
-from .mim import MimConfig, ScanGrid, build_mim
+from .mim import MimConfig, ScanGrid, _gaps, build_mim
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -194,41 +195,81 @@ _CHAIN_KEYS = (
 )
 
 
-def _read_ini(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(interpolation=None)
+def _read_ini(path: str) -> dict:
+    """The file's sections as ``{section: {key: value}}``.
+
+    The grammar is the one the files use: ``[section]`` headers;
+    ``key = value`` or ``key: value`` lines, split at the first delimiter,
+    the key lower-cased and the value stripped; blank lines; and full-line
+    ``#`` or ``;`` comments, indented or not.  Any other line is a
+    ConfigError naming the file and the line: a key before any header, a
+    duplicate section or key, a line with no delimiter, and an indented
+    line that is not a comment (no continuation lines).  ``[DEFAULT]`` is
+    an ordinary section name, so the key checks reject it as unknown.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh)
-    except OSError as exc:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from None
-    return cp
+    sections = {}
+    section = None
+    for number, line in enumerate(lines, 1):
+        text = line.strip()
+        if not text or text[0] in "#;":
+            continue
+        if line[0].isspace():
+            problem = "an indented line; continuation lines are not supported"
+        elif text[0] == "[":
+            name = text[1:-1]
+            if text[-1] != "]" or not name:
+                problem = "a section header must be the line [name]"
+            elif name in sections:
+                problem = f"duplicate section [{name}]"
+            else:
+                section = sections[name] = {}
+                continue
+        else:
+            eq, colon = text.find("="), text.find(":")
+            at = eq if colon < 0 or 0 <= eq < colon else colon
+            key = text[:at].rstrip().lower()
+            if at < 0:
+                problem = "expected key = value or key: value"
+            elif not key:
+                problem = "a key is missing before the delimiter"
+            elif section is None:
+                problem = "a key before any [section] header"
+            elif key in section:
+                problem = f"duplicate key {key!r}"
+            else:
+                section[key] = text[at + 1:].strip()
+                continue
+        raise ConfigError(f"malformed config file {path}: line {number}: {problem}: "
+                          f"{line!r}")
+    return sections
 
 
-def _check_unknown(cp: configparser.ConfigParser, keys: tuple, path: str) -> list[str]:
+def _check_unknown(ini: dict, keys: tuple, path: str) -> list[str]:
     known = {}
     for e in keys:
         known.setdefault(e.section, set()).add(e.key)
     problems = []
-    for section in cp.sections():
+    for section, values in ini.items():
         head, numbered, _ = section.partition(".")
         allowed = known.get(head + ".N" if numbered else section)
         if allowed is None:
             problems.append(f"unknown section [{section}]")
             continue
         problems += [f"unknown key {key!r} in section [{section}]"
-                     for key in cp.options(section) if key not in allowed]
-    if cp.defaults():
-        problems.append("keys outside any section are not allowed")
+                     for key in values if key not in allowed]
     return [f"{path}: {p}" for p in problems]
 
 
-def _value(cp: configparser.ConfigParser, section: str, key: str, parse):
+def _value(ini: dict, section: str, key: str, parse):
     """The parsed value of `section.key`; an error of the parse, or of the
     record it builds, names the key."""
     try:
-        return parse(cp.get(section, key))
+        return parse(ini[section][key])
     except TmmCavityError as exc:
         raise ConfigError(f"{section}.{key}: {exc}") from None
 
@@ -332,7 +373,7 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     separated by commas in `--help` order (``grid`` = x0,x1,nx,dlc0,dlc1,ndlc).
     The other range checks are `validate_report`'s.
     """
-    cp = _read_ini(path)
+    ini = _read_ini(path)
     for name, text in (overrides or {}).items():
         section, _, key = name.partition(".")
         keys = [key] if key else [e.key for e in _RUN_KEYS if e.section == section]
@@ -340,21 +381,21 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
         if len(values) != len(keys):
             raise ConfigError(f"{name} needs {len(keys)} comma-separated values "
                               f"{','.join(keys)}; got {text!r}")
-        cp.read_dict({section: dict(zip(keys, values))})
-    problems = _check_unknown(cp, _RUN_KEYS, path)
+        ini.setdefault(section, {}).update(zip(keys, values))
+    problems = _check_unknown(ini, _RUN_KEYS, path)
     if problems:
         raise ConfigError("; ".join(problems))
 
     cfg = RunConfig(source_path=path)
     grid = {}
     for e in _RUN_KEYS:
-        if cp.has_option(e.section, e.key):
-            value = _value(cp, e.section, e.key, e.parse)
+        if e.key in ini.get(e.section, ()):
+            value = _value(ini, e.section, e.key, e.parse)
             if e.section == "grid":
                 grid[e.field] = value
             else:
                 setattr(cfg, e.field, value)
-    if cp.has_section("grid"):
+    if "grid" in ini:
         needed = [e.field for e in _GRID_KEYS]
         missing = [field for field in needed if field not in grid]
         if missing:
@@ -370,18 +411,19 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 def load_chain_file(path: str) -> Chain:
     """Parse a chain description file into a Chain."""
-    cp = _read_ini(path)
-    problems = _check_unknown(cp, _CHAIN_KEYS, path)
+    ini = _read_ini(path)
+    problems = _check_unknown(ini, _CHAIN_KEYS, path)
     if problems:
         raise ConfigError("; ".join(problems))
 
-    if not cp.has_section("chain"):
+    chain = ini.get("chain")
+    if chain is None:
         raise ConfigError(f"{path}: missing [chain] section")
-    if cp.has_option("chain", "schema_version"):
-        _value(cp, "chain", "schema_version", _parse_version)
-    if not cp.has_option("chain", "wavelength"):
+    if "schema_version" in chain:
+        _value(ini, "chain", "schema_version", _parse_version)
+    if "wavelength" not in chain:
         raise ConfigError(f"{path}: [chain] needs a wavelength")
-    wavelength = _value(cp, "chain", "wavelength", parse_length)
+    wavelength = _value(ini, "chain", "wavelength", parse_length)
     try:
         _check_wavelength(wavelength)
     except ChainError as exc:
@@ -401,18 +443,18 @@ def load_chain_file(path: str) -> Chain:
 
     elements = []
     mobile_index = None
-    for section in sorted((s for s in cp.sections() if s != "chain"), key=sort_key):
-        kind = cp.get(section, "kind", fallback=None)
+    for section in sorted((s for s in ini if s != "chain"), key=sort_key):
+        values = ini[section]
+        kind = values.get("kind")
         if kind is None:
             raise ConfigError(f"{path}: [{section}] needs a kind")
         kind = kind.strip().lower()
         if kind == "scatterer":
-            if not cp.has_option(section, "zeta"):
+            if "zeta" not in values:
                 raise ConfigError(f"{path}: [{section}] scatterer needs zeta = RE IM")
-            elements.append(_value(cp, section, "zeta",
+            elements.append(_value(ini, section, "zeta",
                                    lambda text: Scatterer.of(_parse_zeta(text))))
-            if cp.has_option(section, "mobile") and _value(cp, section, "mobile",
-                                                           _parse_bool):
+            if "mobile" in values and _value(ini, section, "mobile", _parse_bool):
                 if mobile_index is not None:
                     raise ConfigError(f"{path}: {section}.mobile: more than one mobile element")
                 try:
@@ -421,11 +463,11 @@ def load_chain_file(path: str) -> Chain:
                     raise ConfigError(f"{path}: {section}.zeta: {exc}") from None
                 mobile_index = len(elements) - 1
         elif kind == "segment":
-            if not cp.has_option(section, "length"):
+            if "length" not in values:
                 raise ConfigError(f"{path}: [{section}] segment needs a length")
-            if cp.has_option(section, "mobile"):
+            if "mobile" in values:
                 raise ConfigError(f"{path}: {section}.mobile: segments cannot be mobile")
-            elements.append(_value(cp, section, "length", segment))
+            elements.append(_value(ini, section, "length", segment))
         else:
             raise ConfigError(f"{path}: {section}.kind: unknown element kind {kind!r}; "
                               "must be scatterer or segment")
@@ -461,6 +503,21 @@ def validate_report(cfg: RunConfig) -> list[str]:
         if max(abs(g.x_start), abs(g.x_stop)) > cfg.wavelength:
             problems.append("grid.x_start, grid.x_stop: x range exceeds one wavelength "
                             "(|x| << L_c)")
+        elif geometry is not None:
+            # both axes ascend from their start, so each gap is shortest at
+            # dlc_start and an end of the x axis: `_gaps` judges those points
+            # as the grid commands will, and a collapse names its end's key
+            ends = {"grid.x_start": g.x_start}
+            if g.x_count > 1:
+                ends["grid.x_stop"] = g.x_stop
+            try:
+                _gaps(geometry, np.array(list(ends.values())), g.dlc_start)
+            except ChainError:
+                for key, x in ends.items():
+                    try:
+                        _gaps(geometry, x, g.dlc_start)
+                    except ChainError as exc:
+                        problems.append(f"{key}, grid.dlc_start, mim.cavity_length: {exc}")
         npts = g.x_count * g.dlc_count
         if npts > 4_000_000:
             problems.append(f"grid.x_count, grid.dlc_count: grid has {npts} points; "

@@ -187,8 +187,9 @@ def build_mim(config: MimConfig, x: float = 0.0, dlc: float = 0.0) -> Chain:
 def _gaps(config: MimConfig, x, dlc) -> tuple:
     """Left and right gap lengths for displacement x and detuning dlc.
 
-    Scalars or arrays (elementwise); raises ChainError if any |x| exceeds
-    one wavelength or any gap collapses.
+    Scalars or arrays, broadcast against each other (a grid passes its x
+    axis as a column and its dLc axis as a row); raises ChainError if any
+    |x| exceeds one wavelength or any gap collapses.
     """
     if np.any(abs(x) > config.wavelength):
         raise ChainError(
@@ -273,12 +274,6 @@ def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
 _BLOCK_POINTS = 2048
 
 
-def _grid_points(grid: ScanGrid) -> tuple[np.ndarray, np.ndarray]:
-    """x and dlc of every grid point, flat in row-major (x-outer) order."""
-    return (np.repeat(grid.x_values, grid.dlc_count),
-            np.tile(grid.dlc_values, grid.x_count))
-
-
 def _quantities(config: MimConfig, solution) -> np.ndarray:
     """(intensity, F0, dFdv, D, kBT) of `evaluate_chain` as a (5, P) array
     from a first-order kernel solution; NaN marks singular points.
@@ -319,8 +314,9 @@ def _quantities(config: MimConfig, solution) -> np.ndarray:
 def _grid_solve(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish,
                 first_order: bool = False) -> np.ndarray:
     """`finish(config, solution)` of the kernel's solutions of the MIM
-    chains at the points (x, dlc), one block of points at a time, joined
-    along the last axis.
+    chains at the points (x, dlc), broadcast against each other and taken
+    in row-major order, one block of points at a time, joined along the
+    last axis.
 
     The kernel always sees a left pump.  A right pump is the left pump of
     the reversed element list, the chain with its gaps swapped (for the
@@ -328,7 +324,7 @@ def _grid_solve(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish,
     back, and intensity, dF/dv, D and kBT are the same in both frames.
     """
     mirrored = config.pump_side == "right"
-    left, right = _gaps(config, x, dlc)
+    left, right = (gap.ravel() for gap in _gaps(config, x, dlc))
     if mirrored:
         left, right = right, left
     if not (np.isfinite(left).all() and np.isfinite(right).all()):
@@ -336,7 +332,7 @@ def _grid_solve(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish,
     b0 = complex(PumpSpec.one_sided(config.power_watts, config.wavelength).B0)
     mirror = Scatterer.of(config.mirror_zeta)
     blocks = []
-    for start in range(0, x.size, _BLOCK_POINTS):
+    for start in range(0, left.size, _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
         solution = _solve_left_pump((mirror, left[block]), complex(config.membrane_zeta),
                                     (right[block], mirror), config.k0, b0, first_order)
@@ -404,12 +400,12 @@ def scan(config: MimConfig, grid: ScanGrid) -> ScanResult:
     points; each cell equals `point_quantities` at the same point bit for
     bit.
     """
-    x, dlc = _grid_points(grid)
+    xs = grid.x_values
     shape = (grid.x_count, grid.dlc_count)
     intensity, f0, dfdv, d_coeff, kbt = (
-        c.reshape(shape) for c in _grid_solve(config, x, dlc, _quantities, first_order=True))
+        c.reshape(shape) for c in _grid_solve(config, xs[:, None], grid.dlc_values[None, :],
+                                              _quantities, first_order=True))
 
-    xs = grid.x_values
     lo, hi = float(np.min(grid.dlc_values)), float(np.max(grid.dlc_values))
     which, fold, dlc_fold = _folds(np.concatenate(overlay_base_curves(config, xs)),
                                    lo, hi, config.wavelength)
@@ -649,9 +645,10 @@ def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
     arithmetic over the whole grid.
     """
     cal = calibrate_coupled_params(config)
-    x, dlc = _grid_points(grid)
-    tmm = _grid_solve(config, x, dlc,
-                      lambda config, solution: np.where(solution.singular, np.nan, solution.f0))
+    x, dlc = grid.x_values[:, None], grid.dlc_values[None, :]
+    shape = (grid.x_count, grid.dlc_count)
+    tmm = _grid_solve(config, x, dlc, lambda config, solution: np.where(
+        solution.singular, np.nan, solution.f0)).reshape(shape)
 
     delta = config.omega0 * (dlc - cal.dlc_center) / config.cavity_length
     cc = coupled_cavity_force(cal.params, -x, delta, config.k0)
@@ -664,7 +661,5 @@ def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
     else:
         disc = np.full_like(tmm, np.nan)
         summary = math.nan
-    shape = (grid.x_count, grid.dlc_count)
-    return ComparisonResult(config=config, grid=grid, calibration=cal,
-                            F0_tmm=tmm.reshape(shape), F0_coupled=cc.reshape(shape),
-                            discrepancy=disc.reshape(shape), summary=summary)
+    return ComparisonResult(config=config, grid=grid, calibration=cal, F0_tmm=tmm,
+                            F0_coupled=cc, discrepancy=disc, summary=summary)

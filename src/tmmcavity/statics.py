@@ -20,7 +20,7 @@ import math
 import numpy as np
 from .constants import c as C_LIGHT
 
-from .elements import Chain, Polarisability, PumpSpec, _record
+from .elements import Chain, Polarisability, PumpSpec, _check_mobile_zeta, _record
 from .opalg import _chain_fields, _static_force
 
 __all__ = [
@@ -71,8 +71,10 @@ def static_force(fields: StaticFields, pol: Polarisability, k0: float) -> float:
     Equivalent to the net photon-momentum flux
     hbar k0 (|A0|^2 + |B0f|^2 - |C0f|^2 - |D0f|^2) delivered to the
     scatterer, written out in terms of the left-face amplitudes only.
+    A |zeta| above `elements.MOBILE_ZETA_LIMIT` is a ChainError.
     """
     z = pol.zeta if isinstance(pol, Polarisability) else complex(pol)
+    _check_mobile_zeta(z)
     return _static_force(fields.A0, fields.B0f, z, k0)
 
 
@@ -117,8 +119,10 @@ def resonance_shifts(zeta: float, x, L_c: float, k0: float):
     zeta -> 0; at zeta = 0 they sit at +/- (pi/2) c/L_c for every x.
     Scalar x gives the principal values; an array x is treated as a scan
     and unwrapped continuously, anchored at the sample nearest x = 0.
-    Returns (plus_branch, minus_branch).
+    Returns (plus_branch, minus_branch).  A |zeta| above
+    `elements.MOBILE_ZETA_LIMIT` is a ChainError.
     """
+    _check_mobile_zeta(zeta)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     theta = _branch_angles(float(zeta), 2.0 * k0 * xa)
     if xa.size > 1:
@@ -153,8 +157,10 @@ def couplings(zeta: float, x: float, L_c: float, k0: float) -> CouplingReport:
     for the plus branch (signs flip together on the other branch).  The
     linear coupling is bounded by 2 k0 c / L_c however large |zeta| grows,
     while the quadratic one peaks, proportionally to |zeta|, wherever
-    omega' = 0; the two never vanish at the same x.
+    omega' = 0; the two never vanish at the same x.  A |zeta| above
+    `elements.MOBILE_ZETA_LIMIT` is a ChainError.
     """
+    _check_mobile_zeta(zeta)
     u = 2.0 * k0 * x
     s, co = math.sin(u), math.cos(u)
     denom = 1.0 + zeta**2 * s**2

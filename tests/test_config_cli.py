@@ -6,12 +6,14 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tmmcavity import cli, config
 from tmmcavity.config import (
@@ -22,7 +24,7 @@ from tmmcavity.config import (
     validate_report,
 )
 from tmmcavity.elements import PumpSpec, Scatterer
-from tmmcavity.errors import CalibrationError, ConfigError
+from tmmcavity.errors import CalibrationError, ChainError, ConfigError
 from tmmcavity.mim import (
     MimConfig,
     ScanGrid,
@@ -155,6 +157,35 @@ class TestRunConfig:
         cfg = load_run_config(write(tmp_path / "run.ini", bad))
         problems = validate_report(cfg)
         assert any("membrane_x" in p for p in problems)
+
+    def test_colon_delimiters_case_folded_keys_and_indented_comments(self, tmp_path):
+        text = GOOD_RUN.replace("power = 1W", "  # the pump\n\t; in watts\nPower: 1W")
+        text = text.replace("x_count = 4", "X_Count:4").replace("side = left", "side =  left  ")
+        cfg = load_run_config(write(tmp_path / "run.ini", text))
+        good = load_run_config(write(tmp_path / "good.ini", GOOD_RUN))
+        assert cfg.resolved_lines() == good.resolved_lines()
+        assert cfg.grid == good.grid
+
+    def test_validate_and_scan_agree_where_a_sub_cavity_collapses(self, tmp_path):
+        """A gap of exactly zero at the grid's ends passes `validate` and
+        `scan` alike, and one ulp more of x fails both, the problem naming
+        only the end that collapses its gap."""
+        half = 1.6e-6 / 2 + -0.2e-6 / 2  # `_gaps`' half length at dlc_start
+        grid = "[grid]\nx_start = {}\nx_stop = {}\nx_count = 3\n" \
+               "dlc_start = -0.2e-6\ndlc_stop = 0\ndlc_count = 2\n"
+        base = "[mim]\ncavity_length = 1.6e-6\n\n" + grid
+        cfg = load_run_config(write(tmp_path / "ok.ini", base.format(-half, half)))
+        assert validate_report(cfg) == []
+        result = scan(cfg.mim_config(), cfg.grid)
+        assert result.intensity.shape == (3, 2)
+        for x_start, x_stop, key in ((-half, np.nextafter(half, 1), "grid.x_stop"),
+                                     (np.nextafter(-half, -1), half, "grid.x_start")):
+            cfg = load_run_config(write(tmp_path / "bad.ini", base.format(x_start, x_stop)))
+            assert validate_report(cfg) == [
+                f"{key}, grid.dlc_start, mim.cavity_length: "
+                "detuning or displacement collapses a sub-cavity"]
+            with pytest.raises(ChainError, match="collapses a sub-cavity"):
+                scan(cfg.mim_config(), cfg.grid)
 
 
 class TestChainFile:
@@ -420,6 +451,20 @@ class TestCliCommands:
         assert cli.run(["point", "--config", path, "--out", out]) == 0
         stray = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert stray == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_output_files_take_the_umask(self, tmp_path, umask, mode):
+        """The table and both sidecars get the mode `open` would give them."""
+        path = write(tmp_path / "run.ini", GOOD_RUN)
+        out = str(tmp_path / "scan.csv")
+        old = os.umask(umask)
+        try:
+            assert cli.run(["scan", "--config", path, "--out", out]) == 0
+        finally:
+            os.umask(old)
+        modes = {p: stat.S_IMODE(os.stat(p).st_mode)
+                 for p in (out, out + ".overlay.csv", out + ".meta.json")}
+        assert modes == dict.fromkeys(modes, mode)
 
     def test_compare_command(self, tmp_path):
         path = write(tmp_path / "run.ini", GOOD_RUN)
@@ -790,6 +835,71 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+_INI_NAMES = st.text("abcXYZ019_.-", min_size=1, max_size=6)
+_INI_KEYS = st.text("abcdeXYZ_09 ", min_size=1, max_size=6).map(str.strip).filter(bool)
+_INI_VALUES = st.text(st.one_of(st.sampled_from("=:#;[] \t"),
+                                st.characters(blacklist_categories=("Cc", "Cs"))), max_size=10)
+_INI_EXTRA = st.sampled_from(["", "", "\n", "# c\n", "  ; c = d\n", "\t#\n", "   \n"])
+
+
+@st.composite
+def _ini_texts(draw):
+    """(text, sections as {name: {key: value}}) in the accepted grammar."""
+    sections = draw(st.dictionaries(
+        _INI_NAMES.filter(lambda name: name != "DEFAULT"),
+        st.lists(st.tuples(_INI_KEYS, _INI_VALUES), max_size=4,
+                 unique_by=lambda kv: kv[0].lower()),
+        max_size=4))
+    text = draw(_INI_EXTRA)
+    for name, items in sections.items():
+        text += f"[{name}]\n" + draw(_INI_EXTRA)
+        for key, value in items:
+            delimiter = draw(st.sampled_from(["=", " = ", ":", " : ", "  =\t"]))
+            text += f"{key}{delimiter}{value}\n" + draw(_INI_EXTRA)
+    return text, {name: {key.lower(): value.strip() for key, value in items}
+                  for name, items in sections.items()}
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_ini_texts(), st.sampled_from(["none", "section", "key", "headless"]))
+def test_read_ini_matches_configparser(tmp_path, case, fault):
+    """`_read_ini` reads the accepted grammar as configparser does, and
+    rejects duplicate sections and keys and a key before any header as
+    configparser does."""
+    text, expected = case
+    if fault == "section" and expected:
+        text += f"[{next(iter(expected))}]\n"
+    elif fault == "key" and any(expected.values()):
+        name = next(n for n, keys in expected.items() if keys)
+        header = f"\n[{name}]\n"  # at a line start, unlike a value ending in it
+        text = ("\n" + text).replace(
+            header, f"{header}{next(iter(expected[name])).upper()} = again\n", 1)
+    elif fault == "headless":
+        text = "key = value\n" + text
+    else:
+        fault = "none"
+    path = write(tmp_path / "t.ini", text)
+    cp = configparser.ConfigParser(interpolation=None)
+    if fault == "none":
+        cp.read_string(text)
+        assert config._read_ini(path) == {s: dict(cp[s]) for s in cp.sections()} == expected
+    else:
+        with pytest.raises(configparser.Error):
+            cp.read_string(text)
+        with pytest.raises(ConfigError, match="malformed config file"):
+            config._read_ini(path)
+
+
+def test_readme_ini_examples_load(tmp_path):
+    """The README's run config validates clean and its chain file loads."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    run, chain = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert validate_report(load_run_config(write(tmp_path / "run.ini", run))) == []
+    assert load_chain_file(write(tmp_path / "chain.ini", chain)).mobile_index == 2
+
+
 def _numeric(key) -> bool:
     try:
         return isinstance(key.parse("1"), (int, float))
@@ -814,13 +924,52 @@ def _malformed_inputs():
             text = GOOD_RUN.replace(f"{key} = {old}", f"{key} = {value}")
             cases.append((f"mim.{key}={value}", text, [], f"mim.{key}"))
     chain_run = GOOD_RUN.replace("[mim]", "[chain]\npath = {chain}\n\n[mim]")
-    return cases + [
+    # a grid whose ends collapse both sub-cavities of a 1.6 um cavity
+    collapsed = GOOD_RUN.replace("cavity_length = 5mm", "cavity_length = 1.6um").replace(
+        "x_start = -0.2um", "x_start = -1um").replace("x_stop = 0.2um", "x_stop = 1um")
+    cases += [
         ("chain-wavelength-0", chain_run, [], "chain.wavelength"),
         ("grid-count-abc", GOOD_RUN, ["--grid", "0,1nm,abc,0,1nm,3"], "grid.x_count"),
         ("grid-count-2.5", GOOD_RUN, ["--grid", "0,1nm,2.5,0,1nm,3"], "grid.x_count"),
         ("unknown-key", GOOD_RUN.replace("power = 1W", "power = 1W\npowr = 2W"), [], "powr"),
         ("workers-0", GOOD_RUN, ["--workers", "0"], "output.workers"),
+        ("grid-collapses-sub-cavity", collapsed, [], "grid.x_stop, grid.dlc_start"),
     ]
+    # INI syntax errors name the file (run<i>.ini in the sweep) and the line
+    for case, (text, where) in _ini_syntax_errors(GOOD_RUN, "power = 1W").items():
+        cases.append((case, text, [], _ini_key(f"run{len(cases)}.ini", where)))
+    return cases
+
+
+def _ini_syntax_errors(good: str, entry: str) -> dict:
+    """{case id: (text, where)} of files that break the INI grammar at the
+    first line `entry` of `good`: `where` is the line number of the error,
+    or the message of a file rejected as a whole (None: the path does not
+    exist, bytes: not UTF-8)."""
+    line = good.splitlines().index(entry) + 1
+    key = entry.split(" = ")[0]
+
+    def at_entry(text):
+        return good.replace(entry, text, 1)
+
+    return {
+        "ini-key-before-header": (f"{entry}\n{good}", 1),
+        "ini-duplicate-section": (good + f"\n{good.splitlines()[0]}\n", good.count("\n") + 2),
+        "ini-duplicate-key": (at_entry(f"{entry}\n{key.upper()} = 0"), line + 1),
+        "ini-no-delimiter": (at_entry(entry.replace(" = ", " ")), line),
+        "ini-empty-key": (at_entry(entry.replace(key, "")), line),
+        "ini-continuation": (at_entry(f"{entry}\n  0"), line + 1),
+        "ini-indented-key": (at_entry(f"{entry}\n  {entry}"), line + 1),
+        "ini-header-comment": (good.replace("]\n", "]  # header\n", 1), 1),
+        "ini-default-section": ("[DEFAULT]\n" + good, "unknown section [DEFAULT]"),
+        "ini-missing": (None, "cannot read config file"),
+        "ini-not-utf8": (at_entry(entry + "\xff").encode("latin-1"), "cannot read config file"),
+    }
+
+
+def _ini_key(file: str, where) -> str:
+    """The text a rejection of an `_ini_syntax_errors` case must carry."""
+    return f"{file}: line {where}" if isinstance(where, int) else where
 
 
 MALFORMED = _malformed_inputs()
@@ -845,6 +994,8 @@ def _malformed_chains():
             text = io.StringIO()
             cp.write(text)
             cases.append((f"{section}.{key}={label}", text.getvalue(), f"{section}.{key}"))
+    for case, (text, where) in _ini_syntax_errors(GOOD_CHAIN, "kind = segment").items():
+        cases.append((case, text, _ini_key(f"chain{len(cases)}.ini", where)))
     return cases
 
 
@@ -852,15 +1003,16 @@ MALFORMED_CHAINS = _malformed_chains()
 _CHAIN_COMMANDS = ("point-left", "point-right", "elements", "validate")
 
 
-# Runs `tmmcavity.cli` as `python -m` does (runpy, as __main__) once per
-# argument list, all in one interpreter so numpy is imported once; an
-# exception that escapes prints its traceback to stderr like the real entry.
+# Runs the `tmmcavity` console entry (`cli.main`) once per argument list,
+# all in one interpreter so the package is imported once; an exception that
+# escapes prints its traceback to stderr like the real entry.
 _SWEEP_DRIVER = r"""
-import json, runpy, sys, traceback
+import json, sys, traceback
+from tmmcavity import cli
 for argv in json.loads(sys.argv[1]):
     sys.argv = ["tmmcavity"] + argv
     try:
-        runpy.run_module("tmmcavity.cli", run_name="__main__", alter_sys=True)
+        cli.main()
         code = 0
     except SystemExit as exc:
         code = exc.code
@@ -906,6 +1058,16 @@ def test_malformed_input_is_rejected_without_traceback(sweep, case, key):
         _assert_rejected(*sweep["run", case, command], key)
 
 
+def _write_case(path, text, chain=""):
+    """The path of a sweep case's file: text is written with its chain
+    file's path filled in, bytes as they are, and None is never written."""
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        write(path, text.replace("{chain}", chain))
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
     """{(kind, case id, command): (exit code, stdout, stderr)} of the
@@ -915,12 +1077,12 @@ def sweep(tmp_path_factory):
     chain = write(root / "c.ini", GOOD_CHAIN.replace("wavelength = 1064nm", "wavelength = 0"))
     runs = []
     for i, (case, text, extra, _key) in enumerate(MALFORMED):
-        path = write(root / f"run{i}.ini", text.replace("{chain}", chain))
+        path = _write_case(root / f"run{i}.ini", text, chain)
         for command in _RUN_COMMANDS:
             runs.append((("run", case, command), [command, "--config", path,
                                                   "--out", str(root / f"out{i}.csv")] + extra))
     for i, (case, text, _key) in enumerate(MALFORMED_CHAINS):
-        chain = write(root / f"chain{i}.ini", text)
+        chain = _write_case(root / f"chain{i}.ini", text)
         for command in _CHAIN_COMMANDS:
             name, _, side = command.partition("-")
             run = write(root / f"chain{i}-{command}.ini",

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 from scipy.optimize import minimize_scalar
 
-from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment
-from tmmcavity.errors import SingularSolveError
+from tmmcavity.dynamics import force_with_velocity, solve_dynamic
+from tmmcavity.elements import (
+    MOBILE_ZETA_LIMIT, Chain, Polarisability, PumpSpec, Scatterer, Segment,
+)
+from tmmcavity.errors import ChainError, SingularSolveError
 from tmmcavity.mim import MimConfig, build_mim, pump_for
 from tmmcavity.noise import operator_fields
 from tmmcavity.statics import (
@@ -358,3 +361,30 @@ class TestCouplings:
             fd2 = (vals[2] - 2 * vals[1] + vals[0]) / h**2
             rep = couplings(zeta, x, LC, K0)
             assert rep.omega_double_prime == pytest.approx(fd2, rel=1e-3, abs=0)
+
+
+def _zeta_entry_points():
+    """{name: call of zeta} of each public function that takes the mobile
+    scatterer's zeta directly, on the default MIM chain's fields."""
+    fields = solve_dynamic(build_mim(MimConfig()), pump_for(MimConfig()))
+    return {
+        "couplings": lambda z: couplings(z, 1e-7, LC, K0).omega_double_prime,
+        "resonance_shifts": lambda z: resonance_shifts(z, np.linspace(-LAM, LAM, 5), LC, K0)[0],
+        "static_force": lambda z: static_force(fields.static(), Polarisability(z), K0),
+        "force_with_velocity": lambda z: force_with_velocity(
+            fields, Polarisability(z), K0).friction,
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["couplings", "resonance_shifts", "static_force",
+                                  "force_with_velocity"])
+def test_zeta_beyond_the_mobile_limit_is_a_chain_error(name):
+    """A |zeta| past `MOBILE_ZETA_LIMIT` is rejected before any arithmetic
+    (it raised OverflowError or warned from ~1e103 on), and the limit
+    itself is still evaluated."""
+    call = _zeta_entry_points()[name]
+    assert np.all(np.isfinite(call(-MOBILE_ZETA_LIMIT)))
+    for zeta in (-MOBILE_ZETA_LIMIT * (1 + 1e-15), -1e103, -1.4e154, -1e200):
+        with pytest.raises(ChainError, match="at most"):
+            call(zeta)
