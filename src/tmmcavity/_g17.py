@@ -23,8 +23,11 @@ the exponent of a scientific value; 29-31 NUL.  A fixed-point value of
 close up on the first, into byte 7, and the point follows them.
 
 A pass computes in a fixed set of work arrays, updated in place, with
-integer intermediates as narrow as they go: the exponent and the digit
-groups int16, N's two 8-digit halves int32, trailing-zero counts uint8.
+integer intermediates as narrow as they go: the digit groups int16, N's
+two 8-digit halves int32, trailing-zero counts uint8.  Only the
+exponent's table index is intp, the index type of `np.take`, so the
+gathers by exponent take it without a copy; it lives in the pass's own
+cells, which are written last.
 What only some values need (an exponent off by one, a tie or an unsure
 rounding, the carry to 10^17, trailing zeros beyond the last group, a
 fixed-point value of 10 or more, the values outside the range) is done
@@ -223,7 +226,7 @@ def _fill(x, cells, work):
     # halves, a its digit groups, u integer scratch, and yh..v the words
     work = work[:, :m]
     yh, yl, u, v, w, a = work
-    ie = np.empty(m, np.int16)  # E + _E0
+    ie = cells.reshape(-1).view(np.intp)[:m]  # E + _E0, until the cells are written
 
     # values outside the range are scaled as pi, which takes none of the
     # rarer paths below, and their cells are mended last
@@ -293,7 +296,7 @@ def _fill(x, cells, work):
         s = _shown(groups.take(short, axis=1), t)
         for word, mask in zip(words, t.keep):
             word[short] &= mask.take(s)
-    wide = np.flatnonzero((ie - (_E0 + 1)).view(np.uint16) < 16)  # 1 <= E <= 16
+    wide = np.flatnonzero((ie - (_E0 + 1)).view(np.uintp) < 16)  # 1 <= E <= 16
     if wide.size:
         _fixed(words, wide, ie[wide] - _E0, groups.take(wide, axis=1), t)
     if outside.size:  # NaN all NUL, zeros "0" and "-0", the rest to Python

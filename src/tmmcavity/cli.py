@@ -138,29 +138,22 @@ _CSV_CHUNK_BYTES = 1 << 16
 
 
 class _CsvTable:
-    """Word layout of a columnar table's CSV (see `_csv_files`)."""
+    """Cell layout of a columnar table's CSV (see `_csv_files`)."""
 
     def __init__(self, table: dict):
         self.header = (",".join(table) + "\n").encode()
         self.columns = [c if isinstance(c, tuple) else (c, None) for c in table.values()]
         # each cell's last byte: its comma, or the row's newline
-        self.seps = [np.uint64(ord(",") << 56)] * (len(self.columns) - 1) + [
-            np.uint64(ord("\n") << 56)]
-        # string keys as words of their bytes, NUL-padded, and their separator
-        self.words = [np.array(keys, dtype=f"S{8 * (max(map(len, keys)) // 8 + 1)}")
-                      .view("<u8").reshape(len(keys), -1)
-                      if len(keys) and isinstance(keys[0], str) else None
-                      for keys, _ in self.columns]
-        for w, sep in zip(self.words, self.seps):
-            if w is not None:
-                w[:, -1] |= sep
-        widths = [WORDS if w is None else w.shape[1] for w in self.words]
-        ends = np.cumsum(widths).tolist()
-        self.spans = [slice(end - width, end) for end, width in zip(ends, widths)]
-        self.chunk_rows = max(1, _CSV_CHUNK_BYTES // (8 * ends[-1]))
+        self.seps = [np.uint64(ord(c) << 56) for c in "," * (len(table) - 1) + "\n"]
+        # string keys as cells of their bytes, NUL-padded, the last byte free
+        self.labels = [np.array(keys, f"S{8 * WORDS}").view("<u8").reshape(-1, WORDS)
+                       if len(keys) and isinstance(keys[0], str) else None
+                       for keys, _ in self.columns]
+        assert all(c is None or not (c[:, -1] >> 56).any() for c in self.labels), "label > 31 B"
+        self.chunk_rows = max(1, _CSV_CHUNK_BYTES // (8 * WORDS * len(self.columns)))
         self.n_rows = _rows(next(iter(table.values())))
         # at most one float cell per float column and row of a block
-        self.block_rows = max(1, _CSV_BLOCK_CELLS // max(1, sum(w is None for w in self.words)))
+        self.block_rows = max(1, _CSV_BLOCK_CELLS // max(1, sum(c is None for c in self.labels)))
 
     def blocks(self):
         """(rows, float arrays, indices) of each block of rows: the floats
@@ -173,10 +166,10 @@ class _CsvTable:
         for first in range(0, max(self.n_rows, 1), self.block_rows):
             rows = slice(first, min(first + self.block_rows, self.n_rows))
             floats, indices = [], []
-            for (keys, index), w in zip(self.columns, self.words):
-                if index is not None and (w is not None or len(keys) <= rows.stop - first):
+            for (keys, index), label in zip(self.columns, self.labels):
+                if index is not None and (label is not None or len(keys) <= rows.stop - first):
                     indices.append(index[rows])
-                    if w is None:
+                    if label is None:
                         floats.append(np.asarray(keys, dtype=float))
                 else:
                     indices.append(None)
@@ -186,18 +179,26 @@ class _CsvTable:
 
     def chunks(self, n: int, indices: list, cells):
         """Bytes chunks of a block of n rows with `blocks`' indices; `cells`
-        yields the `g17` cells of the block's float arrays in order."""
-        sources = [next(cells) if w is None else w for w in self.words]
-        for source, w, sep in zip(sources, self.words, self.seps):
-            if w is None:
-                source[:, -1] |= sep
-        out = np.empty((min(n, self.chunk_rows), self.spans[-1].stop), "<u8")
+        holds the `g17` cells of the block's float arrays end to end."""
+        labels = [c for c in self.labels if c is not None]
+        source = np.concatenate([cells, *labels]) if labels else cells
+        # a cell's source index: its column's first cell there plus its key or row
+        take = np.empty((n, len(self.columns)), np.intp)
+        at, label_at = 0, len(cells)
+        for j, ((keys, _), index, label, sep) in enumerate(
+                zip(self.columns, indices, self.labels, self.seps)):
+            size = n if index is None else len(keys)
+            if label is None:
+                start, at = at, at + size
+            else:
+                start, label_at = label_at, label_at + size
+            source[start:start + size, -1] |= sep
+            np.add(np.arange(n) if index is None else index, start, out=take[:, j])
+        out = np.empty((min(n, self.chunk_rows) * len(self.columns), WORDS), "<u8")
         for first in range(0, n, self.chunk_rows):
-            part = out[:min(self.chunk_rows, n - first)]
-            at = slice(first, first + len(part))
-            for index, source, span in zip(indices, sources, self.spans):
-                part[:, span] = source[at] if index is None else source.take(index[at], axis=0)
-            yield part.tobytes().translate(None, b"\0")
+            part = take[first:first + self.chunk_rows].ravel()
+            np.take(source, part, axis=0, out=out[:part.size], mode="clip")
+            yield out[:part.size].tobytes().translate(None, b"\0")
 
 
 def _csv_files(tables: list):
@@ -208,11 +209,11 @@ def _csv_files(tables: list):
     The float cells of consecutive blocks of rows, of one table or the
     next, go through one `g17` call while they hold at most
     `_CSV_BLOCK_CELLS` cells (a scan's table and its overlay take one).
-    A keyed column formats each key once per block and copies its words
-    to the rows that repeat it.  Each cell fills a run of words whose last
-    byte is its comma or newline; the rows are laid out a chunk of at most
-    `_CSV_CHUNK_BYTES` at a time, in one reused buffer, and dropping the
-    NUL padding leaves the CSV.
+    A keyed column formats each key once per block, and a string key is
+    a cell of its own.  Each cell is four words whose last byte is its
+    comma or newline, and a chunk of at most `_CSV_CHUNK_BYTES` of rows
+    is one gather of cells into a reused buffer; dropping the NUL
+    padding leaves the CSV.
     """
     pending, size = [], 0
     for i, table in enumerate(map(_CsvTable, tables)):
@@ -229,14 +230,13 @@ def _csv_files(tables: list):
 def _format_blocks(blocks: list):
     """(table index, bytes) chunks of blocks of `_csv_files`, whose float
     cells take one `g17` call; a table's header leads its first block."""
-    floats = [f for _, _, _, block_floats, _ in blocks for f in block_floats]
-    cells = g17(np.concatenate(floats))
-    ends = np.cumsum([f.size for f in floats]).tolist()
-    parts = iter([cells[end - f.size:end] for f, end in zip(floats, ends)])
-    for i, table, rows, _, indices in blocks:
+    cells = g17(np.concatenate([f for _, _, _, floats, _ in blocks for f in floats]))
+    end = 0
+    for i, table, rows, floats, indices in blocks:
+        start, end = end, end + sum(f.size for f in floats)
         if rows.start == 0:
             yield i, table.header
-        for chunk in table.chunks(rows.stop - rows.start, indices, parts):
+        for chunk in table.chunks(rows.stop - rows.start, indices, cells[start:end]):
             yield i, chunk
 
 

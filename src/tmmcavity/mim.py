@@ -191,17 +191,18 @@ def _gaps(config: MimConfig, x, dlc) -> tuple:
     axis as a column and its dLc axis as a row); raises ChainError if any
     |x| exceeds one wavelength or any gap collapses.
     """
-    if np.any(abs(x) > config.wavelength):
+    # each check is one comparison and an `.any()` reduction, which numpy
+    # scalars have too; a gap collapses exactly where half - |x| < 0
+    reach = np.abs(x)
+    if (reach > config.wavelength).any():
         raise ChainError(
-            f"|x| = {np.max(abs(x))} exceeds one wavelength; displacement must "
+            f"|x| = {np.max(reach)} exceeds one wavelength; displacement must "
             "stay small compared to the cavity length"
         )
     half = config.cavity_length / 2 + dlc / 2
-    left_gap = half - x
-    right_gap = half + x
-    if np.any(left_gap < 0) or np.any(right_gap < 0):
+    if (half - reach < 0).any():
         raise ChainError("detuning or displacement collapses a sub-cavity")
-    return left_gap, right_gap
+    return half - x, half + x
 
 
 def pump_for(config: MimConfig) -> PumpSpec:
@@ -265,13 +266,16 @@ def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
 # ---------------------------------------------------------------------------
 
 
-# Grid points per vectorised block: enough to amortise numpy's per-call
-# overhead (a 41 x 41 scan is one block), few enough to keep each (P,)
-# complex entry array at 32 KiB.  Stay
-# below 16384 points: from 256 KiB on, numpy writes `x * np.conj(y)` into
-# its temporary operand, and that in-place complex product rounds
-# differently in the last bits, so the output would depend on the block size.
-_BLOCK_POINTS = 2048
+# Grid points per vectorised block.  A block pays ~100 numpy calls of
+# fixed per-call overhead whatever its size, so the fewer blocks the
+# better (a 101 x 101 grid takes two), as long as each (P,) complex array
+# stays below glibc's default 128 KiB threshold for mapping fresh pages:
+# at 8192 points and more, a warm 101 x 101 `scan` took 1100-1400 page
+# faults per command and ran slower.  Stay below 16384 points anyway:
+# from 256 KiB on, numpy writes `x * np.conj(y)` into its temporary
+# operand, and that in-place complex product rounds differently in the
+# last bits, so the output would depend on the block size.
+_BLOCK_POINTS = 6144
 
 
 def _quantities(config: MimConfig, solution) -> np.ndarray:

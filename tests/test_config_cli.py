@@ -584,6 +584,13 @@ def _grid_rows(result, names):
             for j, dlc in enumerate(g.dlc_values.tolist())]
 
 
+def _overlay_csv(result) -> bytes:
+    """The scan's overlay table written cell by cell."""
+    rows = [[x, result.BRANCHES[b], n, d]
+            for x, b, n, d in zip(*(column.tolist() for column in result.overlay))]
+    return _per_cell_csv(["x", "branch", "fold", "dLc"], rows)
+
+
 def _strict_json(text):
     """Parse JSON, failing on the NaN/Infinity tokens `json` would accept."""
     def not_json(token):
@@ -609,13 +616,9 @@ class TestTableOutput:
         assert any(r[2] is not None and r[6] is None for r in rows)  # heating
         assert any(r[6] is not None for r in rows)  # cooling
         assert out.read_bytes() == _per_cell_csv(SCAN_COLUMNS, rows)
-        overlay = ["x,branch,fold,dLc"] + [
-            f"{_per_cell(x)},{result.BRANCHES[b]},{n},{_per_cell(d)}"
-            for x, b, n, d in zip(*(column.tolist() for column in result.overlay))
-        ]
-        assert len(overlay) > 1
-        assert (tmp_path / "scan.csv.overlay.csv").read_bytes() == (
-            "\n".join(overlay) + "\n").encode()
+        overlay = _overlay_csv(result)
+        assert overlay.count(b"\n") > 1
+        assert (tmp_path / "scan.csv.overlay.csv").read_bytes() == overlay
 
     def test_compare_bytes(self, monkeypatch, tmp_path):
         singular_column(monkeypatch, self.X_SING)
@@ -784,6 +787,42 @@ class TestTableOutput:
         assert doc["columns"] == columns
         assert doc["rows"] == _grid_rows(result, columns[2:])
         assert sum(row[2] is None for row in doc["rows"]) == 9  # NaN is null
+
+    # grid shapes of the sweep below: one point, one row, one column, and
+    # tables across the writer's 64 KiB chunks (292 rows of a scan table,
+    # 409 of a compare table); the other configs draw theirs
+    SWEEP_SHAPES = [(1, 1), (1, 7), (9, 1), (17, 18), (21, 20), (7, 59)]
+
+    def test_random_configs_bytes(self, tmp_path):
+        """24 seeded random MIM configs, both pump sides: each `scan` table
+        and overlay and each `compare` table against the per-cell rule."""
+        rng = np.random.default_rng(26)
+        path = tmp_path / "run.ini"
+        for case in range(24):
+            nx, nd = (self.SWEEP_SHAPES[case] if case < len(self.SWEEP_SHAPES)
+                      else rng.integers(1, 13, 2).tolist())
+            lam = float(rng.uniform(0.5e-6, 1.6e-6))
+            x0, x1 = sorted(rng.uniform(-lam / 2, lam / 2, 2).tolist())
+            d0 = float(rng.uniform(-lam, lam / 2))
+            membrane = 0.0 if case % 8 == 7 else float(rng.uniform(-8.0, 0.0))
+            write(path, f"[pump]\nwavelength = {lam!r}\nside = {('left', 'right')[case % 2]}\n"
+                        f"\n[mim]\ncavity_length = {float(rng.uniform(1e-4, 0.1))!r}\n"
+                        f"membrane_zeta = {membrane!r}\n"
+                        f"mirror_zeta = {float(rng.uniform(-40.0, -0.6))!r}\n"
+                        f"\n[grid]\nx_start = {x0!r}\nx_stop = {x1!r}\nx_count = {nx}\n"
+                        f"dlc_start = {d0!r}\ndlc_stop = {d0 + float(rng.uniform(1e-9, lam))!r}\n"
+                        f"dlc_count = {nd}\n")
+            cfg = load_run_config(str(path))
+            mim_cfg, grid = cfg.mim_config(), cfg.default_grid()
+            result = scan(mim_cfg, grid)
+            for command, columns, want in (
+                    ("scan", SCAN_COLUMNS, result),
+                    ("compare", COMPARE_COLUMNS, compare_models(mim_cfg, grid))):
+                out = tmp_path / f"{command}.csv"
+                assert cli.run([command, "--config", str(path), "--out", str(out)]) == 0
+                assert out.read_bytes() == _per_cell_csv(
+                    columns, _grid_rows(want, columns[2:])), (case, command)
+            assert (tmp_path / "scan.csv.overlay.csv").read_bytes() == _overlay_csv(result), case
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

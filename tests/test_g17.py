@@ -133,7 +133,7 @@ def mixed_table(rng, n: int) -> dict:
 
 def float_columns(table: dict) -> int:
     """Columns of a table whose cells `g17` formats: floats and float keys."""
-    return sum(w is None for w in cli._CsvTable(table).words)
+    return sum(c is None for c in cli._CsvTable(table).labels)
 
 
 @pytest.mark.parametrize("block_rows, chunk_rows", [(16384, 1024), (7, 3), (7, 0.5), (2, 1)])
@@ -142,7 +142,7 @@ def test_csv_nan_cells_and_keyed_columns(monkeypatch, block_rows, chunk_rows):
     # of 2 rows have fewer rows than the float key column has keys, so it
     # is formatted row by row
     table = mixed_table(np.random.default_rng(11), 50)
-    row_bytes = 8 * cli._CsvTable(table).spans[-1].stop
+    row_bytes = 8 * _g17.WORDS * len(table)
     monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_rows * float_columns(table))
     monkeypatch.setattr(cli, "_CSV_CHUNK_BYTES", int(chunk_rows * row_bytes))
     assert csv_text(table) == csv_reference(table)

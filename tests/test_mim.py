@@ -513,12 +513,14 @@ class TestGridEngine:
                 assert dp[3].tobytes() == (-1j * gap * back).tobytes()
 
     def test_block_size_does_not_change_the_output(self, monkeypatch):
-        """A 129 x 129 grid (16641 points: several blocks and a ragged last
-        one) gives the same bits with the default block size and with
-        blocks of 97 points.  Blocks of 16384 points or more fail here:
-        from 256 KiB operands on, numpy computes some complex products in
-        place in a temporary, which rounds differently in the last bits."""
+        """A 129 x 129 grid (16641 points: three blocks at the default
+        size, the last ragged) gives the same bits with the default block
+        size and with blocks of 97 points.  Blocks of 16384 points or more
+        fail here: from 256 KiB operands on, numpy computes some complex
+        products in place in a temporary, which rounds differently in the
+        last bits."""
         grid = ScanGrid(-LAM / 2, LAM / 2, 129, -LAM / 2, LAM / 2, 129)
+        assert mim._BLOCK_POINTS < 129 * 129  # more than one block by default
         default = scan(MimConfig(), grid)
         monkeypatch.setattr(mim, "_BLOCK_POINTS", 97)
         blocked = scan(MimConfig(), grid)
