@@ -23,7 +23,7 @@ from .elements import (
     Chain, Scatterer, Segment, _check_length, _check_mobile_zeta, _check_wavelength,
 )
 from .errors import ChainError, ConfigError, TmmCavityError
-from .mim import MimConfig, ScanGrid, _gaps, build_mim
+from .mim import MimConfig, ScanGrid, _gaps, build_mim, pump_for
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -486,10 +486,10 @@ def validate_report(cfg: RunConfig) -> list[str]:
     empty list means the config is clean.
 
     The checks are those of the objects the commands build from it (the
-    MIM setup, its chain at membrane_x and cavity_detuning, the chain
-    file), then the bounds that no constructor checks.
+    MIM setup and its pump, its chain at membrane_x and cavity_detuning,
+    the chain file), then the bounds that no constructor checks.
     """
-    problems = _built(MimConfig, cfg._mim_values(), RunConfig)[1]
+    problems = _built(lambda **mim: pump_for(MimConfig(**mim)), cfg._mim_values(), RunConfig)[1]
     # the chain at membrane_x and cavity_detuning depends on the cavity
     # geometry only, so it is checked even when a scatterer or the pump is bad
     geometry = _built(MimConfig, {"wavelength": cfg.wavelength,

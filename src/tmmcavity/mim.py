@@ -555,14 +555,6 @@ class CoupledCalibration:
     fwhm_dlc: float
 
 
-# Probe responses of the two degeneracy-point copies closer than this,
-# relative to the larger, are a tie.  With a transparent membrane the
-# copies are one bare cavity, and rounding of the gaps alone sets them
-# apart by up to ~4e-10 (mirror zeta -100, Lc 1-100 mm); a membrane of
-# polarisability zeta sets them apart by ~3-6 |zeta|.
-_TIE_RTOL = 1e-9
-
-
 def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     """Calibrate the coupled model against the same chain.
 
@@ -571,11 +563,10 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     c|t|/Lc with |t|^2 = 1/(1 + zeta^2), and the x = 0 degeneracy point
     from the midpoint of the two analytic branches, anchored like the
     overlay.  Of the two lambda/2-spaced copies of that point, the one
-    where the chain responds is picked by four static probes of the grid
-    engine, so no scalar solve runs; when the two responses tie, the
-    copy nearer dlc = 0 is taken.  The probes sit at x = 0, where the
-    mirrored chain of a right pump is the chain itself: both pump sides
-    probe it under a left pump and pick the same copy.
+    where each sub-cavity is resonant is picked in closed form, so the
+    calibration runs no solve; with a transparent membrane the copy
+    nearer dlc = 0 is taken.  At x = 0 the chain is mirror-symmetric, so
+    both pump sides pick the same copy.
     """
     anchor, fwhm = bare_resonance(config)
     kappa_c = config.omega0 * (fwhm / 2) / config.cavity_length
@@ -588,28 +579,18 @@ def calibrate_coupled_params(config: MimConfig) -> CoupledCalibration:
     # the maps repeat only every lambda in dlc (modes one FSR apart carry
     # opposite parity at the membrane), so of the two lambda/2-spaced
     # copies of the degeneracy point only one hosts the physical mode
-    # pair; probe the chain response at both and keep the live one.  The
-    # response of a copy is |B0f|^2 + |D0f|^2 summed over the two points a
-    # coupling split away at x = 0, a singular one counting 0; the four
-    # probes are one static batch of the grid engine
+    # pair: the one where each sub-cavity, (Lc + dlc)/2 long at x = 0, is
+    # resonant, k0 (Lc + dlc) + arg r_m + arg r_membrane = 0 mod 2 pi.  A
+    # transparent membrane makes both copies the same bare cavity.
     cand = [(mid + lam / 2) % lam - lam / 2]
     cand.append(cand[0] + (lam / 2 if cand[0] < 0 else -lam / 2))
-    split_dlc = g * config.cavity_length / config.omega0
-    probes = np.array([c + s * split_dlc for c in cand for s in (-1.0, +1.0)])
-
-    def response(config, solution):
-        _a0, b0f, _c0f, d0f, _, _ = solution.fields
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.where(solution.singular, 0.0, abs(b0f) ** 2 + abs(d0f) ** 2)
-
-    total = _grid_solve(config, np.zeros(probes.size), probes, response)
-    responses = total.reshape(2, 2).sum(axis=1)
-    if abs(responses[0] - responses[1]) <= _TIE_RTOL * responses.max():
-        # a tie (a transparent membrane makes both copies the same bare
-        # cavity): rounding must not decide, so take the copy nearer dlc = 0
+    if config.membrane_zeta == 0:
         center = min(cand, key=abs)
     else:
-        center = cand[int(np.argmax(responses))]
+        phase = np.angle(_bare_mirror(config).reflectivity) + np.angle(
+            Polarisability(config.membrane_zeta).reflectivity)
+        live = -config.cavity_length % lam - phase / config.k0  # exact Lc mod lambda
+        center = min(cand, key=lambda c: abs((c - live + lam / 2) % lam - lam / 2))
     params = CoupledCavityParams(
         g=g, kappa_c=kappa_c, omega_prime=w1, power_watts=config.power_watts
     )
@@ -636,6 +617,17 @@ class ComparisonResult:
     """Normalized L2 discrepancy ||F_tmm - F_cc|| / ||F_tmm|| over the grid."""
 
 
+def _l2(values: np.ndarray, mean: bool = False) -> float:
+    """The root of the sum of squares of `values`, or of their mean.  Where
+    squares could overflow (|values| past ~1e154) it is taken in units of a
+    power of two near the largest |value|: exact, so it stays finite
+    wherever the result is."""
+    peak = float(np.max(np.abs(values), initial=0.0))
+    unit = math.ldexp(1.0, math.frexp(peak)[1]) if peak > 1e150 else 1.0
+    scaled = values / unit if unit != 1.0 else values
+    return unit * float(np.sqrt(np.mean(scaled ** 2)) if mean else np.linalg.norm(scaled))
+
+
 def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
     """Static force from the chain vs the coupled-cavities model.
 
@@ -658,10 +650,12 @@ def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
     cc = coupled_cavity_force(cal.params, -x, delta, config.k0)
 
     valid = np.isfinite(tmm)
-    rms = float(np.sqrt(np.mean(tmm[valid] ** 2))) if valid.any() else 0.0
+    rms = _l2(tmm[valid], mean=True) if valid.any() else 0.0
     if rms > 0:
-        disc = np.abs(tmm - cc) / rms  # NaN where tmm is
-        summary = float(np.linalg.norm(tmm[valid] - cc[valid]) / np.linalg.norm(tmm[valid]))
+        with np.errstate(over="ignore"):  # a discrepancy past the float range is inf
+            diff = tmm - cc  # NaN where tmm is
+            disc = np.abs(diff) / rms
+        summary = _l2(diff[valid]) / _l2(tmm[valid])
     else:
         disc = np.full_like(tmm, np.nan)
         summary = math.nan

@@ -243,8 +243,8 @@ class TemperatureReport:
 
 def _kbt(d_coeff, dfdv):
     """k_B T = -D / (dF/dv) where dF/dv < 0 (cooling), NaN elsewhere;
-    scalars or arrays."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    scalars or arrays.  A k_B T beyond the float range is inf."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(dfdv < 0, -d_coeff / dfdv, np.nan)
 
 

@@ -36,7 +36,7 @@ from tmmcavity.mim import (
 )
 from tmmcavity.statics import couplings, resonance_shifts
 
-from helpers import singular_column, static_matrix
+from helpers import singular_column, static_matrix, wall_clock_limit
 
 LAM = 1.064e-6
 
@@ -973,6 +973,9 @@ def _malformed_inputs():
         ("unknown-key", GOOD_RUN.replace("power = 1W", "power = 1W\npowr = 2W"), [], "powr"),
         ("workers-0", GOOD_RUN, ["--workers", "0"], "output.workers"),
         ("grid-collapses-sub-cavity", collapsed, [], "grid.x_stop, grid.dlc_start"),
+        # a finite power whose pump amplitude overflows float64
+        ("pump-power-overflows", GOOD_RUN.replace("power = 1W", "power = 1e300W"), [],
+         "pump.power"),
     ]
     # INI syntax errors name the file (run<i>.ini in the sweep) and the line
     for case, (text, where) in _ini_syntax_errors(GOOD_RUN, "power = 1W").items():
@@ -1145,3 +1148,68 @@ def test_malformed_chain_file_is_rejected_without_traceback(sweep, case, key):
             assert code == "0", (out, err)
         else:
             _assert_rejected(code, out, err, key)
+
+
+def _random_run_configs(count: int, seed: int) -> list:
+    """Seeded MIM run configs over the whole range the checks accept, or
+    near it: wavelengths 1e-30..1e30 m, powers 0..1e300 W, cavities of
+    1..1e10 wavelengths, membrane zeta 0..-1e8 (down to -1e-300), end
+    mirrors of either sign, either pump side, and a 3 x 3 grid and a
+    point within lambda/4."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for _ in range(count):
+        lam = float(10 ** rng.uniform(-30, 30))
+        power = 0.0 if rng.random() < 0.1 else float(10 ** rng.uniform(-20, 300))
+        zeta = 0.0 if rng.random() < 0.1 else -float(10 ** rng.uniform(-300, 8))
+        x, dlc = (float(v) for v in rng.uniform(-lam / 4, lam / 4, 2))
+        texts.append(
+            f"[pump]\nwavelength = {lam!r}\npower = {power!r}\n"
+            f"side = {rng.choice(['left', 'right'])}\n\n"
+            f"[mim]\ncavity_length = {lam * float(10 ** rng.uniform(0, 10))!r}\n"
+            f"membrane_zeta = {zeta!r}\n"
+            f"mirror_zeta = {float(rng.choice([-1, 1]) * 10 ** rng.uniform(-1, 3))!r}\n"
+            f"membrane_x = {x!r}\ncavity_detuning = {dlc!r}\n\n"
+            f"[grid]\nx_start = {-lam / 4!r}\nx_stop = {lam / 4!r}\nx_count = 3\n"
+            f"dlc_start = {-lam / 4!r}\ndlc_stop = {lam / 4!r}\ndlc_count = 3\n")
+    return texts
+
+
+def test_accepted_configs_fail_only_typed(tmp_path):
+    """Seeded configs over the whole accepted range through `validate`,
+    `scan`, `compare` and `point`, with RuntimeWarning an error: nothing
+    prints a traceback or a warning, and each command exits 0, 1 (a
+    singular `point`) or 2 with an `error:` line.  A config `validate`
+    rejects is rejected by every command; of one it accepts, a command
+    exits 2 only with the calibration error `validate` warned of."""
+    commands = ("scan", "compare", "point")
+    configs = _random_run_configs(48, 27)
+    runs = []
+    for i, text in enumerate(configs):
+        path = write(tmp_path / f"random{i}.ini", text)
+        for command in ("validate",) + commands:
+            runs.append(((i, command), [command, "--config", path,
+                                       "--out", str(tmp_path / f"out{i}.csv")]))
+    with wall_clock_limit(60.0):
+        results = _run_sweep(tmp_path, runs)
+    accepted = 0
+    for i in range(len(configs)):
+        code, out, err = results[i, "validate"]
+        assert "Traceback" not in err and "Warning" not in err, err
+        assert code in ("0", "2"), (out, err)
+        warned = [ln[len("warning: mim.mirror_zeta: "):] for ln in out.splitlines()
+                  if ln.startswith("warning: mim.mirror_zeta: ")]
+        accepted += code == "0"
+        for command in commands:
+            c_code, _, c_err = results[i, command]
+            assert "Traceback" not in c_err and "Warning" not in c_err, (command, c_err)
+            errors = [ln for ln in c_err.splitlines() if ln.startswith("error: ")]
+            if code == "2":
+                assert c_code == "2" and errors, (command, out, c_err)
+            elif c_code == "1":
+                assert command == "point" and errors, (command, out, c_err)
+            elif c_code == "2":
+                assert errors == [f"error: {w}" for w in warned], (command, out, c_err)
+            else:
+                assert c_code == "0" and not errors, (command, out, c_err)
+    assert accepted >= len(configs) // 2

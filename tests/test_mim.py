@@ -32,6 +32,7 @@ from tmmcavity.mim import (
 )
 from tmmcavity.constants import c as C_LIGHT
 from tmmcavity.dynamics import solve_dynamic
+from tmmcavity.noise import equilibrium_temperature
 from tmmcavity.opalg import _factor
 from tmmcavity.statics import solve_static, static_force
 
@@ -680,21 +681,47 @@ class TestCalibration:
         assert cli.run(["compare", "--config", str(ini), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 13
 
-    def test_singular_probes_count_zero(self, monkeypatch):
-        """A probe point whose solve is singular adds nothing to its copy's
-        response: with both probes of the live copy singular, the other
-        copy is picked."""
-        live = calibrate_coupled_params(FAST).dlc_center
-        real = mim._solve_left_pump
+    def test_calibration_runs_no_solve(self, monkeypatch):
+        """The live degeneracy-point copy is placed in closed form: with the
+        kernel disabled the calibration still runs and picks the same point."""
+        configs = (FAST, FAST.replace(membrane_zeta=0.0, pump_side="right"))
+        expect = [calibrate_coupled_params(cfg).dlc_center for cfg in configs]
 
-        def poisoned(left, z, right, k0, B0, first_order=False):
-            solution = real(left, z, right, k0, B0, first_order)
-            hit = np.abs(left[1] + right[0] - FAST.cavity_length - live) < LAM / 8
-            return solution._replace(singular=solution.singular | hit)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel solve in the calibration")
 
-        monkeypatch.setattr(mim, "_solve_left_pump", poisoned)
-        other = calibrate_coupled_params(FAST).dlc_center
-        assert abs(other - live) == pytest.approx(LAM / 2, rel=1e-9, abs=0)
+        monkeypatch.setattr(mim, "_solve_left_pump", forbidden)
+        assert [calibrate_coupled_params(cfg).dlc_center for cfg in configs] == expect
+
+    def test_transparent_membrane_keeps_the_copy_nearer_zero_on_long_cavities(self):
+        """With zeta = 0 (-0.0 too) both copies are one bare cavity, and the
+        one nearer dlc = 0 is kept however many wavelengths the cavity
+        holds: a 1 m cavity, and a seeded sweep over wavelengths of
+        1e-29..1e29 m and cavities of 1..1e10 wavelengths."""
+        cfg = MimConfig(cavity_length=1.0, membrane_zeta=0.0, mirror_zeta=-30.0)
+        assert abs(calibrate_coupled_params(cfg).dlc_center) <= cfg.wavelength / 4
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            lam = float(10 ** rng.uniform(-29, 29))
+            cfg = MimConfig(wavelength=lam, cavity_length=lam * float(10 ** rng.uniform(0, 10)),
+                            membrane_zeta=float(rng.choice([0.0, -0.0])),
+                            mirror_zeta=float(rng.choice([-1, 1]) * 10 ** rng.uniform(-0.3, 3)),
+                            pump_side=str(rng.choice(["left", "right"])))
+            assert abs(calibrate_coupled_params(cfg).dlc_center) <= lam / 4, cfg
+
+    def test_phase_rule_picks_the_scalar_probe_center_at_every_scale(self):
+        """Where the membrane sets the copies' responses clearly apart
+        (|zeta| 1e-3..1e8), the sub-cavity phase rule picks the copy that
+        scalar `solve_static` probes pick, over wavelengths of 1e-29..1e29 m,
+        cavities of 1..1e10 wavelengths and mirrors of either sign."""
+        rng = np.random.default_rng(2395)
+        for _ in range(40):
+            lam = float(10 ** rng.uniform(-29, 29))
+            cfg = MimConfig(wavelength=lam, cavity_length=lam * float(10 ** rng.uniform(0, 10)),
+                            membrane_zeta=-float(10 ** rng.uniform(-3, 8)),
+                            mirror_zeta=float(rng.choice([-1, 1]) * 10 ** rng.uniform(-0.3, 3)),
+                            pump_side=str(rng.choice(["left", "right"])))
+            assert calibrate_coupled_params(cfg).dlc_center == scalar_probe_center(cfg), cfg
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("zeta", BREAKDOWN_ZETAS)
@@ -850,8 +877,36 @@ class TestCompareModels:
         assert np.isnan(res.discrepancy).all()
         assert math.isnan(res.summary)
 
+    @pytest.mark.parametrize("zeta,power", [(-1.0, 1e290), (-1e-100, 1e200)])
+    def test_forces_past_the_square_range_keep_their_ratios(self, zeta, power):
+        """Forces whose squares overflow float64 (past ~1e154 N), in the
+        chain model or only in the coupled one, are normalised in units of
+        a power of two: the discrepancies and the summary under a huge pump
+        match those under 1 W to rounding, with no RuntimeWarning."""
+        cfg = MimConfig(wavelength=1e-12, cavity_length=1e-9, membrane_zeta=zeta)
+        q = cfg.wavelength / 4
+        grid = ScanGrid(-q, q, 5, -q, q, 5)
+        low, high = compare_models(cfg, grid), compare_models(cfg.replace(power_watts=power), grid)
+        assert max(np.abs(high.F0_tmm).max(), np.abs(high.F0_coupled).max()) > 1e155
+        assert high.summary == pytest.approx(low.summary, rel=1e-12, abs=0)
+        np.testing.assert_allclose(high.discrepancy, low.discrepancy, rtol=1e-12, atol=0)
+
 
 class TestPointQuantities:
+    def test_kbt_past_the_float_range_is_inf_on_every_path(self):
+        """A huge D over a tiny friction (a nearly transparent membrane under
+        a huge pump) gives a k_B T beyond float64: `scan`, `point_quantities`,
+        `evaluate_chain` and `equilibrium_temperature` all report inf, with
+        no RuntimeWarning."""
+        cfg = MimConfig(wavelength=1e-29, cavity_length=2.5e-29, membrane_zeta=-1e-300,
+                        mirror_zeta=-0.46, power_watts=1e300, pump_side="right")
+        q = cfg.wavelength / 4
+        assert scan(cfg, ScanGrid(-q, q, 3, -q, q, 3)).kBT[0, 0] == math.inf
+        point = point_quantities(cfg, -q, -q)
+        assert point.kBT == math.inf
+        assert evaluate_chain(build_mim(cfg, -q, -q), pump_for(cfg))["kBT"] == math.inf
+        assert equilibrium_temperature(point.D, point.dFdv).k_B_T == math.inf
+
     def test_point_record_fields(self):
         p = point_quantities(FAST, 0.12 * LAM, 0.04 * LAM)
         assert isinstance(p, ScanPoint)
