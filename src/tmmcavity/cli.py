@@ -31,7 +31,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from . import __version__
 from .config import (
     SCHEMA_VERSION,
     RunConfig,
+    _chain_pump,
     _help_epilog,
     _meta_blocks,
     load_chain_file,
@@ -46,7 +46,7 @@ from .config import (
     validate_report,
 )
 from ._g17 import WORDS, g17
-from .elements import PumpSpec, Scatterer, Segment
+from .elements import Scatterer, Segment
 from .errors import (
     CalibrationError, ChainError, ConfigError, SingularSolveError, TmmCavityError,
 )
@@ -56,7 +56,6 @@ from .mim import (
     build_mim,
     compare_models,
     evaluate_chain,
-    point_quantities,
     pump_for,
     scan,
 )
@@ -306,8 +305,7 @@ def _resolve_chain(cfg: RunConfig):
     """Chain and pump for point/elements: explicit file or the mim layout."""
     if cfg.chain_path is not None:
         chain = load_chain_file(cfg.chain_path)
-        return chain, PumpSpec.one_sided(cfg.power_watts, 2 * np.pi / chain.k0,
-                                         cfg.pump_side)
+        return chain, _chain_pump(chain, cfg.power_watts, cfg.pump_side)
     mim_cfg = cfg.mim_config()
     return build_mim(mim_cfg, cfg.membrane_x, cfg.cavity_detuning), pump_for(mim_cfg)
 
@@ -338,26 +336,16 @@ def _cmd_elements(args) -> int:
 
 def _cmd_point(args) -> int:
     cfg = _load_cfg(args)
-    if cfg.chain_path is None:
-        # the scan engine on one point: equal to the `scan` cell bit for bit
-        x, dlc = cfg.membrane_x, cfg.cavity_detuning
-        q = asdict(point_quantities(cfg.mim_config(), x, dlc))
-        singular = None if q["intensity"] is not None else (
-            "the solve divides by zero or does not stay finite")
-        where = f"at x={x}, dLc={dlc}"
-    else:
-        x = dlc = None  # a chain file has no mim coordinates
-        try:
-            q, singular = evaluate_chain(*_resolve_chain(cfg)), None
-        except SingularSolveError as exc:
-            q, singular = None, exc
-        where = f"of chain file {cfg.chain_path}"
-    if singular is not None:
-        print(f"error: singular solve {where}: {singular}", file=sys.stderr)
+    # a chain file has no mim coordinates
+    x, dlc = (cfg.membrane_x, cfg.cavity_detuning) if cfg.chain_path is None else (None, None)
+    where = f"at x={x}, dLc={dlc}" if cfg.chain_path is None else f"of chain file {cfg.chain_path}"
+    try:
+        q = evaluate_chain(*_resolve_chain(cfg))
+    except SingularSolveError as exc:
+        print(f"error: singular solve {where}: {exc}", file=sys.stderr)
         return 1
-    values = {"x": x, "dLc": dlc, **q}  # None (no mim coordinates, no kBT) is NaN
-    table = {name: np.array([values[name]], dtype=float)
-             for name in ("x", "dLc", "intensity", "F0", "dFdv", "D", "kBT")}
+    # None (no mim coordinates, no kBT) is NaN
+    table = {name: np.array([v], dtype=float) for name, v in {"x": x, "dLc": dlc, **q}.items()}
     out = _emit_table(table, cfg, _base_meta(cfg, "point"), "point.csv")
     print(f"wrote point record to {out}")
     return 0

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .elements import (
-    Chain, Scatterer, Segment, _check_length, _check_mobile_zeta, _check_wavelength,
+    Chain, PumpSpec, Scatterer, Segment, _check_length, _check_mobile_zeta, _check_wavelength,
 )
 from .errors import ChainError, ConfigError, TmmCavityError
 from .mim import MimConfig, ScanGrid, _gaps, build_mim, pump_for
@@ -526,10 +526,21 @@ def validate_report(cfg: RunConfig) -> list[str]:
         problems.append(f"output.workers: must be >= 1, got {cfg.workers}")
     if cfg.chain_path is not None:
         try:
-            load_chain_file(cfg.chain_path)
+            chain = load_chain_file(cfg.chain_path)
         except TmmCavityError as exc:
             problems.append(f"chain.path: {exc}")
+        else:
+            # a [pump] power that fails on its own is named above already
+            if not any(p.startswith("pump.power:") for p in problems):
+                problems += _built(lambda power_watts: _chain_pump(chain, power_watts),
+                                   {"power_watts": cfg.power_watts}, RunConfig)[1]
     return problems
+
+
+def _chain_pump(chain: Chain, power_watts: float, side: str = "left") -> PumpSpec:
+    """The pump of `point` and `elements` on a chain file: the [pump] power
+    and side at the chain's own wavelength."""
+    return PumpSpec.one_sided(power_watts, 2 * math.pi / chain.k0, side)
 
 
 def _meta_blocks(cfg: RunConfig) -> dict:

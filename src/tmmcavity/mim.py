@@ -27,14 +27,14 @@ from dataclasses import asdict, field
 import numpy as np
 
 from .constants import c as C_LIGHT
-from .dynamics import _velocity_force, solve_dynamic
+from .dynamics import _velocity_force
 from .elements import (
     Chain, Polarisability, PumpSpec, Scatterer, Segment, _check_length, _check_mobile_zeta,
     _check_wavelength, _record,
 )
 from .errors import CalibrationError, ChainError
-from .noise import _diffusion, _kbt, diffusion, operator_fields
-from .opalg import _right_face, _solve_left_pump, _static_force
+from .noise import _diffusion, _kbt, operator_fields
+from .opalg import _chain_solution, _right_face, _singular_error, _solve_left_pump
 from .statics import resonance_shifts
 
 __all__ = [
@@ -227,27 +227,27 @@ class ScanPoint:
 
 
 def evaluate_chain(chain: Chain, pump: PumpSpec) -> dict:
-    """Intensity, forces, diffusion and temperature for one chain.
-
-    The diffusion coefficient carries the full commutator bookkeeping: one
-    loss mode per absorber (see `operator_fields`).  kBT is None in heating
-    regions.  Intensity, F0 and dF/dv are the grid engine's array formulas
-    on one-element arrays, so a left-pumped MIM chain gives the `scan`
-    cell's values bit for bit.
+    """Intensity, forces, diffusion and temperature for one chain: the
+    kernel at P = 1 and the `scan` cell's finish (`_quantities`), so an MIM
+    chain gives the cell's values bit for bit.  A right pump is finished
+    in the reversed chain's frame, F0 negated back.  The noise columns of
+    a chain with an absorber, one loss mode each, come from
+    `operator_fields`.  kBT is None in heating regions; SingularSolveError
+    where a grid writes NaN.
     """
     k0, z = chain.k0, chain.mobile.pol.zeta
-    fields = solve_dynamic(chain, pump)
-    A0, A1, B0f, B1 = (np.array([v]) for v in (fields.A0, fields.A1, fields.B0f, fields.B1))
-    friction = _velocity_force(A0, A1, B0f, B1, z, k0)[0] / C_LIGHT
-    d_coeff = diffusion(fields.static(), operator_fields(chain), chain.mobile.pol, k0)
-    kbt = float(_kbt(d_coeff, friction))
-    return {
-        "intensity": float((abs(A0 + B0f) ** 2)[0]),
-        "F0": float(_static_force(A0, B0f, z, k0)[0]),
-        "dFdv": float(friction),
-        "D": float(d_coeff),
-        "kBT": None if math.isnan(kbt) else kbt,
-    }
+    solution, reverse = _chain_solution(chain, pump, first_order=True)
+    columns = None
+    if any(isinstance(el, Scatterer) and el.pol.absorptive for el in chain.elements):
+        ops = operator_fields(chain)
+        # the reversed frame's faces (A, B, C, D) are the chain's (D, C, B, A)
+        columns = (ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec)[::-1 if reverse else 1]
+    if reverse:
+        solution = solution._replace(f0=-solution.f0)
+    values = _quantities(solution, k0, z, columns)[:, 0]
+    if np.isnan(values[:4]).any():
+        raise _singular_error(solution, k0)
+    return dict(zip(ScanResult.QUANTITIES, (None if v != v else v for v in values.tolist())))
 
 
 def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
@@ -278,18 +278,19 @@ def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
 _BLOCK_POINTS = 6144
 
 
-def _quantities(config: MimConfig, solution) -> np.ndarray:
-    """(intensity, F0, dFdv, D, kBT) of `evaluate_chain` as a (5, P) array
-    from a first-order kernel solution; NaN marks singular points.
+def _quantities(solution, k0: float, z: complex, columns=None) -> np.ndarray:
+    """(intensity, F0, dFdv, D, kBT) as a (5, P) array from a first-order
+    kernel solution; NaN marks singular points.  The one finish of `scan`,
+    `point_quantities` and `evaluate_chain`.
 
-    The MIM is lossless, so the noise columns are the static fields at the
-    two unit pumps: the solution's own fields over its pump from the
-    left, and from the right the left face r (m1_22, -m1_21) that M1 maps
-    to a pure left output, r = 1/b being that output (the composed matrix
-    has unit determinant).
+    D is the Gram form over the noise columns (a, b, c, d), each (modes,
+    P).  They default to the static fields at the two unit pumps, which
+    span every input mode of a lossless chain: from the left the
+    solution's fields over its pump (or its `unit` fields), and from the
+    right the left face r (m1_22, -m1_21) that M1 maps to a pure left
+    output, r = 1/b being that output (the composed matrix has unit
+    determinant).
     """
-    k0 = config.k0
-    z = complex(config.membrane_zeta)
     A0, B0f, C0f, D0f, _, _ = solution.fields
     A1, B1 = solution.first[:2]
     out = np.empty((5, A0.size))
@@ -300,15 +301,16 @@ def _quantities(config: MimConfig, solution) -> np.ndarray:
         if z == 0:
             out[3] = 0.0  # nothing scatters, no momentum kicks
         else:
-            # at zero power the fields are zero, so is every Gram term
-            b0 = solution.pump or 1.0
-            _, _, m21, m22 = solution.m1
-            r = 1 / solution.m[3]
-            ar, br = m22 * r, -m21 * r
-            cr, dr = _right_face(ar, br, z)
-            out[3] = _diffusion(A0, B0f, C0f, D0f, np.stack([A0 / b0, ar]),
-                                np.stack([B0f / b0, br]), np.stack([C0f / b0, cr]),
-                                np.stack([D0f / b0, dr]), k0)
+            if columns is None:
+                # at zero power the fields are zero, so is every Gram term
+                b0 = solution.pump or 1.0
+                left = solution.unit or tuple(f / b0 for f in (A0, B0f, C0f, D0f))
+                _, _, m21, m22 = solution.m1
+                # a chain of scatterers only composes scalar matrices
+                r = np.broadcast_to(1 / solution.m[3], A0.shape)
+                ar, br = m22 * r, -m21 * r
+                columns = [np.stack(pair) for pair in zip(left, (ar, br, *_right_face(ar, br, z)))]
+            out[3] = _diffusion(A0, B0f, C0f, D0f, *columns, k0)
         singular = solution.singular | ~np.isfinite(out[:4]).all(axis=0)
     out[:4, singular] = np.nan
     out[4] = _kbt(out[3], out[2])
@@ -317,7 +319,7 @@ def _quantities(config: MimConfig, solution) -> np.ndarray:
 
 def _grid_solve(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish,
                 first_order: bool = False) -> np.ndarray:
-    """`finish(config, solution)` of the kernel's solutions of the MIM
+    """`finish(solution, k0, zeta)` of the kernel's solutions of the MIM
     chains at the points (x, dlc), broadcast against each other and taken
     in row-major order, one block of points at a time, joined along the
     last axis.
@@ -342,7 +344,7 @@ def _grid_solve(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish,
                                     (right[block], mirror), config.k0, b0, first_order)
         if mirrored:
             solution = solution._replace(f0=-solution.f0)
-        blocks.append(finish(config, solution))
+        blocks.append(finish(solution, config.k0, complex(config.membrane_zeta)))
     return np.concatenate(blocks, axis=-1)
 
 
@@ -643,7 +645,7 @@ def compare_models(config: MimConfig, grid: ScanGrid) -> ComparisonResult:
     cal = calibrate_coupled_params(config)
     x, dlc = grid.x_values[:, None], grid.dlc_values[None, :]
     shape = (grid.x_count, grid.dlc_count)
-    tmm = _grid_solve(config, x, dlc, lambda config, solution: np.where(
+    tmm = _grid_solve(config, x, dlc, lambda solution, k0, z: np.where(
         solution.singular, np.nan, solution.f0)).reshape(shape)
 
     delta = config.omega0 * (dlc - cal.dlc_center) / config.cavity_length

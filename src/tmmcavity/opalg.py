@@ -200,7 +200,9 @@ class _Solution(NamedTuple):
     out_left, out_right), the static force f0, the mask of singular points
     (beta_0 = m[3] zero or not finite, or a force or first-order field not
     finite), M1, the composed matrix m, and the (v/c) parts (A1, B1, C1,
-    D1, out_left1, out_right1) if asked."""
+    D1, out_left1, out_right1) if asked.  A two-sided sum
+    (`_chain_solution`) keeps its left solve's fields at a unit pump in
+    `unit`; elsewhere they are fields / pump."""
 
     pump: complex | np.ndarray
     fields: tuple
@@ -209,6 +211,7 @@ class _Solution(NamedTuple):
     m1: tuple
     m: tuple
     first: tuple | None
+    unit: tuple | None = None
 
 
 def _solve_left_pump(left, z: complex, right, k0: float, B0,
@@ -264,20 +267,21 @@ def _solve_left_pump(left, z: complex, right, k0: float, B0,
                      first)
 
 
-def _chain_fields(chain: Chain, pump: PumpSpec, first_order: bool = False) -> tuple:
-    """(A0, B0f, C0f, D0f, out_left, out_right) at the mobile scatterer of
-    one chain, as one-element arrays, followed by their (v/c) parts (A1,
-    B1, C1, D1, out_left1, out_right1) if `first_order`; SingularSolveError
-    where a grid writes NaN.
+def _chain_solution(chain: Chain, pump: PumpSpec, first_order: bool = False) -> tuple:
+    """(solution, reversed): the kernel's solve of one chain at P = 1, and
+    whether it is in the reversed chain's frame; SingularSolveError where
+    the kernel marks it singular.
 
     The fields are linear in the pump: the left pump B0 is solved on the
-    chain and the right pump C0 on the reversed chain (`_reversed_frame`),
-    so a one-sided pump composes one orientation only.
+    chain and the right pump C0 on the reversed chain, so a one-sided pump
+    composes one orientation only.  A two-sided pump sums its two solves
+    in the chain's own frame, with the static force of the sum and the
+    left solve's pump, unit-pump fields and matrices.
     """
     k0, z = chain.k0, chain.mobile.pol.zeta
     elements = [el if isinstance(el, Scatterer) else np.array([el.length])
                 for el in chain.elements]
-    total = None
+    solves = []
     for amp, reverse in ((pump.B0, False), (pump.C0, True)):
         if amp == 0 and (reverse or pump.C0 != 0):
             continue
@@ -286,18 +290,41 @@ def _chain_fields(chain: Chain, pump: PumpSpec, first_order: bool = False) -> tu
         sol = _solve_left_pump(els[:i], z, els[i + 1:], k0, np.full(1, complex(amp)),
                                first_order)
         if sol.singular.any():
-            b0 = complex(np.ravel(sol.m[3])[0])
-            raise SingularSolveError(
-                f"no transmission channel between pump and scatterer at k={k0} (composed "
-                "matrix entry beta_0 vanished)" if b0 == 0 else
-                f"the composed chain matrix overflowed at k={k0} (entry beta_0 is {b0}): "
-                "the product of the element matrices exceeds the float64 range; "
-                "reduce |zeta| of the strongest scatterers")
-        parts = sol.fields + (sol.first if first_order else ())
-        if reverse:
-            parts = _reversed_frame(parts)
-        total = parts if total is None else tuple(x + y for x, y in zip(total, parts))
-    return total
+            raise _singular_error(sol, k0)
+        solves.append((sol, reverse))
+    if len(solves) == 1:
+        return solves[0]
+    left, right = (sol.fields + (sol.first or ()) for sol, _ in solves)
+    total = tuple(x + y for x, y in zip(left, _reversed_frame(right)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the finish marks overflow
+        f0 = _static_force(total[0], total[1], z, k0)
+    sol = solves[0][0]
+    return sol._replace(fields=total[:6], f0=f0, first=total[6:] or None,
+                        unit=tuple(f / sol.pump for f in sol.fields[:4])), False
+
+
+def _singular_error(solution: _Solution, k0: float) -> SingularSolveError:
+    """The error of a singular one-chain solve, naming its cause."""
+    b0 = complex(np.ravel(solution.m[3])[0])
+    if b0 == 0:
+        return SingularSolveError(f"no transmission channel between pump and scatterer at "
+                                  f"k={k0} (composed matrix entry beta_0 vanished)")
+    if np.isfinite(b0):
+        return SingularSolveError(
+            f"the fields at the scatterer overflow float64 in the force or noise terms at "
+            f"k={k0} (entry beta_0 is {b0}); reduce the pump power")
+    return SingularSolveError(
+        f"the composed chain matrix overflowed at k={k0} (entry beta_0 is {b0}): "
+        "the product of the element matrices exceeds the float64 range; "
+        "reduce |zeta| of the strongest scatterers")
+
+
+def _chain_fields(chain: Chain, pump: PumpSpec, first_order: bool = False) -> tuple:
+    """The fields (A0, B0f, C0f, D0f, out_left, out_right) of `_chain_solution`
+    in the chain's own frame, then their (v/c) parts if `first_order`."""
+    sol, reverse = _chain_solution(chain, pump, first_order)
+    parts = sol.fields + (sol.first or ())
+    return _reversed_frame(parts) if reverse else parts
 
 
 def _reversed_frame(parts: tuple) -> tuple:

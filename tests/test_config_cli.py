@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tmmcavity import cli, config
+from tmmcavity import cli, config, opalg
 from tmmcavity.config import (
     load_chain_file,
     load_run_config,
@@ -29,9 +29,11 @@ from tmmcavity.mim import (
     MimConfig,
     ScanGrid,
     bare_resonance,
+    build_mim,
     compare_models,
     evaluate_chain,
     point_quantities,
+    pump_for,
     scan,
 )
 from tmmcavity.statics import couplings, resonance_shifts
@@ -261,6 +263,29 @@ class TestCliCommands:
             assert warnings == []
         code = cli.run(["compare", "--config", path, "--out", str(tmp_path / "c.csv")])
         assert code == (2 if warned else 0)
+
+    def test_chain_file_pump_is_checked_at_its_wavelength(self, tmp_path, capsys):
+        """`point` and `elements` pump a chain file at the file's wavelength:
+        1e289 W is a finite amplitude at the [pump] 1064 nm but not at a
+        chain's 1000 m, so `validate` and both commands exit 2 naming
+        pump.power, and a [pump] power that fails on its own is named once."""
+        chain_path = write(tmp_path / "c.ini", GOOD_CHAIN.replace(
+            "wavelength = 1064nm", "wavelength = 1000").replace("length = 2.5mm", "length = 2500"))
+        run = GOOD_RUN.replace("[mim]", "[chain]\npath = %s\n\n[mim]" % chain_path)
+        path = write(tmp_path / "run.ini", run.replace("power = 1W", "power = 1e289W"))
+        problem = "pump.power: pump amplitude B0 must be finite, got (inf+0j)"
+        assert validate_report(load_run_config(path)) == [problem]
+        assert validate_report(load_run_config(write(tmp_path / "mim.ini", GOOD_RUN.replace(
+            "power = 1W", "power = 1e289W")))) == []
+        for command in ("validate", "point", "elements"):
+            out = tmp_path / f"{command}.csv"
+            assert cli.run([command, "--config", path, "--out", str(out)]) == 2, command
+            captured = capsys.readouterr()
+            assert problem in captured.out + captured.err, command
+            assert not out.exists()
+        negative = write(tmp_path / "neg.ini", run.replace("power = 1W", "power = -1W"))
+        assert [p.split(":")[0] for p in validate_report(load_run_config(negative))] == [
+            "pump.power"]
 
     def test_validate_reports_all_problems(self, tmp_path, capsys):
         bad = GOOD_RUN.replace("membrane_x = 50nm", "membrane_x = 2128nm")
@@ -666,14 +691,37 @@ class TestTableOutput:
         assert row[:2] == [x, dlc]
         assert out.read_bytes() == _per_cell_csv(SCAN_COLUMNS, [row])
 
-    def test_point_singular_exits_1(self, monkeypatch, tmp_path, capsys):
+    def test_point_singular_exits_1(self, tmp_path, capsys):
+        """A singular [mim] point exits 1: the message names the point and,
+        as for a chain file, the cause (end mirrors of zeta -1e200
+        overflow the composition)."""
         x, dlc = parse_length("50nm"), parse_length("10nm")
-        singular_column(monkeypatch, x)
-        path = write(tmp_path / "run.ini", GOOD_RUN)
+        path = write(tmp_path / "run.ini",
+                     GOOD_RUN.replace("mirror_zeta = -3.0", "mirror_zeta = -1e200"))
         out = tmp_path / "point.csv"
         assert cli.run(["point", "--config", path, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: singular solve at x={x}, dLc={dlc}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: singular solve at x={x}, dLc={dlc}: "
+                              "the composed chain matrix overflowed")
+        assert "|zeta|" in err and "vanished" not in err
+        assert not out.exists()
+
+    def test_point_overflowing_fields_exit_1(self, tmp_path, capsys):
+        """At 1e288 W the kernel's solve stays finite but the finish's force
+        and noise terms overflow: `point` exits 1 exactly where the `scan`
+        cell is missing, and the message asks for a smaller pump power
+        rather than blaming the composition."""
+        path = write(tmp_path / "run.ini", GOOD_RUN.replace("power = 1W", "power = 1e288W"))
+        cfg = load_run_config(path)
+        mim_cfg, x, dlc = cfg.mim_config(), cfg.membrane_x, cfg.cavity_detuning
+        opalg._chain_solution(build_mim(mim_cfg, x, dlc), pump_for(mim_cfg), True)  # no raise
+        assert point_quantities(mim_cfg, x, dlc).intensity is None
+        out = tmp_path / "point.csv"
+        assert cli.run(["point", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: singular solve at x={x}, dLc={dlc}: the fields at the "
+                              "scatterer overflow float64")
+        assert err.rstrip().endswith("reduce the pump power")
         assert not out.exists()
 
     def test_point_singular_chain_file_exits_1(self, tmp_path, capsys):

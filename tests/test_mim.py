@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import tmmcavity
 import tmmcavity.mim as mim
 from tmmcavity import cli, dynamics, statics
-from tmmcavity.elements import Segment
+from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment
 from tmmcavity.errors import CalibrationError, ChainError
 from tmmcavity.mim import (
     CoupledCavityParams,
@@ -32,14 +33,14 @@ from tmmcavity.mim import (
 )
 from tmmcavity.constants import c as C_LIGHT
 from tmmcavity.dynamics import solve_dynamic
-from tmmcavity.noise import equilibrium_temperature
+from tmmcavity.noise import diffusion, equilibrium_temperature, operator_fields
 from tmmcavity.opalg import _factor
 from tmmcavity.statics import solve_static, static_force
 
 from helpers import (
-    BREAKDOWN_ZETAS, bare_intensity, fd_first_order_fields, flux_force_first_order,
-    mp_diffusion, mp_static_fields, scalar_probe_center, singular_column,
-    wall_clock_limit,
+    BREAKDOWN_ZETAS, bare_intensity, fd_first_order_fields, fd_friction,
+    flux_force_first_order, mp_diffusion, mp_static_fields, scalar_probe_center,
+    side_growth, singular_column, wall_clock_limit,
 )
 
 LAM = 1.064e-6
@@ -280,12 +281,9 @@ def _assert_mirror_pair(cfg, x: float, dlc: float):
 def _mim_cases(draw):
     """A random MIM configuration and a small grid inside its limits.
 
-    Mirrors and membrane stay at moderate finesse (|zeta| <= 5 and 3): with
-    stronger ones, any two float64 evaluation orders of the same closed form
-    (a 2x2 product through BLAS or written out) differ by more than 1e-8
-    near sharp resonances and dF/dv zero crossings, up to 1e-4 relative at
-    isolated points for zeta_m = -30, zeta = -10.  The default strong-mirror
-    setup is covered by `test_default_config_agrees_at_reference_tolerance`.
+    Mirrors and membrane stay at moderate finesse (|zeta| <= 5 and 3);
+    `test_scan_diffusion_nonnegative` widens them, and the default
+    strong-mirror setup is covered by `test_default_config_agrees_bit_for_bit`.
     """
     lam = draw(st.floats(0.5e-6, 2e-6))
     cfg = MimConfig(
@@ -306,71 +304,48 @@ def _mim_cases(draw):
 
 
 class TestGridEngine:
-    """The vectorised scan against `evaluate_chain` on the same chains."""
+    """The vectorised scan against `evaluate_chain` and `point_quantities`
+    on the same chains: one kernel and one finish, so every value is equal
+    bit for bit.  Accuracy is carried by the oracle tests."""
 
     @staticmethod
-    def _check_against_points(cfg, grid, rtol, floor_frac, exact=()):
-        """Every column of `scan` against `evaluate_chain` point by point:
-        |got - want| <= max(rtol |want|, floor_frac * column max |want|),
-        and got == want for the columns named in `exact`.
-
-        kBT = -D/dFdv inherits the tolerances of D and dFdv: it is compared
-        at their combined relative bound, and its presence must match
-        wherever |dFdv| is above the floor.
-        """
-        result = scan(cfg, grid)
-        pump = pump_for(cfg)
-        ref = {q: np.full((grid.x_count, grid.dlc_count), np.nan) for q in _QUANTITIES}
-        for i, x in enumerate(grid.x_values):
-            for j, dlc in enumerate(grid.dlc_values):
-                q = evaluate_chain(build_mim(cfg, float(x), float(dlc)), pump)
-                for name in _QUANTITIES:
-                    if q[name] is not None:
-                        ref[name][i, j] = q[name]
-        floor = {q: floor_frac * np.nanmax(np.abs(ref[q]), initial=0.0) for q in _QUANTITIES}
-        for name in ("intensity", "F0", "dFdv", "D"):
-            got, want = getattr(result, name), ref[name]
-            assert not np.isnan(got).any()
-            if name in exact:
-                assert (got == want).all(), name
-            np.testing.assert_array_less(
-                np.abs(got - want), np.maximum(rtol * np.abs(want), floor[name]) + 1e-300,
-                err_msg=name)
-
-        dfdv, d_coeff = ref["dFdv"], ref["D"]
-        clear = np.abs(dfdv) > floor["dFdv"]
-        assert (np.isnan(result.kBT) == np.isnan(ref["kBT"]))[clear].all()
-        both = ~np.isnan(result.kBT) & ~np.isnan(ref["kBT"])
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 off the cooling set
-            bound = (rtol + floor["dFdv"] / np.abs(dfdv) + floor["D"] / np.abs(d_coeff)) \
-                * np.abs(ref["kBT"])
-        assert (np.abs(result.kBT - ref["kBT"]) <= 2 * bound)[both].all()
-        # kBT is derived from the stored floats, exactly where dFdv < 0
-        cooling = result.dFdv < 0
-        assert (~np.isnan(result.kBT) == cooling).all()
-        assert (result.kBT[cooling] == -result.D[cooling] / result.dFdv[cooling]).all()
+    def _check_against_points(cfg, grid):
+        """Every cell of `scan` pumped from either side against
+        `evaluate_chain(build_mim(...))` and `point_quantities` at the same
+        point: no cell is singular, and all five quantities are equal, with
+        None exactly where the cell's kBT is NaN."""
+        for side in ("left", "right"):
+            cfg = cfg.replace(pump_side=side)
+            result, pump = scan(cfg, grid), pump_for(cfg)
+            for q in ("intensity", "F0", "dFdv", "D"):
+                assert not np.isnan(getattr(result, q)).any(), (side, q)
+            for i, x in enumerate(grid.x_values.tolist()):
+                for j, dlc in enumerate(grid.dlc_values.tolist()):
+                    cell = {q: getattr(result, q)[i, j].item() for q in _QUANTITIES}
+                    cell["kBT"] = None if math.isnan(cell["kBT"]) else cell["kBT"]
+                    assert evaluate_chain(build_mim(cfg, x, dlc), pump) == cell, (side, x, dlc)
+                    assert asdict(point_quantities(cfg, x, dlc)) == {"x": x, "dlc": dlc, **cell}
+            # kBT is derived from the stored floats, exactly where dFdv < 0
+            cooling = result.dFdv < 0
+            assert (~np.isnan(result.kBT) == cooling).all()
+            assert (result.kBT[cooling] == -result.D[cooling] / result.dFdv[cooling]).all()
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_mim_cases())
     def test_scan_agrees_with_evaluate_chain(self, case):
-        """One kernel: under a left pump, intensity, F0 and dF/dv equal bit
-        for bit.  A right pump, which `evaluate_chain` maps back to the
-        chain's own frame, and D, whose noise columns come from the dense
-        network, agree at rtol 1e-8 with an absolute floor of 1e-10 of each
-        column's max."""
-        cfg, grid = case
-        exact = ("intensity", "F0", "dFdv") if cfg.pump_side == "left" else ()
-        self._check_against_points(cfg, grid, rtol=1e-8, floor_frac=1e-10, exact=exact)
+        """`point_quantities`, the `scan` cell and `evaluate_chain` of the
+        MIM chain are bit-equal in all five quantities, from both pump
+        sides, on random moderate-finesse grids without singular points."""
+        self._check_against_points(*case)
 
-    def test_default_config_agrees_at_reference_tolerance(self):
+    def test_default_config_agrees_bit_for_bit(self):
         """The default strong-mirror setup (zeta_m = -30, finesse ~1400) on
-        a 41 x 41 grid over one wavelength, at the tolerance of the
-        benchmark's reference check: rtol 1e-6, floor 1e-9 of the column
-        max (float64 phase rounding, amplified by the finesse, reaches
-        ~1e-7 near resonances)."""
+        a 41 x 41 grid over one wavelength, the benchmark's `mim_scan`
+        grid: bit-equal from both pump sides too, where the finesse
+        amplifies float64 rounding to ~1e-7 near resonances."""
         grid = ScanGrid(-LAM / 2, LAM / 2, 41, -LAM / 2, LAM / 2, 41)
-        self._check_against_points(MimConfig(), grid, rtol=1e-6, floor_frac=1e-9)
+        self._check_against_points(MimConfig(), grid)
 
     def test_point_views_match_columns(self):
         grid = ScanGrid(-0.2 * LAM, 0.2 * LAM, 3, -0.1 * LAM, 0.1 * LAM, 4)
@@ -537,6 +512,82 @@ class TestGridEngine:
     def test_non_finite_point_raises(self, x, dlc):
         with pytest.raises(ChainError, match="finite"):
             point_quantities(FAST, x, dlc)
+
+
+def _oracle_chain(seed: int, absorbers: bool = False) -> Chain:
+    """3-21 elements: 2-11 scatterers with |Re zeta| <= 10 and the segments
+    between them, a random mobile scatterer; with `absorbers`, about half
+    the scatterers (at least one) absorb, Im zeta <= 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    lossy = rng.random(n) < 0.5 if absorbers else np.zeros(n, bool)
+    lossy[int(rng.integers(0, n))] |= absorbers
+    elements = []
+    for i in range(n):
+        if i:
+            elements.append(Segment(rng.uniform(1e-4, 5e-3)))
+        elements.append(Scatterer.of(complex(rng.uniform(-10, 10),
+                                             rng.uniform(0, 1) if lossy[i] else 0.0)))
+    return Chain(tuple(elements), 2 * int(rng.integers(0, n)), 2 * math.pi / LAM)
+
+
+_AMP = np.sqrt(PumpSpec.one_sided(1.0, LAM).photon_flux / 2)
+_PUMPS = {"left": PumpSpec.one_sided(1.0, LAM), "right": PumpSpec.one_sided(1.0, LAM, "right"),
+          "two-sided": PumpSpec(B0=_AMP, C0=_AMP * np.exp(0.7j), power_watts=1.0,
+                                wavelength=LAM)}
+
+
+class TestEvaluateChainOracles:
+    """`evaluate_chain` on general chains against oracles that share none
+    of its code: now that `scan` and `evaluate_chain` run one finish, their
+    agreement says nothing about accuracy, and these tests carry it."""
+
+    @pytest.mark.parametrize("side", _PUMPS)
+    def test_lossless_chain_against_mpmath(self, side):
+        """D against the 50-digit commutator sum (`mp_diffusion`) and dF/dv
+        against the 60-digit sideband oracle (`fd_friction`) on seeded
+        lossless chains, relative to 1e-9 + 1e-12 `side_growth`.  Over 300
+        seeds the worst error was 0.55 of that bound, on this finish and on
+        the per-chain formulas it replaced alike."""
+        pump = _PUMPS[side]
+        for seed in range(20):
+            chain = _oracle_chain(seed)
+            bound = 1e-9 + 1e-12 * side_growth(chain)
+            got = evaluate_chain(chain, pump)
+            assert got["D"] == pytest.approx(mp_diffusion(chain, pump), rel=bound, abs=0), seed
+            friction = fd_friction(chain, pump, v_over_c=1e-30, dps=60)
+            assert got["dFdv"] == pytest.approx(friction, rel=bound, abs=0), seed
+
+    @pytest.mark.parametrize("side", _PUMPS)
+    def test_lone_scatterer(self, side):
+        """A chain without segments composes scalar matrices, and its noise
+        columns still have the fields' shape: a lone scatterer, lossless or
+        absorbing, against the sideband oracle for dF/dv, the chain-frame
+        `diffusion` for D, and for the lossless one `mp_diffusion`."""
+        pump = _PUMPS[side]
+        for zeta in (-2.0, complex(-1.0, 0.3)):
+            chain = Chain((Scatterer.of(zeta),), 0, 2 * math.pi / LAM)
+            got = evaluate_chain(chain, pump)
+            want = diffusion(solve_static(chain, pump), operator_fields(chain),
+                             chain.mobile.pol, chain.k0)
+            assert got["D"] == pytest.approx(want, rel=1e-12, abs=0), zeta
+            if zeta.imag == 0:
+                assert got["D"] == pytest.approx(mp_diffusion(chain, pump), rel=1e-12, abs=0)
+            friction = fd_friction(chain, pump, v_over_c=1e-30, dps=60)
+            assert got["dFdv"] == pytest.approx(friction, rel=1e-12, abs=0), zeta
+
+    @pytest.mark.parametrize("side", ["right", "two-sided"])
+    def test_absorptive_chain_diffusion_equals_the_chain_frame(self, side):
+        """On chains with absorbers a right pump is finished in the reversed
+        chain's frame, with the noise columns of `operator_fields`
+        reordered: D equals the public chain-frame `diffusion` at rtol
+        1e-12, as does a two-sided pump's sum."""
+        pump = _PUMPS[side]
+        for seed in range(20):
+            chain = _oracle_chain(seed, absorbers=True)
+            want = diffusion(solve_static(chain, pump), operator_fields(chain),
+                             chain.mobile.pol, chain.k0)
+            assert evaluate_chain(chain, pump)["D"] == pytest.approx(want, rel=1e-12, abs=0), seed
 
 
 class TestOverlay:
