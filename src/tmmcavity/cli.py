@@ -432,6 +432,11 @@ def _cmd_validate(args) -> int:
         for p in problems:
             print("  - " + p)
         return 2
+    try:  # the point `point` solves: no config error, grids mark such points missing
+        evaluate_chain(*_resolve_chain(cfg))
+    except SingularSolveError as exc:  # of its causes only overflowing fields scale with P
+        key = "chain.path" if cfg.chain_path else "mim.mirror_zeta"
+        print(f"warning: {'pump.power' if 'pump power' in str(exc) else key}: {exc}")
     print("configuration OK")
     return 0
 

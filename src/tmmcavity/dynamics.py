@@ -93,8 +93,9 @@ def solve_dynamic(chain: Chain, pump: PumpSpec) -> FieldSet:
     `opalg._first_order`) and carries the right output back through M2 and
     M2' to the scatterer, every k-derivative analytic at the pump
     wavenumber.  The zeroth-order fields are those of `solve_static`, bit
-    for bit.  A right pump is the left pump of the reversed chain, whose
-    scatterer moves at -v; a two-sided pump adds the two.
+    for bit, and so are its errors.  A right pump is the left pump of the
+    reversed chain, whose scatterer moves at -v; a two-sided pump adds the
+    two.
     """
     (A0, B0f, C0f, D0f, out_left, out_right,
      A1, B1, C1, D1, out_left1, out_right1) = (x[0] for x in _chain_fields(chain, pump, True))

@@ -32,9 +32,9 @@ from .elements import (
     Chain, Polarisability, PumpSpec, Scatterer, Segment, _check_length, _check_mobile_zeta,
     _check_wavelength, _record,
 )
-from .errors import CalibrationError, ChainError
+from .errors import CalibrationError, ChainError, SingularSolveError
 from .noise import _diffusion, _kbt, operator_fields
-from .opalg import _chain_solution, _right_face, _singular_error, _solve_left_pump
+from .opalg import _chain_solution, _pump_solution, _right_face, _singular_error
 from .statics import resonance_shifts
 
 __all__ = [
@@ -230,10 +230,11 @@ def evaluate_chain(chain: Chain, pump: PumpSpec) -> dict:
     """Intensity, forces, diffusion and temperature for one chain: the
     kernel at P = 1 and the `scan` cell's finish (`_quantities`), so an MIM
     chain gives the cell's values bit for bit.  A right pump is finished
-    in the reversed chain's frame, F0 negated back.  The noise columns of
-    a chain with an absorber, one loss mode each, come from
-    `operator_fields`.  kBT is None in heating regions; SingularSolveError
-    where a grid writes NaN.
+    in the reversed chain's frame it was solved in, with F0 in the chain's
+    own.  The noise columns of a chain with an absorber, one loss mode
+    each, come from `operator_fields`.  kBT is None in heating regions;
+    SingularSolveError where a grid writes NaN, ChainError for a pump at
+    another wavelength than the chain's.
     """
     k0, z = chain.k0, chain.mobile.pol.zeta
     solution, reverse = _chain_solution(chain, pump, first_order=True)
@@ -242,8 +243,6 @@ def evaluate_chain(chain: Chain, pump: PumpSpec) -> dict:
         ops = operator_fields(chain)
         # the reversed frame's faces (A, B, C, D) are the chain's (D, C, B, A)
         columns = (ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec)[::-1 if reverse else 1]
-    if reverse:
-        solution = solution._replace(f0=-solution.f0)
     values = _quantities(solution, k0, z, columns)[:, 0]
     if np.isnan(values[:4]).any():
         raise _singular_error(solution, k0)
@@ -251,14 +250,16 @@ def evaluate_chain(chain: Chain, pump: PumpSpec) -> dict:
 
 
 def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
-    """Intensity, forces, diffusion and temperature at one grid point.
-
-    The grid engine of `scan` on a batch of one point, so the result equals
-    the `scan` cell at the same (x, dlc) bit for bit.
+    """Intensity, forces, diffusion and temperature at one grid point:
+    `evaluate_chain` of the MIM chain and pump there, with every quantity
+    None where its solve is singular.  The result equals the `scan` cell at
+    the same (x, dlc) bit for bit.
     """
-    values = _grid_solve(config, np.array([x], dtype=float), np.array([dlc], dtype=float),
-                         _quantities, first_order=True)
-    return _scan_point(x, dlc, values[:, 0])
+    try:
+        values = evaluate_chain(build_mim(config, x, dlc), pump_for(config))
+    except SingularSolveError:
+        values = dict.fromkeys(ScanResult.QUANTITIES)
+    return ScanPoint(x, dlc, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -319,38 +320,27 @@ def _quantities(solution, k0: float, z: complex, columns=None) -> np.ndarray:
 
 def _grid_solve(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish,
                 first_order: bool = False) -> np.ndarray:
-    """`finish(solution, k0, zeta)` of the kernel's solutions of the MIM
-    chains at the points (x, dlc), broadcast against each other and taken
-    in row-major order, one block of points at a time, joined along the
-    last axis.
+    """`finish(solution, k0, zeta)` of `opalg._pump_solution` on the MIM
+    element list (mirror, left gaps, membrane, right gaps, mirror) at the
+    points (x, dlc), broadcast against each other and taken in row-major
+    order, one block of points at a time, joined along the last axis.
 
-    The kernel always sees a left pump.  A right pump is the left pump of
-    the reversed element list, the chain with its gaps swapped (for the
-    mirror-symmetric MIM, the chain at -x bit for bit); its F0 is negated
-    back, and intensity, dF/dv, D and kBT are the same in both frames.
+    The block's solve is the call `evaluate_chain` makes on one chain, with
+    (P,) arrays for the gaps.  So a right pump is the left pump of the
+    reversed list, the chain with its gaps swapped (for the
+    mirror-symmetric MIM, the chain at -x bit for bit), and its F0 comes
+    back in the chain's frame; intensity, dF/dv, D and kBT are the same in
+    both frames.
     """
-    mirrored = config.pump_side == "right"
     left, right = (gap.ravel() for gap in _gaps(config, x, dlc))
-    if mirrored:
-        left, right = right, left
-    if not (np.isfinite(left).all() and np.isfinite(right).all()):
-        raise ChainError("propagation lengths must be finite and >= 0")
-    b0 = complex(PumpSpec.one_sided(config.power_watts, config.wavelength).B0)
-    mirror = Scatterer.of(config.mirror_zeta)
-    blocks = []
+    mirror, membrane = Scatterer.of(config.mirror_zeta), Scatterer.of(config.membrane_zeta)
+    pump, blocks = pump_for(config), []
     for start in range(0, left.size, _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
-        solution = _solve_left_pump((mirror, left[block]), complex(config.membrane_zeta),
-                                    (right[block], mirror), config.k0, b0, first_order)
-        if mirrored:
-            solution = solution._replace(f0=-solution.f0)
-        blocks.append(finish(solution, config.k0, complex(config.membrane_zeta)))
+        solution, _ = _pump_solution((mirror, left[block], membrane, right[block], mirror), 2,
+                                     config.k0, pump, first_order)
+        blocks.append(finish(solution, config.k0, membrane.pol.zeta))
     return np.concatenate(blocks, axis=-1)
-
-
-def _scan_point(x: float, dlc: float, values: np.ndarray) -> ScanPoint:
-    """ScanPoint of one (intensity, F0, dFdv, D, kBT) column; NaN becomes None."""
-    return ScanPoint(x, dlc, *(None if v != v else v for v in values.tolist()))
 
 
 def _folds(bases: np.ndarray, lo: float, hi: float, lam: float) -> tuple:
@@ -395,8 +385,9 @@ class ScanResult:
         return int(np.isnan(self.intensity).sum())
 
     def point(self, i: int, j: int) -> ScanPoint:
-        return _scan_point(float(self.grid.x_values[i]), float(self.grid.dlc_values[j]),
-                           np.array([getattr(self, q)[i, j] for q in self.QUANTITIES]))
+        values = (getattr(self, q)[i, j].item() for q in self.QUANTITIES)
+        return ScanPoint(float(self.grid.x_values[i]), float(self.grid.dlc_values[j]),
+                         *(None if v != v else v for v in values))
 
 
 def scan(config: MimConfig, grid: ScanGrid) -> ScanResult:

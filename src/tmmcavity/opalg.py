@@ -17,13 +17,14 @@ every derivative is analytic and no second-order part exists.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 from .constants import hbar as HBAR
 
 from .elements import Chain, PumpSpec, Scatterer
-from .errors import SingularSolveError
+from .errors import ChainError, SingularSolveError
 
 
 def _dot(x1, y1, x2, y2):
@@ -201,7 +202,7 @@ class _Solution(NamedTuple):
     (beta_0 = m[3] zero or not finite, or a force or first-order field not
     finite), M1, the composed matrix m, and the (v/c) parts (A1, B1, C1,
     D1, out_left1, out_right1) if asked.  A two-sided sum
-    (`_chain_solution`) keeps its left solve's fields at a unit pump in
+    (`_pump_solution`) keeps its left solve's fields at a unit pump in
     `unit`; elsewhere they are fields / pump."""
 
     pump: complex | np.ndarray
@@ -267,40 +268,58 @@ def _solve_left_pump(left, z: complex, right, k0: float, B0,
                      first)
 
 
-def _chain_solution(chain: Chain, pump: PumpSpec, first_order: bool = False) -> tuple:
-    """(solution, reversed): the kernel's solve of one chain at P = 1, and
-    whether it is in the reversed chain's frame; SingularSolveError where
-    the kernel marks it singular.
+def _pump_solution(elements, index: int, k0: float, pump: PumpSpec,
+                   first_order: bool = False) -> tuple:
+    """(solution, reversed): the kernel's solve of an element list under
+    `pump`, and whether its fields are in the reversed list's frame.  The
+    one reader of a `PumpSpec`'s amplitudes and wavelength.
 
-    The fields are linear in the pump: the left pump B0 is solved on the
-    chain and the right pump C0 on the reversed chain, so a one-sided pump
-    composes one orientation only.  A two-sided pump sums its two solves
-    in the chain's own frame, with the static force of the sum and the
-    left solve's pump, unit-pump fields and matrices.
+    `elements` holds `Scatterer`s and segment lengths, numbers or (P,)
+    arrays (a batch), with the mobile scatterer at `index`.  The fields are
+    linear in the pump: the left pump B0 is solved on the list and the
+    right pump C0 on the reversed list, whose scatterer moves at -v.  So a
+    pump with amplitude on the right alone composes only the reversed
+    orientation, and a zero pump only the list's own.  A two-sided pump
+    sums its two solves in the list's own frame, with the static force of
+    the sum, the left solve's pump, unit-pump fields and matrices, and the
+    singular points of either.  F0 is in the list's own frame in every
+    case.  Raises ChainError for a pump whose wavelength is not the list's
+    2 pi / k0 to rounding: its photon flux would not be that of the solved
+    fields.
     """
-    k0, z = chain.k0, chain.mobile.pol.zeta
-    elements = [el if isinstance(el, Scatterer) else np.array([el.length])
-                for el in chain.elements]
+    if not math.isclose(pump.k0, k0, rel_tol=1e-15):
+        raise ChainError(f"pump wavelength {pump.wavelength} m differs from the chain's "
+                         f"2 pi / k0 = {2 * math.pi / k0} m")
+    z = elements[index].pol.zeta
     solves = []
     for amp, reverse in ((pump.B0, False), (pump.C0, True)):
-        if amp == 0 and (reverse or pump.C0 != 0):
-            continue
-        els = elements[::-1] if reverse else elements
-        i = len(els) - 1 - chain.mobile_index if reverse else chain.mobile_index
-        sol = _solve_left_pump(els[:i], z, els[i + 1:], k0, np.full(1, complex(amp)),
-                               first_order)
-        if sol.singular.any():
-            raise _singular_error(sol, k0)
-        solves.append((sol, reverse))
+        if amp != 0 or (not reverse and pump.C0 == 0):  # a zero pump from the left
+            els = elements[::-1] if reverse else elements
+            i = len(els) - 1 - index if reverse else index
+            solves.append((_solve_left_pump(els[:i], z, els[i + 1:], k0,
+                                            np.full(1, complex(amp)), first_order), reverse))
+    sol, reverse = solves[0]
     if len(solves) == 1:
-        return solves[0]
-    left, right = (sol.fields + (sol.first or ()) for sol, _ in solves)
+        return (sol._replace(f0=-sol.f0) if reverse else sol), reverse
+    left, right = (s.fields + (s.first or ()) for s, _ in solves)
     total = tuple(x + y for x, y in zip(left, _reversed_frame(right)))
     with np.errstate(over="ignore", invalid="ignore"):  # the finish marks overflow
         f0 = _static_force(total[0], total[1], z, k0)
-    sol = solves[0][0]
     return sol._replace(fields=total[:6], f0=f0, first=total[6:] or None,
+                        singular=sol.singular | solves[1][0].singular,
                         unit=tuple(f / sol.pump for f in sol.fields[:4])), False
+
+
+def _chain_solution(chain: Chain, pump: PumpSpec, first_order: bool = False) -> tuple:
+    """`_pump_solution` of one chain at P = 1 (its segment lengths as
+    one-element arrays); SingularSolveError where the kernel marks it
+    singular."""
+    elements = [el if isinstance(el, Scatterer) else np.array([el.length])
+                for el in chain.elements]
+    solution, reverse = _pump_solution(elements, chain.mobile_index, chain.k0, pump, first_order)
+    if solution.singular.any():
+        raise _singular_error(solution, chain.k0)
+    return solution, reverse
 
 
 def _singular_error(solution: _Solution, k0: float) -> SingularSolveError:
@@ -333,12 +352,12 @@ def _reversed_frame(parts: tuple) -> tuple:
 
     The chain's left face (A, B) is the reversed chain's right face (D, C),
     its right face (C, D) the reversed left face (B, A), and the ports
-    swap.  The reversed chain's scatterer moves at -v, so the (v/c) parts
-    also change sign.
+    swap: (A, B, C, D, out_left, out_right) become (D, C, B, A, out_right,
+    out_left).  The reversed chain's scatterer moves at -v, so the (v/c)
+    parts also change sign.
     """
-    A, B, C, D, out_left, out_right = parts[:6]
-    static = (D, C, B, A, out_right, out_left)
-    if len(parts) == 6:
-        return static
-    A1, B1, C1, D1, out_left1, out_right1 = parts[6:]
-    return static + (-D1, -C1, -B1, -A1, -out_right1, -out_left1)
+    static = tuple(parts[i] for i in _SWAP)
+    return static + tuple(-parts[6 + i] for i in _SWAP[:len(parts) - 6])
+
+
+_SWAP = (3, 2, 1, 0, 5, 4)

@@ -60,7 +60,8 @@ def solve_static(chain: Chain, pump: PumpSpec) -> StaticFields:
     the kernel `opalg._solve_left_pump` on the chain (the closed form is
     in its docstring), a right pump on the reversed chain.  Raises
     SingularSolveError where the chain matrix entry beta_0 vanishes or the
-    solve does not stay finite.
+    solve does not stay finite, and ChainError for a pump at another
+    wavelength than the chain's 2 pi / k0.
     """
     return StaticFields(*(x[0] for x in _chain_fields(chain, pump)))
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 
 import tmmcavity.mim as mim
+import tmmcavity.opalg as opalg
 from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment
 
 
@@ -419,21 +420,21 @@ def wall_clock_limit(seconds: float):
 
 
 def singular_column(monkeypatch, x_target: float):
-    """Mark every point at one x singular in the kernel solves of the MIM
-    engine.
+    """Mark every point at one x singular in the kernel solves of MIM
+    chains pumped from the left.
 
-    `scan`, `compare_models` and `point_quantities` all run the engine, so
-    each must turn the kernel's verdict into missing values although its
-    numbers at those points stay finite.
+    `scan`, `compare_models` and `point_quantities` all reach the kernel
+    through `opalg._pump_solution`, so each must turn the kernel's verdict
+    into missing values although its numbers at those points stay finite.
     """
-    real = mim._solve_left_pump
+    real = opalg._solve_left_pump
 
     def poisoned(left, z, right, k0, B0, first_order=False):
         solution = real(left, z, right, k0, B0, first_order)
         hit = np.abs((right[0] - left[1]) / 2 - x_target) < 1e-15
         return solution._replace(singular=solution.singular | hit)
 
-    monkeypatch.setattr(mim, "_solve_left_pump", poisoned)
+    monkeypatch.setattr(opalg, "_solve_left_pump", poisoned)
 
 
 def scalar_probe_center(config) -> float:

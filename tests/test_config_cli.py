@@ -264,6 +264,30 @@ class TestCliCommands:
         code = cli.run(["compare", "--config", path, "--out", str(tmp_path / "c.csv")])
         assert code == (2 if warned else 0)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("power, warned", [("1e288W", True), ("1W", False)])
+    def test_validate_warns_when_the_point_is_singular(self, tmp_path, capsys, side,
+                                                       power, warned):
+        """A power whose amplitude is finite but whose fields overflow in
+        the finish passes `validate` (exit 0: the grids mark such points
+        missing) with one warning line naming pump.power and carrying the
+        message of the error `point` exits 1 on."""
+        path = write(tmp_path / "run.ini", GOOD_RUN.replace(
+            "power = 1W", f"power = {power}").replace("side = left", f"side = {side}"))
+        assert cli.run(["validate", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "configuration OK" in out
+        warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+        code = cli.run(["point", "--config", path, "--out", str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert code == (1 if warned else 0)
+        if warned:
+            message = err.split(": ", 2)[2].rstrip("\n")  # after "error: singular solve at ..."
+            assert "reduce the pump power" in message
+            assert warnings == [f"warning: pump.power: {message}"]
+        else:
+            assert warnings == []
+
     def test_chain_file_pump_is_checked_at_its_wavelength(self, tmp_path, capsys):
         """`point` and `elements` pump a chain file at the file's wavelength:
         1e289 W is a finite amplitude at the [pump] 1064 nm but not at a
@@ -985,6 +1009,17 @@ def test_readme_ini_examples_load(tmp_path):
     run, chain = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
     assert validate_report(load_run_config(write(tmp_path / "run.ini", run))) == []
     assert load_chain_file(write(tmp_path / "chain.ini", chain)).mobile_index == 2
+
+
+def test_readme_python_examples_run():
+    """The README's Python examples, the quick start and the arbitrary
+    chain, run as written, each on its own."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def _numeric(key) -> bool:

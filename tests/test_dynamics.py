@@ -8,6 +8,7 @@ from scipy.constants import c as C_LIGHT, hbar as HBAR
 import tmmcavity.opalg as opalg
 from tmmcavity.dynamics import force_with_velocity, solve_dynamic
 from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment
+from tmmcavity.errors import ChainError
 from tmmcavity.mim import evaluate_chain
 from tmmcavity.statics import StaticFields, solve_static, static_force
 
@@ -206,6 +207,31 @@ class TestFieldSet:
         got = solve_dynamic(chain, PUMP)
         for name, val in expect.items():
             assert getattr(got, name) == pytest.approx(val, rel=1e-12, abs=0), name
+
+
+_AMP = np.sqrt(PUMP.photon_flux / 2)
+
+
+@pytest.mark.parametrize("solve", [solve_static, solve_dynamic, evaluate_chain])
+@pytest.mark.parametrize("side", ["left", "right", "two-sided"])
+def test_pump_at_another_wavelength_raises(solve, side):
+    """A pump is solved at its chain's k0 only.  At another wavelength its
+    amplitude is the photon flux of other fields (a 532 nm pump on a
+    1064 nm chain gave half the 1064 nm F0), so every solve raises
+    ChainError naming both wavelengths, from either side.  A chain's k0
+    that 2 pi / (2 pi / k0) misses by one ulp still takes the pump built
+    at 2 pi / k0."""
+    chain = cavity_chain(-1.0, -3.0, 1e-2, 0.17 * LAM, 0.05 * LAM)
+    pumps = {"left": PumpSpec.one_sided(1.0, LAM / 2),
+             "right": PumpSpec.one_sided(1.0, LAM / 2, side="right"),
+             "two-sided": PumpSpec(_AMP, _AMP, 1.0, LAM * (1 + 1e-12))}
+    with pytest.raises(ChainError, match="pump wavelength .* differs from the chain's"):
+        solve(chain, pumps[side])
+    k0 = 1538602.05391812
+    wavelength = 2 * np.pi / k0
+    assert PumpSpec.one_sided(1.0, wavelength).k0 != k0  # one ulp off
+    chain = Chain(chain.elements, chain.mobile_index, k0)
+    solve(chain, PumpSpec.one_sided(1.0, wavelength, side="left" if side == "left" else "right"))
 
 
 class TestForceWithVelocity:
