@@ -391,6 +391,24 @@ class TestGridEngine:
         p = point_quantities(cfg, 0.1 * LAM, 0.05 * LAM)
         assert (p.intensity, p.F0, p.dFdv, p.D) == (0, 0, 0, 0)
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_mim_cases())
+    def test_point_quantities_equals_scan_cell(self, case):
+        """One engine: a batch of one point gives the `scan` cell bit for
+        bit, with None exactly where the cell is NaN."""
+        cfg, grid = case
+        result = scan(cfg, grid)
+        for i, x in enumerate(grid.x_values.tolist()):
+            for j, dlc in enumerate(grid.dlc_values.tolist()):
+                p = point_quantities(cfg, x, dlc)
+                for q in result.QUANTITIES:
+                    cell, got = getattr(result, q)[i, j], getattr(p, q)
+                    if np.isnan(cell):
+                        assert got is None, q
+                    else:
+                        assert got is not None and got == cell, q
+
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(_mim_cases())
