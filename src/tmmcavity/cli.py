@@ -36,31 +36,15 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    SCHEMA_VERSION,
-    RunConfig,
-    _chain_pump,
-    _help_epilog,
-    _meta_blocks,
-    load_chain_file,
-    load_run_config,
-    validate_report,
+    SCHEMA_VERSION, RunConfig, _build, _help_epilog, _meta_blocks, _Run, load_run_config,
 )
 from ._g17 import WORDS, g17
 from .elements import Scatterer, Segment
-from .errors import (
-    CalibrationError, ChainError, ConfigError, SingularSolveError, TmmCavityError,
-)
-from .mim import (
-    ScanGrid,
-    bare_resonance,
-    build_mim,
-    compare_models,
-    evaluate_chain,
-    pump_for,
-    scan,
-)
+from .errors import ConfigError, SingularSolveError, TmmCavityError
+from .mim import ScanGrid, compare_models, evaluate_chain, scan
 from .opalg import _element_entries
-from .statics import couplings, resonance_shifts
+from .statics import _coupling_rates, resonance_shifts
+
 
 def _atomic_write(paths: list[str], chunks):
     """Write each (file index, bytes) chunk to paths[index] through temp
@@ -267,7 +251,7 @@ def _json_bytes(doc: dict) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _base_meta(cfg: RunConfig, command: str) -> dict:
+def _base_meta(cfg: RunConfig, command: str, grid: ScanGrid | None) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "generator": f"tmmcavity {__version__}",
@@ -278,41 +262,39 @@ def _base_meta(cfg: RunConfig, command: str) -> dict:
             "delta_omega": "rad/s", "omega_prime": "rad/s/m",
             "omega_double_prime": "rad/s/m^2",
         },
-        **_meta_blocks(cfg),
+        **_meta_blocks(cfg, grid),
     }
 
 
-def _overridden_cfg(args) -> RunConfig:
-    """The --config file with the --grid, --out, --format and --workers
-    overrides applied."""
+def _overridden_run(args) -> _Run:
+    """The run of the --config file with the --grid, --out, --format and
+    --workers overrides applied."""
     if not args.config:
         raise ConfigError(f"{args.command} needs --config FILE")
     flags = {"grid": args.grid, "output.path": args.out,
              "output.format": args.format, "output.workers": args.workers}
-    return load_run_config(args.config,
-                           {name: text for name, text in flags.items() if text is not None})
+    return _build(load_run_config(
+        args.config, {name: text for name, text in flags.items() if text is not None}))
 
 
-def _load_cfg(args) -> RunConfig:
-    cfg = _overridden_cfg(args)
-    problems = validate_report(cfg)
-    if problems:
-        raise ConfigError("invalid configuration: " + "; ".join(problems))
-    return cfg
+def _load_cfg(args) -> _Run:
+    run = _overridden_run(args)
+    if run.problems:
+        raise ConfigError("invalid configuration: " + "; ".join(run.problems))
+    return run
 
 
-def _resolve_chain(cfg: RunConfig):
-    """Chain and pump for point/elements: explicit file or the mim layout."""
-    if cfg.chain_path is not None:
-        chain = load_chain_file(cfg.chain_path)
-        return chain, _chain_pump(chain, cfg.power_watts, cfg.pump_side)
-    mim_cfg = cfg.mim_config()
-    return build_mim(mim_cfg, cfg.membrane_x, cfg.cavity_detuning), pump_for(mim_cfg)
+def _grid(run: _Run) -> ScanGrid:
+    """The grid of `scan` and `compare`, which stop where it collapses a
+    sub-cavity."""
+    if run.grid_error:
+        raise ConfigError(run.grid_error)
+    return run.grid
 
 
 def _cmd_elements(args) -> int:
-    cfg = _load_cfg(args)
-    chain, _pump = _resolve_chain(cfg)
+    run = _load_cfg(args)
+    cfg, chain = run.cfg, run.chain
     n = len(chain.elements)
     kinds = np.array([isinstance(el, Segment) for el in chain.elements], dtype=int)
     zeta_re, zeta_im, length = np.full((3, n), np.nan)
@@ -329,37 +311,37 @@ def _cmd_elements(args) -> int:
     for col, entry in enumerate(("m11", "m12", "m21", "m22")):
         table[entry + "_re"] = m[:, col].real
         table[entry + "_im"] = m[:, col].imag
-    out = _emit_table(table, cfg, _base_meta(cfg, "elements"), "elements.csv")
+    out = _emit_table(table, cfg, _base_meta(cfg, "elements", cfg.grid), "elements.csv")
     print(f"wrote {n} elements to {out}")
     return 0
 
 
 def _cmd_point(args) -> int:
-    cfg = _load_cfg(args)
+    run = _load_cfg(args)
+    cfg = run.cfg
     # a chain file has no mim coordinates
     x, dlc = (cfg.membrane_x, cfg.cavity_detuning) if cfg.chain_path is None else (None, None)
     where = f"at x={x}, dLc={dlc}" if cfg.chain_path is None else f"of chain file {cfg.chain_path}"
     try:
-        q = evaluate_chain(*_resolve_chain(cfg))
+        q = evaluate_chain(run.chain, run.pump)
     except SingularSolveError as exc:
         print(f"error: singular solve {where}: {exc}", file=sys.stderr)
         return 1
     # None (no mim coordinates, no kBT) is NaN
     table = {name: np.array([v], dtype=float) for name, v in {"x": x, "dLc": dlc, **q}.items()}
-    out = _emit_table(table, cfg, _base_meta(cfg, "point"), "point.csv")
+    out = _emit_table(table, cfg, _base_meta(cfg, "point", cfg.grid), "point.csv")
     print(f"wrote point record to {out}")
     return 0
 
 
 def _cmd_scan(args) -> int:
-    cfg = _load_cfg(args)
-    grid = cfg.default_grid()
-    cfg.grid = grid
-    result = scan(cfg.mim_config(), grid)
+    run = _load_cfg(args)
+    cfg, grid = run.cfg, _grid(run)
+    result = scan(run.mim, grid)
     table = _grid_columns(grid)
     for q in result.QUANTITIES:
         table[q] = getattr(result, q).ravel()
-    meta = _base_meta(cfg, "scan")
+    meta = _base_meta(cfg, "scan", grid)
     n_missing = result.missing_points
     meta["missing_points"] = n_missing
     x, branch, fold, dlc = result.overlay
@@ -370,14 +352,13 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
-    grid = cfg.default_grid()
-    cfg.grid = grid
-    result = compare_models(cfg.mim_config(), grid)
+    run = _load_cfg(args)
+    cfg, grid = run.cfg, _grid(run)
+    result = compare_models(run.mim, grid)
     table = _grid_columns(grid)
     table.update(F0_tmm=result.F0_tmm.ravel(), F0_coupled=result.F0_coupled.ravel(),
                  discrepancy=result.discrepancy.ravel())
-    meta = _base_meta(cfg, "compare")
+    meta = _base_meta(cfg, "compare", grid)
     undefined = math.isnan(result.summary)
     meta["summary_normalized_l2_discrepancy"] = None if undefined else result.summary
     meta["calibration"] = {
@@ -397,43 +378,34 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_couplings(args) -> int:
-    cfg = _load_cfg(args)
-    grid = cfg.default_grid()
-    cfg.grid = grid
-    xs = grid.x_values
-    mim_cfg = cfg.mim_config()
-    dplus, dminus = resonance_shifts(
-        mim_cfg.membrane_zeta, xs, mim_cfg.cavity_length, mim_cfg.k0
-    )
-    reps = [couplings(mim_cfg.membrane_zeta, xv, mim_cfg.cavity_length, mim_cfg.k0)
-            for xv in xs.tolist()]
+    run = _load_cfg(args)
+    xs, m = run.grid.x_values, run.mim
+    dplus, dminus = resonance_shifts(m.membrane_zeta, xs, m.cavity_length, m.k0)
+    w1, w2 = np.array([_coupling_rates(m.membrane_zeta, x, m.cavity_length, m.k0)
+                       for x in xs.tolist()]).T
     table = {"x": xs, "delta_omega_plus": dplus, "delta_omega_minus": dminus,
-             "omega_prime": np.array([r.omega_prime for r in reps]),
-             "omega_double_prime": np.array([r.omega_double_prime for r in reps])}
-    out = _emit_table(table, cfg, _base_meta(cfg, "couplings"), "couplings.csv")
+             "omega_prime": w1, "omega_double_prime": w2}
+    out = _emit_table(table, run.cfg, _base_meta(run.cfg, "couplings", run.grid),
+                      "couplings.csv")
     print(f"wrote {xs.size} coupling rows to {out}")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    cfg = _overridden_cfg(args)
-    problems = validate_report(cfg)
+    run = _overridden_run(args)
+    cfg = run.cfg
     print("resolved configuration:")
     for line in cfg.resolved_lines():
         print("  " + line)
-    try:
-        bare_resonance(cfg.mim_config())
-    except CalibrationError as exc:  # no config error: `point` runs any mirror
-        print(f"warning: mim.mirror_zeta: {exc}")
-    except ChainError:
-        pass  # a bad [mim] value is among the problems
-    if problems:
+    for warning in run.warnings:
+        print("warning: " + warning)
+    if run.problems:
         print("problems:")
-        for p in problems:
+        for p in run.problems:
             print("  - " + p)
         return 2
     try:  # the point `point` solves: no config error, grids mark such points missing
-        evaluate_chain(*_resolve_chain(cfg))
+        evaluate_chain(run.chain, run.pump)
     except SingularSolveError as exc:  # of its causes only overflowing fields scale with P
         key = "chain.path" if cfg.chain_path else "mim.mirror_zeta"
         print(f"warning: {'pump.power' if 'pump power' in str(exc) else key}: {exc}")

@@ -17,13 +17,11 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .elements import (
     Chain, PumpSpec, Scatterer, Segment, _check_length, _check_mobile_zeta, _check_wavelength,
 )
-from .errors import ChainError, ConfigError, TmmCavityError
-from .mim import MimConfig, ScanGrid, _gaps, build_mim, pump_for
+from .errors import CalibrationError, ChainError, ConfigError, TmmCavityError
+from .mim import MimConfig, ScanGrid, _gaps, bare_resonance, build_mim, pump_for
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -274,17 +272,21 @@ def _value(ini: dict, section: str, key: str, parse):
         raise ConfigError(f"{section}.{key}: {exc}") from None
 
 
+_MIM_DEFAULTS = {f.name: f.default for f in fields(MimConfig)}
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration with defaults applied."""
+    """Fully resolved run configuration with defaults applied; the MIM
+    setup's defaults are MimConfig's."""
 
     schema_version: int = SCHEMA_VERSION
-    wavelength: float = 1.064e-6
-    power_watts: float = 1.0
-    pump_side: str = "left"
-    cavity_length: float = 6.7e-2
-    membrane_zeta: float = -1.0
-    mirror_zeta: float = -30.0
+    wavelength: float = _MIM_DEFAULTS["wavelength"]
+    power_watts: float = _MIM_DEFAULTS["power_watts"]
+    pump_side: str = _MIM_DEFAULTS["pump_side"]
+    cavity_length: float = _MIM_DEFAULTS["cavity_length"]
+    membrane_zeta: float = _MIM_DEFAULTS["membrane_zeta"]
+    mirror_zeta: float = _MIM_DEFAULTS["mirror_zeta"]
     membrane_x: float = 0.0
     cavity_detuning: float = 0.0
     chain_path: str | None = None
@@ -481,44 +483,79 @@ def load_chain_file(path: str) -> Chain:
     )
 
 
-def validate_report(cfg: RunConfig) -> list[str]:
-    """Every problem of a loaded configuration, each named by its key; an
-    empty list means the config is clean.
+class _Run(NamedTuple):
+    """What a command runs, built once by `_build`; the parts serve a run
+    without problems only."""
 
-    The checks are those of the objects the commands build from it (the
-    MIM setup and its pump, its chain at membrane_x and cavity_detuning,
-    the chain file), then the bounds that no constructor checks.
+    cfg: RunConfig
+    problems: list  # each named by its key; any one stops every command
+    warnings: list  # `validate`'s warning lines: some commands stop, the others run
+    mim: MimConfig | None
+    grid: ScanGrid | None  # the [grid], or the default one
+    grid_error: str | None  # the grid's warning, which stops `scan` and `compare`
+    chain: Chain | None  # what `point` and `elements` solve, pumped by `pump`
+    pump: PumpSpec | None
+
+
+def _mim_setup(**values) -> tuple[MimConfig, PumpSpec]:
+    mim = MimConfig(**values)
+    return mim, pump_for(mim)
+
+
+def _build(cfg: RunConfig) -> _Run:
+    """The run of a loaded configuration: its MIM setup, the grid of
+    `scan`, `compare` and `couplings`, and the chain and pump of `point`
+    and `elements`: the chain file at its own wavelength with the [pump]
+    power and side, or the MIM chain at membrane_x and cavity_detuning.
+
+    The checks are those of the objects built, then the bounds that no
+    constructor checks.  End mirrors too weak for the bare-cavity
+    calibration and a default grid that collapses a sub-cavity are
+    warnings.
     """
-    problems = _built(lambda **mim: pump_for(MimConfig(**mim)), cfg._mim_values(), RunConfig)[1]
-    # the chain at membrane_x and cavity_detuning depends on the cavity
-    # geometry only, so it is checked even when a scatterer or the pump is bad
-    geometry = _built(MimConfig, {"wavelength": cfg.wavelength,
-                                  "cavity_length": cfg.cavity_length}, RunConfig)[0]
+    built, problems = _built(_mim_setup, cfg._mim_values(), RunConfig)
+    mim, pump = built or (None, None)
+    warnings, grid_error, chain = [], None, None
+    if mim is not None:
+        try:
+            bare_resonance(mim)
+        except CalibrationError as exc:  # no config error: `point` runs any mirror
+            warnings.append(f"mim.mirror_zeta: {exc}")
+    # the chain at membrane_x and cavity_detuning and the grid's gaps depend
+    # on the cavity geometry only, so they are checked even when a
+    # scatterer or the pump is bad
+    geometry = mim or _built(MimConfig, {"wavelength": cfg.wavelength,
+                                         "cavity_length": cfg.cavity_length}, RunConfig)[0]
     if geometry is not None:
         at = {"membrane_x": cfg.membrane_x, "cavity_detuning": cfg.cavity_detuning}
-        problems += _built(lambda membrane_x, cavity_detuning: build_mim(
-            geometry, membrane_x, cavity_detuning), at, RunConfig)[1]
-    g = cfg.grid
-    if g is not None:
-        if max(abs(g.x_start), abs(g.x_stop)) > cfg.wavelength:
+        chain, more = _built(lambda membrane_x, cavity_detuning: build_mim(
+            geometry, membrane_x, cavity_detuning), at, RunConfig)
+        problems += more
+    grid = cfg.default_grid() if geometry else cfg.grid
+    if grid is not None:
+        if max(abs(grid.x_start), abs(grid.x_stop)) > cfg.wavelength:
             problems.append("grid.x_start, grid.x_stop: x range exceeds one wavelength "
                             "(|x| << L_c)")
         elif geometry is not None:
             # both axes ascend from their start, so each gap is shortest at
             # dlc_start and an end of the x axis: `_gaps` judges those points
             # as the grid commands will, and a collapse names its end's key
-            ends = {"grid.x_start": g.x_start}
-            if g.x_count > 1:
-                ends["grid.x_stop"] = g.x_stop
-            try:
-                _gaps(geometry, np.array(list(ends.values())), g.dlc_start)
-            except ChainError:
-                for key, x in ends.items():
-                    try:
-                        _gaps(geometry, x, g.dlc_start)
-                    except ChainError as exc:
+            ends = {"grid.x_start": grid.x_start}
+            if grid.x_count > 1:
+                ends["grid.x_stop"] = grid.x_stop
+            for key, x in ends.items():
+                try:
+                    _gaps(geometry, x, grid.dlc_start)
+                except ChainError as exc:
+                    if cfg.grid is not None:
                         problems.append(f"{key}, grid.dlc_start, mim.cavity_length: {exc}")
-        npts = g.x_count * g.dlc_count
+                    else:
+                        grid_error = (f"mim.cavity_length, [grid]: {exc} on the default grid "
+                                      "(x and dLc over +-wavelength/2); give a [grid] or a "
+                                      "cavity of at least 1.5 wavelengths")
+            if grid_error:
+                warnings.append(grid_error)
+        npts = grid.x_count * grid.dlc_count
         if npts > 4_000_000:
             problems.append(f"grid.x_count, grid.dlc_count: grid has {npts} points; "
                             "bound is 4e6")
@@ -532,24 +569,28 @@ def validate_report(cfg: RunConfig) -> list[str]:
         else:
             # a [pump] power that fails on its own is named above already
             if not any(p.startswith("pump.power:") for p in problems):
-                problems += _built(lambda power_watts: _chain_pump(chain, power_watts),
-                                   {"power_watts": cfg.power_watts}, RunConfig)[1]
-    return problems
+                side = mim.pump_side if mim else "left"  # a bad side stops the MIM setup
+                pump, more = _built(lambda power_watts: PumpSpec.one_sided(
+                    power_watts, 2 * math.pi / chain.k0, side),
+                    {"power_watts": cfg.power_watts}, RunConfig)
+                problems += more
+    return _Run(cfg, problems, warnings, mim, grid, grid_error, chain, pump)
 
 
-def _chain_pump(chain: Chain, power_watts: float, side: str = "left") -> PumpSpec:
-    """The pump of `point` and `elements` on a chain file: the [pump] power
-    and side at the chain's own wavelength."""
-    return PumpSpec.one_sided(power_watts, 2 * math.pi / chain.k0, side)
+def validate_report(cfg: RunConfig) -> list[str]:
+    """Every problem of a loaded configuration, each named by its key; an
+    empty list means the config is clean.  The problems are those met
+    building what the commands run (`_build`)."""
+    return _build(cfg).problems
 
 
-def _meta_blocks(cfg: RunConfig) -> dict:
+def _meta_blocks(cfg: RunConfig, grid: ScanGrid | None) -> dict:
     """The `config` block of a meta.json sidecar, and its `grid` block when
-    the run has a grid."""
+    the command runs a grid."""
     blocks = {"config": {e.meta: getattr(cfg, e.field) for e in _RUN_KEYS
                          if e.meta and e.section != "grid"}}
-    if cfg.grid is not None:
-        blocks["grid"] = {e.meta: getattr(cfg.grid, e.field) for e in _GRID_KEYS}
+    if grid is not None:
+        blocks["grid"] = {e.meta: getattr(grid, e.field) for e in _GRID_KEYS}
     return blocks
 
 

@@ -134,6 +134,15 @@ def resonance_shifts(zeta: float, x, L_c: float, k0: float):
     return plus, minus
 
 
+def _coupling_rates(zeta: float, x: float, L_c: float, k0: float) -> tuple[float, float]:
+    """(omega', omega'') of `couplings` at x, for a zeta it has checked."""
+    u = 2.0 * k0 * x
+    s, co = math.sin(u), math.cos(u)
+    denom = 1.0 + zeta**2 * s**2
+    return ((2.0 * k0 * C_LIGHT / L_c) * zeta * s / math.sqrt(denom),
+            (4.0 * k0**2 * C_LIGHT / L_c) * zeta * co / denom**1.5)
+
+
 @_record
 class CouplingReport:
     """Resonance shifts and position couplings at one membrane position.
@@ -162,11 +171,7 @@ def couplings(zeta: float, x: float, L_c: float, k0: float) -> CouplingReport:
     `elements.MOBILE_ZETA_LIMIT` is a ChainError.
     """
     _check_mobile_zeta(zeta)
-    u = 2.0 * k0 * x
-    s, co = math.sin(u), math.cos(u)
-    denom = 1.0 + zeta**2 * s**2
-    w1 = (2.0 * k0 * C_LIGHT / L_c) * zeta * s / math.sqrt(denom)
-    w2 = (4.0 * k0**2 * C_LIGHT / L_c) * zeta * co / denom**1.5
+    w1, w2 = _coupling_rates(zeta, x, L_c, k0)
     dplus, dminus = resonance_shifts(zeta, x, L_c, k0)
     return CouplingReport(
         delta_omega_plus=dplus,

@@ -288,6 +288,34 @@ class TestCliCommands:
         else:
             assert warnings == []
 
+    @pytest.mark.parametrize("cavity, collapses", [("1.5um", True), ("1.6um", False)])
+    def test_default_grid_that_collapses_a_sub_cavity_is_a_warning(self, tmp_path, capsys,
+                                                                   cavity, collapses):
+        """Without [grid], `scan` and `compare` run x and dLc over
+        +-lambda/2, which collapses a sub-cavity of a cavity shorter than
+        1.5 lambda: `validate` warns naming mim.cavity_length and [grid]
+        and exits 0, `scan` and `compare` exit 2 with that line, and
+        `point`, `elements` and `couplings` run."""
+        path = write(tmp_path / "run.ini", f"[mim]\ncavity_length = {cavity}\n")
+        assert cli.run(["validate", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "configuration OK" in out
+        warnings = [line for line in out.splitlines() if line.startswith("warning:")]
+        if collapses:
+            assert len(warnings) == 1, out
+            assert warnings[0].startswith("warning: mim.cavity_length, [grid]: ")
+        else:
+            assert warnings == []
+        for command in ("scan", "compare", "point", "elements", "couplings"):
+            csv_path = tmp_path / f"{command}.csv"
+            code = cli.run([command, "--config", path, "--out", str(csv_path)])
+            err = capsys.readouterr().err
+            if collapses and command in ("scan", "compare"):
+                assert (code, err) == (2, "error: " + warnings[0][len("warning: "):] + "\n")
+                assert not csv_path.exists()
+            else:
+                assert (code, err) == (0, ""), command
+
     def test_chain_file_pump_is_checked_at_its_wavelength(self, tmp_path, capsys):
         """`point` and `elements` pump a chain file at the file's wavelength:
         1e289 W is a finite amplitude at the [pump] 1064 nm but not at a
@@ -1233,12 +1261,14 @@ def test_malformed_chain_file_is_rejected_without_traceback(sweep, case, key):
             _assert_rejected(code, out, err, key)
 
 
-def _random_run_configs(count: int, seed: int) -> list:
+def _random_run_configs(count: int, seed: int, grid: bool = True) -> list:
     """Seeded MIM run configs over the whole range the checks accept, or
     near it: wavelengths 1e-30..1e30 m, powers 0..1e300 W, cavities of
     1..1e10 wavelengths, membrane zeta 0..-1e8 (down to -1e-300), end
-    mirrors of either sign, either pump side, and a 3 x 3 grid and a
-    point within lambda/4."""
+    mirrors of either sign, either pump side, and a point within lambda/4.
+    With `grid` each has a 3 x 3 grid; without, the default grid runs, and
+    half the cavities are 1..1.5 wavelengths, short enough for it to
+    collapse a sub-cavity."""
     rng = np.random.default_rng(seed)
     texts = []
     for _ in range(count):
@@ -1246,27 +1276,42 @@ def _random_run_configs(count: int, seed: int) -> list:
         power = 0.0 if rng.random() < 0.1 else float(10 ** rng.uniform(-20, 300))
         zeta = 0.0 if rng.random() < 0.1 else -float(10 ** rng.uniform(-300, 8))
         x, dlc = (float(v) for v in rng.uniform(-lam / 4, lam / 4, 2))
+        side = rng.choice(['left', 'right'])
+        cavity = lam * float(10 ** rng.uniform(0, 10))
+        if not grid and rng.random() < 0.5:
+            cavity = lam * float(rng.uniform(1, 1.5))
         texts.append(
-            f"[pump]\nwavelength = {lam!r}\npower = {power!r}\n"
-            f"side = {rng.choice(['left', 'right'])}\n\n"
-            f"[mim]\ncavity_length = {lam * float(10 ** rng.uniform(0, 10))!r}\n"
-            f"membrane_zeta = {zeta!r}\n"
+            f"[pump]\nwavelength = {lam!r}\npower = {power!r}\nside = {side}\n\n"
+            f"[mim]\ncavity_length = {cavity!r}\nmembrane_zeta = {zeta!r}\n"
             f"mirror_zeta = {float(rng.choice([-1, 1]) * 10 ** rng.uniform(-1, 3))!r}\n"
             f"membrane_x = {x!r}\ncavity_detuning = {dlc!r}\n\n"
-            f"[grid]\nx_start = {-lam / 4!r}\nx_stop = {lam / 4!r}\nx_count = 3\n"
-            f"dlc_start = {-lam / 4!r}\ndlc_stop = {lam / 4!r}\ndlc_count = 3\n")
+            + (f"[grid]\nx_start = {-lam / 4!r}\nx_stop = {lam / 4!r}\nx_count = 3\n"
+               f"dlc_start = {-lam / 4!r}\ndlc_stop = {lam / 4!r}\ndlc_count = 3\n"
+               if grid else ""))
     return texts
 
 
+def _message(line: str) -> str:
+    """A warning line's message, after its keys, or a singular `point`'s,
+    after where it solved."""
+    return line.split(": ", 1)[1]
+
+
 def test_accepted_configs_fail_only_typed(tmp_path):
-    """Seeded configs over the whole accepted range through `validate`,
-    `scan`, `compare` and `point`, with RuntimeWarning an error: nothing
-    prints a traceback or a warning, and each command exits 0, 1 (a
-    singular `point`) or 2 with an `error:` line.  A config `validate`
-    rejects is rejected by every command; of one it accepts, a command
-    exits 2 only with the calibration error `validate` warned of."""
+    """Seeded configs over the whole accepted range, with and without a
+    [grid], and a pump power whose fields overflow from either side,
+    through `validate`, `scan`, `compare` and `point`, with RuntimeWarning
+    an error: nothing prints a traceback or a warning, and each command
+    exits 0, 1 (a singular `point`) or 2 with an `error:` line.  A config
+    `validate` rejects is rejected by every command; of one it accepts, a
+    command exits 2 only with a warning `validate` gave, with or without
+    its key, and `point` exits 1 only on the singular solve `validate`
+    warned of.  A default grid that collapses a sub-cavity stops `scan`
+    and `compare`."""
     commands = ("scan", "compare", "point")
-    configs = _random_run_configs(48, 27)
+    configs = (_random_run_configs(48, 27) + _random_run_configs(24, 28, grid=False)
+               + [GOOD_RUN.replace("power = 1W", "power = 1e288W").replace(
+                   "side = left", f"side = {side}") for side in ("left", "right")])
     runs = []
     for i, text in enumerate(configs):
         path = write(tmp_path / f"random{i}.ini", text)
@@ -1275,24 +1320,31 @@ def test_accepted_configs_fail_only_typed(tmp_path):
                                        "--out", str(tmp_path / f"out{i}.csv")]))
     with wall_clock_limit(60.0):
         results = _run_sweep(tmp_path, runs)
-    accepted = 0
+    accepted = singular = collapsed = 0
     for i in range(len(configs)):
         code, out, err = results[i, "validate"]
         assert "Traceback" not in err and "Warning" not in err, err
         assert code in ("0", "2"), (out, err)
-        warned = [ln[len("warning: mim.mirror_zeta: "):] for ln in out.splitlines()
-                  if ln.startswith("warning: mim.mirror_zeta: ")]
+        warned = [ln[len("warning: "):] for ln in out.splitlines() if ln.startswith("warning: ")]
         accepted += code == "0"
+        grid_warned = any(w.startswith("mim.cavity_length, [grid]: ") for w in warned)
+        collapsed += code == "0" and grid_warned
         for command in commands:
             c_code, _, c_err = results[i, command]
             assert "Traceback" not in c_err and "Warning" not in c_err, (command, c_err)
-            errors = [ln for ln in c_err.splitlines() if ln.startswith("error: ")]
+            errors = [ln[len("error: "):] for ln in c_err.splitlines()
+                      if ln.startswith("error: ")]
             if code == "2":
                 assert c_code == "2" and errors, (command, out, c_err)
             elif c_code == "1":
-                assert command == "point" and errors, (command, out, c_err)
+                assert command == "point" and len(errors) == 1, (command, out, c_err)
+                assert _message(errors[0]) in map(_message, warned), (out, c_err)
+                singular += 1
             elif c_code == "2":
-                assert errors == [f"error: {w}" for w in warned], (command, out, c_err)
+                assert len(errors) == 1 and any(
+                    errors[0] in (w, _message(w)) for w in warned), (command, out, c_err)
             else:
                 assert c_code == "0" and not errors, (command, out, c_err)
+                assert not (grid_warned and command != "point"), (command, out)
     assert accepted >= len(configs) // 2
+    assert singular >= 1 and collapsed >= 1, (singular, collapsed)
