@@ -8,20 +8,27 @@ or keys are hard errors: a typo must never be silently ignored.
 Each key is declared once, in `_RUN_KEYS` or `_CHAIN_KEYS`; loading,
 `validate_report`, the ``tmmcavity --help`` key list and the ``meta.json``
 config block are all driven by those tables.  ``tmmcavity --help`` prints
-the keys with their units.
+the keys with their units.  A run key lists the checks of its value on
+its own, and `_RULES` the bounds across keys, each with the keys it
+names; both are the checks the records' constructors make.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .elements import (
     Chain, PumpSpec, Scatterer, Segment, _check_length, _check_mobile_zeta, _check_wavelength,
 )
 from .errors import CalibrationError, ChainError, ConfigError, TmmCavityError
-from .mim import MimConfig, ScanGrid, _gaps, bare_resonance, build_mim, pump_for
+from .mim import (
+    MimConfig, ScanGrid, _check_axis, _check_cavity, _check_count, _check_membrane_zeta,
+    _check_positive, _check_power, _check_pump_side, _check_range, _check_reach, _check_real,
+    _half_gap, bare_resonance, build_mim, pump_for,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -138,6 +145,19 @@ class _Key(NamedTuple):
     field: str = ""  # RunConfig attribute; the ScanGrid field for [grid] keys
     parse: Callable[[str], object] | None = None
     meta: str = ""  # its name in the meta.json sidecar; "" when not recorded
+    # the checks of the value on its own, in order, each raising a
+    # TmmCavityError; one that returns a value hands the rules that value
+    # in its place (chain.path: its chain)
+    checks: tuple = ()
+
+
+def _real(field: str):
+    return partial(_check_real, field)
+
+
+def _check_workers(workers):
+    if workers < 1:
+        raise ConfigError(f"must be >= 1, got {workers}")
 
 
 # Run configuration keys, in the order `--help` and `validate` list them.
@@ -145,39 +165,41 @@ _RUN_KEYS = (
     _Key("run", "schema_version", "", "config schema version",
          "schema_version", _parse_version),
     _Key("pump", "wavelength", "m", "pump wavelength", "wavelength", parse_length,
-         "wavelength_m"),
-    _Key("pump", "power", "W", "input power", "power_watts", parse_power, "power_W"),
+         "wavelength_m", (_real("wavelength"), _check_positive, _check_wavelength)),
+    _Key("pump", "power", "W", "input power", "power_watts", parse_power, "power_W",
+         (_real("power_watts"), _check_power)),
     _Key("pump", "side", "", "pump side, left|right", "pump_side", str.strip,
-         "pump_side"),
+         "pump_side", (_check_pump_side,)),
     _Key("mim", "cavity_length", "m", "cavity length", "cavity_length", parse_length,
-         "cavity_length_m"),
-    _Key("mim", "membrane_zeta", "", "membrane polarisability, real <= 0",
-         "membrane_zeta", _parse_float, "membrane_zeta"),
+         "cavity_length_m", (_real("cavity_length"), _check_positive)),
+    _Key("mim", "membrane_zeta", "", "membrane polarisability, real <= 0", "membrane_zeta",
+         _parse_float, "membrane_zeta", (_real("membrane_zeta"), _check_membrane_zeta)),
     _Key("mim", "mirror_zeta", "", "end-mirror polarisability", "mirror_zeta",
-         _parse_float, "mirror_zeta"),
+         _parse_float, "mirror_zeta", (_real("mirror_zeta"),)),
     _Key("mim", "membrane_x", "m", "membrane displacement for `point`", "membrane_x",
-         parse_length, "membrane_x_m"),
+         parse_length, "membrane_x_m", (_real("membrane_x"),)),
     _Key("mim", "cavity_detuning", "m", "cavity-length detuning for `point`",
-         "cavity_detuning", parse_length, "cavity_detuning_m"),
-    _Key("chain", "path", "", "chain description file, in place of [mim] for "
-         "`point` and `elements`", "chain_path", str.strip, "chain_path"),
-    _Key("grid", "x_start", "m", "first membrane displacement (without [grid], "
-         "x and dLc span +-wavelength/2 in 101 steps)", "x_start", parse_length,
-         "x_start_m"),
+         "cavity_detuning", parse_length, "cavity_detuning_m", (_real("cavity_detuning"),)),
+    _Key("chain", "path", "", "chain description file, in place of [mim] for `point` and "
+         "`elements`", "chain_path", str.strip, "chain_path",
+         (lambda path: load_chain_file(path),)),  # defined below
+    _Key("grid", "x_start", "m", "first membrane displacement (without [grid], x and dLc "
+         "span +-wavelength/2 in 101 steps)", "x_start", parse_length, "x_start_m",
+         (_check_range,)),
     _Key("grid", "x_stop", "m", "last membrane displacement", "x_stop", parse_length,
-         "x_stop_m"),
-    _Key("grid", "x_count", "", "number of x samples", "x_count", _parse_int,
-         "x_count"),
+         "x_stop_m", (_check_range,)),
+    _Key("grid", "x_count", "", "number of x samples", "x_count", _parse_int, "x_count",
+         (_check_count,)),
     _Key("grid", "dlc_start", "m", "first cavity-length detuning", "dlc_start",
-         parse_length, "dlc_start_m"),
-    _Key("grid", "dlc_stop", "m", "last cavity-length detuning", "dlc_stop",
-         parse_length, "dlc_stop_m"),
-    _Key("grid", "dlc_count", "", "number of detuning samples", "dlc_count",
-         _parse_int, "dlc_count"),
+         parse_length, "dlc_start_m", (_check_range,)),
+    _Key("grid", "dlc_stop", "m", "last cavity-length detuning", "dlc_stop", parse_length,
+         "dlc_stop_m", (_check_range,)),
+    _Key("grid", "dlc_count", "", "number of detuning samples", "dlc_count", _parse_int,
+         "dlc_count", (_check_count,)),
     _Key("output", "path", "", "output file", "out_path", str.strip),
     _Key("output", "format", "", "csv|json", "out_format", _parse_format),
-    _Key("output", "workers", "", "accepted and ignored: scans are vectorised in "
-         "one process", "workers", _parse_int, "workers"),
+    _Key("output", "workers", "", "accepted and ignored: scans are vectorised in one "
+         "process", "workers", _parse_int, "workers", (_check_workers,)),
 )
 _RUN_NAMES = {e.field: f"{e.section}.{e.key}" for e in _RUN_KEYS}
 _GRID_KEYS = tuple(e for e in _RUN_KEYS if e.section == "grid")
@@ -247,7 +269,8 @@ def _read_ini(path: str) -> dict:
     return sections
 
 
-def _check_unknown(ini: dict, keys: tuple, path: str) -> list[str]:
+def _check_unknown(ini: dict, keys: tuple, path: str):
+    """Raise a ConfigError naming every unknown section and key."""
     known = {}
     for e in keys:
         known.setdefault(e.section, set()).add(e.key)
@@ -260,7 +283,8 @@ def _check_unknown(ini: dict, keys: tuple, path: str) -> list[str]:
             continue
         problems += [f"unknown key {key!r} in section [{section}]"
                      for key in values if key not in allowed]
-    return [f"{path}: {p}" for p in problems]
+    if problems:
+        raise ConfigError("; ".join(f"{path}: {p}" for p in problems))
 
 
 def _value(ini: dict, section: str, key: str, parse):
@@ -297,10 +321,7 @@ class RunConfig:
     source_path: str | None = None
 
     def mim_config(self) -> MimConfig:
-        return MimConfig(**self._mim_values())
-
-    def _mim_values(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(MimConfig)}
+        return MimConfig(**{f.name: getattr(self, f.name) for f in fields(MimConfig)})
 
     def default_grid(self) -> ScanGrid:
         if self.grid is not None:
@@ -333,38 +354,57 @@ class RunConfig:
         return lines
 
 
-# A valid grid that stays valid when any one of its values is replaced by
-# another valid value: one point per axis, so no start/stop order applies.
-_GRID_BASE = ScanGrid(0.0, 1.0, 1, 0.0, 1.0, 1)
+def _check_points(x_count, dlc_count):
+    if x_count * dlc_count > 4_000_000:
+        raise ConfigError(f"grid has {x_count * dlc_count} points; bound is 4e6")
 
 
-def _built(make, values: dict, base) -> tuple[object, list[str]]:
-    """`make(**values)` and no problems, or None and the problems.
+# The bounds across keys, each (fields, check): the check takes the values
+# of the RunConfig and ScanGrid fields in that order, and the problem of its
+# TmmCavityError names every key.
+_RULES = (
+    (("x_start", "x_stop", "x_count"), partial(_check_axis, axis="x")),
+    (("dlc_start", "dlc_stop", "dlc_count"), partial(_check_axis, axis="dlc")),
+    (("wavelength", "cavity_length"), _check_cavity),
+    # the pump's photon flux P / (hbar omega0) stays a float64, at the
+    # [pump] wavelength and at a chain file's own
+    (("wavelength", "power_watts"), lambda lam, power: PumpSpec.one_sided(power, lam)),
+    (("power_watts", "chain_path"),
+     lambda power, chain: PumpSpec.one_sided(power, 2 * math.pi / chain.k0)),
+    (("membrane_x", "wavelength"), _check_reach),
+    (("x_start", "x_stop", "wavelength"), lambda x0, x1, lam: _check_reach((x0, x1), lam)),
+    (("membrane_x", "cavity_detuning", "cavity_length"), _half_gap),
+    # both grid axes ascend from their start, so each gap is shortest at
+    # dlc_start and an end of the x axis, whose stop is a point from 2 on
+    (("x_start", "dlc_start", "cavity_length"), _half_gap),
+    (("x_stop", "x_count", "dlc_start", "cavity_length"),
+     lambda x, count, dlc, length: count == 1 or _half_gap(x, dlc, length)),
+    (("x_count", "dlc_count"), _check_points),
+)
 
-    A problem is named by a key whose value fails on its own, the other
-    arguments taken from `base` (a valid instance, or RunConfig for its
-    defaults); a failure that no single value explains names the keys
-    whose base value would mend it.
-    """
-    try:
-        return make(**values), []
-    except TmmCavityError as exc:
-        joint = exc
-    at_base = {f: getattr(base, f) for f in values}
 
-    def error(kwargs):
+def _problems(values: dict, rules: tuple) -> list[str]:
+    """The problems of `values` ({field: value}, None where a key has no
+    value): each key's first failing check, named by the key, then each
+    failing rule, named by all of its keys.  A rule is judged only where
+    every one of its keys has a value that passed its own checks, which
+    put any value they hand the rules in `values`."""
+    problems = []
+    for e in _RUN_KEYS:
         try:
-            make(**kwargs)
+            for check in e.checks if values.get(e.field) is not None else ():
+                values[e.field] = check(values[e.field]) or values[e.field]
         except TmmCavityError as exc:
-            return exc
-        return None
-
-    alone = {f: error(at_base | {f: v}) for f, v in values.items()}
-    problems = [f"{_RUN_NAMES[f]}: {exc}" for f, exc in alone.items() if exc]
-    if problems:
-        return None, problems
-    mending = [f for f in values if error(values | {f: at_base[f]}) is None]
-    return None, [f"{', '.join(_RUN_NAMES[f] for f in mending or values)}: {joint}"]
+            problems.append(f"{_RUN_NAMES[e.field]}: {exc}")
+            values[e.field] = None  # and no rule of the key is judged
+    for fields, check in rules:
+        args = [values.get(f) for f in fields]
+        if None not in args:
+            try:
+                check(*args)
+            except TmmCavityError as exc:
+                problems.append(f"{', '.join(map(_RUN_NAMES.get, fields))}: {exc}")
+    return problems
 
 
 def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -373,7 +413,8 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     `overrides` maps ``section.key`` names to text that replaces the file's
     value; a bare section name takes all of that section's keys, as values
     separated by commas in `--help` order (``grid`` = x0,x1,nx,dlc0,dlc1,ndlc).
-    The other range checks are `validate_report`'s.
+    A [grid] that ScanGrid rejects is named here by the checks of its keys
+    and rules (`_problems`), and the other keys by `validate_report`.
     """
     ini = _read_ini(path)
     for name, text in (overrides or {}).items():
@@ -384,39 +425,29 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"{name} needs {len(keys)} comma-separated values "
                               f"{','.join(keys)}; got {text!r}")
         ini.setdefault(section, {}).update(zip(keys, values))
-    problems = _check_unknown(ini, _RUN_KEYS, path)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    _check_unknown(ini, _RUN_KEYS, path)
 
-    cfg = RunConfig(source_path=path)
-    grid = {}
-    for e in _RUN_KEYS:
-        if e.key in ini.get(e.section, ()):
-            value = _value(ini, e.section, e.key, e.parse)
-            if e.section == "grid":
-                grid[e.field] = value
-            else:
-                setattr(cfg, e.field, value)
+    values = {e.field: _value(ini, e.section, e.key, e.parse)
+              for e in _RUN_KEYS if e.key in ini.get(e.section, ())}
+    grid = {e.field: values.pop(e.field) for e in _GRID_KEYS if e.field in values}
+    cfg = RunConfig(source_path=path, **values)
     if "grid" in ini:
-        needed = [e.field for e in _GRID_KEYS]
+        needed = sorted(e.field for e in _GRID_KEYS)
         missing = [field for field in needed if field not in grid]
         if missing:
-            raise ConfigError(
-                f"{path}: [grid] section needs all of {sorted(needed)}; "
-                f"missing {sorted(missing)}"
-            )
-        cfg.grid, problems = _built(ScanGrid, grid, _GRID_BASE)
-        if problems:
-            raise ConfigError("; ".join(problems))
+            raise ConfigError(f"{path}: [grid] section needs all of {needed}; "
+                              f"missing {missing}")
+        try:
+            cfg.grid = ScanGrid(**grid)
+        except ChainError:  # a problem of the [grid]'s keys and rules
+            raise ConfigError("; ".join(_problems(grid, _RULES))) from None
     return cfg
 
 
 def load_chain_file(path: str) -> Chain:
     """Parse a chain description file into a Chain."""
     ini = _read_ini(path)
-    problems = _check_unknown(ini, _CHAIN_KEYS, path)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    _check_unknown(ini, _CHAIN_KEYS, path)
 
     chain = ini.get("chain")
     if chain is None:
@@ -497,83 +528,48 @@ class _Run(NamedTuple):
     pump: PumpSpec | None
 
 
-def _mim_setup(**values) -> tuple[MimConfig, PumpSpec]:
-    mim = MimConfig(**values)
-    return mim, pump_for(mim)
-
-
 def _build(cfg: RunConfig) -> _Run:
     """The run of a loaded configuration: its MIM setup, the grid of
     `scan`, `compare` and `couplings`, and the chain and pump of `point`
     and `elements`: the chain file at its own wavelength with the [pump]
     power and side, or the MIM chain at membrane_x and cavity_detuning.
 
-    The checks are those of the objects built, then the bounds that no
-    constructor checks.  End mirrors too weak for the bare-cavity
+    The problems are those of each key's checks and of the rules across
+    keys (`_problems`); the records are built where their checks pass, by
+    constructors that check again.  End mirrors too weak for the bare-cavity
     calibration and a default grid that collapses a sub-cavity are
     warnings.
     """
-    built, problems = _built(_mim_setup, cfg._mim_values(), RunConfig)
-    mim, pump = built or (None, None)
-    warnings, grid_error, chain = [], None, None
+    grid = cfg.grid
+    values = vars(cfg) | ({e.field: getattr(grid, e.field) for e in _GRID_KEYS}
+                          if grid else {})
+    problems = _problems(values, _RULES)
+    mim = geometry = pump = chain = grid_error = None
+    try:  # each record where its checks pass; a failure is a problem above
+        geometry = MimConfig(wavelength=cfg.wavelength, cavity_length=cfg.cavity_length)
+        mim = cfg.mim_config()
+        pump = pump_for(mim)
+    except TmmCavityError:
+        mim = None
+    warnings = []
     if mim is not None:
         try:
             bare_resonance(mim)
         except CalibrationError as exc:  # no config error: `point` runs any mirror
             warnings.append(f"mim.mirror_zeta: {exc}")
-    # the chain at membrane_x and cavity_detuning and the grid's gaps depend
-    # on the cavity geometry only, so they are checked even when a
-    # scatterer or the pump is bad
-    geometry = mim or _built(MimConfig, {"wavelength": cfg.wavelength,
-                                         "cavity_length": cfg.cavity_length}, RunConfig)[0]
-    if geometry is not None:
-        at = {"membrane_x": cfg.membrane_x, "cavity_detuning": cfg.cavity_detuning}
-        chain, more = _built(lambda membrane_x, cavity_detuning: build_mim(
-            geometry, membrane_x, cavity_detuning), at, RunConfig)
-        problems += more
-    grid = cfg.default_grid() if geometry else cfg.grid
-    if grid is not None:
-        if max(abs(grid.x_start), abs(grid.x_stop)) > cfg.wavelength:
-            problems.append("grid.x_start, grid.x_stop: x range exceeds one wavelength "
-                            "(|x| << L_c)")
-        elif geometry is not None:
-            # both axes ascend from their start, so each gap is shortest at
-            # dlc_start and an end of the x axis: `_gaps` judges those points
-            # as the grid commands will, and a collapse names its end's key
-            ends = {"grid.x_start": grid.x_start}
-            if grid.x_count > 1:
-                ends["grid.x_stop"] = grid.x_stop
-            for key, x in ends.items():
-                try:
-                    _gaps(geometry, x, grid.dlc_start)
-                except ChainError as exc:
-                    if cfg.grid is not None:
-                        problems.append(f"{key}, grid.dlc_start, mim.cavity_length: {exc}")
-                    else:
-                        grid_error = (f"mim.cavity_length, [grid]: {exc} on the default grid "
-                                      "(x and dLc over +-wavelength/2); give a [grid] or a "
-                                      "cavity of at least 1.5 wavelengths")
-            if grid_error:
-                warnings.append(grid_error)
-        npts = grid.x_count * grid.dlc_count
-        if npts > 4_000_000:
-            problems.append(f"grid.x_count, grid.dlc_count: grid has {npts} points; "
-                            "bound is 4e6")
-    if cfg.workers < 1:
-        problems.append(f"output.workers: must be >= 1, got {cfg.workers}")
-    if cfg.chain_path is not None:
-        try:
-            chain = load_chain_file(cfg.chain_path)
-        except TmmCavityError as exc:
-            problems.append(f"chain.path: {exc}")
-        else:
-            # a [pump] power that fails on its own is named above already
-            if not any(p.startswith("pump.power:") for p in problems):
-                side = mim.pump_side if mim else "left"  # a bad side stops the MIM setup
-                pump, more = _built(lambda power_watts: PumpSpec.one_sided(
-                    power_watts, 2 * math.pi / chain.k0, side),
-                    {"power_watts": cfg.power_watts}, RunConfig)
-                problems += more
+    if grid is None and geometry is not None:
+        grid = cfg.default_grid()
+        try:  # x spans +-wavelength/2, so both of its ends collapse alike
+            _half_gap(grid.x_start, grid.dlc_start, cfg.cavity_length)
+        except ChainError as exc:
+            grid_error = (f"mim.cavity_length, [grid]: {exc} on the default grid "
+                          "(x and dLc over +-wavelength/2); give a [grid] or a "
+                          "cavity of at least 1.5 wavelengths")
+            warnings.append(grid_error)
+    if not problems:
+        chain = values["chain_path"] or build_mim(mim, cfg.membrane_x, cfg.cavity_detuning)
+        if cfg.chain_path is not None:
+            pump = PumpSpec.one_sided(cfg.power_watts, 2 * math.pi / chain.k0, cfg.pump_side)
     return _Run(cfg, problems, warnings, mim, grid, grid_error, chain, pump)
 
 

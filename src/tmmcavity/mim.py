@@ -58,6 +58,77 @@ __all__ = [
 ]
 
 
+# The checks of `MimConfig` and `ScanGrid`, one function per bound: a run
+# configuration judges each key, and each rule across keys, by the same.
+
+def _check_real(name: str, value) -> float:
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ChainError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _check_positive(*lengths):
+    if min(lengths) <= 0:
+        raise ChainError("wavelength and cavity length must be positive")
+
+
+def _check_cavity(wavelength, cavity_length):
+    # each half of the cavity holds a standing wave: Lc/2 >= lambda/2
+    if cavity_length < wavelength:
+        raise ChainError(f"cavity length must be at least one wavelength "
+                         f"({wavelength} m), got {cavity_length}")
+    _check_length(cavity_length, wavelength, "cavity length")
+
+
+def _check_membrane_zeta(zeta):
+    if zeta > 0:
+        raise ChainError(f"membrane polarisability must be real <= 0, got {zeta}")
+    _check_mobile_zeta(zeta)
+
+
+def _check_power(power_watts):
+    if power_watts < 0:
+        raise ChainError("pump power must be >= 0")
+
+
+def _check_pump_side(side):
+    if side not in ("left", "right"):
+        raise ChainError(f"pump side must be left or right, got {side}")
+
+
+def _check_count(*counts):
+    if min(counts) < 1:
+        raise ChainError("grid counts must be >= 1")
+
+
+def _check_range(*values):
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+        raise ChainError("grid ranges must be finite real numbers")
+
+
+def _check_axis(start, stop, count, axis: str):
+    if count > 1 and stop <= start:
+        raise ChainError(f"{axis}_stop must exceed {axis}_start")
+
+
+def _check_reach(x, wavelength):
+    """Displacements x (a scalar or an array) within one wavelength."""
+    reach = np.abs(x)
+    if (reach > wavelength).any():
+        raise ChainError(f"|x| = {np.max(reach)} exceeds one wavelength; displacement "
+                         "must stay small compared to the cavity length")
+
+
+def _half_gap(x, dlc, cavity_length):
+    """Half the cavity length at detuning dlc; raises ChainError if a gap
+    collapses at any x, that is where half - |x| < 0.  Each check is one
+    comparison and an `.any()` reduction, which numpy scalars have too."""
+    half = cavity_length / 2 + dlc / 2
+    if (half - np.abs(x) < 0).any():
+        raise ChainError("detuning or displacement collapses a sub-cavity")
+    return half
+
+
 @_record
 class MimConfig:
     """Parameters of the membrane-in-the-middle setup.
@@ -82,27 +153,13 @@ class MimConfig:
     def __post_init__(self):
         for name in ("wavelength", "cavity_length", "membrane_zeta",
                      "mirror_zeta", "power_watts"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ChainError(f"{name} must be a finite real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if self.wavelength <= 0 or self.cavity_length <= 0:
-            raise ChainError("wavelength and cavity length must be positive")
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
+        _check_positive(self.wavelength, self.cavity_length)
         _check_wavelength(self.wavelength)
-        # each half of the cavity holds a standing wave: Lc/2 >= lambda/2
-        if self.cavity_length < self.wavelength:
-            raise ChainError(f"cavity length must be at least one wavelength "
-                             f"({self.wavelength} m), got {self.cavity_length}")
-        _check_length(self.cavity_length, self.wavelength, "cavity length")
-        if self.membrane_zeta > 0:
-            raise ChainError(
-                f"membrane polarisability must be real <= 0, got {self.membrane_zeta}"
-            )
-        _check_mobile_zeta(self.membrane_zeta)
-        if self.power_watts < 0:
-            raise ChainError("pump power must be >= 0")
-        if self.pump_side not in ("left", "right"):
-            raise ChainError(f"pump side must be left or right, got {self.pump_side}")
+        _check_cavity(self.wavelength, self.cavity_length)
+        _check_membrane_zeta(self.membrane_zeta)
+        _check_power(self.power_watts)
+        _check_pump_side(self.pump_side)
 
     @property
     def k0(self) -> float:
@@ -134,15 +191,10 @@ class ScanGrid:
         for v in (self.x_count, self.dlc_count):
             if not isinstance(v, numbers.Integral):
                 raise ChainError(f"grid counts must be integers, got {v!r}")
-        if self.x_count < 1 or self.dlc_count < 1:
-            raise ChainError("grid counts must be >= 1")
-        for v in (self.x_start, self.x_stop, self.dlc_start, self.dlc_stop):
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                raise ChainError("grid ranges must be finite real numbers")
-        if self.x_count > 1 and self.x_stop <= self.x_start:
-            raise ChainError("x_stop must exceed x_start")
-        if self.dlc_count > 1 and self.dlc_stop <= self.dlc_start:
-            raise ChainError("dlc_stop must exceed dlc_start")
+        _check_count(self.x_count, self.dlc_count)
+        _check_range(self.x_start, self.x_stop, self.dlc_start, self.dlc_stop)
+        _check_axis(self.x_start, self.x_stop, self.x_count, "x")
+        _check_axis(self.dlc_start, self.dlc_stop, self.dlc_count, "dlc")
 
     @property
     def x_values(self) -> np.ndarray:
@@ -191,17 +243,8 @@ def _gaps(config: MimConfig, x, dlc) -> tuple:
     axis as a column and its dLc axis as a row); raises ChainError if any
     |x| exceeds one wavelength or any gap collapses.
     """
-    # each check is one comparison and an `.any()` reduction, which numpy
-    # scalars have too; a gap collapses exactly where half - |x| < 0
-    reach = np.abs(x)
-    if (reach > config.wavelength).any():
-        raise ChainError(
-            f"|x| = {np.max(reach)} exceeds one wavelength; displacement must "
-            "stay small compared to the cavity length"
-        )
-    half = config.cavity_length / 2 + dlc / 2
-    if (half - reach < 0).any():
-        raise ChainError("detuning or displacement collapses a sub-cavity")
+    _check_reach(x, config.wavelength)
+    half = _half_gap(x, dlc, config.cavity_length)
     return half - x, half + x
 
 

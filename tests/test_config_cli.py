@@ -171,7 +171,8 @@ class TestRunConfig:
     def test_validate_and_scan_agree_where_a_sub_cavity_collapses(self, tmp_path):
         """A gap of exactly zero at the grid's ends passes `validate` and
         `scan` alike, and one ulp more of x fails both, the problem naming
-        only the end that collapses its gap."""
+        only the end that collapses its gap, with the keys of its rule (the
+        x_stop end is a grid point from x_count = 2 on)."""
         half = 1.6e-6 / 2 + -0.2e-6 / 2  # `_gaps`' half length at dlc_start
         grid = "[grid]\nx_start = {}\nx_stop = {}\nx_count = 3\n" \
                "dlc_start = -0.2e-6\ndlc_stop = 0\ndlc_count = 2\n"
@@ -180,7 +181,7 @@ class TestRunConfig:
         assert validate_report(cfg) == []
         result = scan(cfg.mim_config(), cfg.grid)
         assert result.intensity.shape == (3, 2)
-        for x_start, x_stop, key in ((-half, np.nextafter(half, 1), "grid.x_stop"),
+        for x_start, x_stop, key in ((-half, np.nextafter(half, 1), "grid.x_stop, grid.x_count"),
                                      (np.nextafter(-half, -1), half, "grid.x_start")):
             cfg = load_run_config(write(tmp_path / "bad.ini", base.format(x_start, x_stop)))
             assert validate_report(cfg) == [
@@ -320,12 +321,13 @@ class TestCliCommands:
         """`point` and `elements` pump a chain file at the file's wavelength:
         1e289 W is a finite amplitude at the [pump] 1064 nm but not at a
         chain's 1000 m, so `validate` and both commands exit 2 naming
-        pump.power, and a [pump] power that fails on its own is named once."""
+        pump.power and chain.path, and a [pump] power that fails on its own
+        is named once, by pump.power alone."""
         chain_path = write(tmp_path / "c.ini", GOOD_CHAIN.replace(
             "wavelength = 1064nm", "wavelength = 1000").replace("length = 2.5mm", "length = 2500"))
         run = GOOD_RUN.replace("[mim]", "[chain]\npath = %s\n\n[mim]" % chain_path)
         path = write(tmp_path / "run.ini", run.replace("power = 1W", "power = 1e289W"))
-        problem = "pump.power: pump amplitude B0 must be finite, got (inf+0j)"
+        problem = "pump.power, chain.path: pump amplitude B0 must be finite, got (inf+0j)"
         assert validate_report(load_run_config(path)) == [problem]
         assert validate_report(load_run_config(write(tmp_path / "mim.ini", GOOD_RUN.replace(
             "power = 1W", "power = 1e289W")))) == []
@@ -356,7 +358,7 @@ class TestCliCommands:
         assert cli.run(["validate", "--config", path]) == 2
         problems = capsys.readouterr().out.split("problems:\n")[1].splitlines()
         assert [p.split(":")[0] for p in problems] == [
-            "  - mim.membrane_zeta", "  - mim.mirror_zeta", "  - pump.power"]
+            "  - pump.power", "  - mim.membrane_zeta", "  - mim.mirror_zeta"]
         assert cli.run(["scan", "--config", path, "--out", str(tmp_path / "s.csv")]) == 2
         assert "mim.membrane_zeta" in capsys.readouterr().err
 
@@ -1083,10 +1085,11 @@ def _malformed_inputs():
         ("grid-count-2.5", GOOD_RUN, ["--grid", "0,1nm,2.5,0,1nm,3"], "grid.x_count"),
         ("unknown-key", GOOD_RUN.replace("power = 1W", "power = 1W\npowr = 2W"), [], "powr"),
         ("workers-0", GOOD_RUN, ["--workers", "0"], "output.workers"),
-        ("grid-collapses-sub-cavity", collapsed, [], "grid.x_stop, grid.dlc_start"),
-        # a finite power whose pump amplitude overflows float64
+        ("grid-collapses-sub-cavity", collapsed, [],
+         "grid.x_stop, grid.x_count, grid.dlc_start, mim.cavity_length"),
+        # a finite power whose pump photon flux overflows float64
         ("pump-power-overflows", GOOD_RUN.replace("power = 1W", "power = 1e300W"), [],
-         "pump.power"),
+         "pump.wavelength, pump.power"),
     ]
     # INI syntax errors name the file (run<i>.ini in the sweep) and the line
     for case, (text, where) in _ini_syntax_errors(GOOD_RUN, "power = 1W").items():
@@ -1348,3 +1351,122 @@ def test_accepted_configs_fail_only_typed(tmp_path):
                 assert not (grid_warned and command != "point"), (command, out)
     assert accepted >= len(configs) // 2
     assert singular >= 1 and collapsed >= 1, (singular, collapsed)
+
+
+def test_photon_flux_overflow_names_power_and_wavelength_only(tmp_path):
+    """A pump whose photon flux overflows float64 only at the file's own
+    wavelength, in a cavity of 7.2e7 wavelengths, is one problem line that
+    names pump.power and pump.wavelength and no other key."""
+    path = write(tmp_path / "run.ini", "[pump]\nwavelength = 97768.78659222645\n"
+                 "power = 8.22713244499529e+280\n\n[mim]\ncavity_length = 7066062193093.572\n")
+    problems = validate_report(load_run_config(path))
+    assert len(problems) == 1, problems
+    assert sorted(_named_keys(problems[0])) == ["pump.power", "pump.wavelength"]
+
+
+def test_cavity_bound_is_judged_on_the_files_own_values(tmp_path):
+    """A 0.05 m cavity at a 0.1 m wavelength is named by both keys, with
+    the file's cavity length, not the default one."""
+    path = write(tmp_path / "run.ini", "[pump]\nwavelength = 0.1\n\n[mim]\ncavity_length = 0.05\n")
+    assert validate_report(load_run_config(path)) == [
+        "pump.wavelength, mim.cavity_length: cavity length must be at least one "
+        "wavelength (0.1 m), got 0.05"]
+
+
+def _named_keys(line: str) -> list:
+    """The keys a problem line names, before its first ': '."""
+    return line.split(": ", 1)[0].split(", ")
+
+
+def _ini_text(sections: dict) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for name, keys in sections.items())
+
+
+def _one_rule_broken(rng, chain_path: str) -> list:
+    """Seeded run configs that each break exactly one rule across keys, as
+    (fields, INI text): the rule's fields, and the file."""
+    lam = float(10 ** rng.uniform(-8, 2))
+    flux_lam = float(10 ** rng.uniform(-5, 30))
+    mim = {"cavity_length": 10 * lam}
+    cases = [
+        (("wavelength", "cavity_length"), {"cavity_length": lam * rng.uniform(0.1, 0.99)}),
+        (("wavelength", "cavity_length"),
+         {"cavity_length": lam * 10 ** rng.uniform(10.1, 12)}),
+        (("membrane_x", "wavelength"), {"membrane_x": lam * rng.choice([-1, 1])
+                                        * rng.uniform(1.01, 2)}),
+        (("membrane_x", "cavity_detuning", "cavity_length"),
+         {"cavity_detuning": -10 * lam * rng.uniform(1.01, 1.5)}),
+    ]
+    texts = [(fields, {"pump": {"wavelength": lam}, "mim": mim | change})
+             for fields, change in cases]
+    # a photon flux P lambda / (2 pi hbar c) past float64's largest, ~1.8e308
+    power = 10 ** rng.uniform(283.6 - np.log10(flux_lam), 308)
+    texts.append((("wavelength", "power_watts"),
+                  {"pump": {"wavelength": flux_lam, "power": power},
+                   "mim": {"cavity_length": 10 * flux_lam}}))
+    texts.append((("power_watts", "chain_path"),
+                  {"pump": {"power": 10 ** rng.uniform(281, 289)}, "chain": {"path": chain_path}}))
+    grid = {"x_start": -lam / 4, "x_stop": lam / 4, "x_count": 3,
+            "dlc_start": -lam / 4, "dlc_stop": lam / 4, "dlc_count": 3}
+    short = {"cavity_length": lam * rng.uniform(1.2, 1.9)}
+    reach = lam * rng.uniform(0.96, 0.99)
+    for fields, change, cavity in (
+            (("x_start", "x_stop", "wavelength"), {"x_stop": lam * rng.uniform(1.01, 2)}, mim),
+            (("x_start", "x_stop", "x_count"), {"x_stop": -lam / 2}, mim),
+            (("dlc_start", "dlc_stop", "dlc_count"), {"dlc_stop": -lam / 2}, mim),
+            (("x_start", "dlc_start", "cavity_length"),
+             {"x_start": -reach, "x_stop": 0.0, "dlc_start": 0.0}, short),
+            (("x_stop", "x_count", "dlc_start", "cavity_length"),
+             {"x_start": 0.0, "x_stop": reach, "dlc_start": 0.0}, short),
+            (("x_count", "dlc_count"), {"x_count": int(rng.integers(2001, 3000)),
+                                        "dlc_count": int(rng.integers(2001, 3000))}, mim)):
+        texts.append((fields, {"pump": {"wavelength": lam}, "mim": cavity,
+                               "grid": grid | change}))
+    return [(fields, _ini_text(sections)) for fields, sections in texts]
+
+
+def _config_problems(path: str) -> list:
+    """The problem lines of a run config: `validate_report`'s, or the parts
+    of the error of a [grid] that `load_run_config` rejects."""
+    try:
+        cfg = load_run_config(path)
+    except ConfigError as exc:
+        return str(exc).split("; ")
+    return validate_report(cfg)
+
+
+def test_problem_lines_clear_when_their_keys_are_valid(tmp_path):
+    """Every problem line of the seeded configs that
+    `test_accepted_configs_fail_only_typed` draws, and of draws that each
+    break one rule across keys, clears when only the keys it names take
+    valid values (the README example's, and a valid chain file).  Each
+    draw that breaks one rule gets one problem line, naming that rule's
+    keys."""
+    chain_path = write(tmp_path / "chain.ini", GOOD_CHAIN)
+    far_chain = write(tmp_path / "far.ini", GOOD_CHAIN.replace(
+        "wavelength = 1064nm", "wavelength = 1000").replace("length = 2.5mm", "length = 2500"))
+    good = config._read_ini(write(tmp_path / "good.ini", GOOD_RUN))
+    valid = {f"{section}.{key}": value for section, keys in good.items()
+             for key, value in keys.items()} | {"chain.path": chain_path}
+    names = config._RUN_NAMES
+    drawn = [(None, text) for text in _random_run_configs(48, 27)
+             + _random_run_configs(24, 28, grid=False)]
+    broken = [case for _ in range(4)
+              for case in _one_rule_broken(np.random.default_rng(29 + _), far_chain)]
+    lines = 0
+    for i, (fields, text) in enumerate(drawn + broken):
+        path = write(tmp_path / f"run{i}.ini", text)
+        problems = _config_problems(path)
+        if fields is not None:
+            assert [_named_keys(p) for p in problems] == [[names[f] for f in fields]], (
+                text, problems)
+        for line in problems:
+            sections = config._read_ini(path)
+            for name in _named_keys(line):
+                section, _, key = name.partition(".")
+                sections.setdefault(section, {})[key] = valid[name]
+            assert line not in _config_problems(write(tmp_path / "fixed.ini",
+                                                      _ini_text(sections))), (text, line)
+            lines += 1
+    assert lines >= len(broken) + 5, lines  # lines of the drawn configs too
