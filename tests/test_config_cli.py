@@ -1452,8 +1452,8 @@ def test_problem_lines_clear_when_their_keys_are_valid(tmp_path):
     names = config._RUN_NAMES
     drawn = [(None, text) for text in _random_run_configs(48, 27)
              + _random_run_configs(24, 28, grid=False)]
-    broken = [case for _ in range(4)
-              for case in _one_rule_broken(np.random.default_rng(29 + _), far_chain)]
+    broken = [case for seed in range(29, 33)
+              for case in _one_rule_broken(np.random.default_rng(seed), far_chain)]
     lines = 0
     for i, (fields, text) in enumerate(drawn + broken):
         path = write(tmp_path / f"run{i}.ini", text)
