@@ -1,6 +1,6 @@
 """Record one point of the benchmark trajectory: BENCH_<pr>.json.
 
-    python3 record_bench.py BENCH_31.json [--seeds 1-10] [--repeats 5]
+    python3 record_bench.py BENCH_31.json
 
 Run from the root of a source tree, on a quiet host: it takes about as
 long as `bench/spread.py --seeds 1-10` (every workload of BENCHMARK.json
@@ -12,7 +12,7 @@ for its run_seconds, once per seed) plus a few minutes.  It records:
 - `cli_scan_101x101`: the wall time of a default `tmmcavity scan` (no
   [grid]: 101 x 101 points), in-process after one warm-up command, its
   outputs unlinked before each;
-- `tier1`: the wall time of the tier-1 suite, `--repeats` runs;
+- `tier1`: the wall time of the tier-1 suite, 5 runs;
 - `operator_fields`: seconds per chain of `noise.operator_fields` on 10
   random chains each of 33, 81, 161 and 321 elements (30% of scatterers
   absorbing), the best of 3 calls per chain.
@@ -38,6 +38,9 @@ import time
 ROOT = os.path.dirname(os.path.abspath(__file__))
 ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src"), "OPENBLAS_NUM_THREADS": "1",
        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# one measurement for every record, so that any two of them compare
+SEEDS = "1-10"  # bench/spread.py seeds
+REPEATS = 5  # tier-1 runs
 SIZES = (33, 81, 161, 321)
 NOTES = [
     "peak_rss_mb on the chain_* workloads counts requests: bench/worker.py keeps about "
@@ -108,11 +111,11 @@ def python_json(code: str, *args: str) -> object:
     return json.loads(proc.stdout)
 
 
-def bench_workloads(seeds: str) -> dict:
+def bench_workloads() -> dict:
     """{workload: {metric: summary}} of the runs `bench/spread.py` makes."""
     log = os.path.join(ROOT, ".bench_out", "spread.jsonl")
     start = os.path.getsize(log) if os.path.exists(log) else 0
-    subprocess.run([sys.executable, os.path.join("bench", "spread.py"), "--seeds", seeds],
+    subprocess.run([sys.executable, os.path.join("bench", "spread.py"), "--seeds", SEEDS],
                    cwd=ROOT, env=ENV, check=True)
     runs = {}
     with open(log, encoding="utf-8") as fh:
@@ -128,9 +131,9 @@ def bench_workloads(seeds: str) -> dict:
             for workload, metrics in runs.items()}
 
 
-def tier1_seconds(repeats: int) -> list:
+def tier1_seconds() -> list:
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         # the schema test reads the file this run has yet to write
         subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -164,18 +167,16 @@ def git_rev() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="the file to write, BENCH_<pr>.json")
-    ap.add_argument("--seeds", default="1-10", help="bench/spread.py seeds")
-    ap.add_argument("--repeats", type=int, default=5, help="tier-1 runs")
     args = ap.parse_args(argv)
 
     record = {**git_rev(), "environment": environment(), "notes": NOTES}
-    workloads = bench_workloads(args.seeds)
+    workloads = bench_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         ini = os.path.join(tmp, "run.ini")
         open(ini, "w", encoding="utf-8").close()  # every default: a 101 x 101 grid
         scan = python_json(_SCAN, ini, os.path.join(tmp, "scan.csv"), "20")
     workloads["cli_scan_101x101"] = {"wall_s": summary(scan, "s")}
-    workloads["tier1"] = {"wall_s": summary(tier1_seconds(args.repeats), "s")}
+    workloads["tier1"] = {"wall_s": summary(tier1_seconds(), "s")}
     noise = python_json(_NOISE, "1", json.dumps(SIZES))
     workloads["operator_fields"] = {f"{n}_s": summary(v, "s") for n, v in noise.items()}
     record["workloads"] = workloads

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 from .elements import (
     Chain, PumpSpec, Scatterer, Segment, _check_length, _check_mobile_zeta, _check_wavelength,
+    _photon_flux,
 )
 from .errors import CalibrationError, ChainError, ConfigError, TmmCavityError
 from .mim import (
@@ -151,10 +152,6 @@ class _Key(NamedTuple):
     checks: tuple = ()
 
 
-def _real(field: str):
-    return partial(_check_real, field)
-
-
 def _check_workers(workers):
     if workers < 1:
         raise ConfigError(f"must be >= 1, got {workers}")
@@ -165,21 +162,22 @@ _RUN_KEYS = (
     _Key("run", "schema_version", "", "config schema version",
          "schema_version", _parse_version),
     _Key("pump", "wavelength", "m", "pump wavelength", "wavelength", parse_length,
-         "wavelength_m", (_real("wavelength"), _check_positive, _check_wavelength)),
+         "wavelength_m", (partial(_check_real, "wavelength"), _check_positive, _check_wavelength)),
     _Key("pump", "power", "W", "input power", "power_watts", parse_power, "power_W",
-         (_real("power_watts"), _check_power)),
+         (partial(_check_real, "power_watts"), _check_power)),
     _Key("pump", "side", "", "pump side, left|right", "pump_side", str.strip,
          "pump_side", (_check_pump_side,)),
     _Key("mim", "cavity_length", "m", "cavity length", "cavity_length", parse_length,
-         "cavity_length_m", (_real("cavity_length"), _check_positive)),
+         "cavity_length_m", (partial(_check_real, "cavity_length"), _check_positive)),
     _Key("mim", "membrane_zeta", "", "membrane polarisability, real <= 0", "membrane_zeta",
-         _parse_float, "membrane_zeta", (_real("membrane_zeta"), _check_membrane_zeta)),
+         _parse_float, "membrane_zeta",
+         (partial(_check_real, "membrane_zeta"), _check_membrane_zeta)),
     _Key("mim", "mirror_zeta", "", "end-mirror polarisability", "mirror_zeta",
-         _parse_float, "mirror_zeta", (_real("mirror_zeta"),)),
+         _parse_float, "mirror_zeta", (partial(_check_real, "mirror_zeta"),)),
     _Key("mim", "membrane_x", "m", "membrane displacement for `point`", "membrane_x",
-         parse_length, "membrane_x_m", (_real("membrane_x"),)),
-    _Key("mim", "cavity_detuning", "m", "cavity-length detuning for `point`",
-         "cavity_detuning", parse_length, "cavity_detuning_m", (_real("cavity_detuning"),)),
+         parse_length, "membrane_x_m", (partial(_check_real, "membrane_x"),)),
+    _Key("mim", "cavity_detuning", "m", "cavity-length detuning for `point`", "cavity_detuning",
+         parse_length, "cavity_detuning_m", (partial(_check_real, "cavity_detuning"),)),
     _Key("chain", "path", "", "chain description file, in place of [mim] for `point` and "
          "`elements`", "chain_path", str.strip, "chain_path",
          (lambda path: load_chain_file(path),)),  # defined below
@@ -359,18 +357,23 @@ def _check_points(x_count, dlc_count):
         raise ConfigError(f"grid has {x_count * dlc_count} points; bound is 4e6")
 
 
+def _check_flux(wavelength, power_watts):
+    if not math.isfinite(flux := _photon_flux(power_watts, wavelength)):
+        raise ChainError(f"photon flux P/(hbar omega0) must be finite, got {flux}")
+
+
+_CAVITY = ("wavelength", "cavity_length")
 # The bounds across keys, each (fields, check): the check takes the values
 # of the RunConfig and ScanGrid fields in that order, and the problem of its
 # TmmCavityError names every key.
 _RULES = (
     (("x_start", "x_stop", "x_count"), partial(_check_axis, axis="x")),
     (("dlc_start", "dlc_stop", "dlc_count"), partial(_check_axis, axis="dlc")),
-    (("wavelength", "cavity_length"), _check_cavity),
-    # the pump's photon flux P / (hbar omega0) stays a float64, at the
-    # [pump] wavelength and at a chain file's own
-    (("wavelength", "power_watts"), lambda lam, power: PumpSpec.one_sided(power, lam)),
-    (("power_watts", "chain_path"),
-     lambda power, chain: PumpSpec.one_sided(power, 2 * math.pi / chain.k0)),
+    (_CAVITY, _check_cavity),
+    # the pump's photon flux stays a float64, at the [pump] wavelength and
+    # at a chain file's own
+    (("wavelength", "power_watts"), _check_flux),
+    (("power_watts", "chain_path"), lambda power, c: _check_flux(2 * math.pi / c.k0, power)),
     (("membrane_x", "wavelength"), _check_reach),
     (("x_start", "x_stop", "wavelength"), lambda x0, x1, lam: _check_reach((x0, x1), lam)),
     (("membrane_x", "cavity_detuning", "cavity_length"), _half_gap),
@@ -383,19 +386,19 @@ _RULES = (
 )
 
 
-def _problems(values: dict, rules: tuple) -> list[str]:
+def _problems(values: dict, rules: tuple) -> dict:
     """The problems of `values` ({field: value}, None where a key has no
-    value): each key's first failing check, named by the key, then each
-    failing rule, named by all of its keys.  A rule is judged only where
-    every one of its keys has a value that passed its own checks, which
-    put any value they hand the rules in `values`."""
-    problems = []
+    value), as {fields: problem}: each key's first failing check, named by
+    the key, then each failing rule, named by all of its keys.  A rule is
+    judged only where every one of its keys has a value that passed its
+    own checks, which put any value they hand the rules in `values`."""
+    problems = {}
     for e in _RUN_KEYS:
         try:
             for check in e.checks if values.get(e.field) is not None else ():
                 values[e.field] = check(values[e.field]) or values[e.field]
         except TmmCavityError as exc:
-            problems.append(f"{_RUN_NAMES[e.field]}: {exc}")
+            problems[e.field,] = f"{_RUN_NAMES[e.field]}: {exc}"
             values[e.field] = None  # and no rule of the key is judged
     for fields, check in rules:
         args = [values.get(f) for f in fields]
@@ -403,7 +406,7 @@ def _problems(values: dict, rules: tuple) -> list[str]:
             try:
                 check(*args)
             except TmmCavityError as exc:
-                problems.append(f"{', '.join(map(_RUN_NAMES.get, fields))}: {exc}")
+                problems[fields] = f"{', '.join(map(_RUN_NAMES.get, fields))}: {exc}"
     return problems
 
 
@@ -440,7 +443,7 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
         try:
             cfg.grid = ScanGrid(**grid)
         except ChainError:  # a problem of the [grid]'s keys and rules
-            raise ConfigError("; ".join(_problems(grid, _RULES))) from None
+            raise ConfigError("; ".join(_problems(grid, _RULES).values())) from None
     return cfg
 
 
@@ -541,12 +544,10 @@ def _build(cfg: RunConfig) -> _Run:
     warnings.
     """
     grid = cfg.grid
-    values = vars(cfg) | ({e.field: getattr(grid, e.field) for e in _GRID_KEYS}
-                          if grid else {})
+    values = vars(cfg) | {e.field: getattr(grid, e.field, None) for e in _GRID_KEYS}
     problems = _problems(values, _RULES)
-    mim = geometry = pump = chain = grid_error = None
-    try:  # each record where its checks pass; a failure is a problem above
-        geometry = MimConfig(wavelength=cfg.wavelength, cavity_length=cfg.cavity_length)
+    mim = pump = chain = grid_error = None
+    try:  # the MIM setup where its checks pass; a failure is a problem above
         mim = cfg.mim_config()
         pump = pump_for(mim)
     except TmmCavityError:
@@ -557,7 +558,8 @@ def _build(cfg: RunConfig) -> _Run:
             bare_resonance(mim)
         except CalibrationError as exc:  # no config error: `point` runs any mirror
             warnings.append(f"mim.mirror_zeta: {exc}")
-    if grid is None and geometry is not None:
+    # the default grid where the cavity's keys and bound pass their checks
+    if grid is None and not problems.keys() & {("wavelength",), ("cavity_length",), _CAVITY}:
         grid = cfg.default_grid()
         try:  # x spans +-wavelength/2, so both of its ends collapse alike
             _half_gap(grid.x_start, grid.dlc_start, cfg.cavity_length)
@@ -570,7 +572,7 @@ def _build(cfg: RunConfig) -> _Run:
         chain = values["chain_path"] or build_mim(mim, cfg.membrane_x, cfg.cavity_detuning)
         if cfg.chain_path is not None:
             pump = PumpSpec.one_sided(cfg.power_watts, 2 * math.pi / chain.k0, cfg.pump_side)
-    return _Run(cfg, problems, warnings, mim, grid, grid_error, chain, pump)
+    return _Run(cfg, list(problems.values()), warnings, mim, grid, grid_error, chain, pump)
 
 
 def validate_report(cfg: RunConfig) -> list[str]:

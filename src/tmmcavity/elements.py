@@ -236,6 +236,11 @@ def _check_power_and_wavelength(power_watts, wavelength):
     _check_wavelength(wavelength)
 
 
+def _photon_flux(power_watts, wavelength):
+    """P / (hbar omega0): the photons per second of a pump."""
+    return power_watts / (HBAR * (2 * math.pi * C_LIGHT / wavelength))
+
+
 @_record
 class PumpSpec:
     """Monochromatic pump amplitudes in sqrt(photon flux) units.
@@ -274,14 +279,12 @@ class PumpSpec:
 
     @property
     def photon_flux(self) -> float:
-        omega0 = 2 * math.pi * C_LIGHT / self.wavelength
-        return self.power_watts / (HBAR * omega0)
+        return _photon_flux(self.power_watts, self.wavelength)
 
     @staticmethod
     def one_sided(power_watts: float, wavelength: float, side: str = "left") -> "PumpSpec":
         _check_power_and_wavelength(power_watts, wavelength)
-        omega0 = 2 * math.pi * C_LIGHT / wavelength
-        amp = math.sqrt(power_watts / (HBAR * omega0))
+        amp = math.sqrt(_photon_flux(power_watts, wavelength))
         if side == "left":
             return PumpSpec(amp, 0.0, power_watts, wavelength)
         if side == "right":

@@ -321,14 +321,18 @@ class TestCliCommands:
         """`point` and `elements` pump a chain file at the file's wavelength:
         1e289 W is a finite amplitude at the [pump] 1064 nm but not at a
         chain's 1000 m, so `validate` and both commands exit 2 naming
-        pump.power and chain.path, and a [pump] power that fails on its own
-        is named once, by pump.power alone."""
+        pump.power and chain.path with the flux, on either pump side, and a
+        [pump] power that fails on its own is named once, by pump.power
+        alone."""
         chain_path = write(tmp_path / "c.ini", GOOD_CHAIN.replace(
             "wavelength = 1064nm", "wavelength = 1000").replace("length = 2.5mm", "length = 2500"))
         run = GOOD_RUN.replace("[mim]", "[chain]\npath = %s\n\n[mim]" % chain_path)
         path = write(tmp_path / "run.ini", run.replace("power = 1W", "power = 1e289W"))
-        problem = "pump.power, chain.path: pump amplitude B0 must be finite, got (inf+0j)"
+        problem = "pump.power, chain.path: photon flux P/(hbar omega0) must be finite, got inf"
         assert validate_report(load_run_config(path)) == [problem]
+        right = write(tmp_path / "right.ini", run.replace("power = 1W", "power = 1e289W").replace(
+            "side = left", "side = right"))
+        assert validate_report(load_run_config(right)) == [problem]
         assert validate_report(load_run_config(write(tmp_path / "mim.ini", GOOD_RUN.replace(
             "power = 1W", "power = 1e289W")))) == []
         for command in ("validate", "point", "elements"):
