@@ -26,14 +26,7 @@ from .errors import (
     SingularSolveError,
     TmmCavityError,
 )
-from .statics import (
-    CouplingReport,
-    StaticFields,
-    couplings,
-    resonance_shifts,
-    solve_static,
-    static_force,
-)
+from .statics import StaticFields, solve_static, static_force
 from .dynamics import FieldSet, ForceReport, force_with_velocity, solve_dynamic
 from .noise import (
     ModeBasis,
@@ -42,10 +35,12 @@ from .noise import (
     attach_loss_modes,
     diffusion,
     equilibrium_temperature,
+    evaluate_chain,
     operator_fields,
 )
 from .mim import (
     CoupledCavityParams,
+    CouplingReport,
     MimConfig,
     ScanGrid,
     ScanPoint,
@@ -56,10 +51,11 @@ from .mim import (
     calibrate_coupled_params,
     compare_models,
     coupled_cavity_force,
-    evaluate_chain,
+    couplings,
     overlay_candidates,
     point_quantities,
     pump_for,
+    resonance_shifts,
     scan,
 )
 

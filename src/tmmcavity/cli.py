@@ -41,9 +41,8 @@ from .config import (
 from ._g17 import WORDS, g17
 from .elements import Scatterer, Segment
 from .errors import ConfigError, SingularSolveError, TmmCavityError
-from .mim import ScanGrid, compare_models, evaluate_chain, scan
+from .mim import ScanGrid, _coupling_rates, compare_models, evaluate_chain, resonance_shifts, scan
 from .opalg import _element_entries
-from .statics import _coupling_rates, resonance_shifts
 
 
 def _atomic_write(paths: list[str], chunks):

@@ -16,19 +16,20 @@ names; both are the checks the records' constructors make.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, NamedTuple
 
 from .elements import (
-    Chain, PumpSpec, Scatterer, Segment, _check_length, _check_mobile_zeta, _check_wavelength,
-    _photon_flux,
+    Chain, PumpSpec, Scatterer, Segment, _check_length, _check_mobile_zeta, _check_power,
+    _check_pump_side, _check_wavelength, _photon_flux,
 )
 from .errors import CalibrationError, ChainError, ConfigError, TmmCavityError
 from .mim import (
     MimConfig, ScanGrid, _check_axis, _check_cavity, _check_count, _check_membrane_zeta,
-    _check_positive, _check_power, _check_pump_side, _check_range, _check_reach, _check_real,
-    _half_gap, bare_resonance, build_mim, pump_for,
+    _check_positive, _check_range, _check_reach, _check_real, _half_gap, bare_resonance,
+    build_mim, pump_for,
 )
 
 __all__ = [
@@ -448,22 +449,32 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 
 def load_chain_file(path: str) -> Chain:
-    """Parse a chain description file into a Chain."""
+    """Parse a chain description file into a Chain.  A problem of its keys
+    reads ``<file>: <key>: <message>``; the bound on a segment's length
+    names both of its keys, element.N.length and chain.wavelength."""
     ini = _read_ini(path)
     _check_unknown(ini, _CHAIN_KEYS, path)
 
-    chain = ini.get("chain")
-    if chain is None:
-        raise ConfigError(f"{path}: missing [chain] section")
-    if "schema_version" in chain:
-        _value(ini, "chain", "schema_version", _parse_version)
+    def problem(keys: str, message) -> ConfigError:
+        return ConfigError(f"{path}: {keys}: {message}")
+
+    @contextmanager
+    def naming(keys: str):
+        """Any TmmCavityError raised inside as the problem of `keys`."""
+        try:
+            yield
+        except TmmCavityError as exc:
+            raise problem(keys, exc) from None
+
+    chain = ini.get("chain", {})
     if "wavelength" not in chain:
-        raise ConfigError(f"{path}: [chain] needs a wavelength")
-    wavelength = _value(ini, "chain", "wavelength", parse_length)
-    try:
+        raise problem("chain.wavelength", "missing: the file needs [chain] wavelength")
+    if "schema_version" in chain:
+        with naming("chain.schema_version"):
+            _parse_version(chain["schema_version"])
+    with naming("chain.wavelength"):
+        wavelength = parse_length(chain["wavelength"])
         _check_wavelength(wavelength)
-    except ChainError as exc:
-        raise ConfigError(f"{path}: chain.{exc}") from None
 
     def sort_key(name: str):
         suffix = name.split(".", 1)[1]
@@ -472,44 +483,42 @@ def load_chain_file(path: str) -> Chain:
         except ValueError:
             return (1, 0, suffix)
 
-    def segment(text: str) -> Segment:
-        seg = Segment(parse_length(text))
-        _check_length(seg.length, wavelength, "segment length")
-        return seg
-
     elements = []
     mobile_index = None
     for section in sorted((s for s in ini if s != "chain"), key=sort_key):
         values = ini[section]
         kind = values.get("kind")
         if kind is None:
-            raise ConfigError(f"{path}: [{section}] needs a kind")
+            raise problem(f"{section}.kind", "missing: each element needs a kind")
         kind = kind.strip().lower()
         if kind == "scatterer":
             if "zeta" not in values:
-                raise ConfigError(f"{path}: [{section}] scatterer needs zeta = RE IM")
-            elements.append(_value(ini, section, "zeta",
-                                   lambda text: Scatterer.of(_parse_zeta(text))))
-            if "mobile" in values and _value(ini, section, "mobile", _parse_bool):
+                raise problem(f"{section}.zeta", "missing: a scatterer needs zeta = RE IM")
+            with naming(f"{section}.zeta"):
+                elements.append(Scatterer.of(_parse_zeta(values["zeta"])))
+            with naming(f"{section}.mobile"):
+                mobile = "mobile" in values and _parse_bool(values["mobile"])
+            if mobile:
                 if mobile_index is not None:
-                    raise ConfigError(f"{path}: {section}.mobile: more than one mobile element")
-                try:
+                    raise problem(f"{section}.mobile", "more than one mobile element")
+                with naming(f"{section}.zeta"):
                     _check_mobile_zeta(elements[-1].pol.zeta)
-                except ChainError as exc:
-                    raise ConfigError(f"{path}: {section}.zeta: {exc}") from None
                 mobile_index = len(elements) - 1
         elif kind == "segment":
             if "length" not in values:
-                raise ConfigError(f"{path}: [{section}] segment needs a length")
+                raise problem(f"{section}.length", "missing: a segment needs a length")
             if "mobile" in values:
-                raise ConfigError(f"{path}: {section}.mobile: segments cannot be mobile")
-            elements.append(_value(ini, section, "length", segment))
+                raise problem(f"{section}.mobile", "segments cannot be mobile")
+            with naming(f"{section}.length"):
+                elements.append(Segment(parse_length(values["length"])))
+            with naming(f"{section}.length, chain.wavelength"):
+                _check_length(elements[-1].length, wavelength, "segment length")
         else:
-            raise ConfigError(f"{path}: {section}.kind: unknown element kind {kind!r}; "
-                              "must be scatterer or segment")
+            raise problem(f"{section}.kind", f"unknown element kind {kind!r}; "
+                          "must be scatterer or segment")
 
     if mobile_index is None:
-        raise ConfigError(f"{path}: no element marked mobile = true")
+        raise problem("element.N.mobile", "no element marked mobile = true")
     return Chain(
         elements=tuple(elements),
         mobile_index=mobile_index,

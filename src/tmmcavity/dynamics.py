@@ -1,4 +1,6 @@
-"""First-order-in-velocity fields, velocity-dependent force, and friction.
+"""First-order-in-velocity fields, velocity-dependent force, and friction:
+the records and wrappers over the kernel (`opalg`) and the chain finish
+(`noise._velocity_force`).
 
 The moving scatterer turns the composed chain matrix into an operator in
 wavenumber, carried as a first-order jet at the pump wavenumber by the
@@ -29,10 +31,10 @@ free-standing lossless scatterer dF/dv = -4 hbar k0 Phi z^2/(1+z^2) / c.
 
 from __future__ import annotations
 
-import numpy as np
-from .constants import c as C_LIGHT, hbar as HBAR
+from .constants import c as C_LIGHT
 
 from .elements import Chain, Polarisability, PumpSpec, _record
+from .noise import _velocity_force
 from .opalg import _chain_fields
 from .statics import StaticFields, static_force
 
@@ -102,19 +104,6 @@ def solve_dynamic(chain: Chain, pump: PumpSpec) -> FieldSet:
     return FieldSet(A0=A0, A1=A1, B0f=B0f, B1=B1, C0f=C0f, C1=C1, D0f=D0f, D1=D1,
                     out_left0=out_left, out_left1=out_left1, out_right0=out_right,
                     out_right1=out_right1)
-
-
-def _velocity_force(a0, a1, b0, b1, z: complex, k0: float):
-    """F1, the (v/c) coefficient of the force; scalars or arrays."""
-    az2 = abs(z) ** 2
-    bracket = (
-        az2 * (abs(a0) ** 2 - abs(b0) ** 2)
-        + (az2 + z.imag) * (a0 * np.conj(a1)).real
-        - 2 * z.imag * (a0 * np.conj(b0)).real
-        + (az2 - z.imag) * (b0 * np.conj(b1)).real
-        + ((az2 + 1j * z.real) * (a0 * np.conj(b1) + a1 * np.conj(b0))).real
-    )
-    return -4 * HBAR * k0 * bracket
 
 
 def force_with_velocity(fields: FieldSet, pol: Polarisability, k0: float) -> ForceReport:

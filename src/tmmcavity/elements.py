@@ -227,12 +227,24 @@ def _check_length(length, wavelength, name: str):
             f"({LENGTH_LIMIT * wavelength:g} m), got {length}")
 
 
+# The bounds of a pump, one function each: `PumpSpec`, `mim.MimConfig` and
+# the run configuration's keys all judge a pump by these.
+
+def _check_power(power_watts):
+    if not (math.isfinite(power_watts) and power_watts >= 0):
+        raise ChainError(f"pump power must be finite and >= 0, got {power_watts}")
+
+
+def _check_pump_side(side):
+    if side not in ("left", "right"):
+        raise ChainError(f"pump side must be 'left' or 'right', got {side!r}")
+
+
 def _check_power_and_wavelength(power_watts, wavelength):
     for name, value in (("pump power", power_watts), ("wavelength", wavelength)):
         if not isinstance(value, numbers.Real):
             raise ChainError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(power_watts) and power_watts >= 0):
-        raise ChainError(f"pump power must be finite and >= 0, got {power_watts}")
+    _check_power(power_watts)
     _check_wavelength(wavelength)
 
 
@@ -284,10 +296,9 @@ class PumpSpec:
     @staticmethod
     def one_sided(power_watts: float, wavelength: float, side: str = "left") -> "PumpSpec":
         _check_power_and_wavelength(power_watts, wavelength)
+        _check_pump_side(side)
         amp = math.sqrt(_photon_flux(power_watts, wavelength))
         if side == "left":
             return PumpSpec(amp, 0.0, power_watts, wavelength)
-        if side == "right":
-            return PumpSpec(0.0, amp, power_watts, wavelength)
-        raise ChainError(f"pump side must be 'left' or 'right', got {side!r}")
+        return PumpSpec(0.0, amp, power_watts, wavelength)
 

@@ -1,4 +1,11 @@
-"""Membrane-in-the-middle geometry: scans, overlays, coupled-mode comparison.
+"""Membrane-in-the-middle geometry: scans, analytic resonance shifts and
+couplings, overlays, coupled-mode comparison.
+
+The MIM application of the chain engine below it: every chain quantity
+comes from the kernel (`opalg`) and the chain finish
+(`noise.evaluate_chain`, and `noise._quantities` over blocks of grid
+points); this module adds the geometry, its closed forms and the
+coupled-cavities model.
 
 Geometry: two identical end mirrors of polarisability `mirror_zeta` enclose
 a mobile membrane.  A cavity-length detuning dLc is split evenly between
@@ -16,6 +23,12 @@ through dLc = anchor + lambda/4 - (Lc/omega0) * dW(x)  (mod lambda/2), with
 the anchor the resonance peak of the bare cavity of the same configuration
 (exact for its two thin mirrors), which absorbs both the arbitrary
 Lc mod lambda offset and the end-mirror reflection phase.
+
+The resonance shifts and the linear and quadratic optomechanical couplings
+are evaluated from their closed forms, valid in the good-cavity limit; the
+inverse tangent is taken two-argument so the two branches come out a free
+spectral range apart, and scans in x are unwrapped continuously anchored
+at x = 0.
 """
 
 from __future__ import annotations
@@ -27,15 +40,13 @@ from dataclasses import asdict, field
 import numpy as np
 
 from .constants import c as C_LIGHT
-from .dynamics import _velocity_force
 from .elements import (
     Chain, Polarisability, PumpSpec, Scatterer, Segment, _check_length, _check_mobile_zeta,
-    _check_wavelength, _record,
+    _check_power, _check_pump_side, _check_wavelength, _record,
 )
 from .errors import CalibrationError, ChainError, SingularSolveError
-from .noise import _diffusion, _kbt, operator_fields
-from .opalg import _chain_solution, _pump_solution, _right_face, _singular_error
-from .statics import resonance_shifts
+from .noise import QUANTITIES, _quantities, evaluate_chain
+from .opalg import _pump_solution
 
 __all__ = [
     "MimConfig",
@@ -55,11 +66,15 @@ __all__ = [
     "coupled_cavity_force",
     "calibrate_coupled_params",
     "compare_models",
+    "CouplingReport",
+    "resonance_shifts",
+    "couplings",
 ]
 
 
 # The checks of `MimConfig` and `ScanGrid`, one function per bound: a run
-# configuration judges each key, and each rule across keys, by the same.
+# configuration judges each key, and each rule across keys, by the same
+# (the pump's power and side by `elements`').
 
 def _check_real(name: str, value) -> float:
     if not isinstance(value, numbers.Real) or not math.isfinite(value):
@@ -84,16 +99,6 @@ def _check_membrane_zeta(zeta):
     if zeta > 0:
         raise ChainError(f"membrane polarisability must be real <= 0, got {zeta}")
     _check_mobile_zeta(zeta)
-
-
-def _check_power(power_watts):
-    if power_watts < 0:
-        raise ChainError("pump power must be >= 0")
-
-
-def _check_pump_side(side):
-    if side not in ("left", "right"):
-        raise ChainError(f"pump side must be left or right, got {side}")
 
 
 def _check_count(*counts):
@@ -269,29 +274,6 @@ class ScanPoint:
     kBT: float | None
 
 
-def evaluate_chain(chain: Chain, pump: PumpSpec) -> dict:
-    """Intensity, forces, diffusion and temperature for one chain: the
-    kernel at P = 1 and the `scan` cell's finish (`_quantities`), so an MIM
-    chain gives the cell's values bit for bit.  A right pump is finished
-    in the reversed chain's frame it was solved in, with F0 in the chain's
-    own.  The noise columns of a chain with an absorber, one loss mode
-    each, come from `operator_fields`.  kBT is None in heating regions;
-    SingularSolveError where a grid writes NaN, ChainError for a pump at
-    another wavelength than the chain's.
-    """
-    k0, z = chain.k0, chain.mobile.pol.zeta
-    solution, reverse = _chain_solution(chain, pump, first_order=True)
-    columns = None
-    if any(isinstance(el, Scatterer) and el.pol.absorptive for el in chain.elements):
-        ops = operator_fields(chain)
-        # the reversed frame's faces (A, B, C, D) are the chain's (D, C, B, A)
-        columns = (ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec)[::-1 if reverse else 1]
-    values = _quantities(solution, k0, z, columns)[:, 0]
-    if np.isnan(values[:4]).any():
-        raise _singular_error(solution, k0)
-    return dict(zip(ScanResult.QUANTITIES, (None if v != v else v for v in values.tolist())))
-
-
 def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
     """Intensity, forces, diffusion and temperature at one grid point:
     `evaluate_chain` of the MIM chain and pump there, with every quantity
@@ -301,7 +283,7 @@ def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
     try:
         values = evaluate_chain(build_mim(config, x, dlc), pump_for(config))
     except SingularSolveError:
-        values = dict.fromkeys(ScanResult.QUANTITIES)
+        values = dict.fromkeys(QUANTITIES)
     return ScanPoint(x, dlc, **values)
 
 
@@ -322,45 +304,6 @@ def point_quantities(config: MimConfig, x: float, dlc: float) -> ScanPoint:
 _BLOCK_POINTS = 6144
 
 
-def _quantities(solution, k0: float, z: complex, columns=None) -> np.ndarray:
-    """(intensity, F0, dFdv, D, kBT) as a (5, P) array from a first-order
-    kernel solution; NaN marks singular points.  The one finish of `scan`,
-    `point_quantities` and `evaluate_chain`.
-
-    D is the Gram form over the noise columns (a, b, c, d), each (modes,
-    P).  They default to the static fields at the two unit pumps, which
-    span every input mode of a lossless chain: from the left the
-    solution's fields over its pump (or its `unit` fields), and from the
-    right the left face r (m1_22, -m1_21) that M1 maps to a pure left
-    output, r = 1/b being that output (the composed matrix has unit
-    determinant).
-    """
-    A0, B0f, C0f, D0f, _, _ = solution.fields
-    A1, B1 = solution.first[:2]
-    out = np.empty((5, A0.size))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out[0] = abs(A0 + B0f) ** 2
-        out[1] = solution.f0
-        out[2] = _velocity_force(A0, A1, B0f, B1, z, k0) / C_LIGHT
-        if z == 0:
-            out[3] = 0.0  # nothing scatters, no momentum kicks
-        else:
-            if columns is None:
-                # at zero power the fields are zero, so is every Gram term
-                b0 = solution.pump or 1.0
-                left = solution.unit or tuple(f / b0 for f in (A0, B0f, C0f, D0f))
-                _, _, m21, m22 = solution.m1
-                # a chain of scatterers only composes scalar matrices
-                r = np.broadcast_to(1 / solution.m[3], A0.shape)
-                ar, br = m22 * r, -m21 * r
-                columns = [np.stack(pair) for pair in zip(left, (ar, br, *_right_face(ar, br, z)))]
-            out[3] = _diffusion(A0, B0f, C0f, D0f, *columns, k0)
-        singular = solution.singular | ~np.isfinite(out[:4]).all(axis=0)
-    out[:4, singular] = np.nan
-    out[4] = _kbt(out[3], out[2])
-    return out
-
-
 def _grid_solve(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish,
                 first_order: bool = False) -> np.ndarray:
     """`finish(solution, k0, zeta)` of `opalg._pump_solution` on the MIM
@@ -368,7 +311,7 @@ def _grid_solve(config: MimConfig, x: np.ndarray, dlc: np.ndarray, finish,
     points (x, dlc), broadcast against each other and taken in row-major
     order, one block of points at a time, joined along the last axis.
 
-    The block's solve is the call `evaluate_chain` makes on one chain, with
+    The block's solve is the call `noise.evaluate_chain` makes on one chain, with
     (P,) arrays for the gaps.  So a right pump is the left pump of the
     reversed list, the chain with its gaps swapped (for the
     mirror-symmetric MIM, the chain at -x bit for bit), and its F0 comes
@@ -420,7 +363,7 @@ class ScanResult:
     kBT: np.ndarray
     overlay: tuple  # columns (x, branch, fold, dlc); branch indexes BRANCHES
 
-    QUANTITIES = ("intensity", "F0", "dFdv", "D", "kBT")
+    QUANTITIES = QUANTITIES
     BRANCHES = ("plus", "minus")
 
     @property
@@ -453,6 +396,108 @@ def scan(config: MimConfig, grid: ScanGrid) -> ScanResult:
 
     return ScanResult(config=config, grid=grid, intensity=intensity, F0=f0,
                       dFdv=dfdv, D=d_coeff, kBT=kbt, overlay=overlay)
+
+
+# ---------------------------------------------------------------------------
+# analytic resonance shifts and optomechanical couplings
+# ---------------------------------------------------------------------------
+
+
+def _branch_angles(zeta: float, u: np.ndarray) -> np.ndarray:
+    """Two-argument inverse tangents of the resonance-shift closed form,
+    both branches as one (2, n) array.
+
+    `u` is 2 k0 x; branch +1 (row 0) takes (num, den) = (z^2 cos u + R,
+    z(cos u - R)) and branch -1 (row 1) the opposite root pairing, with
+    R = sqrt(1 + z^2 sin^2 u).  The two branches differ by pi, i.e. one
+    free spectral range.
+    """
+    s, co = np.sin(u), np.cos(u)
+    root = np.sqrt(1.0 + zeta**2 * s**2) * np.array([[1.0], [-1.0]])
+    return np.arctan2(zeta**2 * co + root, zeta * (co - root))
+
+
+def _unwrap_anchored(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Unwrap angle scans (rows of theta) continuously, each anchored at
+    the point nearest x=0."""
+    unwrapped = np.unwrap(theta)
+    i0 = int(np.argmin(np.abs(x)))
+    # re-anchor so the value nearest x = 0 keeps its principal branch
+    shift = np.round((unwrapped[:, i0] - theta[:, i0]) / (2 * np.pi))
+    return unwrapped - 2 * np.pi * shift[:, None]
+
+
+def resonance_shifts(zeta: float, x, L_c: float, k0: float):
+    """Resonance frequency shifts (rad/s) of the two branch families.
+
+    Evaluates, for both signs of the root,
+
+        dW = (c/L_c) atan2(z^2 cos(2 k0 x) +/- R,
+                           z [cos(2 k0 x) -/+ R]),   R = sqrt(1+z^2 sin^2),
+
+    which places the branches one free spectral range (pi c / L_c) apart as
+    zeta -> 0; at zeta = 0 they sit at +/- (pi/2) c/L_c for every x.
+    Scalar x gives the principal values; an array x is treated as a scan
+    and unwrapped continuously, anchored at the sample nearest x = 0.
+    Returns (plus_branch, minus_branch).  A |zeta| above
+    `elements.MOBILE_ZETA_LIMIT` is a ChainError.
+    """
+    _check_mobile_zeta(zeta)
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    theta = _branch_angles(float(zeta), 2.0 * k0 * xa)
+    if xa.size > 1:
+        theta = _unwrap_anchored(theta, xa)
+    plus, minus = (C_LIGHT / L_c) * theta
+    if np.isscalar(x):
+        return float(plus[0]), float(minus[0])
+    return plus, minus
+
+
+def _coupling_rates(zeta: float, x: float, L_c: float, k0: float) -> tuple[float, float]:
+    """(omega', omega'') of `couplings` at x, for a zeta it has checked."""
+    u = 2.0 * k0 * x
+    s, co = math.sin(u), math.cos(u)
+    denom = 1.0 + zeta**2 * s**2
+    return ((2.0 * k0 * C_LIGHT / L_c) * zeta * s / math.sqrt(denom),
+            (4.0 * k0**2 * C_LIGHT / L_c) * zeta * co / denom**1.5)
+
+
+@_record
+class CouplingReport:
+    """Resonance shifts and position couplings at one membrane position.
+
+    `omega_prime` (rad/s per metre) and `omega_double_prime` (rad/s per
+    metre^2) are the first and second x-derivatives of the plus-branch
+    resonance shift; the minus branch carries the opposite signs.
+    """
+
+    delta_omega_plus: float
+    delta_omega_minus: float
+    omega_prime: float
+    omega_double_prime: float
+
+
+def couplings(zeta: float, x: float, L_c: float, k0: float) -> CouplingReport:
+    """Linear and quadratic optomechanical couplings at membrane position x.
+
+        omega'  = +(2 k0 c / L_c)   zeta sin(2 k0 x) / (1+z^2 sin^2)^(1/2)
+        omega'' = +(4 k0^2 c / L_c) zeta cos(2 k0 x) / (1+z^2 sin^2)^(3/2)
+
+    for the plus branch (signs flip together on the other branch).  The
+    linear coupling is bounded by 2 k0 c / L_c however large |zeta| grows,
+    while the quadratic one peaks, proportionally to |zeta|, wherever
+    omega' = 0; the two never vanish at the same x.  A |zeta| above
+    `elements.MOBILE_ZETA_LIMIT` is a ChainError.
+    """
+    _check_mobile_zeta(zeta)
+    w1, w2 = _coupling_rates(zeta, x, L_c, k0)
+    dplus, dminus = resonance_shifts(zeta, x, L_c, k0)
+    return CouplingReport(
+        delta_omega_plus=dplus,
+        delta_omega_minus=dminus,
+        omega_prime=w1,
+        omega_double_prime=w2,
+    )
 
 
 # ---------------------------------------------------------------------------

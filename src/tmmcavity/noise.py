@@ -1,10 +1,19 @@
-"""Quantum-noise bookkeeping: mode decompositions, diffusion, temperature.
+"""The chain finish: from the kernel's fields to dF/dv, D and k_B T.
 
-Each static field around the mobile scatterer, promoted to an operator, is
-a linear combination of the independent input modes: the two pump ports
-and one vacuum "loss" mode per absorptive scatterer.  The
-basis modes satisfy [X, X^dag] = 1 and commute pairwise, so commutators of
-the field operators are plain inner products of coefficient vectors.
+`evaluate_chain` solves one chain with the kernel (`tmmcavity.opalg`) and
+finishes it with `_quantities`, the one finish that turns a first-order
+solution into (intensity, F0, dF/dv, D, k_B T): of one chain here, and of
+a block of grid points in `mim.scan`.  The friction is `_velocity_force`,
+the diffusion the Gram form `_diffusion` over the noise columns and the
+temperature `_kbt`.  F0 alone stays in the kernel (`opalg._static_force`),
+whose singular mask and two-sided pump sum read it.
+
+The noise columns.  Each static field around the mobile scatterer,
+promoted to an operator, is a linear combination of the independent input
+modes: the two pump ports and one vacuum "loss" mode per absorptive
+scatterer.  The basis modes satisfy [X, X^dag] = 1 and commute pairwise,
+so commutators of the field operators are plain inner products of
+coefficient vectors.
 
 An absorptive scatterer (Im zeta > 0) removes flux, which alone would break
 the bosonic commutators of the outgoing fields.  Its scattering block
@@ -37,10 +46,9 @@ import math
 import numpy as np
 from .constants import c as C_LIGHT, hbar as HBAR, k as K_BOLTZMANN
 
-from .elements import Chain, Polarisability, Scatterer, _record
+from .elements import Chain, Polarisability, PumpSpec, Scatterer, _record
 from .errors import NonCoolingError, PassivityError, SingularSolveError
-from .opalg import _element_entries
-from .statics import StaticFields
+from .opalg import _chain_solution, _element_entries, _right_face, _singular_error
 
 __all__ = [
     "ModeBasis",
@@ -50,7 +58,11 @@ __all__ = [
     "diffusion",
     "TemperatureReport",
     "equilibrium_temperature",
+    "evaluate_chain",
 ]
+
+# The quantities of the finish, in the order of its rows.
+QUANTITIES = ("intensity", "F0", "dFdv", "D", "kBT")
 
 
 @_record
@@ -204,10 +216,9 @@ def _diffusion(a0, b0, c0, d0, av, bv, cv, dv, k0: float):
     return (HBAR * k0) ** 2 * (abs(gram) ** 2).sum(axis=0)
 
 
-def diffusion(
-    fields: StaticFields, ops: OperatorFields, pol: Polarisability, k0: float
-) -> float:
-    """Momentum-diffusion coefficient, in N^2 s.
+def diffusion(fields, ops: OperatorFields, pol: Polarisability, k0: float) -> float:
+    """Momentum-diffusion coefficient, in N^2 s, for the static fields
+    `fields` (a `statics.StaticFields`: A0, B0f, C0f and D0f).
 
     D = (hbar k0)^2 ( |A0|^2 [A,A+] + |B0|^2 [B,B+] + |C0|^2 [C,C+]
                       + |D0|^2 [D,D+]
@@ -265,3 +276,83 @@ def equilibrium_temperature(diffusion_coeff: float, friction: float) -> Temperat
         )
     kbt = float(_kbt(diffusion_coeff, friction))
     return TemperatureReport(k_B_T=kbt, kelvin=kbt / K_BOLTZMANN)
+
+
+# ---------------------------------------------------------------------------
+# the finish of a first-order solve
+# ---------------------------------------------------------------------------
+
+
+def _velocity_force(a0, a1, b0, b1, z: complex, k0: float):
+    """F1, the (v/c) coefficient of the force; scalars or arrays."""
+    az2 = abs(z) ** 2
+    bracket = (
+        az2 * (abs(a0) ** 2 - abs(b0) ** 2)
+        + (az2 + z.imag) * (a0 * np.conj(a1)).real
+        - 2 * z.imag * (a0 * np.conj(b0)).real
+        + (az2 - z.imag) * (b0 * np.conj(b1)).real
+        + ((az2 + 1j * z.real) * (a0 * np.conj(b1) + a1 * np.conj(b0))).real
+    )
+    return -4 * HBAR * k0 * bracket
+
+
+def _quantities(solution, k0: float, z: complex, columns=None) -> np.ndarray:
+    """(intensity, F0, dFdv, D, kBT) as a (5, P) array from a first-order
+    kernel solution; NaN marks singular points.  The one finish of
+    `mim.scan`, `mim.point_quantities` and `evaluate_chain`.
+
+    D is the Gram form over the noise columns (a, b, c, d), each (modes,
+    P).  They default to the static fields at the two unit pumps, which
+    span every input mode of a lossless chain: from the left the
+    solution's fields over its pump (or its `unit` fields), and from the
+    right the left face r (m1_22, -m1_21) that M1 maps to a pure left
+    output, r = 1/b being that output (the composed matrix has unit
+    determinant).
+    """
+    A0, B0f, C0f, D0f, _, _ = solution.fields
+    A1, B1 = solution.first[:2]
+    out = np.empty((5, A0.size))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out[0] = abs(A0 + B0f) ** 2
+        out[1] = solution.f0
+        out[2] = _velocity_force(A0, A1, B0f, B1, z, k0) / C_LIGHT
+        if z == 0:
+            out[3] = 0.0  # nothing scatters, no momentum kicks
+        else:
+            if columns is None:
+                # at zero power the fields are zero, so is every Gram term
+                b0 = solution.pump or 1.0
+                left = solution.unit or tuple(f / b0 for f in (A0, B0f, C0f, D0f))
+                _, _, m21, m22 = solution.m1
+                # a chain of scatterers only composes scalar matrices
+                r = np.broadcast_to(1 / solution.m[3], A0.shape)
+                ar, br = m22 * r, -m21 * r
+                columns = [np.stack(pair) for pair in zip(left, (ar, br, *_right_face(ar, br, z)))]
+            out[3] = _diffusion(A0, B0f, C0f, D0f, *columns, k0)
+        singular = solution.singular | ~np.isfinite(out[:4]).all(axis=0)
+    out[:4, singular] = np.nan
+    out[4] = _kbt(out[3], out[2])
+    return out
+
+
+def evaluate_chain(chain: Chain, pump: PumpSpec) -> dict:
+    """Intensity, forces, diffusion and temperature for one chain: the
+    kernel at P = 1 and the `mim.scan` cell's finish (`_quantities`), so an
+    MIM chain gives the cell's values bit for bit.  A right pump is
+    finished in the reversed chain's frame it was solved in, with F0 in
+    the chain's own.  The noise columns of a chain with an absorber, one
+    loss mode each, come from `operator_fields`.  kBT is None in heating
+    regions; SingularSolveError where a grid writes NaN, ChainError for a
+    pump at another wavelength than the chain's.
+    """
+    k0, z = chain.k0, chain.mobile.pol.zeta
+    solution, reverse = _chain_solution(chain, pump, first_order=True)
+    columns = None
+    if any(isinstance(el, Scatterer) and el.pol.absorptive for el in chain.elements):
+        ops = operator_fields(chain)
+        # the reversed frame's faces (A, B, C, D) are the chain's (D, C, B, A)
+        columns = (ops.a_vec, ops.b_vec, ops.c_vec, ops.d_vec)[::-1 if reverse else 1]
+    values = _quantities(solution, k0, z, columns)[:, 0]
+    if np.isnan(values[:4]).any():
+        raise _singular_error(solution, k0)
+    return dict(zip(QUANTITIES, (None if v != v else v for v in values.tolist())))

@@ -25,12 +25,13 @@ from tmmcavity.mim import (
     bare_resonance,
     build_mim,
     compare_models,
+    couplings,
     overlay_candidates,
     pump_for,
     scan,
 )
 from tmmcavity.noise import OperatorFields, attach_loss_modes, operator_fields
-from tmmcavity.statics import couplings, solve_static
+from tmmcavity.statics import solve_static
 
 from helpers import breakdown_case, breakdown_table, fd_friction, wall_clock_limit
 

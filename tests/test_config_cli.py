@@ -31,12 +31,13 @@ from tmmcavity.mim import (
     bare_resonance,
     build_mim,
     compare_models,
+    couplings,
     evaluate_chain,
     point_quantities,
     pump_for,
+    resonance_shifts,
     scan,
 )
-from tmmcavity.statics import couplings, resonance_shifts
 
 from helpers import singular_column, static_matrix, wall_clock_limit
 
@@ -224,7 +225,8 @@ class TestChainFile:
     @pytest.mark.parametrize("wavelength", ["0", "-1nm", "nan", "inf", "1e300", "1e-300"])
     def test_wavelength_must_be_positive_and_finite(self, tmp_path, wavelength):
         bad = GOOD_CHAIN.replace("wavelength = 1064nm", f"wavelength = {wavelength}")
-        with pytest.raises(ConfigError, match="chain.wavelength must be positive"):
+        with pytest.raises(ConfigError,
+                           match="c.ini: chain.wavelength: wavelength must be positive"):
             load_chain_file(write(tmp_path / "c.ini", bad))
 
     def test_zeta_needs_two_reals(self, tmp_path):
@@ -1366,6 +1368,22 @@ def test_photon_flux_overflow_names_power_and_wavelength_only(tmp_path):
     problems = validate_report(load_run_config(path))
     assert len(problems) == 1, problems
     assert sorted(_named_keys(problems[0])) == ["pump.power", "pump.wavelength"]
+
+
+@pytest.mark.parametrize("power, side, key", [(-1.0, "left", "pump.power"),
+                                               (1.0, "up", "pump.side")])
+def test_pump_bounds_read_the_same_everywhere(tmp_path, power, side, key):
+    """Pump power and side are each judged by one function: the problem
+    `validate` names by its key carries the text of the ChainError that
+    `PumpSpec.one_sided` and `MimConfig` raise for the same values."""
+    path = write(tmp_path / "run.ini", GOOD_RUN.replace("power = 1W", f"power = {power!r}W")
+                 .replace("side = left", f"side = {side}"))
+    with pytest.raises(ChainError) as pump:
+        PumpSpec.one_sided(power, LAM, side)
+    with pytest.raises(ChainError) as mim:
+        MimConfig(power_watts=power, pump_side=side)
+    assert str(mim.value) == str(pump.value)
+    assert validate_report(load_run_config(path)) == [f"{key}: {pump.value}"]
 
 
 def test_cavity_bound_is_judged_on_the_files_own_values(tmp_path):

@@ -141,7 +141,7 @@ class TestMaps:
 
     def test_resonance_positions_even_in_x(self):
         # branch curves depend on x only through cos(2 k0 x)
-        from tmmcavity.statics import resonance_shifts
+        from tmmcavity.mim import resonance_shifts
 
         for x in (0.04 * LAM, 0.29 * LAM):
             a = resonance_shifts(-1.0, x, FAST.cavity_length, FAST.k0)

@@ -14,9 +14,11 @@ import pytest
 from tmmcavity import dynamics, elements, mim, noise, statics
 from tmmcavity.dynamics import force_with_velocity, solve_dynamic
 from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment
-from tmmcavity.mim import MimConfig, ScanGrid, build_mim, compare_models, pump_for, scan
+from tmmcavity.mim import (
+    MimConfig, ScanGrid, build_mim, compare_models, couplings, pump_for, scan,
+)
 from tmmcavity.noise import equilibrium_temperature, operator_fields
-from tmmcavity.statics import couplings, solve_static
+from tmmcavity.statics import solve_static
 
 CONFIG = MimConfig(cavity_length=5e-3, mirror_zeta=-3.0)
 GRID = ScanGrid(-2e-7, 2e-7, 2, -1e-7, 1e-7, 2)

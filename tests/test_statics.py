@@ -11,14 +11,9 @@ from tmmcavity.elements import (
     MOBILE_ZETA_LIMIT, Chain, Polarisability, PumpSpec, Scatterer, Segment,
 )
 from tmmcavity.errors import ChainError, SingularSolveError
-from tmmcavity.mim import MimConfig, build_mim, pump_for
+from tmmcavity.mim import MimConfig, build_mim, couplings, pump_for, resonance_shifts
 from tmmcavity.noise import operator_fields
-from tmmcavity.statics import (
-    couplings,
-    resonance_shifts,
-    solve_static,
-    static_force,
-)
+from tmmcavity.statics import solve_static, static_force
 
 from helpers import random_chains
 
