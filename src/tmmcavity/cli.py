@@ -31,6 +31,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .config import (
 from ._g17 import WORDS, g17
 from .elements import Scatterer, Segment
 from .errors import ConfigError, SingularSolveError, TmmCavityError
-from .mim import ScanGrid, _coupling_rates, compare_models, evaluate_chain, resonance_shifts, scan
+from .mim import ScanGrid, compare_models, couplings, evaluate_chain, scan
 from .opalg import _element_entries
 
 
@@ -379,11 +380,8 @@ def _cmd_compare(args) -> int:
 def _cmd_couplings(args) -> int:
     run = _load_cfg(args)
     xs, m = run.grid.x_values, run.mim
-    dplus, dminus = resonance_shifts(m.membrane_zeta, xs, m.cavity_length, m.k0)
-    w1, w2 = np.array([_coupling_rates(m.membrane_zeta, x, m.cavity_length, m.k0)
-                       for x in xs.tolist()]).T
-    table = {"x": xs, "delta_omega_plus": dplus, "delta_omega_minus": dminus,
-             "omega_prime": w1, "omega_double_prime": w2}
+    # the report's fields are the table's columns after x, in order
+    table = {"x": xs, **asdict(couplings(m.membrane_zeta, xs, m.cavity_length, m.k0))}
     out = _emit_table(table, run.cfg, _base_meta(run.cfg, "couplings", run.grid),
                       "couplings.csv")
     print(f"wrote {xs.size} coupling rows to {out}")

@@ -269,7 +269,8 @@ def _read_ini(path: str) -> dict:
 
 
 def _check_unknown(ini: dict, keys: tuple, path: str):
-    """Raise a ConfigError naming every unknown section and key."""
+    """Raise a ConfigError naming every unknown section and key, each as a
+    value problem is named: ``<file>: element.2.foo: unknown key``."""
     known = {}
     for e in keys:
         known.setdefault(e.section, set()).add(e.key)
@@ -278,10 +279,9 @@ def _check_unknown(ini: dict, keys: tuple, path: str):
         head, numbered, _ = section.partition(".")
         allowed = known.get(head + ".N" if numbered else section)
         if allowed is None:
-            problems.append(f"unknown section [{section}]")
+            problems.append(f"{section}: unknown section")
             continue
-        problems += [f"unknown key {key!r} in section [{section}]"
-                     for key in values if key not in allowed]
+        problems += [f"{section}.{key}: unknown key" for key in values if key not in allowed]
     if problems:
         raise ConfigError("; ".join(f"{path}: {p}" for p in problems))
 

@@ -453,31 +453,23 @@ def resonance_shifts(zeta: float, x, L_c: float, k0: float):
     return plus, minus
 
 
-def _coupling_rates(zeta: float, x: float, L_c: float, k0: float) -> tuple[float, float]:
-    """(omega', omega'') of `couplings` at x, for a zeta it has checked."""
-    u = 2.0 * k0 * x
-    s, co = math.sin(u), math.cos(u)
-    denom = 1.0 + zeta**2 * s**2
-    return ((2.0 * k0 * C_LIGHT / L_c) * zeta * s / math.sqrt(denom),
-            (4.0 * k0**2 * C_LIGHT / L_c) * zeta * co / denom**1.5)
-
-
 @_record
 class CouplingReport:
-    """Resonance shifts and position couplings at one membrane position.
+    """Resonance shifts and position couplings at one membrane position,
+    or over an array of positions (every field then an array over x).
 
     `omega_prime` (rad/s per metre) and `omega_double_prime` (rad/s per
     metre^2) are the first and second x-derivatives of the plus-branch
     resonance shift; the minus branch carries the opposite signs.
     """
 
-    delta_omega_plus: float
-    delta_omega_minus: float
-    omega_prime: float
-    omega_double_prime: float
+    delta_omega_plus: float | np.ndarray
+    delta_omega_minus: float | np.ndarray
+    omega_prime: float | np.ndarray
+    omega_double_prime: float | np.ndarray
 
 
-def couplings(zeta: float, x: float, L_c: float, k0: float) -> CouplingReport:
+def couplings(zeta: float, x, L_c: float, k0: float) -> CouplingReport:
     """Linear and quadratic optomechanical couplings at membrane position x.
 
         omega'  = +(2 k0 c / L_c)   zeta sin(2 k0 x) / (1+z^2 sin^2)^(1/2)
@@ -486,18 +478,22 @@ def couplings(zeta: float, x: float, L_c: float, k0: float) -> CouplingReport:
     for the plus branch (signs flip together on the other branch).  The
     linear coupling is bounded by 2 k0 c / L_c however large |zeta| grows,
     while the quadratic one peaks, proportionally to |zeta|, wherever
-    omega' = 0; the two never vanish at the same x.  A |zeta| above
-    `elements.MOBILE_ZETA_LIMIT` is a ChainError.
+    omega' = 0; the two never vanish at the same x.
+
+    Scalar x gives floats; an array x gives arrays, with the shifts of
+    `resonance_shifts` on that array (unwrapped over the scan) and each
+    omega', omega'' the scalar call's at that x, bit for bit.  A |zeta|
+    above `elements.MOBILE_ZETA_LIMIT` is a ChainError.
     """
-    _check_mobile_zeta(zeta)
-    w1, w2 = _coupling_rates(zeta, x, L_c, k0)
     dplus, dminus = resonance_shifts(zeta, x, L_c, k0)
-    return CouplingReport(
-        delta_omega_plus=dplus,
-        delta_omega_minus=dminus,
-        omega_prime=w1,
-        omega_double_prime=w2,
-    )
+    u = 2.0 * k0 * np.atleast_1d(np.asarray(x, dtype=float))
+    s = np.sin(u)
+    denom = 1.0 + zeta**2 * s**2
+    w1 = (2.0 * k0 * C_LIGHT / L_c) * zeta * s / np.sqrt(denom)
+    w2 = (4.0 * k0**2 * C_LIGHT / L_c) * zeta * np.cos(u) / denom**1.5
+    if np.isscalar(x):
+        w1, w2 = float(w1[0]), float(w2[0])
+    return CouplingReport(dplus, dminus, w1, w2)
 
 
 # ---------------------------------------------------------------------------

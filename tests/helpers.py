@@ -245,21 +245,21 @@ def mp_static_fields(chain: Chain, pump, dps: int = 50) -> dict:
         return {name: complex(v) for name, v in fields.items()}
 
 
+def _mp_element(el, k0):
+    """The transfer matrix of one element as mpmath numbers."""
+    if isinstance(el, Scatterer):
+        z = mpmath.mpc(el.pol.zeta)
+        return (1 + 1j * z, 1j * z, -1j * z, 1 - 1j * z)
+    kd = mpmath.mpf(k0) * mpmath.mpf(el.length)
+    return (mpmath.expj(kd), 0, 0, mpmath.expj(-kd))
+
+
 def _mp_static_fields(chain: Chain, B0, C0) -> dict:
     """`mp_static_fields` as mpmath numbers, at the working precision."""
-    k0 = mpmath.mpf(chain.k0)
     zm = mpmath.mpc(chain.mobile.pol.zeta)
-
-    def element(el):
-        if isinstance(el, Scatterer):
-            z = mpmath.mpc(el.pol.zeta)
-            return (1 + 1j * z, 1j * z, -1j * z, 1 - 1j * z)
-        kd = k0 * mpmath.mpf(el.length)
-        return (mpmath.expj(kd), 0, 0, mpmath.expj(-kd))
-
     m1 = m = (1, 0, 0, 1)
     for i, el in enumerate(chain.elements):
-        m = _mul(m, element(el))
+        m = _mul(m, _mp_element(el, chain.k0))
         if i + 1 == chain.mobile_index:
             m1 = m
     d_out = (B0 - m[2] * C0) / m[3]
@@ -272,18 +272,63 @@ def _mp_static_fields(chain: Chain, B0, C0) -> dict:
 
 
 def mp_diffusion(chain: Chain, pump, dps: int = 50) -> float:
-    """Momentum diffusion of a lossless chain in mpmath at `dps` digits: the
-    printed commutator sum (`printed_sum`) over the two unit-pump columns,
-    every field composed and solved as in `mp_static_fields`."""
+    """Momentum diffusion in mpmath at `dps` digits: the printed commutator
+    sum (`printed_sum`) over the two unit-pump columns, every field composed
+    and solved as in `mp_static_fields`, and one loss column
+    (`_mp_loss_column`) per absorbing scatterer."""
     names = ("A0", "B0f", "C0f", "D0f")
     with mpmath.workdps(dps):
         f = _mp_static_fields(chain, mpmath.mpc(pump.B0), mpmath.mpc(pump.C0))
-        unit = [_mp_static_fields(chain, mpmath.mpc(b0), mpmath.mpc(c0))
-                for b0, c0 in ((1, 0), (0, 1))]
-        total = printed_sum(*(f[n] for n in names), *([u[n] for u in unit] for n in names),
-                            lambda x, y: x[0] * mpmath.conj(y[0]) + x[1] * mpmath.conj(y[1]),
+        columns = [[u[n] for n in names] for u in (
+            _mp_static_fields(chain, mpmath.mpc(b0), mpmath.mpc(c0)) for b0, c0 in ((1, 0), (0, 1)))]
+        mats = [_mp_element(el, chain.k0) for el in chain.elements]
+        # prefix[i] composes the elements left of interface i, suffix[i] those right of it
+        prefix, suffix = [(1, 0, 0, 1)], [(1, 0, 0, 1)]
+        for m, w in zip(mats, mats[::-1]):
+            prefix.append(_mul(prefix[-1], m))
+            suffix.insert(0, _mul(w, suffix[0]))
+        columns += [_mp_loss_column(chain, j, prefix, suffix)
+                    for j, el in enumerate(chain.elements)
+                    if isinstance(el, Scatterer) and el.pol.absorptive]
+        total = printed_sum(*(f[n] for n in names), *zip(*columns),
+                            lambda x, y: mpmath.fsum(u * mpmath.conj(w) for u, w in zip(x, y)),
                             mpmath.conj)
         return float((HBAR * chain.k0) ** 2 * total)
+
+
+def _mp_loss_column(chain: Chain, j: int, prefix: list, suffix: list) -> list:
+    """(A, B, C, D) at the mobile scatterer under the unit vacuum of
+    absorbing scatterer j alone, at the working precision.
+
+    The source is the one `noise.operator_fields` emits, kappa into both
+    outgoing directions, in transfer form v_j = M_j v_(j+1) + s with
+    s = (kappa (1 - r/t), -kappa/t) and kappa^2 = (1 - |r+t|^2)/2.  No
+    light enters from outside, so the far-left pair is (a, 0) and the
+    far-right pair (0, d): each side of the source carries its output
+    through its own transfer matrices, and the source relation fixes a
+    and d.  Each pair is (leftward, rightward); `prefix[i]` and
+    `suffix[i]` compose the elements left and right of interface i.
+    """
+    im = chain.mobile_index
+    z = mpmath.mpc(chain.elements[j].pol.zeta)
+    r, t = 1j * z / (1 - 1j * z), 1 / (1 - 1j * z)
+    kappa = mpmath.sqrt((1 - abs(r + t) ** 2) / 2)
+    s = (kappa * (1 - r / t), -kappa / t)
+    # v_j = a p and v_(j+1) = d q, p the first column of the left side's
+    # inverse and q the second of M_j times the right side
+    left, right = _inv(prefix[j]), suffix[j]
+    p, q = (left[0], left[2]), (right[1], right[3])
+    det = q[0] * p[1] - p[0] * q[1]
+    a, d = (q[0] * s[1] - q[1] * s[0]) / det, (p[0] * s[1] - p[1] * s[0]) / det
+
+    def pair(i):
+        """v_i, read from the side of the source that holds interface i."""
+        if i <= j:
+            m = _inv(prefix[i])
+            return m[0] * a, m[2] * a
+        return suffix[i][1] * d, suffix[i][3] * d
+
+    return [*pair(im), *pair(im + 1)]
 
 
 def printed_sum(a0, b0, c0, d0, av, bv, cv, dv, comm, conj=np.conj):

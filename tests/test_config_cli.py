@@ -222,6 +222,20 @@ class TestChainFile:
         with pytest.raises(ConfigError, match="prism"):
             load_chain_file(write(tmp_path / "c.ini", bad))
 
+    @pytest.mark.parametrize("bad, problem", [
+        (GOOD_CHAIN.replace("length = 2.5mm", "length = 2.5mm\nfoo = 1", 1),
+         "element.2.foo: unknown key"),
+        (GOOD_CHAIN + "\n[plotting]\ncolor = red\n", "plotting: unknown section"),
+    ], ids=["key", "section"])
+    def test_unknown_names_read_like_value_problems(self, tmp_path, capsys, bad, problem):
+        """An unknown key or section of a chain file is one problem line that
+        names the file, then the key or section, as a bad value is."""
+        chain_path = write(tmp_path / "c.ini", bad)
+        path = write(tmp_path / "run.ini", f"[chain]\npath = {chain_path}\n")
+        assert cli.run(["validate", "--config", path]) == 2
+        problems = capsys.readouterr().out.split("problems:\n")[1].splitlines()
+        assert problems == [f"  - chain.path: {chain_path}: {problem}"]
+
     @pytest.mark.parametrize("wavelength", ["0", "-1nm", "nan", "inf", "1e300", "1e-300"])
     def test_wavelength_must_be_positive_and_finite(self, tmp_path, wavelength):
         bad = GOOD_CHAIN.replace("wavelength = 1064nm", f"wavelength = {wavelength}")
@@ -1123,7 +1137,7 @@ def _ini_syntax_errors(good: str, entry: str) -> dict:
         "ini-continuation": (at_entry(f"{entry}\n  0"), line + 1),
         "ini-indented-key": (at_entry(f"{entry}\n  {entry}"), line + 1),
         "ini-header-comment": (good.replace("]\n", "]  # header\n", 1), 1),
-        "ini-default-section": ("[DEFAULT]\n" + good, "unknown section [DEFAULT]"),
+        "ini-default-section": ("[DEFAULT]\n" + good, "DEFAULT: unknown section"),
         "ini-missing": (None, "cannot read config file"),
         "ini-not-utf8": (at_entry(entry + "\xff").encode("latin-1"), "cannot read config file"),
     }

@@ -531,12 +531,13 @@ class TestGridEngine:
             point_quantities(FAST, x, dlc)
 
 
-def _oracle_chain(seed: int, absorbers: bool = False) -> Chain:
-    """3-21 elements: 2-11 scatterers with |Re zeta| <= 10 and the segments
-    between them, a random mobile scatterer; with `absorbers`, about half
-    the scatterers (at least one) absorb, Im zeta <= 1."""
+def _oracle_chain(seed: int, absorbers: bool = False, scatterers: int | None = None) -> Chain:
+    """3-21 elements: 2-11 scatterers (or `scatterers`) with |Re zeta| <= 10
+    and the segments between them, a random mobile scatterer; with
+    `absorbers`, about half the scatterers (at least one) absorb, Im zeta
+    <= 1."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 12))
+    n = scatterers or int(rng.integers(2, 12))
     lossy = rng.random(n) < 0.5 if absorbers else np.zeros(n, bool)
     lossy[int(rng.integers(0, n))] |= absorbers
     elements = []
@@ -575,12 +576,29 @@ class TestEvaluateChainOracles:
             friction = fd_friction(chain, pump, v_over_c=1e-30, dps=60)
             assert got["dFdv"] == pytest.approx(friction, rel=bound, abs=0), seed
 
+    @pytest.mark.parametrize("elements", [13, 41])
+    def test_absorbing_chain_against_mpmath(self, elements):
+        """D of a seeded absorbing chain, from `evaluate_chain` and from the
+        public `diffusion` over `operator_fields`, against the 50-digit
+        commutator sum with one loss column per absorber solved by transfer
+        matrices (`mp_diffusion`), from every pump side, relative to the
+        lossless check's 1e-9 + 1e-12 `side_growth`."""
+        chain = _oracle_chain(0, absorbers=True, scatterers=(elements + 1) // 2)
+        assert len(chain.elements) == elements
+        bound = 1e-9 + 1e-12 * side_growth(chain)
+        ops = operator_fields(chain)
+        for side, pump in _PUMPS.items():
+            want = mp_diffusion(chain, pump)
+            assert evaluate_chain(chain, pump)["D"] == pytest.approx(want, rel=bound, abs=0), side
+            got = diffusion(solve_static(chain, pump), ops, chain.mobile.pol, chain.k0)
+            assert got == pytest.approx(want, rel=bound, abs=0), side
+
     @pytest.mark.parametrize("side", _PUMPS)
     def test_lone_scatterer(self, side):
         """A chain without segments composes scalar matrices, and its noise
         columns still have the fields' shape: a lone scatterer, lossless or
-        absorbing, against the sideband oracle for dF/dv, the chain-frame
-        `diffusion` for D, and for the lossless one `mp_diffusion`."""
+        absorbing, against the sideband oracle for dF/dv, and the chain-frame
+        `diffusion` and `mp_diffusion` for D."""
         pump = _PUMPS[side]
         for zeta in (-2.0, complex(-1.0, 0.3)):
             chain = Chain((Scatterer.of(zeta),), 0, 2 * math.pi / LAM)
@@ -588,8 +606,7 @@ class TestEvaluateChainOracles:
             want = diffusion(solve_static(chain, pump), operator_fields(chain),
                              chain.mobile.pol, chain.k0)
             assert got["D"] == pytest.approx(want, rel=1e-12, abs=0), zeta
-            if zeta.imag == 0:
-                assert got["D"] == pytest.approx(mp_diffusion(chain, pump), rel=1e-12, abs=0)
+            assert got["D"] == pytest.approx(mp_diffusion(chain, pump), rel=1e-12, abs=0)
             friction = fd_friction(chain, pump, v_over_c=1e-30, dps=60)
             assert got["dFdv"] == pytest.approx(friction, rel=1e-12, abs=0), zeta
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c as C_LIGHT, hbar as HBAR
 from scipy.optimize import minimize_scalar
 
@@ -288,9 +288,7 @@ class TestCouplings:
         assert bound / (2 * np.pi) * 1e-9 == pytest.approx(8.42e6, rel=2e-3, abs=0)
         xs = np.linspace(-LAM / 4, LAM / 4, 20001)
         for zeta, closeness in ((-1.0, 0.5), (-100.0, 0.999)):
-            w1 = np.array(
-                [couplings(zeta, x, LC, K0).omega_prime for x in xs]
-            )
+            w1 = couplings(zeta, xs, LC, K0).omega_prime
             assert np.max(np.abs(w1)) <= bound * (1 + 1e-12)
             assert np.max(np.abs(w1)) > closeness * bound
 
@@ -346,6 +344,21 @@ class TestCouplings:
                 assert rep.omega_prime == pytest.approx(fd_plus, rel=1e-4, abs=0)
                 fd_minus = (dm_hi - dm_lo) / (2 * h)
                 assert -rep.omega_prime == pytest.approx(fd_minus, rel=1e-4, abs=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-MOBILE_ZETA_LIMIT, 0.0),
+           st.lists(st.floats(-LAM / 2, LAM / 2), min_size=1, max_size=200))
+    def test_array_call_is_the_scalar_calls(self, zeta, xs):
+        """An array x gives omega' and omega'' of each scalar call bit for
+        bit, and the shifts of `resonance_shifts` on the same array."""
+        xs = np.array(xs)
+        rep = couplings(zeta, xs, LC, K0)
+        for name in ("omega_prime", "omega_double_prime"):
+            scalar = [getattr(couplings(zeta, x, LC, K0), name) for x in xs.tolist()]
+            assert getattr(rep, name).tobytes() == np.array(scalar).tobytes(), name
+        shifts = resonance_shifts(zeta, xs, LC, K0)
+        assert rep.delta_omega_plus.tobytes() == shifts[0].tobytes()
+        assert rep.delta_omega_minus.tobytes() == shifts[1].tobytes()
 
     def test_quadratic_coupling_is_second_derivative(self):
         h = LAM * 1e-4
