@@ -292,6 +292,12 @@ def _grid(run: _Run) -> ScanGrid:
     return run.grid
 
 
+def _given_grid(run: _Run) -> ScanGrid | None:
+    """The [grid] of the file, which the `point` and `elements` sidecars
+    record; None without one."""
+    return None if run.cfg.x_start is None else run.grid
+
+
 def _cmd_elements(args) -> int:
     run = _load_cfg(args)
     cfg, chain = run.cfg, run.chain
@@ -311,7 +317,7 @@ def _cmd_elements(args) -> int:
     for col, entry in enumerate(("m11", "m12", "m21", "m22")):
         table[entry + "_re"] = m[:, col].real
         table[entry + "_im"] = m[:, col].imag
-    out = _emit_table(table, cfg, _base_meta(cfg, "elements", cfg.grid), "elements.csv")
+    out = _emit_table(table, cfg, _base_meta(cfg, "elements", _given_grid(run)), "elements.csv")
     print(f"wrote {n} elements to {out}")
     return 0
 
@@ -329,7 +335,7 @@ def _cmd_point(args) -> int:
         return 1
     # None (no mim coordinates, no kBT) is NaN
     table = {name: np.array([v], dtype=float) for name, v in {"x": x, "dLc": dlc, **q}.items()}
-    out = _emit_table(table, cfg, _base_meta(cfg, "point", cfg.grid), "point.csv")
+    out = _emit_table(table, cfg, _base_meta(cfg, "point", _given_grid(run)), "point.csv")
     print(f"wrote point record to {out}")
     return 0
 

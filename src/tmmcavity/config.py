@@ -27,8 +27,8 @@ from .elements import (
 )
 from .errors import CalibrationError, ChainError, ConfigError, TmmCavityError
 from .mim import (
-    MimConfig, ScanGrid, _check_axis, _check_cavity, _check_count, _check_membrane_zeta,
-    _check_positive, _check_range, _check_reach, _check_real, _half_gap, bare_resonance,
+    MimConfig, ScanGrid, _check_axis, _check_cavity, _check_cavity_length, _check_count,
+    _check_membrane_zeta, _check_range, _check_reach, _check_real, _half_gap, bare_resonance,
     build_mim, pump_for,
 )
 
@@ -144,7 +144,7 @@ class _Key(NamedTuple):
     key: str
     unit: str  # SI unit of the value; "" when it has none
     doc: str  # its line in `tmmcavity --help`
-    field: str = ""  # RunConfig attribute; the ScanGrid field for [grid] keys
+    field: str = ""  # RunConfig attribute; a [grid] key's is also its ScanGrid field
     parse: Callable[[str], object] | None = None
     meta: str = ""  # its name in the meta.json sidecar; "" when not recorded
     # the checks of the value on its own, in order, each raising a
@@ -163,13 +163,13 @@ _RUN_KEYS = (
     _Key("run", "schema_version", "", "config schema version",
          "schema_version", _parse_version),
     _Key("pump", "wavelength", "m", "pump wavelength", "wavelength", parse_length,
-         "wavelength_m", (partial(_check_real, "wavelength"), _check_positive, _check_wavelength)),
+         "wavelength_m", (partial(_check_real, "wavelength"), _check_wavelength)),
     _Key("pump", "power", "W", "input power", "power_watts", parse_power, "power_W",
          (partial(_check_real, "power_watts"), _check_power)),
     _Key("pump", "side", "", "pump side, left|right", "pump_side", str.strip,
          "pump_side", (_check_pump_side,)),
     _Key("mim", "cavity_length", "m", "cavity length", "cavity_length", parse_length,
-         "cavity_length_m", (partial(_check_real, "cavity_length"), _check_positive)),
+         "cavity_length_m", (partial(_check_real, "cavity_length"), _check_cavity_length)),
     _Key("mim", "membrane_zeta", "", "membrane polarisability, real <= 0", "membrane_zeta",
          _parse_float, "membrane_zeta",
          (partial(_check_real, "membrane_zeta"), _check_membrane_zeta)),
@@ -287,8 +287,7 @@ def _check_unknown(ini: dict, keys: tuple, path: str):
 
 
 def _value(ini: dict, section: str, key: str, parse):
-    """The parsed value of `section.key`; an error of the parse, or of the
-    record it builds, names the key."""
+    """The parsed value of `section.key`; an error of the parse names the key."""
     try:
         return parse(ini[section][key])
     except TmmCavityError as exc:
@@ -300,8 +299,9 @@ _MIM_DEFAULTS = {f.name: f.default for f in fields(MimConfig)}
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration with defaults applied; the MIM
-    setup's defaults are MimConfig's."""
+    """A run configuration as read, with defaults applied: a field per key,
+    its value unjudged (`_build` judges them).  The MIM setup's defaults
+    are MimConfig's; the [grid] keys are None without a [grid]."""
 
     schema_version: int = SCHEMA_VERSION
     wavelength: float = _MIM_DEFAULTS["wavelength"]
@@ -313,7 +313,12 @@ class RunConfig:
     membrane_x: float = 0.0
     cavity_detuning: float = 0.0
     chain_path: str | None = None
-    grid: ScanGrid | None = None
+    x_start: float | None = None
+    x_stop: float | None = None
+    x_count: int | None = None
+    dlc_start: float | None = None
+    dlc_stop: float | None = None
+    dlc_count: int | None = None
     out_path: str | None = None
     out_format: str = "csv"
     workers: int = 1
@@ -323,8 +328,10 @@ class RunConfig:
         return MimConfig(**{f.name: getattr(self, f.name) for f in fields(MimConfig)})
 
     def default_grid(self) -> ScanGrid:
-        if self.grid is not None:
-            return self.grid
+        """The [grid], or without one x and dLc over +-wavelength/2 in 101
+        steps; ScanGrid raises ChainError where the grid fails its checks."""
+        if self.x_start is not None:
+            return ScanGrid(**{e.field: getattr(self, e.field) for e in _GRID_KEYS})
         lam = self.wavelength
         return ScanGrid(
             x_start=-lam / 2, x_stop=lam / 2, x_count=101,
@@ -341,14 +348,13 @@ class RunConfig:
             text = repr(value) if isinstance(value, float) else str(value)
             name = e.key if e.section == "run" else f"{e.section}.{e.key}"
             lines.append(f"{name} = {text} {e.unit}".rstrip())
-        g = self.grid
-        if g is None:
+        if self.x_start is None:
             lines.append("grid = (default) x,dlc in [-lambda/2, lambda/2], 101x101")
         else:
             lines.append(
                 "grid = x "
-                f"[{g.x_start!r}, {g.x_stop!r}] m x {g.x_count}; dlc "
-                f"[{g.dlc_start!r}, {g.dlc_stop!r}] m x {g.dlc_count}"
+                f"[{self.x_start!r}, {self.x_stop!r}] m x {self.x_count}; dlc "
+                f"[{self.dlc_start!r}, {self.dlc_stop!r}] m x {self.dlc_count}"
             )
         return lines
 
@@ -365,7 +371,7 @@ def _check_flux(wavelength, power_watts):
 
 _CAVITY = ("wavelength", "cavity_length")
 # The bounds across keys, each (fields, check): the check takes the values
-# of the RunConfig and ScanGrid fields in that order, and the problem of its
+# of the RunConfig fields in that order, and the problem of its
 # TmmCavityError names every key.
 _RULES = (
     (("x_start", "x_stop", "x_count"), partial(_check_axis, axis="x")),
@@ -412,13 +418,14 @@ def _problems(values: dict, rules: tuple) -> dict:
 
 
 def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
-    """Parse a run configuration file and build its [grid].
+    """Read a run configuration file; its values are judged by `_build`.
 
     `overrides` maps ``section.key`` names to text that replaces the file's
     value; a bare section name takes all of that section's keys, as values
     separated by commas in `--help` order (``grid`` = x0,x1,nx,dlc0,dlc1,ndlc).
-    A [grid] that ScanGrid rejects is named here by the checks of its keys
-    and rules (`_problems`), and the other keys by `validate_report`.
+    Only what cannot be read raises a ConfigError here: a malformed line, an
+    unknown section or key, a value that does not parse, and a [grid]
+    without all six keys.
     """
     ini = _read_ini(path)
     for name, text in (overrides or {}).items():
@@ -433,19 +440,13 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
 
     values = {e.field: _value(ini, e.section, e.key, e.parse)
               for e in _RUN_KEYS if e.key in ini.get(e.section, ())}
-    grid = {e.field: values.pop(e.field) for e in _GRID_KEYS if e.field in values}
-    cfg = RunConfig(source_path=path, **values)
     if "grid" in ini:
         needed = sorted(e.field for e in _GRID_KEYS)
-        missing = [field for field in needed if field not in grid]
+        missing = [field for field in needed if field not in values]
         if missing:
             raise ConfigError(f"{path}: [grid] section needs all of {needed}; "
                               f"missing {missing}")
-        try:
-            cfg.grid = ScanGrid(**grid)
-        except ChainError:  # a problem of the [grid]'s keys and rules
-            raise ConfigError("; ".join(_problems(grid, _RULES).values())) from None
-    return cfg
+    return RunConfig(source_path=path, **values)
 
 
 def load_chain_file(path: str) -> Chain:
@@ -475,6 +476,7 @@ def load_chain_file(path: str) -> Chain:
     with naming("chain.wavelength"):
         wavelength = parse_length(chain["wavelength"])
         _check_wavelength(wavelength)
+    k0 = 2 * math.pi / wavelength  # a segment's bound is Chain's, at 2 pi / k0
 
     def sort_key(name: str):
         suffix = name.split(".", 1)[1]
@@ -512,18 +514,14 @@ def load_chain_file(path: str) -> Chain:
             with naming(f"{section}.length"):
                 elements.append(Segment(parse_length(values["length"])))
             with naming(f"{section}.length, chain.wavelength"):
-                _check_length(elements[-1].length, wavelength, "segment length")
+                _check_length(elements[-1].length, 2 * math.pi / k0, "segment length")
         else:
             raise problem(f"{section}.kind", f"unknown element kind {kind!r}; "
                           "must be scatterer or segment")
 
     if mobile_index is None:
         raise problem("element.N.mobile", "no element marked mobile = true")
-    return Chain(
-        elements=tuple(elements),
-        mobile_index=mobile_index,
-        k0=2 * math.pi / wavelength,
-    )
+    return Chain(elements=tuple(elements), mobile_index=mobile_index, k0=k0)
 
 
 class _Run(NamedTuple):
@@ -547,15 +545,14 @@ def _build(cfg: RunConfig) -> _Run:
     power and side, or the MIM chain at membrane_x and cavity_detuning.
 
     The problems are those of each key's checks and of the rules across
-    keys (`_problems`); the records are built where their checks pass, by
-    constructors that check again.  End mirrors too weak for the bare-cavity
-    calibration and a default grid that collapses a sub-cavity are
-    warnings.
+    keys (`_problems`), the [grid]'s included; the records are built where
+    their checks pass, by constructors that check again.  End mirrors too
+    weak for the bare-cavity calibration and a default grid that collapses
+    a sub-cavity are warnings.
     """
-    grid = cfg.grid
-    values = vars(cfg) | {e.field: getattr(grid, e.field, None) for e in _GRID_KEYS}
+    values = dict(vars(cfg))
     problems = _problems(values, _RULES)
-    mim = pump = chain = grid_error = None
+    mim = pump = chain = grid = grid_error = None
     try:  # the MIM setup where its checks pass; a failure is a problem above
         mim = cfg.mim_config()
         pump = pump_for(mim)
@@ -567,8 +564,10 @@ def _build(cfg: RunConfig) -> _Run:
             bare_resonance(mim)
         except CalibrationError as exc:  # no config error: `point` runs any mirror
             warnings.append(f"mim.mirror_zeta: {exc}")
+    if cfg.x_start is not None:  # the [grid] where its checks pass
+        grid = None if problems else cfg.default_grid()
     # the default grid where the cavity's keys and bound pass their checks
-    if grid is None and not problems.keys() & {("wavelength",), ("cavity_length",), _CAVITY}:
+    elif not problems.keys() & {("wavelength",), ("cavity_length",), _CAVITY}:
         grid = cfg.default_grid()
         try:  # x spans +-wavelength/2, so both of its ends collapse alike
             _half_gap(grid.x_start, grid.dlc_start, cfg.cavity_length)

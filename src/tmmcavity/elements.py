@@ -148,7 +148,8 @@ Element = Union[Scatterer, Segment]
 @_record
 class Chain:
     """Ordered chain of elements with one designated mobile scatterer,
-    whose |zeta| is at most `MOBILE_ZETA_LIMIT`.
+    whose |zeta| is at most `MOBILE_ZETA_LIMIT`, and segments at most
+    `LENGTH_LIMIT` wavelengths (2 pi / k0) long.
 
     `k0` is the pump wavenumber in rad/m.
     """
@@ -178,6 +179,9 @@ class Chain:
         _check_mobile_zeta(self.elements[self.mobile_index].pol.zeta)
         if not (isinstance(self.k0, numbers.Real) and math.isfinite(self.k0) and self.k0 > 0):
             raise ChainError(f"pump wavenumber must be a positive real, got {self.k0!r}")
+        for el in self.elements:
+            if isinstance(el, Segment):
+                _check_length(el.length, 2 * math.pi / self.k0, "segment length")
 
     @property
     def mobile(self) -> Scatterer:

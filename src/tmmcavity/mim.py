@@ -82,9 +82,9 @@ def _check_real(name: str, value) -> float:
     return float(value)
 
 
-def _check_positive(*lengths):
-    if min(lengths) <= 0:
-        raise ChainError("wavelength and cavity length must be positive")
+def _check_cavity_length(cavity_length):
+    if cavity_length <= 0:
+        raise ChainError(f"cavity length must be positive, got {cavity_length}")
 
 
 def _check_cavity(wavelength, cavity_length):
@@ -102,6 +102,9 @@ def _check_membrane_zeta(zeta):
 
 
 def _check_count(*counts):
+    for count in counts:
+        if not isinstance(count, numbers.Integral):
+            raise ChainError(f"grid counts must be integers, got {count!r}")
     if min(counts) < 1:
         raise ChainError("grid counts must be >= 1")
 
@@ -159,8 +162,8 @@ class MimConfig:
         for name in ("wavelength", "cavity_length", "membrane_zeta",
                      "mirror_zeta", "power_watts"):
             object.__setattr__(self, name, _check_real(name, getattr(self, name)))
-        _check_positive(self.wavelength, self.cavity_length)
         _check_wavelength(self.wavelength)
+        _check_cavity_length(self.cavity_length)
         _check_cavity(self.wavelength, self.cavity_length)
         _check_membrane_zeta(self.membrane_zeta)
         _check_power(self.power_watts)
@@ -193,9 +196,6 @@ class ScanGrid:
     _axes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for v in (self.x_count, self.dlc_count):
-            if not isinstance(v, numbers.Integral):
-                raise ChainError(f"grid counts must be integers, got {v!r}")
         _check_count(self.x_count, self.dlc_count)
         _check_range(self.x_start, self.x_stop, self.dlc_start, self.dlc_stop)
         _check_axis(self.x_start, self.x_stop, self.x_count, "x")

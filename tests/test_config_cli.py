@@ -17,13 +17,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tmmcavity import cli, config, opalg
 from tmmcavity.config import (
+    RunConfig,
     load_chain_file,
     load_run_config,
     parse_length,
     parse_power,
     validate_report,
 )
-from tmmcavity.elements import PumpSpec, Scatterer
+from tmmcavity.elements import Chain, PumpSpec, Scatterer, Segment
 from tmmcavity.errors import CalibrationError, ChainError, ConfigError
 from tmmcavity.mim import (
     MimConfig,
@@ -132,7 +133,7 @@ class TestRunConfig:
         cfg = load_run_config(write(tmp_path / "run.ini", GOOD_RUN))
         assert cfg.wavelength == pytest.approx(1.064e-6, rel=1e-6, abs=0)
         assert cfg.cavity_length == pytest.approx(5e-3, rel=1e-6, abs=0)
-        assert cfg.grid.x_count == 4
+        assert cfg.default_grid().x_count == 4
         assert validate_report(cfg) == []
 
     def test_unknown_key_is_hard_error(self, tmp_path):
@@ -155,6 +156,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="dlc_count"):
             load_run_config(write(tmp_path / "run.ini", bad))
 
+    def test_grid_count_of_a_built_config_is_a_problem(self):
+        """A RunConfig built in code is judged as a loaded one: a grid count
+        that is not an integer is a problem line of its key, carrying the
+        message ScanGrid raises for it."""
+        grid = dict(x_start=0.0, x_stop=1e-7, x_count=2.5, dlc_start=0.0, dlc_stop=1e-7,
+                    dlc_count=3)
+        with pytest.raises(ChainError) as exc:
+            ScanGrid(**grid)
+        assert validate_report(RunConfig(**grid)) == [f"grid.x_count: {exc.value}"]
+
     def test_validate_flags_large_membrane_x(self, tmp_path):
         bad = GOOD_RUN.replace("membrane_x = 50nm", "membrane_x = 2128nm")
         cfg = load_run_config(write(tmp_path / "run.ini", bad))
@@ -167,7 +178,7 @@ class TestRunConfig:
         cfg = load_run_config(write(tmp_path / "run.ini", text))
         good = load_run_config(write(tmp_path / "good.ini", GOOD_RUN))
         assert cfg.resolved_lines() == good.resolved_lines()
-        assert cfg.grid == good.grid
+        assert cfg.default_grid() == good.default_grid()
 
     def test_validate_and_scan_agree_where_a_sub_cavity_collapses(self, tmp_path):
         """A gap of exactly zero at the grid's ends passes `validate` and
@@ -180,7 +191,7 @@ class TestRunConfig:
         base = "[mim]\ncavity_length = 1.6e-6\n\n" + grid
         cfg = load_run_config(write(tmp_path / "ok.ini", base.format(-half, half)))
         assert validate_report(cfg) == []
-        result = scan(cfg.mim_config(), cfg.grid)
+        result = scan(cfg.mim_config(), cfg.default_grid())
         assert result.intensity.shape == (3, 2)
         for x_start, x_stop, key in ((-half, np.nextafter(half, 1), "grid.x_stop, grid.x_count"),
                                      (np.nextafter(-half, -1), half, "grid.x_start")):
@@ -189,7 +200,7 @@ class TestRunConfig:
                 f"{key}, grid.dlc_start, mim.cavity_length: "
                 "detuning or displacement collapses a sub-cavity"]
             with pytest.raises(ChainError, match="collapses a sub-cavity"):
-                scan(cfg.mim_config(), cfg.grid)
+                scan(cfg.mim_config(), cfg.default_grid())
 
 
 class TestChainFile:
@@ -242,6 +253,18 @@ class TestChainFile:
         with pytest.raises(ConfigError,
                            match="c.ini: chain.wavelength: wavelength must be positive"):
             load_chain_file(write(tmp_path / "c.ini", bad))
+
+    def test_segment_bound_is_the_chains(self, tmp_path):
+        """A 1e7 m segment at 1064 nm is past `LENGTH_LIMIT` wavelengths: the
+        chain file names both keys of the bound, with the message `Chain`
+        raises for the same segment."""
+        with pytest.raises(ChainError) as api:
+            Chain((Scatterer.of(-1.0), Segment(1e7)), 0, 2 * np.pi / LAM)
+        bad = GOOD_CHAIN.replace("length = 2.5mm", "length = 1e7", 1)
+        with pytest.raises(ConfigError) as exc:
+            load_chain_file(write(tmp_path / "c.ini", bad))
+        assert str(exc.value) == f"{tmp_path / 'c.ini'}: element.2.length, chain.wavelength: " \
+            f"{api.value}"
 
     def test_zeta_needs_two_reals(self, tmp_path):
         bad = GOOD_CHAIN.replace("zeta = -1.0 0.0", "zeta = -1.0")
@@ -384,9 +407,30 @@ class TestCliCommands:
 
     def test_grid_order_problem_names_the_keys_that_mend_it(self, tmp_path):
         bad = GOOD_RUN.replace("x_start = -0.2um", "x_start = 0.3um")
-        with pytest.raises(ConfigError, match=re.escape(
-                "grid.x_start, grid.x_stop, grid.x_count: x_stop must exceed x_start")):
-            load_run_config(write(tmp_path / "run.ini", bad))
+        assert validate_report(load_run_config(write(tmp_path / "run.ini", bad))) == [
+            "grid.x_start, grid.x_stop, grid.x_count: x_stop must exceed x_start"]
+
+    def test_bad_grid_is_judged_with_every_other_key(self, tmp_path, capsys):
+        """A negative wavelength, a reversed x axis and no dLc sample:
+        `validate` echoes the config and lists all three problems, and
+        `scan` prints the same three on one error line."""
+        bad = (GOOD_RUN.replace("wavelength = 1064nm", "wavelength = -1")
+               .replace("x_start = -0.2um", "x_start = 0.3um")
+               .replace("dlc_count = 3", "dlc_count = 0"))
+        path = write(tmp_path / "run.ini", bad)
+        problems = [
+            "pump.wavelength: wavelength must be positive and finite, within [1e-30, 1e+30] m, "
+            "got -1.0",
+            "grid.dlc_count: grid counts must be >= 1",
+            "grid.x_start, grid.x_stop, grid.x_count: x_stop must exceed x_start"]
+        assert cli.run(["validate", "--config", path]) == 2
+        echo, listed = capsys.readouterr().out.split("problems:\n")
+        assert echo.startswith("resolved configuration:\n  schema_version = 1\n")
+        assert echo.endswith("  grid = x [3e-07, 2e-07] m x 4; dlc [-1e-07, 1e-07] m x 0\n")
+        assert listed == "".join(f"  - {p}\n" for p in problems)
+        assert cli.run(["scan", "--config", path, "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid configuration: " + "; ".join(problems) + "\n")
 
     def test_validate_applies_overrides(self, tmp_path, capsys):
         path = write(tmp_path / "run.ini", GOOD_RUN)
@@ -483,7 +527,7 @@ class TestCliCommands:
         monkeypatch.setattr(np, "linspace", lambda *a, **k: axes.append(a) or real(*a, **k))
         assert cli.run([command, "--config", path, "--out", str(tmp_path / "out.csv")]) == 0
         assert axes == [(-2e-7, 2e-7, 4), (-1e-7, 1e-7, 3)]
-        grid = load_run_config(path).grid
+        grid = load_run_config(path).default_grid()
         assert grid.x_values is grid.x_values
         for values, (start, stop, count) in ((grid.x_values, axes[0]), (grid.dlc_values, axes[1])):
             assert values.tobytes() == real(start, stop, count).tobytes()
@@ -592,12 +636,13 @@ class TestCliCommands:
             assert re.search(row, out, re.M), e
 
     def test_schema_reaches_validate_and_meta(self, tmp_path, capsys):
-        """Every run-config key is echoed by `validate`, and a scan's sidecar
-        keeps its config and grid names."""
+        """Every run-config key is a RunConfig field echoed by `validate`,
+        and a scan's sidecar keeps its config and grid names."""
+        assert {e.field for e in config._RUN_KEYS} <= set(vars(RunConfig()))
         path = write(tmp_path / "run.ini", GOOD_RUN)
         assert cli.run(["validate", "--config", path]) == 0
         echo = capsys.readouterr().out
-        g = load_run_config(path).grid
+        g = load_run_config(path).default_grid()
         for e in config._RUN_KEYS:
             if e.section == "grid":  # one line for the whole grid
                 assert f"{getattr(g, e.field)!r}" in echo.split("  grid = ")[1]
@@ -1400,6 +1445,24 @@ def test_pump_bounds_read_the_same_everywhere(tmp_path, power, side, key):
     assert validate_report(load_run_config(path)) == [f"{key}: {pump.value}"]
 
 
+@pytest.mark.parametrize("key, field, other", [("pump.wavelength", "wavelength", "cavity"),
+                                                ("mim.cavity_length", "cavity_length", "wave")])
+def test_non_positive_length_names_only_its_own_quantity(tmp_path, key, field, other):
+    """A negative wavelength or cavity length is one problem line, named by
+    its key, whose message names that quantity and its value only: the
+    text `MimConfig` raises for the same value."""
+    name = key.split(".")[1]
+    text, n = re.subn(rf"^{name} = .*$", f"{name} = -1", GOOD_RUN, flags=re.M)
+    assert n == 1
+    with pytest.raises(ChainError) as mim:
+        MimConfig(**{field: -1.0})
+    message = str(mim.value)
+    assert message.startswith(field.replace("_", " ")) and message.endswith("got -1.0")
+    assert other not in message
+    assert validate_report(load_run_config(write(tmp_path / "run.ini", text))) == [
+        f"{key}: {message}"]
+
+
 def test_cavity_bound_is_judged_on_the_files_own_values(tmp_path):
     """A 0.05 m cavity at a 0.1 m wavelength is named by both keys, with
     the file's cavity length, not the default one."""
@@ -1462,16 +1525,6 @@ def _one_rule_broken(rng, chain_path: str) -> list:
     return [(fields, _ini_text(sections)) for fields, sections in texts]
 
 
-def _config_problems(path: str) -> list:
-    """The problem lines of a run config: `validate_report`'s, or the parts
-    of the error of a [grid] that `load_run_config` rejects."""
-    try:
-        cfg = load_run_config(path)
-    except ConfigError as exc:
-        return str(exc).split("; ")
-    return validate_report(cfg)
-
-
 def test_problem_lines_clear_when_their_keys_are_valid(tmp_path):
     """Every problem line of the seeded configs that
     `test_accepted_configs_fail_only_typed` draws, and of draws that each
@@ -1493,7 +1546,7 @@ def test_problem_lines_clear_when_their_keys_are_valid(tmp_path):
     lines = 0
     for i, (fields, text) in enumerate(drawn + broken):
         path = write(tmp_path / f"run{i}.ini", text)
-        problems = _config_problems(path)
+        problems = validate_report(load_run_config(path))
         if fields is not None:
             assert [_named_keys(p) for p in problems] == [[names[f] for f in fields]], (
                 text, problems)
@@ -1502,7 +1555,7 @@ def test_problem_lines_clear_when_their_keys_are_valid(tmp_path):
             for name in _named_keys(line):
                 section, _, key = name.partition(".")
                 sections.setdefault(section, {})[key] = valid[name]
-            assert line not in _config_problems(write(tmp_path / "fixed.ini",
-                                                      _ini_text(sections))), (text, line)
+            fixed = write(tmp_path / "fixed.ini", _ini_text(sections))
+            assert line not in validate_report(load_run_config(fixed)), (text, line)
             lines += 1
     assert lines >= len(broken) + 5, lines  # lines of the drawn configs too

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tmmcavity.elements import (
+    LENGTH_LIMIT,
     Chain,
     Polarisability,
     PumpSpec,
@@ -115,6 +116,16 @@ class TestChain:
     def test_mobile_index_bounds(self):
         with pytest.raises(ChainError):
             Chain(elements=(Scatterer.of(-1.0),), mobile_index=1, k0=K0)
+
+    def test_segment_past_the_length_limit_rejected(self):
+        """A segment is at most `LENGTH_LIMIT` wavelengths (2 pi / k0) long:
+        at 1064 nm a 1e7 m one, whose phase k0 L ~ 6e13 rad float64 holds
+        only to ~8e-3 rad, raises, and one at the limit is accepted."""
+        mirror = Scatterer.of(-1.0)
+        with pytest.raises(ChainError, match=r"segment length must be at most 1e\+10 "
+                                             r"wavelengths \(10640 m\), got 10000000.0"):
+            Chain(elements=(mirror, Segment(1e7)), mobile_index=0, k0=K0)
+        Chain(elements=(mirror, Segment(LENGTH_LIMIT * (2 * np.pi / K0))), mobile_index=0, k0=K0)
 
 
 class TestPumpSpec:
