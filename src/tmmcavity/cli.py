@@ -295,7 +295,7 @@ def _grid(run: _Run) -> ScanGrid:
 def _given_grid(run: _Run) -> ScanGrid | None:
     """The [grid] of the file, which the `point` and `elements` sidecars
     record; None without one."""
-    return None if run.cfg.x_start is None else run.grid
+    return run.grid if run.cfg.has_grid else None
 
 
 def _cmd_elements(args) -> int:

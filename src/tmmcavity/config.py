@@ -327,10 +327,15 @@ class RunConfig:
     def mim_config(self) -> MimConfig:
         return MimConfig(**{f.name: getattr(self, f.name) for f in fields(MimConfig)})
 
+    @property
+    def has_grid(self) -> bool:
+        """Whether any [grid] key has a value; `_build` needs all six."""
+        return any(getattr(self, e.field) is not None for e in _GRID_KEYS)
+
     def default_grid(self) -> ScanGrid:
         """The [grid], or without one x and dLc over +-wavelength/2 in 101
         steps; ScanGrid raises ChainError where the grid fails its checks."""
-        if self.x_start is not None:
+        if self.has_grid:
             return ScanGrid(**{e.field: getattr(self, e.field) for e in _GRID_KEYS})
         lam = self.wavelength
         return ScanGrid(
@@ -348,7 +353,7 @@ class RunConfig:
             text = repr(value) if isinstance(value, float) else str(value)
             name = e.key if e.section == "run" else f"{e.section}.{e.key}"
             lines.append(f"{name} = {text} {e.unit}".rstrip())
-        if self.x_start is None:
+        if not self.has_grid:
             lines.append("grid = (default) x,dlc in [-lambda/2, lambda/2], 101x101")
         else:
             lines.append(
@@ -424,8 +429,7 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
     value; a bare section name takes all of that section's keys, as values
     separated by commas in `--help` order (``grid`` = x0,x1,nx,dlc0,dlc1,ndlc).
     Only what cannot be read raises a ConfigError here: a malformed line, an
-    unknown section or key, a value that does not parse, and a [grid]
-    without all six keys.
+    unknown section or key, and a value that does not parse.
     """
     ini = _read_ini(path)
     for name, text in (overrides or {}).items():
@@ -440,12 +444,6 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
 
     values = {e.field: _value(ini, e.section, e.key, e.parse)
               for e in _RUN_KEYS if e.key in ini.get(e.section, ())}
-    if "grid" in ini:
-        needed = sorted(e.field for e in _GRID_KEYS)
-        missing = [field for field in needed if field not in values]
-        if missing:
-            raise ConfigError(f"{path}: [grid] section needs all of {needed}; "
-                              f"missing {missing}")
     return RunConfig(source_path=path, **values)
 
 
@@ -545,13 +543,18 @@ def _build(cfg: RunConfig) -> _Run:
     power and side, or the MIM chain at membrane_x and cavity_detuning.
 
     The problems are those of each key's checks and of the rules across
-    keys (`_problems`), the [grid]'s included; the records are built where
-    their checks pass, by constructors that check again.  End mirrors too
-    weak for the bare-cavity calibration and a default grid that collapses
-    a sub-cavity are warnings.
+    keys (`_problems`), the [grid]'s included, and the keys a partial
+    [grid] lacks; the records are built where their checks pass, by
+    constructors that check again.  End mirrors too weak for the
+    bare-cavity calibration and a default grid that collapses a sub-cavity
+    are warnings.
     """
     values = dict(vars(cfg))
     problems = _problems(values, _RULES)
+    missing = tuple(e.field for e in _GRID_KEYS if getattr(cfg, e.field) is None)
+    if cfg.has_grid and missing:
+        problems[missing] = (f"{', '.join(map(_RUN_NAMES.get, missing))}: missing; "
+                             "[grid] needs all six of its keys")
     mim = pump = chain = grid = grid_error = None
     try:  # the MIM setup where its checks pass; a failure is a problem above
         mim = cfg.mim_config()
@@ -564,7 +567,7 @@ def _build(cfg: RunConfig) -> _Run:
             bare_resonance(mim)
         except CalibrationError as exc:  # no config error: `point` runs any mirror
             warnings.append(f"mim.mirror_zeta: {exc}")
-    if cfg.x_start is not None:  # the [grid] where its checks pass
+    if cfg.has_grid:  # the [grid] where its checks pass
         grid = None if problems else cfg.default_grid()
     # the default grid where the cavity's keys and bound pass their checks
     elif not problems.keys() & {("wavelength",), ("cavity_length",), _CAVITY}:

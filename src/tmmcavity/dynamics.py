@@ -3,8 +3,8 @@ the records and wrappers over the kernel (`opalg`) and the chain finish
 (`noise._velocity_force`).
 
 The moving scatterer turns the composed chain matrix into an operator in
-wavenumber, carried as a first-order jet at the pump wavenumber by the
-kernel in `tmmcavity.opalg`.  With a monochromatic pump the spectral
+wavenumber, which the kernel in `tmmcavity.opalg` forms at first order in
+v/c at the pump wavenumber.  With a monochromatic pump the spectral
 amplitudes are delta functions plus, at first order in v/c, derivative-of-
 delta terms; solving the boundary problem in that basis and integrating
 gives the closed-form fields below.  Every k-derivative is evaluated

@@ -6,13 +6,13 @@ numbers, with None for an entry that is zero by construction (`_mul`), so
 one code path solves one chain (P = 1: one-element arrays) and a batch of
 chains that differ in their segment lengths (a scan grid).
 
-A scatterer moving at velocity v Doppler-shifts the light it reflects,
-which at first order in v/c turns each entry of the composed matrix into
-a differential operator in the wavenumber k, a(k) + (v/c)(b(k) + c(k) d/dk).
-The first-order solve reads only a, a', b, c and c' at the pump
-wavenumber: a jet, a 5-tuple of entry tuples with None for a zero part.
-`_op_mul` composes jets in closed form (forward-mode differentiation), so
-every derivative is analytic and no second-order part exists.
+A chain is M1 MS^ M2: static products M1 and M2 on each side of the one
+mobile scatterer MS^.  Moving at velocity v it Doppler-shifts the light it
+reflects, which at first order in v/c turns each entry of the composed
+matrix into a differential operator in the wavenumber k, a(k) + (v/c)(b(k)
++ c(k) d/dk).  The first-order solve reads only a, a', b, c and c' at the
+pump wavenumber, which `_composed` forms in closed form from M1, M2 and
+their k-derivatives (`_product`), so every derivative is analytic.
 """
 
 from __future__ import annotations
@@ -61,24 +61,9 @@ def _dense(m) -> tuple:
     return (0.0,) * 4 if m is None else tuple(0.0 if e is None else e for e in m)
 
 
-def _op_mul(x: tuple, y: tuple) -> tuple:
-    """Product of two jets (a, a', b, c, c'), truncated at first order in v/c.
-
-    For P = a1 + (v/c)(b1 + c1 d/dk) and Q = a2 + (v/c)(b2 + c2 d/dk):
-
-        a  = a1 a2                      a' = a1' a2 + a1 a2'
-        b  = b1 a2 + c1 a2' + a1 b2     (c1 a2' is d/dk acting on a2)
-        c  = c1 a2 + a1 c2              c' = c1' a2 + c1 a2' + a1' c2 + a1 c2'
-    """
-    a1, da1, b1, c1, dc1 = x
-    a2, da2, b2, c2, dc2 = y
-    da = _add(_mul(da1, a2), _mul(a1, da2))
-    if b1 is c1 is dc1 is b2 is c2 is dc2 is None:  # two static jets
-        return _mul(a1, a2), da, None, None, None
-    c1_da2 = _mul(c1, da2)
-    return (_mul(a1, a2), da, _add(_add(_mul(b1, a2), c1_da2), _mul(a1, b2)),
-            _add(_mul(c1, a2), _mul(a1, c2)),
-            _add(_add(_add(_mul(dc1, a2), c1_da2), _mul(da1, c2)), _mul(a1, dc2)))
+def _product(x, dx, y, dy) -> tuple:
+    """(x y, x' y + x y'): a matrix product and its k-derivative."""
+    return _mul(x, y), _add(_mul(dx, y), _mul(x, dy))
 
 
 def _scatterer(z: complex) -> tuple:
@@ -111,10 +96,6 @@ def _element_entries(el, k0: float) -> tuple:
     return _dense(_factor(el if isinstance(el, Scatterer) else el.length, k0, False)[0])
 
 
-def _static_jet(m: tuple, dm) -> tuple:
-    return m, dm, None, None, None
-
-
 def _left_jet(elements, k0: float, deriv: bool) -> tuple:
     """(M1, M1'): the product of `elements`, left to right, and its
     k-derivative if `deriv`; the identity for no elements."""
@@ -122,7 +103,7 @@ def _left_jet(elements, k0: float, deriv: bool) -> tuple:
         return (1.0, None, None, 1.0), None
     m, dm = _factor(elements[0], k0, deriv)
     for el in elements[1:]:
-        m, dm, _, _, _ = _op_mul(_static_jet(m, dm), _static_jet(*_factor(el, k0, deriv)))
+        m, dm = _product(m, dm, *_factor(el, k0, deriv))
     return m, dm
 
 
@@ -134,18 +115,28 @@ def _right_jet(elements, k0: float, deriv: bool) -> tuple:
     m, dm = _factor(elements[-1], k0, deriv)
     m, dm = (None, m[1], None, m[3]), None if dm is None else (None, dm[1], None, dm[3])
     for el in elements[-2::-1]:
-        m, dm, _, _, _ = _op_mul(_static_jet(*_factor(el, k0, deriv)), _static_jet(m, dm))
+        m, dm = _product(*_factor(el, k0, deriv), m, dm)
     return m, dm
 
 
-def _moving_scatterer(z: complex, k0: float) -> tuple:
-    """Jet of the mobile scatterer at k0: the scatterer matrix, and the
-    Doppler shift -2k v/c (receding) or +2k v/c (approaching) of reflected
-    light as an operator 2 i zeta k d/dk on each off-diagonal (reflection)
-    entry: c = 2 i zeta k and c' = 2 i zeta there, for a k-independent
-    polarisability.  Transmission is unshifted."""
-    c, dc = (2j * z * k0) * _OFF, (2j * z) * _OFF
-    return _scatterer(z), None, None, (None, c[1], c[2], None), (None, dc[1], dc[2], None)
+def _composed(m1, dm1, z: complex, k0: float, m2, dm2) -> tuple:
+    """(a, a', b, c, c') of M1 MS^ M2 at k0, for the side products M1, M2
+    and their k-derivatives, and a mobile scatterer of polarisability z.
+
+    MS^ is the scatterer matrix S plus the Doppler shift -2k v/c (receding)
+    or +2k v/c (approaching) of reflected light: an operator C d/dk with
+    C = 2 i zeta k on each off-diagonal (reflection) entry, so C' = 2 i
+    zeta there for a k-independent polarisability.  Transmission is
+    unshifted.  M1 and M2 do not move, so d/dk acting on M2 leaves b = M1
+    C M2' as the only scalar first-order part.
+    """
+    s, c, dc = _scatterer(z), (2j * z * k0) * _OFF, (2j * z) * _OFF
+    c, dc = (None, c[1], c[2], None), (None, dc[1], dc[2], None)
+    a_x, da_x, c_x = _mul(m1, s), _mul(dm1, s), _mul(m1, c)
+    dc_x = _add(_mul(dm1, c), _mul(m1, dc))
+    b = _mul(c_x, dm2)
+    return (_mul(a_x, m2), _add(_mul(da_x, m2), _mul(a_x, dm2)), b, _mul(c_x, m2),
+            _add(_mul(dc_x, m2), b))
 
 
 _OFF = np.array([0, 1, 1, 0], dtype=complex)
@@ -181,7 +172,7 @@ def _static_force(a0, b0, z: complex, k0: float):
 def _first_order(comp: tuple, B0) -> tuple:
     """(al1, p, q): the (v/c) part al1 delta of the left output and p delta
     + q delta' of the right output under a left pump B0, from the right
-    columns of the composed jet's a, a', b, c, c' (`comp`):
+    columns of the composed a, a', b, c, c' (`comp`, `_composed`):
 
         d0 = B0/b,    q = -d0 bc/b,    p = [-d0 (bb - bc') + b' q]/b,
 
@@ -237,13 +228,13 @@ def _solve_left_pump(left, z: complex, right, k0: float, B0,
     moving scatterer adds its Doppler source: its d/dk part 2 i z k on the
     reflection entries leaves -2 i z times the crossed static fields.
     """
-    ms = _moving_scatterer(z, k0) if first_order else _static_jet(_scatterer(z), None)
     m1, dm1 = _left_jet(left, k0, first_order)
     m2, dm2 = _right_jet(right, k0, first_order)
+    s = _scatterer(z)
     # singular points divide by zero or overflow; the mask below marks them
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        comp = _op_mul(_op_mul(_static_jet(m1, dm1), ms), _static_jet(m2, dm2))
-        m, s = comp[0], _scatterer(z)
+        comp = _composed(m1, dm1, z, k0, m2, dm2) if first_order else (_mul(_mul(m1, s), m2),)
+        m = comp[0]
         _, m2c, _, m2d = _dense(m2)
         d_out = B0 / m[3]
         a_out = m[1] * d_out

@@ -1,6 +1,6 @@
 """Shared oracle machinery for the test suite.
 
-The oracles here deliberately avoid the package's first-order jets and
+The oracles here deliberately avoid the package's composed operator and
 closed-form solve: static compositions are plain 2x2 products written out
 on tuples, k-derivatives are central finite differences over static solves
 at shifted wavenumbers (the reflected components of a slowly moving
@@ -425,10 +425,10 @@ def matrix(entries) -> np.ndarray:
                     dtype=complex).reshape(2, 2)
 
 
-def random_static_jet(rng, n_terms: int = 2):
-    """Random static jets with k-dependent phase entries.
+def random_side(rng, n_terms: int = 2):
+    """A random k-dependent matrix standing for one side's product.
 
-    Returns `jet(k)`, the jet (a, a', None, None, None) at k with its
+    Returns `side(k)`, the pair (m, m') of entry tuples at k with the
     analytic k-derivative, and `plain(k)`, the same matrix as a plain numpy
     array for cross-checks.  Entry (i, j) is sum_t coeff_t exp(i k d_t).
     """
@@ -438,12 +438,12 @@ def random_static_jet(rng, n_terms: int = 2):
     def plain(k):
         return np.sum(coeffs * np.exp(1j * k * phases), axis=-1)
 
-    def jet(k):
+    def side(k):
         terms = coeffs * np.exp(1j * k * phases)
         return (tuple(terms.sum(axis=-1).ravel()),
-                tuple((1j * phases * terms).sum(axis=-1).ravel()), None, None, None)
+                tuple((1j * phases * terms).sum(axis=-1).ravel()))
 
-    return jet, plain
+    return side, plain
 
 
 @contextlib.contextmanager

@@ -151,10 +151,35 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="schema_version"):
             load_run_config(write(tmp_path / "run.ini", bad))
 
-    def test_incomplete_grid_rejected(self, tmp_path):
-        bad = GOOD_RUN.replace("dlc_count = 3\n", "")
-        with pytest.raises(ConfigError, match="dlc_count"):
-            load_run_config(write(tmp_path / "run.ini", bad))
+    def test_incomplete_grid_rejected(self, tmp_path, capsys):
+        """A [grid] without its dlc keys loads and is one problem line that
+        names each missing key: `validate` echoes the keys as given and
+        lists it, and `scan` prints it on its error line."""
+        bad = "".join(line for line in GOOD_RUN.splitlines(keepends=True)
+                      if not line.startswith("dlc_"))
+        path = write(tmp_path / "run.ini", bad)
+        problem = ("grid.dlc_start, grid.dlc_stop, grid.dlc_count: missing; "
+                   "[grid] needs all six of its keys")
+        assert validate_report(load_run_config(path)) == [problem]
+        assert cli.run(["validate", "--config", path]) == 2
+        echo, listed = capsys.readouterr().out.split("problems:\n")
+        assert echo.endswith("  grid = x [-2e-07, 2e-07] m x 4; dlc [None, None] m x None\n")
+        assert listed == f"  - {problem}\n"
+        assert cli.run(["scan", "--config", path, "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == f"error: invalid configuration: {problem}\n"
+
+    def test_partial_grid_of_a_built_config_is_a_problem(self):
+        """A RunConfig built in code with some [grid] fields names the ones
+        it lacks, x_start included, next to the problems of the others."""
+        assert validate_report(RunConfig(x_start=0.0)) == [
+            "grid.x_stop, grid.x_count, grid.dlc_start, grid.dlc_stop, grid.dlc_count: "
+            "missing; [grid] needs all six of its keys"]
+        cfg = RunConfig(x_stop=1e-7, x_count=0, dlc_start=0.0, dlc_stop=1e-7, dlc_count=3)
+        assert cfg.has_grid and not RunConfig().has_grid
+        assert validate_report(cfg) == [
+            "grid.x_count: grid counts must be >= 1",
+            "grid.x_start: missing; [grid] needs all six of its keys"]
+        assert cfg.resolved_lines()[-1] == "grid = x [None, 1e-07] m x 0; dlc [0.0, 1e-07] m x 3"
 
     def test_grid_count_of_a_built_config_is_a_problem(self):
         """A RunConfig built in code is judged as a loaded one: a grid count

@@ -1,4 +1,4 @@
-"""Element constructors, chain validation, the kernel's side jets,
+"""Element constructors, chain validation, the kernel's chain sides,
 conservation laws,
 typed failures at the element, chain, pump, grid and temperature entry
 points."""
@@ -20,10 +20,7 @@ from tmmcavity.elements import (
 from tmmcavity.errors import ChainError, NonCoolingError, PassivityError, TmmCavityError
 from tmmcavity.mim import MimConfig, ScanGrid, build_mim, compare_models, evaluate_chain
 from tmmcavity.noise import equilibrium_temperature
-from tmmcavity.opalg import (
-    _element_entries, _left_jet, _moving_scatterer, _op_mul, _right_jet,
-    _static_jet,
-)
+from tmmcavity.opalg import _composed, _element_entries, _left_jet, _right_jet
 from tmmcavity.statics import solve_static
 
 from helpers import compose, matrix
@@ -148,14 +145,13 @@ def inverse(m):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
-def side_jets(chain: Chain) -> tuple:
-    """The kernel's static jets of the elements left and right of the
-    mobile scatterer at `chain.k0`: M1 in full, M2 as its right column."""
+def chain_sides(chain: Chain) -> tuple:
+    """The kernel's (M, M') of the elements left and right of the mobile
+    scatterer at `chain.k0`: M1 in full, M2 as its right column."""
     i, k = chain.mobile_index, chain.k0
     lengths = [el if isinstance(el, Scatterer) else np.array([el.length])
                for el in chain.elements]
-    return (_static_jet(*_left_jet(lengths[:i], k, True)),
-            _static_jet(*_right_jet(lengths[i + 1:], k, True)))
+    return _left_jet(lengths[:i], k, True), _right_jet(lengths[i + 1:], k, True)
 
 
 def full_right_side(chain: Chain) -> np.ndarray:
@@ -167,12 +163,12 @@ def full_right_side(chain: Chain) -> np.ndarray:
 
 class TestFactorize:
     """The chain split M1 MS^ M2 around the mobile scatterer: `_left_jet`
-    and `_right_jet` give the two static side jets, `_moving_scatterer`
-    the middle."""
+    and `_right_jet` give the two static sides, `_composed` recomposes
+    them around the mobile scatterer."""
 
     def test_lone_scatterer(self):
         chain = Chain(elements=(Scatterer.of(-1.0),), mobile_index=0, k0=K0)
-        m1, m2 = side_jets(chain)
+        m1, m2 = chain_sides(chain)
         np.testing.assert_allclose(matrix(m1[0]), np.eye(2))
         np.testing.assert_allclose(matrix(m2[0]), [[0, 0], [0, 1]])
         assert m1[1] is None and m2[1] is None
@@ -195,7 +191,7 @@ class TestFactorize:
             mobile_index=2,
             k0=K0,
         )
-        m1, m2 = side_jets(chain)
+        m1, m2 = chain_sides(chain)
         full = full_right_side(chain)
         np.testing.assert_array_equal(matrix(m2[0])[:, 1], full[:, 1])
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -214,9 +210,8 @@ class TestFactorize:
         chain = Chain(elements=elements, mobile_index=2, k0=K0)
         dk = 1e-8 * K0
         for k in K0 * (1 + np.linspace(-1e-3, 1e-3, 20)):
-            m1, m2 = side_jets(replace(chain, k0=k))
-            ms = _moving_scatterer(chain.mobile.pol.zeta, k)
-            recomposed = _op_mul(m1, _op_mul(ms, m2))
+            m1, m2 = chain_sides(replace(chain, k0=k))
+            recomposed = _composed(*m1, chain.mobile.pol.zeta, k, *m2)
             # the right side is its right column, and so is the product
             np.testing.assert_allclose(
                 matrix(recomposed[0])[:, 1], compose(elements, k)[:, 1], rtol=1e-10
@@ -242,8 +237,8 @@ class TestFactorize:
             mobile_index=2,
             k0=K0,
         )
-        jet, _ = side_jets(chain)
-        m1, dm1 = matrix(jet[0]), matrix(jet[1])
+        side, _ = chain_sides(chain)
+        m1, dm1 = matrix(side[0]), matrix(side[1])
         mu = inverse(m1)
         np.testing.assert_allclose(mu @ m1, np.eye(2), atol=1e-12)
         # d(mu m1)/dk = 0: the adjugate of m1' is the derivative of mu
@@ -263,9 +258,9 @@ class TestFactorize:
             mobile_index=2,
             k0=K0,
         )
-        m1, _ = side_jets(chain)
-        m2 = _static_jet(tuple(full_right_side(chain).ravel()), None)
-        m = matrix(_op_mul(_op_mul(m1, _moving_scatterer(chain.mobile.pol.zeta, K0)), m2)[0])
+        m1, _ = chain_sides(chain)
+        m2 = tuple(full_right_side(chain).ravel())
+        m = matrix(_composed(*m1, chain.mobile.pol.zeta, K0, m2, None)[0])
         assert abs(np.linalg.det(m)) == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
