@@ -8,15 +8,15 @@ or keys are hard errors: a typo must never be silently ignored.
 Each key is declared once, in `_RUN_KEYS` or `_CHAIN_KEYS`; loading,
 `validate_report`, the ``tmmcavity --help`` key list and the ``meta.json``
 config block are all driven by those tables.  ``tmmcavity --help`` prints
-the keys with their units.  A run key lists the checks of its value on
-its own, and `_RULES` the bounds across keys, each with the keys it
-names; both are the checks the records' constructors make.
+the keys with their units.  A key lists the checks of its value on its
+own, and `_RULES` (run configs) and `_CHAIN_RULES` (chain files) the
+bounds across keys, each with the keys it names; they are the checks the
+records' constructors make, and one pass (`_problems`) judges both files.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, NamedTuple
@@ -123,11 +123,11 @@ def _parse_version(text: str) -> int:
     return version
 
 
-def _parse_format(text: str) -> str:
-    fmt = text.strip().lower()
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"must be csv or json, got {fmt!r}")
-    return fmt
+def _parse_choice(choices: tuple, text: str) -> str:
+    choice = text.strip().lower()
+    if choice not in choices:
+        raise ConfigError(f"must be {' or '.join(choices)}, got {choice!r}")
+    return choice
 
 
 def _parse_zeta(text: str) -> complex:
@@ -148,8 +148,8 @@ class _Key(NamedTuple):
     parse: Callable[[str], object] | None = None
     meta: str = ""  # its name in the meta.json sidecar; "" when not recorded
     # the checks of the value on its own, in order, each raising a
-    # TmmCavityError; one that returns a value hands the rules that value
-    # in its place (chain.path: its chain)
+    # TmmCavityError; one that returns a value other than None hands the
+    # rules that value in its place (chain.path: its chain)
     checks: tuple = ()
 
 
@@ -196,21 +196,71 @@ _RUN_KEYS = (
     _Key("grid", "dlc_count", "", "number of detuning samples", "dlc_count", _parse_int,
          "dlc_count", (_check_count,)),
     _Key("output", "path", "", "output file", "out_path", str.strip),
-    _Key("output", "format", "", "csv|json", "out_format", _parse_format),
+    _Key("output", "format", "", "csv|json", "out_format",
+         partial(_parse_choice, ("csv", "json"))),
     _Key("output", "workers", "", "accepted and ignored: scans are vectorised in one "
          "process", "workers", _parse_int, "workers", (_check_workers,)),
 )
 _RUN_NAMES = {e.field: f"{e.section}.{e.key}" for e in _RUN_KEYS}
 _GRID_KEYS = tuple(e for e in _RUN_KEYS if e.section == "grid")
 
-# Chain description file keys; [element.N] stands for every numbered element.
+# Chain description file keys; [element.N] stands for every numbered
+# element.  An element's zeta hands the rules its Scatterer, and its
+# length its Segment.
 _CHAIN_KEYS = (
-    _Key("chain", "schema_version", "", "chain file schema, currently 1"),
-    _Key("chain", "wavelength", "m", "pump wavelength"),
-    _Key("element.N", "kind", "", "scatterer|segment"),
-    _Key("element.N", "zeta", "", "scatterer polarisability, two reals RE IM"),
-    _Key("element.N", "mobile", "", "true marks the one mobile scatterer"),
-    _Key("element.N", "length", "m", "segment length"),
+    _Key("chain", "schema_version", "", "chain file schema, currently 1",
+         parse=_parse_version),
+    _Key("chain", "wavelength", "m", "pump wavelength", parse=parse_length,
+         checks=(_check_wavelength,)),
+    _Key("element.N", "kind", "", "scatterer|segment",
+         parse=partial(_parse_choice, ("scatterer", "segment"))),
+    _Key("element.N", "zeta", "", "scatterer polarisability, two reals RE IM",
+         parse=_parse_zeta, checks=(Scatterer.of,)),
+    _Key("element.N", "mobile", "", "true marks the one mobile scatterer", parse=_parse_bool),
+    _Key("element.N", "length", "m", "segment length", parse=parse_length, checks=(Segment,)),
+)
+
+
+def _check_given(kind, what: str, value, element_kind=None):
+    """The rule that a key has a value where its element's kind is `kind`
+    (None: whatever the kind)."""
+    if value is None and element_kind == kind:
+        raise ConfigError(f"missing: {what}")
+
+
+def _check_segment_mobile(mobile, kind):
+    if kind == "segment" and mobile is not None:
+        raise ConfigError("segments cannot be mobile")
+
+
+def _check_segment(segment, wavelength):
+    if None not in (segment, wavelength):  # Chain's bound, at its 2 pi / k0
+        _check_length(segment.length, 2 * math.pi / (2 * math.pi / wavelength),
+                      "segment length")
+
+
+def _check_one_mobile(*mobiles):
+    if sum(map(bool, mobiles)) != 1:
+        raise ConfigError("more than one mobile element" if any(mobiles)
+                          else "no element marked mobile = true")
+
+
+# The bounds across a chain file's keys, each (fields, check) as in
+# `_RULES`, where a key the file does not give is None.  A rule whose
+# first key is element.N's is judged for each element; `load_chain_file`
+# adds `_check_one_mobile` over the mobile keys the file gives.
+_CHAIN_RULES = (
+    (("chain.wavelength",), partial(_check_given, None, "the file needs [chain] wavelength")),
+    (("element.N.kind",), partial(_check_given, None, "each element needs a kind")),
+    (("element.N.zeta", "element.N.kind"),
+     partial(_check_given, "scatterer", "a scatterer needs zeta = RE IM")),
+    (("element.N.length", "element.N.kind"),
+     partial(_check_given, "segment", "a segment needs a length")),
+    (("element.N.mobile", "element.N.kind"), _check_segment_mobile),
+    (("element.N.length", "chain.wavelength"), _check_segment),
+    (("element.N.zeta", "element.N.mobile"),
+     lambda scatterer, mobile: mobile and scatterer is not None
+     and _check_mobile_zeta(scatterer.pol.zeta)),
 )
 
 
@@ -268,22 +318,33 @@ def _read_ini(path: str) -> dict:
     return sections
 
 
-def _check_unknown(ini: dict, keys: tuple, path: str):
-    """Raise a ConfigError naming every unknown section and key, each as a
-    value problem is named: ``<file>: element.2.foo: unknown key``."""
+def _plain(number: str) -> bool:
+    """Whether `number` is a positive integer as written plainly: ASCII
+    digits, no sign and no leading zero."""
+    return number.isascii() and number.isdigit() and number[0] != "0"
+
+
+def _unknown(ini: dict, keys: tuple) -> list:
+    """The problems of the sections and keys of `ini` that `keys` does not
+    declare, each named as a value problem is: ``element.2.foo: unknown
+    key``.  A numbered section, ``[element.N]``, is known only with a plain
+    number (`_plain`)."""
     known = {}
     for e in keys:
         known.setdefault(e.section, set()).add(e.key)
     problems = []
     for section, values in ini.items():
-        head, numbered, _ = section.partition(".")
+        head, numbered, number = section.partition(".")
         allowed = known.get(head + ".N" if numbered else section)
         if allowed is None:
             problems.append(f"{section}: unknown section")
-            continue
-        problems += [f"{section}.{key}: unknown key" for key in values if key not in allowed]
-    if problems:
-        raise ConfigError("; ".join(f"{path}: {p}" for p in problems))
+        elif numbered and not _plain(number):
+            problems.append(f"{section}: a section number must be a positive integer, "
+                            "without sign or leading zero")
+        else:
+            problems += [f"{section}.{key}: unknown key" for key in values
+                         if key not in allowed]
+    return problems
 
 
 def _value(ini: dict, section: str, key: str, parse):
@@ -398,27 +459,30 @@ _RULES = (
 )
 
 
-def _problems(values: dict, rules: tuple) -> dict:
-    """The problems of `values` ({field: value}, None where a key has no
-    value), as {fields: problem}: each key's first failing check, named by
-    the key, then each failing rule, named by all of its keys.  A rule is
-    judged only where every one of its keys has a value that passed its
-    own checks, which put any value they hand the rules in `values`."""
+def _problems(values: dict, keys: tuple, names: dict, rules: tuple) -> dict:
+    """The problems of `values` ({field: value}, None for a key the file
+    does not give) under the key table `keys`, whose fields `names` names,
+    as {problem: the fields it names}: each key's first failing check,
+    named by the key (a line for each problem its error lists), then each
+    failing rule, named by all of its keys.  A key's checks run where it
+    has a value, and put any value they hand the rules in `values`; a key
+    that fails leaves `values`, and a rule is judged only where every one
+    of its keys is in `values`."""
     problems = {}
-    for e in _RUN_KEYS:
+    for e in keys:
         try:
             for check in e.checks if values.get(e.field) is not None else ():
-                values[e.field] = check(values[e.field]) or values[e.field]
+                if (value := check(values[e.field])) is not None:
+                    values[e.field] = value
         except TmmCavityError as exc:
-            problems[e.field,] = f"{_RUN_NAMES[e.field]}: {exc}"
-            values[e.field] = None  # and no rule of the key is judged
+            problems |= {f"{names[e.field]}: {p}": (e.field,) for p in exc.args}
+            del values[e.field]  # and no rule of the key is judged
     for fields, check in rules:
-        args = [values.get(f) for f in fields]
-        if None not in args:
+        if all(f in values for f in fields):
             try:
-                check(*args)
+                check(*map(values.get, fields))
             except TmmCavityError as exc:
-                problems[fields] = f"{', '.join(map(_RUN_NAMES.get, fields))}: {exc}"
+                problems[f"{', '.join(map(names.get, fields))}: {exc}"] = fields
     return problems
 
 
@@ -440,7 +504,8 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"{name} needs {len(keys)} comma-separated values "
                               f"{','.join(keys)}; got {text!r}")
         ini.setdefault(section, {}).update(zip(keys, values))
-    _check_unknown(ini, _RUN_KEYS, path)
+    if problems := _unknown(ini, _RUN_KEYS):
+        raise ConfigError(*(f"{path}: {p}" for p in problems))
 
     values = {e.field: _value(ini, e.section, e.key, e.parse)
               for e in _RUN_KEYS if e.key in ini.get(e.section, ())}
@@ -448,78 +513,33 @@ def load_run_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 
 def load_chain_file(path: str) -> Chain:
-    """Parse a chain description file into a Chain.  A problem of its keys
-    reads ``<file>: <key>: <message>``; the bound on a segment's length
-    names both of its keys, element.N.length and chain.wavelength."""
+    """Parse a chain description file into a Chain, or raise one
+    ConfigError that lists every problem of the file, each ``<file>:
+    <key>: <message>``: its unknown sections and keys, each key's checks
+    and the rules across keys (`_CHAIN_RULES`), judged as a run config's
+    are (`_problems`).  Elements are taken in the order of their numbers."""
     ini = _read_ini(path)
-    _check_unknown(ini, _CHAIN_KEYS, path)
-
-    def problem(keys: str, message) -> ConfigError:
-        return ConfigError(f"{path}: {keys}: {message}")
-
-    @contextmanager
-    def naming(keys: str):
-        """Any TmmCavityError raised inside as the problem of `keys`."""
-        try:
-            yield
-        except TmmCavityError as exc:
-            raise problem(keys, exc) from None
-
-    chain = ini.get("chain", {})
-    if "wavelength" not in chain:
-        raise problem("chain.wavelength", "missing: the file needs [chain] wavelength")
-    if "schema_version" in chain:
-        with naming("chain.schema_version"):
-            _parse_version(chain["schema_version"])
-    with naming("chain.wavelength"):
-        wavelength = parse_length(chain["wavelength"])
-        _check_wavelength(wavelength)
-    k0 = 2 * math.pi / wavelength  # a segment's bound is Chain's, at 2 pi / k0
-
-    def sort_key(name: str):
-        suffix = name.split(".", 1)[1]
-        try:
-            return (0, int(suffix), suffix)
-        except ValueError:
-            return (1, 0, suffix)
-
-    elements = []
-    mobile_index = None
-    for section in sorted((s for s in ini if s != "chain"), key=sort_key):
-        values = ini[section]
-        kind = values.get("kind")
-        if kind is None:
-            raise problem(f"{section}.kind", "missing: each element needs a kind")
-        kind = kind.strip().lower()
-        if kind == "scatterer":
-            if "zeta" not in values:
-                raise problem(f"{section}.zeta", "missing: a scatterer needs zeta = RE IM")
-            with naming(f"{section}.zeta"):
-                elements.append(Scatterer.of(_parse_zeta(values["zeta"])))
-            with naming(f"{section}.mobile"):
-                mobile = "mobile" in values and _parse_bool(values["mobile"])
-            if mobile:
-                if mobile_index is not None:
-                    raise problem(f"{section}.mobile", "more than one mobile element")
-                with naming(f"{section}.zeta"):
-                    _check_mobile_zeta(elements[-1].pol.zeta)
-                mobile_index = len(elements) - 1
-        elif kind == "segment":
-            if "length" not in values:
-                raise problem(f"{section}.length", "missing: a segment needs a length")
-            if "mobile" in values:
-                raise problem(f"{section}.mobile", "segments cannot be mobile")
-            with naming(f"{section}.length"):
-                elements.append(Segment(parse_length(values["length"])))
-            with naming(f"{section}.length, chain.wavelength"):
-                _check_length(elements[-1].length, 2 * math.pi / k0, "segment length")
-        else:
-            raise problem(f"{section}.kind", f"unknown element kind {kind!r}; "
-                          "must be scatterer or segment")
-
-    if mobile_index is None:
-        raise problem("element.N.mobile", "no element marked mobile = true")
-    return Chain(elements=tuple(elements), mobile_index=mobile_index, k0=k0)
+    elements = [f"element.{n}" for n in sorted(int(s[8:]) for s in ini
+                                               if s.startswith("element.") and _plain(s[8:]))]
+    keys = [e._replace(section=s, field=f"{s}.{e.key}", checks=(e.parse, *e.checks))
+            for s in ("chain", *elements) for e in _CHAIN_KEYS
+            if e.section.split(".")[0] == s.split(".")[0]]
+    # element.N.mobile names the one-mobile rule where no element gives the key
+    values = {e.field: ini.get(e.section, {}).get(e.key) for e in keys} | {
+        "element.N.mobile": None}
+    mobiles = tuple(f"{s}.mobile" for s in elements if "mobile" in ini[s])
+    rules = [(tuple(f.replace("element.N", s) for f in fields), check)
+             for fields, check in _CHAIN_RULES
+             for s in (elements if fields[0].startswith("element.N") else ("",))]
+    rules.append((mobiles or ("element.N.mobile",), _check_one_mobile))
+    problems = _unknown(ini, _CHAIN_KEYS) + list(
+        _problems(values, keys, dict(zip(values, values)), rules))
+    if problems:
+        raise ConfigError(*(f"{path}: {p}" for p in problems))
+    return Chain(elements=tuple(values[f"{s}.zeta"] if values[f"{s}.kind"] == "scatterer"
+                                else values[f"{s}.length"] for s in elements),
+                 mobile_index=[bool(values[f"{s}.mobile"]) for s in elements].index(True),
+                 k0=2 * math.pi / values["chain.wavelength"])
 
 
 class _Run(NamedTuple):
@@ -549,12 +569,12 @@ def _build(cfg: RunConfig) -> _Run:
     bare-cavity calibration and a default grid that collapses a sub-cavity
     are warnings.
     """
-    values = dict(vars(cfg))
-    problems = _problems(values, _RULES)
+    values = {field: value for field, value in vars(cfg).items() if value is not None}
+    problems = _problems(values, _RUN_KEYS, _RUN_NAMES, _RULES)
     missing = tuple(e.field for e in _GRID_KEYS if getattr(cfg, e.field) is None)
     if cfg.has_grid and missing:
-        problems[missing] = (f"{', '.join(map(_RUN_NAMES.get, missing))}: missing; "
-                             "[grid] needs all six of its keys")
+        problems[f"{', '.join(map(_RUN_NAMES.get, missing))}: missing; "
+                 "[grid] needs all six of its keys"] = missing
     mim = pump = chain = grid = grid_error = None
     try:  # the MIM setup where its checks pass; a failure is a problem above
         mim = cfg.mim_config()
@@ -570,7 +590,7 @@ def _build(cfg: RunConfig) -> _Run:
     if cfg.has_grid:  # the [grid] where its checks pass
         grid = None if problems else cfg.default_grid()
     # the default grid where the cavity's keys and bound pass their checks
-    elif not problems.keys() & {("wavelength",), ("cavity_length",), _CAVITY}:
+    elif not {("wavelength",), ("cavity_length",), _CAVITY} & set(problems.values()):
         grid = cfg.default_grid()
         try:  # x spans +-wavelength/2, so both of its ends collapse alike
             _half_gap(grid.x_start, grid.dlc_start, cfg.cavity_length)
@@ -580,10 +600,10 @@ def _build(cfg: RunConfig) -> _Run:
                           "cavity of at least 1.5 wavelengths")
             warnings.append(grid_error)
     if not problems:
-        chain = values["chain_path"] or build_mim(mim, cfg.membrane_x, cfg.cavity_detuning)
+        chain = values.get("chain_path") or build_mim(mim, cfg.membrane_x, cfg.cavity_detuning)
         if cfg.chain_path is not None:
             pump = PumpSpec.one_sided(cfg.power_watts, 2 * math.pi / chain.k0, cfg.pump_side)
-    return _Run(cfg, list(problems.values()), warnings, mim, grid, grid_error, chain, pump)
+    return _Run(cfg, list(problems), warnings, mim, grid, grid_error, chain, pump)
 
 
 def validate_report(cfg: RunConfig) -> list[str]:

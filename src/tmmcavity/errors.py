@@ -24,7 +24,12 @@ class NonCoolingError(TmmCavityError, ValueError):
 
 
 class ConfigError(TmmCavityError, ValueError):
-    """Malformed configuration file or unknown keys."""
+    """Malformed configuration file or unknown keys.  One raised for
+    several problems takes each as an argument and reads them joined by
+    "; "."""
+
+    def __str__(self):
+        return "; ".join(map(str, self.args))
 
 
 class CalibrationError(TmmCavityError, ValueError):

@@ -1240,11 +1240,21 @@ def _malformed_chains():
             text = io.StringIO()
             cp.write(text)
             cases.append((f"{section}.{key}={label}", text.getvalue(), f"{section}.{key}"))
+    # an element number with a sign or a leading zero, or not a number
+    for number in ("01", "-2", "+3", "0", "a"):
+        cases.append((f"element.{number}", GOOD_CHAIN.replace("[element.5]", f"[element.{number}]"),
+                      f"element.{number}"))
+    cases.append(("three-problems", THREE_PROBLEMS, "chain.wavelength"))
     for case, (text, where) in _ini_syntax_errors(GOOD_CHAIN, "kind = segment").items():
         cases.append((case, text, _ini_key(f"chain{len(cases)}.ini", where)))
     return cases
 
 
+# A chain file with three independent problems, one per key.
+THREE_PROBLEMS = (GOOD_CHAIN.replace("wavelength = 1064nm", "wavelength = -1")
+                  .replace("zeta = -3.0 0.0", "zeta = abc", 1)
+                  .replace("kind = segment", "kind = mirror", 1))
+THREE_KEYS = ("chain.wavelength", "element.1.zeta", "element.2.kind")
 MALFORMED_CHAINS = _malformed_chains()
 _CHAIN_COMMANDS = ("point-left", "point-right", "elements", "validate")
 
@@ -1352,6 +1362,25 @@ def test_malformed_chain_file_is_rejected_without_traceback(sweep, case, key):
             assert code == "0", (out, err)
         else:
             _assert_rejected(code, out, err, key)
+
+
+def test_chain_file_problems_are_all_listed(sweep, tmp_path):
+    """Each of the three problems of a chain file is its own `validate`
+    line and `validate_report` entry, named by the run config's key, the
+    file and the chain file's key; `point` and `elements` name all three
+    in their `error:` line."""
+    code, out, err = sweep["chain", "three-problems", "validate"]
+    lines = [ln.split(": ") for ln in out.splitlines() if ln.startswith("  - ")]
+    assert code == "2" and [ln[0] for ln in lines] == ["  - chain.path"] * 3, out
+    assert [ln[2] for ln in lines] == list(THREE_KEYS), out
+    chain = write(tmp_path / "c.ini", THREE_PROBLEMS)
+    run = write(tmp_path / "run.ini", f"[chain]\npath = {chain}\n")
+    assert len(validate_report(load_run_config(run))) == 3
+    for command in ("point-left", "point-right", "elements"):
+        code, out, err = sweep["chain", "three-problems", command]
+        assert code == "2" and "Traceback" not in err, (out, err)
+        error = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(error) == 1 and all(key in error[0] for key in THREE_KEYS), err
 
 
 def _random_run_configs(count: int, seed: int, grid: bool = True) -> list:
